@@ -2,8 +2,9 @@
 
 Terms are stored sparsely as a map from exponent pairs to nonzero rational
 coefficients.  The module also carries the elimination machinery used by the
-intersection engine: Sylvester resultants computed fraction-free, subresultant
-chains, and splitting of binary quadratic forms.
+intersection engine: Sylvester resultants computed fraction-free (the
+Bareiss determinant the subresultant ladder in `intersect` reuses), and
+splitting of binary quadratic forms.
 """
 from __future__ import annotations
 
@@ -265,21 +266,8 @@ class BiPoly:
         return out
 
     @staticmethod
-    def from_y_polynomial(coeffs: list[UniPoly]) -> BiPoly:
-        terms: dict[tuple[int, int], Fraction] = {}
-        for j, p in enumerate(coeffs):
-            for i, c in enumerate(p.coeffs):
-                if c:
-                    terms[(i, j)] = c
-        return BiPoly(terms)
-
-    @staticmethod
     def from_unipoly_in_x(p: UniPoly) -> BiPoly:
         return BiPoly({(i, 0): c for i, c in enumerate(p.coeffs) if c})
-
-    @staticmethod
-    def from_unipoly_in_y(p: UniPoly) -> BiPoly:
-        return BiPoly({(0, j): c for j, c in enumerate(p.coeffs) if c})
 
     def content_wrt_y(self) -> UniPoly:
         """Gcd over the x-line of the y-coefficients (monic, or zero)."""
@@ -353,101 +341,6 @@ def resultant_y(F: BiPoly, G: BiPoly) -> UniPoly:
 def resultant_x(F: BiPoly, G: BiPoly) -> UniPoly:
     """Resultant eliminating x, as a polynomial in y."""
     return resultant_y(F.swap_vars(), G.swap_vars())
-
-
-# -- subresultants ---------------------------------------------------------
-
-
-def _ydeg(p: list[UniPoly]) -> int:
-    return len(p) - 1
-
-
-def _ytrim(p: list[UniPoly]) -> list[UniPoly]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _ysub(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    out = list(a) + [UniPoly.zero()] * (len(b) - len(a))
-    for i, q in enumerate(b):
-        out[i] = out[i] - q
-    return _ytrim(out)
-
-
-def _yscale(a: list[UniPoly], c: UniPoly) -> list[UniPoly]:
-    return _ytrim([q * c for q in a])
-
-
-def _yshift(a: list[UniPoly], k: int) -> list[UniPoly]:
-    return [UniPoly.zero()] * k + list(a)
-
-
-def _pseudo_rem(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    """prem(a, b): lc(b)^(da-db+1) * a reduced by b until the degree drops below b."""
-    da, db = _ydeg(a), _ydeg(b)
-    lead = b[-1]
-    rem = list(a)
-    steps = da - db + 1
-    for _ in range(steps):
-        d = _ydeg(rem)
-        if d < db:
-            rem = _yscale(rem, lead)
-            continue
-        top = rem[-1]
-        rem = _ysub(_yscale(rem, lead), _yshift(_yscale(b, top), d - db))
-        if _ydeg(rem) >= d and rem:
-            raise AssertionError("pseudo-division failed to reduce the degree")
-    return rem
-
-
-def subresultant_chain(F: BiPoly, G: BiPoly) -> list[list[UniPoly]]:
-    """Subresultant remainder sequence of F and G viewed as polynomials in y.
-
-    Entries are coefficient lists over the x-line, leading coefficient last.
-    Scalar factors follow the standard fraction-free recurrence; for the uses
-    here only vanishing patterns and coefficient ratios matter.
-    """
-    a = _ytrim(F.as_y_polynomial())
-    b = _ytrim(G.as_y_polynomial())
-    if _ydeg(a) < _ydeg(b):
-        a, b = b, a
-    if not b:
-        return [a]
-    chain = [a, b]
-    g = UniPoly.one()
-    h = UniPoly.one()
-    while True:
-        a, b = chain[-2], chain[-1]
-        delta = _ydeg(a) - _ydeg(b)
-        rem = _pseudo_rem(a, b)
-        if not rem:
-            return chain
-        divisor = g * (h**delta)
-        nxt = [q.exact_div(divisor) for q in rem]
-        chain.append(_ytrim(nxt))
-        g = b[-1]
-        if delta == 0:
-            # h unchanged by the recurrence when the degree gap is zero
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = (g**delta).exact_div(h ** (delta - 1))
-        if _ydeg(chain[-1]) == 0:
-            return chain
-
-
-def first_linear_subresultant(F: BiPoly, G: BiPoly) -> tuple[UniPoly, UniPoly] | None:
-    """The chain member of y-degree one, as (s1, s0) with s1*y + s0.
-
-    Where s1 does not vanish, the single common root in y over a point of the
-    x-line equals -s0/s1 there.
-    """
-    for member in subresultant_chain(F, G):
-        if _ydeg(member) == 1:
-            return member[1], member[0]
-    return None
 
 
 def have_common_factor(F: BiPoly, G: BiPoly) -> bool:

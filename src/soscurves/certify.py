@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .components import CircleChart, PolyChart
-from .configuration import extract_C_prime
+from .components import CircleChart
+from .configuration import extract_C_prime, induced_subconfiguration
 from .curve import CurveAnalysis, to_configuration
 from .decide import PreconditionViolated, decide_psd_eq_sos, explain
-from .glue import SosCertificate, forest_assemble
+from .glue import SosCertificate, apply_matrix, forest_assemble, orthogonal_match
 from .gram import (
     NoConvergence,
     PrescribedValue,
@@ -33,6 +33,10 @@ from .ringfn import (
     restrict_to_chart,
     value_at_point,
 )
+
+
+_GRAM_TOL = 1e-9  # residual that ends the degree escalation with numeric summands
+_NUMERIC_ACCEPT = 1e-7  # largest residual a numeric completion may keep
 
 
 class ValueNormMismatch(ValueError):
@@ -71,12 +75,8 @@ class CompactResult:
     note: str = ""
 
 
-def _chart_of(analysis: CurveAnalysis, cid: str):
-    return analysis.components[int(cid[1:]) - 1].chart
-
-
 def _zero_fn(analysis: CurveAnalysis, cid: str) -> RingFn:
-    chart = _chart_of(analysis, cid)
+    chart = analysis.component(cid).chart
     if isinstance(chart, CircleChart):
         return CircleFn.zero(chart.q)
     return LineFn.zero()
@@ -94,66 +94,34 @@ def _min_gram_degree(targets: dict[str, RingFn]) -> int:
     return need
 
 
-def _orthogonal_match(
-    current: list[list[Fraction]], goal: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Orthogonal matrix sending each current vector to its goal, built as a
-    product of reflections; exists whenever all pairwise inner products agree."""
-    k = len(current[0]) if current else 0
-    b = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for v0, a in zip(current, goal):
-        v = [sum(b[i][j] * v0[j] for j in range(k)) for i in range(k)]
-        u = [vi - ai for vi, ai in zip(v, a)]
-        nn = sum(ui * ui for ui in u)
-        if nn == 0:
-            continue
-        # replace b by (I - 2 u u^T / nn) b
-        ub = [sum(u[l] * b[l][j] for l in range(k)) for j in range(k)]
-        for i in range(k):
-            ci = 2 * u[i] / nn
-            if not ci:
-                continue
-            bi = b[i]
-            for j in range(k):
-                bi[j] -= ci * ub[j]
-    return b
-
-
 def compact_complete(
     analysis: CurveAnalysis,
-    targets,
+    F: BiPoly,
     subset: tuple[str, ...],
     prescribed: list[PrescribedValue] | tuple[PrescribedValue, ...] = (),
-    degree_cap: int | None = None,
-    tol: float = 1e-9,
-    seed: int = 0,
 ) -> CompactResult:
     """Sum-of-squares completion on compact-type components.
 
     Prescribed attachment data pins the summand value vectors at points the
     rest of the curve has already fixed; the result is rotated so those
     vectors are reproduced entry by entry, not just in norm.  Escalates the
-    gram degree until the cap, then raises Inconclusive.
+    gram degree up to a cap set by the degree of F, then raises Inconclusive.
     """
     subset = tuple(subset)
-    target_map: dict[str, RingFn] = {}
-    for cid in subset:
-        chart = _chart_of(analysis, cid)
-        if isinstance(targets, dict):
-            target_map[cid] = targets[cid]
-        else:
-            target_map[cid] = restrict_to_chart(targets, chart)
+    target_map: dict[str, RingFn] = {
+        cid: restrict_to_chart(F, analysis.component(cid).chart) for cid in subset
+    }
 
     prescribed = list(prescribed)
     for pv in prescribed:
         expected = value_at_point(
-            target_map[pv.component], _chart_of(analysis, pv.component), pv.point
+            target_map[pv.component], analysis.component(pv.component).chart, pv.point
         )
         if expected != pv.norm_sq:
             raise ValueNormMismatch(pv.point_id, expected, pv.norm_sq)
 
     d_min = max(_min_gram_degree(target_map), 1)
-    cap = degree_cap if degree_cap is not None else d_min + 5
+    cap = 2 * max(F.total_degree, 1) + 6
     if cap < d_min:
         raise Inconclusive(cap, float("inf"))
 
@@ -162,9 +130,7 @@ def compact_complete(
     for degree in range(d_min, cap + 1):
         problem = build_gram_problem(analysis, target_map, subset, degree, prescribed)
         try:
-            sol = alternating_projections(
-                problem, tol=min(tol, 1e-9), seed=seed, extract_every=25
-            )
+            sol = alternating_projections(problem)
         except NoConvergence as stall:
             best_residual = min(best_residual, min(stall.residual_tail, default=float("inf")))
             continue
@@ -175,11 +141,11 @@ def compact_complete(
         if ext.residual < best_residual:
             best_residual = ext.residual
             best = (ext.summands, ext.residual, degree)
-        if ext.residual <= tol:
+        if ext.residual <= _GRAM_TOL:
             summands, res, deg = best
             summands = _align(analysis, summands, prescribed, subset)
             return CompactResult(summands, False, res, deg, "numeric gram summands")
-    if best is not None and best[1] <= max(tol, 1e-7):
+    if best is not None and best[1] <= _NUMERIC_ACCEPT:
         summands, res, deg = best
         summands = _align(analysis, summands, prescribed, subset)
         return CompactResult(summands, False, res, deg, "numeric gram summands")
@@ -202,33 +168,16 @@ def _align(
     goals = [list(pv.vector) + [Fraction(0)] * (k - len(pv.vector)) for pv in prescribed]
     currents = []
     for pv in prescribed:
-        chart = _chart_of(analysis, pv.component)
+        chart = analysis.component(pv.component).chart
         currents.append(
             [value_at_point(s[pv.component], chart, pv.point) for s in summands]
         )
-    b = _orthogonal_match(currents, goals)
-    rotated: list[dict[str, RingFn]] = []
-    for i in range(k):
-        entry: dict[str, RingFn] = {}
-        for cid in subset:
-            acc = _zero_fn(analysis, cid)
-            for j in range(k):
-                c = b[i][j]
-                if c:
-                    acc = acc + summands[j][cid].scale(c)
-            entry[cid] = acc
-        rotated.append(entry)
-    return rotated
+    b = orthogonal_match(currents, goals)
+    columns = {cid: apply_matrix(b, [s[cid] for s in summands]) for cid in subset}
+    return [{cid: columns[cid][i] for cid in subset} for i in range(k)]
 
 
-def full_certify(
-    analysis: CurveAnalysis,
-    F: BiPoly,
-    mode: str = "exact",
-    tol: float = 1e-9,
-    degree_cap: int | None = None,
-    seed: int = 0,
-) -> SosCertificate:
+def full_certify(analysis: CurveAnalysis, F: BiPoly) -> SosCertificate:
     """Certificate for a target the decision engine promises is a sum of squares.
 
     The components with trivial bounded-function ring are glued exactly; the
@@ -246,15 +195,10 @@ def full_certify(
     rest = [cid for cid in config.component_ids() if cid not in split.members]
 
     if not rest:
-        return forest_assemble(analysis, F, mode=mode, tol=tol)
-
-    if degree_cap is None:
-        degree_cap = 2 * max(F.total_degree, 1) + 6
+        return forest_assemble(analysis, F, config)
 
     if not cprime:
-        res = compact_complete(
-            analysis, F, tuple(rest), (), degree_cap, tol, seed
-        )
+        res = compact_complete(analysis, F, tuple(rest))
         return SosCertificate(
             summands=res.summands,
             exact=res.exact,
@@ -264,10 +208,12 @@ def full_certify(
             ],
         )
 
-    line_cert = forest_assemble(analysis, F, mode=mode, tol=tol, subset=tuple(cprime))
+    line_cert = forest_assemble(
+        analysis, F, induced_subconfiguration(config, tuple(cprime))
+    )
 
-    cprime_idx = {int(cid[1:]) - 1 for cid in cprime}
-    rest_idx = {int(cid[1:]) - 1 for cid in rest}
+    cprime_idx = {analysis.component(cid).index for cid in cprime}
+    rest_idx = {analysis.component(cid).index for cid in rest}
     prescribed: list[PrescribedValue] = []
     for rec in analysis.points:
         if not rec.is_real:
@@ -280,17 +226,15 @@ def full_certify(
             raise IrrationalAttachment(
                 f"attachment point {rec.id} joining the two parts is not rational"
             )
-        donor = f"C{touches_line[0] + 1}"
-        chart = _chart_of(analysis, donor)
+        donor = analysis.components[touches_line[0]]
         vector = tuple(
-            value_at_point(s[donor], chart, rec.point) for s in line_cert.summands
+            value_at_point(s[donor.label], donor.chart, rec.point)
+            for s in line_cert.summands
         )
-        receiver = f"C{touches_rest[0] + 1}"
+        receiver = analysis.components[touches_rest[0]].label
         prescribed.append(PrescribedValue(rec.id, receiver, rec.point, vector))
 
-    res = compact_complete(
-        analysis, F, tuple(rest), prescribed, degree_cap, tol, seed
-    )
+    res = compact_complete(analysis, F, tuple(rest), prescribed)
 
     k = max(len(line_cert.summands), len(res.summands))
     merged: list[dict[str, RingFn]] = []

@@ -107,7 +107,21 @@ class Component:
     metadata_used: dict = field(default_factory=dict)
 
 
+def component_index(cid: str) -> int:
+    """Position in the factor list of the component with id `cid`.
+
+    Ids are the labels `build_component` writes, C1, C2, ...; this is the
+    only place that reads one back.
+    """
+    return int(cid[1:]) - 1
+
+
 def is_squarefree(F: BiPoly) -> bool:
+    """Whether F is coprime to F_x (to F_y when F is free of x).
+
+    False for a repeated factor, and also for a squarefree but reducible F
+    with a factor free of x, such as x*y.
+    """
     fx = F.partial_x()
     fy = F.partial_y()
     if fx.is_zero() and fy.is_zero():
@@ -123,7 +137,10 @@ def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Comp
     if d < 1:
         raise InvalidComponent("components must be non-constant")
     if not is_squarefree(F):
-        raise InvalidComponent("components must be squarefree")
+        raise InvalidComponent(
+            f"{format_bipoly(F)} is reducible or has a repeated factor; "
+            "each component must be one irreducible factor"
+        )
     if d >= 3 and (F.deg_x == 0 or F.deg_y == 0):
         raise UnsupportedComponent(
             "a univariate factor of degree three or more always splits over the reals"

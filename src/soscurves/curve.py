@@ -20,6 +20,7 @@ from .components import (
     PolyChart,
     PuncturedChart,
     build_component,
+    component_index,
 )
 from .configuration import ConfigComponent, ConfigPoint, CurveConfiguration, OwnSingularity
 from .polyparse import format_bipoly, format_unipoly
@@ -146,14 +147,9 @@ class CurveAnalysis:
     points: list[PointRecord]
     shear: Fraction | None
 
-    def real_intersections(self) -> list[PointRecord]:
-        return [r for r in self.points if r.is_real and r.is_intersection]
-
-    def nonreal_intersections(self) -> list[PointRecord]:
-        return [r for r in self.points if not r.is_real]
-
-    def component_points(self, index: int) -> list[PointRecord]:
-        return [r for r in self.points if index in r.components]
+    def component(self, cid: str) -> Component:
+        """The component with id `cid`."""
+        return self.components[component_index(cid)]
 
 
 def analyze_curve(
@@ -217,7 +213,7 @@ def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
         )
         comps.append(
             ConfigComponent(
-                id=f"C{comp.index + 1}",
+                id=comp.label,
                 label=format_bipoly(comp.poly),
                 is_real=comp.is_real,
                 has_real_points=comp.has_real_points,
@@ -234,17 +230,17 @@ def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
         params: dict[str, Fraction] = {}
         if isinstance(rec.point, RationalPoint):
             for k in rec.components:
-                chart = analysis.components[k].chart
-                if isinstance(chart, (PolyChart, PuncturedChart)):
+                comp = analysis.components[k]
+                if isinstance(comp.chart, (PolyChart, PuncturedChart)):
                     try:
-                        params[f"C{k + 1}"] = param_of_point(chart, rec.point)
+                        params[comp.label] = param_of_point(comp.chart, rec.point)
                     except ValueError:
                         pass
         pts.append(
             ConfigPoint(
                 id=rec.id,
                 realness=TriBool.of(rec.is_real),
-                components=tuple(f"C{k + 1}" for k in rec.components),
+                components=tuple(analysis.components[k].label for k in rec.components),
                 ompit=rec.ompit if rec.ompit is not None else TriBool.UNKNOWN,
                 params=params or None,
             )

@@ -13,14 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .components import PolyChart, PuncturedChart
-from .configuration import (
-    AttachmentOrder,
-    Cycle,
-    attachment_order,
-    induced_subconfiguration,
-)
-from .curve import CurveAnalysis, to_configuration
+from .components import PolyChart, PuncturedChart, component_index
+from .configuration import Cycle, CurveConfiguration, attachment_order
+from .curve import CurveAnalysis
 from .decide import PreconditionViolated, decide_unbounded_case
 from .points import RationalPoint
 from .ringfn import (
@@ -69,102 +64,75 @@ class SosCertificate:
     def component_ids(self) -> tuple[str, ...]:
         if not self.summands:
             return ()
-        return tuple(sorted(self.summands[0], key=lambda cid: int(cid[1:])))
+        return tuple(sorted(self.summands[0], key=component_index))
 
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+def orthogonal_match(
+    current: list[list[Fraction]], goal: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Orthogonal matrix sending each current vector to its goal, built as a
+    product of reflections; exists whenever all pairwise inner products agree.
+
+    For a single pair (v, w) of equal norm this is the one reflection
+    I - 2 u u^T / (u^T u) with u = v - w, or the identity when v = w.
+    """
+    k = len(current[0]) if current else 0
+    b = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for v0, a in zip(current, goal):
+        v = [sum(b[i][j] * v0[j] for j in range(k)) for i in range(k)]
+        u = [vi - ai for vi, ai in zip(v, a)]
+        nn = sum(ui * ui for ui in u)
+        if nn == 0:
+            continue
+        # replace b by (I - 2 u u^T / nn) b
+        ub = [sum(u[l] * b[l][j] for l in range(k)) for j in range(k)]
+        for i in range(k):
+            ci = 2 * u[i] / nn
+            if not ci:
+                continue
+            bi = b[i]
+            for j in range(k):
+                bi[j] -= ci * ub[j]
+    return b
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == k else Fraction(0) for k in range(n))
-        for i in range(n)
-    )
-
-
-def _householder(v: list[Fraction], w: list[Fraction]) -> Matrix:
-    """The reflection sending v to w; requires equal norms."""
-    if v == w:
-        return _identity(len(v))
-    u = [a - b for a, b in zip(v, w)]
-    den = sum(x * x for x in u)
-    return tuple(
-        tuple(
-            (Fraction(1) if j == k else Fraction(0)) - 2 * u[j] * u[k] / den
-            for k in range(len(v))
-        )
-        for j in range(len(v))
-    )
+def apply_matrix(b: list[list[Fraction]], fns: list[RingFn]) -> list[RingFn]:
+    """The functions sum_j b[i][j] * fns[j], one per row of b."""
+    out = []
+    for row in b:
+        acc = fns[0].scale(0)
+        for c, f in zip(row, fns):
+            if c and not f.is_zero:
+                acc = acc + f.scale(c)
+        out.append(acc)
+    return out
 
 
 def _pad(fs: list[LineFn], n: int) -> list[LineFn]:
     return list(fs) + [LineFn.zero()] * (n - len(fs))
 
 
-def householder_glue(
-    fs: list[LineFn],
-    gs: list[LineFn],
-    p1: Fraction,
-    p2: Fraction,
-    strict: bool = True,
-) -> tuple[list[LineFn], list[LineFn], Matrix]:
-    """Rotate the first summand list so its values at the shared point match
-    the second list's values.
-
-    The point enters through its parameter on each side (p1 on the first
-    component, p2 on the second).  Lists are zero-padded to a common length;
-    the returned matrix B satisfies B^T B = I exactly.
-    """
-    n = max(len(fs), len(gs))
-    fs, gs = _pad(fs, n), _pad(gs, n)
-    v = [f(p1) for f in fs]
-    w = [g(p2) for g in gs]
-    if strict and sum(a * a for a in v) != sum(b * b for b in w):
-        raise ValueMismatch(
-            "value vectors at the shared point have different square sums"
-        )
-    b = _householder(v, w)
-    rotated = [_combine(b[j], fs) for j in range(n)]
-    return rotated, gs, b
-
-
-def _combine(row: tuple[Fraction, ...], fs: list[LineFn]) -> LineFn:
-    out = LineFn.zero()
-    for c, f in zip(row, fs):
-        if c and not f.is_zero:
-            out = out + f.scale(c)
-    return out
-
-
 def forest_assemble(
-    analysis: CurveAnalysis,
-    F: BiPoly,
-    order: AttachmentOrder | None = None,
-    mode: str = "exact",
-    tol: float = 1e-9,
-    subset: tuple[str, ...] | None = None,
+    analysis: CurveAnalysis, F: BiPoly, config: CurveConfiguration
 ) -> SosCertificate:
     """Certify F on a curve whose components are all open pieces of a line.
 
-    Components are processed in attachment order; each one contributes the
-    two-square decomposition of the restriction, reflected into agreement
-    with the already-built part at the single shared point.  With `subset`
-    the assembly runs on the induced sub-curve, which must satisfy the
-    unbounded-case conditions on its own.
+    `config` is the configuration of the analysed curve, or its induced
+    sub-configuration on the components to assemble; that sub-curve must
+    satisfy the unbounded-case conditions on its own.  Components are
+    processed in attachment order; each one contributes the two-square
+    decomposition of the restriction, reflected into agreement with the
+    already-built part at the single shared point.
     """
-    config = to_configuration(analysis)
-    if subset is not None:
-        config = induced_subconfiguration(config, subset)
     verdict = decide_unbounded_case(config)
     if verdict.answer is not TriBool.YES:
         raise PreconditionViolated(
             f"decision engine answers {verdict.answer.value} "
             f"(failed: {', '.join(verdict.failed_conditions) or 'none'})"
         )
-    if order is None:
-        order = attachment_order(config, config.component_ids())
-        if isinstance(order, Cycle):
-            raise PreconditionViolated(f"incidence graph has a cycle: {order}")
+    order = attachment_order(config, config.component_ids())
+    if isinstance(order, Cycle):
+        raise PreconditionViolated(f"incidence graph has a cycle: {order}")
 
     funcs: dict[str, list[LineFn]] = {}
     indexes: dict[str, int] = {}
@@ -173,13 +141,13 @@ def forest_assemble(
     residual = 0.0
 
     for cid in order.order:
-        ci = int(cid[1:]) - 1
-        comp = analysis.components[ci]
+        comp = analysis.component(cid)
+        ci = comp.index
         if not isinstance(comp.chart, (PolyChart, PuncturedChart)):
             raise ChartlessComponent(f"{cid} has no line-type parametrization")
         fn = restrict_to_chart(F, comp.chart)
         try:
-            dec = line_fn_sos(fn, mode, tol)
+            dec = line_fn_sos(fn)
         except NotPsd as bad:
             raise NotPsdOnComponent(cid, bad.point, bad.value) from bad
         parts = list(dec.parts)
@@ -222,10 +190,9 @@ def forest_assemble(
                     f"square sums disagree at {rec.id}; the target does not "
                     "restrict consistently"
                 )
-            b = _householder(v, w)
+            b = orthogonal_match([v], [w])
             for other in funcs:
-                padded = _pad(funcs[other], n)
-                funcs[other] = [_combine(b[j], padded) for j in range(n)]
+                funcs[other] = apply_matrix(b, _pad(funcs[other], n))
             funcs[cid] = _pad(parts, n)
             provenance.append(
                 f"{cid}: {len(parts)} squares, reflected into agreement at {rec.id}"

@@ -25,7 +25,6 @@ from .ringfn import (
     CircleFn,
     LineFn,
     RingFn,
-    restrict_to_chart,
     value_at_point,
     values_agree_at_algebraic,
 )
@@ -142,9 +141,16 @@ class GramSolution:
     extraction: "Extraction | None" = None
 
 
-def jacobi_eigh(
-    S: np.ndarray, max_sweeps: int = 30, tol: float = 1e-14
-) -> tuple[np.ndarray, np.ndarray]:
+_JACOBI_SWEEPS = 30
+_JACOBI_TOL = 1e-14  # off-diagonal size, relative to the diagonal, that counts as zero
+_REBUILD_EVERY = 500  # psd projections between fresh eigenbases
+_SOLVER_TOL = 1e-9
+_MAX_ITER = 20000
+_SEED = 0
+_EXTRACT_EVERY = 25  # iterations between exact extraction attempts
+
+
+def jacobi_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (w, V) with S = V diag(w) V^T up to the sweep tolerance.
@@ -155,14 +161,14 @@ def jacobi_eigh(
     if n <= 1:
         return np.diag(a).copy(), v
     scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = np.max(np.abs(a - np.diag(np.diag(a)))) if n > 1 else 0.0
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) <= tol * scale:
+                if abs(apq) <= _JACOBI_TOL * scale:
                     continue
                 beta = (a[q, q] - a[p, p]) / (2.0 * apq)
                 t = np.sign(beta) if beta != 0 else 1.0
@@ -181,13 +187,6 @@ def jacobi_eigh(
     return np.diag(a).copy(), v
 
 
-def project_psd(S: np.ndarray) -> np.ndarray:
-    w, v = jacobi_eigh(S)
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.T
-    return (out + out.T) / 2.0
-
-
 class _WarmPsdProjector:
     """Psd projection that diagonalizes in the previous call's eigenbasis.
 
@@ -197,17 +196,16 @@ class _WarmPsdProjector:
     drift from accumulating.
     """
 
-    def __init__(self, n: int, rebuild_every: int = 500):
+    def __init__(self, n: int):
         self.basis = np.eye(n)
-        self.rebuild_every = rebuild_every
         self.calls = 0
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
         self.calls += 1
-        if self.calls % self.rebuild_every == 0:
+        if self.calls % _REBUILD_EVERY == 0:
             self.basis = np.eye(S.shape[0])
         rotated = self.basis.T @ S @ self.basis
-        w, q = jacobi_eigh(rotated, max_sweeps=30, tol=1e-14)
+        w, q = jacobi_eigh(rotated)
         v = self.basis @ q
         self.basis = v
         w = np.maximum(w, 0.0)
@@ -256,17 +254,16 @@ def _basis_values(block: GramBlock, chart, point: RationalPoint) -> list[Fractio
 
 def build_gram_problem(
     analysis: CurveAnalysis,
-    targets,
+    targets: dict[str, RingFn],
     subset: list[str] | tuple[str, ...],
     degree: int,
     values: list[PrescribedValue] | tuple[PrescribedValue, ...] = (),
 ) -> GramProblem:
     """Set up the constrained Gram problem for the subset of components.
 
-    `targets` is either a plane polynomial (restricted per component here) or
-    a ready-made mapping component id -> restriction.  `degree` bounds the
-    basis: powers 1..t^d on lines, 1..x^d plus w, xw, ..., x^(d-1) w on
-    circle-form conics.
+    `targets` maps each component id to the target's restriction there.
+    `degree` bounds the basis: powers 1..t^d on lines, 1..x^d plus w, xw,
+    ..., x^(d-1) w on circle-form conics.
     """
     subset = tuple(subset)
     blocks: list[GramBlock] = []
@@ -274,13 +271,9 @@ def build_gram_problem(
     target_map: dict[str, RingFn] = {}
     offset = 0
     for cid in subset:
-        comp = analysis.components[int(cid[1:]) - 1]
-        chart = comp.chart
+        chart = analysis.component(cid).chart
         charts[cid] = chart
-        if isinstance(targets, dict):
-            target_map[cid] = targets[cid]
-        else:
-            target_map[cid] = restrict_to_chart(targets, chart)
+        target_map[cid] = targets[cid]
         if isinstance(chart, PolyChart):
             # squares of polynomials cannot cancel leading terms, so a line
             # summand has degree exactly half the target degree; powers above
@@ -340,7 +333,7 @@ def build_gram_problem(
             exact_rows.append((slots_exact[slot], beta))
 
     kernel_points: list[KernelPoint] = []
-    index_of = {cid: int(cid[1:]) - 1 for cid in subset}
+    index_of = {cid: analysis.component(cid).index for cid in subset}
     for rec in analysis.points:
         if not rec.is_real:
             continue
@@ -494,26 +487,18 @@ def _affine_projector(problem: GramProblem):
     return project, residual
 
 
-def alternating_projections(
-    problem: GramProblem,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-    seed: int = 0,
-    initial: np.ndarray | None = None,
-    extract_every: int | None = None,
-    rationalize: bool = True,
-) -> GramSolution:
+def alternating_projections(problem: GramProblem) -> GramSolution:
     """Projection splitting between the psd cone and the affine constraint set.
 
     The iteration is Douglas-Rachford (averaged alternating reflections),
     which keeps its speed when every solution sits on the cone boundary, as
-    happens whenever an attachment value pins part of the kernel.  The run is
-    deterministic for a given seed and raises NoConvergence with the tail of
-    the residual trajectory when it stalls.  With `extract_every` the solver
-    periodically attempts an exact extraction from the current psd iterate
-    and returns early when rounding already hits a true certificate; that is
-    a common exit, since targets built from rational data have Gram matrices
-    with small denominators long before tight convergence.
+    happens whenever an attachment value pins part of the kernel.  The run
+    starts from a fixed seed, so it is deterministic, and raises NoConvergence
+    with the tail of the residual trajectory when it stalls.  Every few iterations the solver
+    attempts an exact extraction from the current psd iterate and returns
+    early when rounding already hits a true certificate; that is a common
+    exit, since targets built from rational data have Gram matrices with
+    small denominators long before tight convergence.
     """
     n = problem.dim
     project_affine, affine_residual = _affine_projector(problem)
@@ -522,27 +507,9 @@ def alternating_projections(
         w, _ = jacobi_eigh(x)
         return max(0.0, -float(np.min(w))) if w.size else 0.0
 
-    def psd_residual(x: np.ndarray) -> float:
-        w, _ = jacobi_eigh(x)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-        return max(0.0, -float(np.min(w))) / scale if w.size else 0.0
-
-    if initial is not None:
-        z = (np.array(initial, dtype=float) + np.array(initial, dtype=float).T) / 2.0
-        if affine_residual(z) <= tol and psd_residual(z) <= tol:
-            return GramSolution(
-                problem,
-                z,
-                0,
-                max(affine_residual(z), psd_residual(z)),
-                (),
-                affine_residual=affine_residual(z),
-                psd_residual=psd_violation(z),
-            )
-    else:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, n)) * 0.1
-        z = (z + z.T) / 2.0 + np.eye(n)
+    rng = np.random.default_rng(_SEED)
+    z = rng.standard_normal((n, n)) * 0.1
+    z = (z + z.T) / 2.0 + np.eye(n)
 
     def stalled(it: int, y: np.ndarray, tail: list[float]) -> NoConvergence:
         # recompute both terminal residuals from the final iterate pair
@@ -557,14 +524,14 @@ def alternating_projections(
     project_cone = _WarmPsdProjector(n)
     trajectory: list[float] = []
     y = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         y = project_cone(z)
         x = project_affine(2.0 * y - z)
         z = z + x - y
         gap = float(np.linalg.norm(x - y)) / (1.0 + float(np.linalg.norm(y)))
         res = max(gap, affine_residual(y))
         trajectory.append(res)
-        if res <= tol:
+        if res <= _SOLVER_TOL:
             return GramSolution(
                 problem,
                 y,
@@ -574,8 +541,8 @@ def alternating_projections(
                 affine_residual=affine_residual(y),
                 psd_residual=psd_violation(y),
             )
-        if extract_every and it % extract_every == 0:
-            ext = _extract(problem, y, rationalize, ladder=_PROBE_LADDER)
+        if it % _EXTRACT_EVERY == 0:
+            ext = _extract(problem, y, ladder=_PROBE_LADDER)
             if ext.exact:
                 return GramSolution(
                     problem,
@@ -589,12 +556,12 @@ def alternating_projections(
                 )
         # patience rule: infeasible problems level off at a positive gap,
         # slow feasible ones keep shaving the residual
-        if it >= 500 and it % 100 == 0 and res > 1000 * tol:
+        if it >= 500 and it % 100 == 0 and res > 1000 * _SOLVER_TOL:
             if res >= 0.98 * trajectory[-401]:
                 raise stalled(it, y, trajectory[-10:])
     if y is None:
         y = project_cone(z)
-    raise stalled(max_iter, y, trajectory[-10:])
+    raise stalled(_MAX_ITER, y, trajectory[-10:])
 
 
 _ROUND_LADDER = (1, 2, 4, 8, 16, 64, 1024, 10**6, 10**9)
@@ -725,16 +692,15 @@ class Extraction:
     note: str = ""
 
 
-def extract_summands(sol: GramSolution, rationalize: bool = True) -> Extraction:
+def extract_summands(sol: GramSolution) -> Extraction:
     if sol.extraction is not None:
         return sol.extraction
-    return _extract(sol.problem, sol.matrix, rationalize)
+    return _extract(sol.problem, sol.matrix)
 
 
 def _extract(
     problem: GramProblem,
     matrix: np.ndarray,
-    rationalize: bool = True,
     ladder: tuple[int, ...] = _ROUND_LADDER,
 ) -> Extraction:
     """Summand functions from the Gram matrix.
@@ -748,25 +714,24 @@ def _extract(
     """
     n = problem.dim
 
-    if rationalize:
-        snap = problem.exact_snap()
-        for denom in ladder:
-            g = [
-                [Fraction(float(matrix[i, j])).limit_denominator(denom) for j in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    g[j][i] = g[i][j]
-            candidates = [g]
-            if snap is not None:
-                snapped = snap.snap(g)
-                if snapped is not None:
-                    candidates.insert(0, snapped)
-            for cand in candidates:
-                found = _promote(problem, cand)
-                if found is not None:
-                    return Extraction(found, True, 0.0, f"rationalized at {denom}")
+    snap = problem.exact_snap()
+    for denom in ladder:
+        g = [
+            [Fraction(float(matrix[i, j])).limit_denominator(denom) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g[j][i] = g[i][j]
+        candidates = [g]
+        if snap is not None:
+            snapped = snap.snap(g)
+            if snapped is not None:
+                candidates.insert(0, snapped)
+        for cand in candidates:
+            found = _promote(problem, cand)
+            if found is not None:
+                return Extraction(found, True, 0.0, f"rationalized at {denom}")
 
     w, v = jacobi_eigh(matrix)
     order = np.argsort(w)[::-1]

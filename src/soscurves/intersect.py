@@ -34,10 +34,6 @@ class PairIntersection:
     total_closed_points: int = 0  # distinct complex intersection points
     used_shear: bool = False
 
-    @property
-    def all_real(self) -> bool:
-        return not self.nonreal_pairs
-
 
 def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
     """Substitution route; returns None when exact shearing is required."""

@@ -129,16 +129,6 @@ def same_conjugate_pair(p: ConjugatePairPoint, q: ConjugatePairPoint) -> bool | 
     return p.abscissa == q.abscissa and p.y_quadratic.monic() == q.y_quadratic.monic()
 
 
-def point_sort_key(p: RealPoint | ConjugatePairPoint):
-    """Deterministic ordering for point labelling: rationals, then boxed, then pairs."""
-    if isinstance(p, RationalPoint):
-        return (0, p.x, p.y)
-    if isinstance(p, AlgebraicPoint):
-        mid = (p.u.low + p.u.high) / 2
-        return (1, mid, Fraction(0))
-    return (2, p.abscissa if p.abscissa is not None else Fraction(0), Fraction(0))
-
-
 def order_real_points(points: list) -> list:
     """Sort mixed real points; algebraic ones by exact comparison of u-values."""
     rationals = sorted(

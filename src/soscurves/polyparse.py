@@ -23,6 +23,8 @@ class ParseError(ValueError):
         self.position = position
 
 
+_MAX_NESTING = 100  # parentheses and unary minus signs; each level costs recursion frames
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[()^*+-]))"
 )
@@ -56,6 +58,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.slots = {name: k for k, name in enumerate(variables)}
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -66,6 +69,11 @@ class _Parser:
             raise ParseError("unexpected end of input", len(self.text))
         self.i += 1
         return tok
+
+    def _descend(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
 
     def parse(self) -> BiPoly:
         if not self.tokens:
@@ -133,13 +141,18 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return BiPoly.x() if self.slots[value] == 0 else BiPoly.y()
         if (kind, value) == ("op", "("):
+            self._descend(pos)
             inner = self._expr()
             closing = self._take()
             if closing[:2] != ("op", ")"):
                 raise ParseError("expected ')'", closing[2])
+            self.depth -= 1
             return inner
         if (kind, value) == ("op", "-"):
-            return -self._atom()
+            self._descend(pos)
+            inner = -self._atom()
+            self.depth -= 1
+            return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
 

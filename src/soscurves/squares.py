@@ -29,6 +29,7 @@ from .unipoly import (
 
 _DENOMINATOR_LADDER = (16, 1024, 10**6, 10**9, 10**12)
 _MAX_PAIRING_DEGREE = 24
+_NUMERIC_TOL = 1e-9  # largest coefficient residual of a numeric decomposition
 
 
 class NotPsd(ValueError):
@@ -234,7 +235,7 @@ def _constant_square_list(c: Fraction) -> tuple[UniPoly, ...]:
     return tuple(UniPoly.const(e) for e in rational_square_list(c) if e)
 
 
-def _numeric_two_squares(p: UniPoly, tol: float) -> SumOfSquares:
+def _numeric_two_squares(p: UniPoly) -> SumOfSquares:
     c, square, rootless = _split_psd(p)
     scale = math.sqrt(float(c))
     if rootless.degree == 0:
@@ -254,32 +255,26 @@ def _numeric_two_squares(p: UniPoly, tol: float) -> SumOfSquares:
     for part in parts[1:]:
         gap = gap + part * part
     residual = max((abs(float(v)) for v in gap.coeffs), default=0.0)
-    if residual > tol:
+    if residual > _NUMERIC_TOL:
         raise NumericFailure(
-            f"numeric decomposition residual {residual:.3g} exceeds {tol:.3g}"
+            f"numeric decomposition residual {residual:.3g} exceeds {_NUMERIC_TOL:.3g}"
         )
     return SumOfSquares(_signed(parts), exact=False, residual=residual)
 
 
-def uni_sos_two_squares(
-    p: UniPoly, mode: str = "exact", tol: float = 1e-9
-) -> SumOfSquares:
+def uni_sos_two_squares(p: UniPoly) -> SumOfSquares:
     """Decompose a psd polynomial as a sum of (preferably two) squares.
 
-    Raises NotPsd with an exact negative-value witness otherwise.  The exact
-    mode returns two squares whenever the complex root pairing yields one,
-    a longer exact list when only rational quadratic factors are available,
+    Raises NotPsd with an exact negative-value witness otherwise.  Returns
+    two exact squares whenever the complex root pairing yields them, a
+    longer exact list when only rational quadratic factors are available,
     and falls back to the numeric answer as a last resort.
     """
-    if mode not in ("exact", "numeric"):
-        raise ValueError(f"unknown mode {mode!r}")
     witness = uni_psd_witness(p)
     if witness is not None:
         raise NotPsd(witness, p(witness))
     if p.is_zero():
         return SumOfSquares((), exact=True)
-    if mode == "numeric":
-        return _numeric_two_squares(p, tol)
 
     c, square, rootless = _split_psd(p)
     if rootless.degree == 0:
@@ -321,7 +316,7 @@ def uni_sos_two_squares(
         assert total == p
         return SumOfSquares(_signed(parts), exact=True)
 
-    return _numeric_two_squares(p, tol)
+    return _numeric_two_squares(p)
 
 
 def psd_on_interval(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -402,14 +397,14 @@ def line_fn_psd_witness(fn: LineFn) -> Fraction | None:
     raise AssertionError("sign change across an odd-order pole not found")
 
 
-def line_fn_sos(fn: LineFn, mode: str = "exact", tol: float = 1e-9) -> SumOfSquares:
+def line_fn_sos(fn: LineFn) -> SumOfSquares:
     """Sum-of-squares decomposition on a (possibly punctured) line component."""
     witness = line_fn_psd_witness(fn)
     if witness is not None:
         raise NotPsd(witness, fn(witness))
     if fn.is_zero:
         return SumOfSquares((), exact=True)
-    inner = uni_sos_two_squares(fn.num, mode, tol)
+    inner = uni_sos_two_squares(fn.num)
     half = fn.order // 2
     parts = tuple(LineFn(g, half, fn.pole_at) for g in inner.parts)
     return SumOfSquares(parts, inner.exact, inner.residual)

@@ -144,12 +144,6 @@ class UniPoly:
             n >>= 1
         return out
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by t**k."""
-        if not self.coeffs or k == 0:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")

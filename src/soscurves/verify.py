@@ -135,7 +135,7 @@ def verify_certificate(
     charts = {}
     targets: dict[str, RingFn] = {}
     for cid in cids:
-        comp = analysis.components[int(cid[1:]) - 1]
+        comp = analysis.component(cid)
         charts[cid] = comp.chart
         if isinstance(F, dict):
             targets[cid] = F[cid]
@@ -188,7 +188,7 @@ def verify_certificate(
                 )
             )
 
-    index_of = {int(cid[1:]) - 1: cid for cid in cids}
+    index_of = {analysis.component(cid).index: cid for cid in cids}
     for rec in analysis.points:
         incident = [index_of[k] for k in rec.components if k in index_of]
         if len(incident) < 2:
@@ -339,10 +339,8 @@ def _verify_nonreal(
         )
     )
 
-    host_idx = int(w.host[1:]) - 1
-    zero_idx = int(w.zero_component[1:]) - 1
-    host_poly = analysis.factors[host_idx]
-    other_poly = analysis.factors[zero_idx]
+    host_poly = analysis.factors[analysis.component(w.host).index]
+    other_poly = analysis.factors[analysis.component(w.zero_component).index]
     for a, rec_pt in zip(w.abscissas, _pair_points(analysis, w)):
         label = f"x={a}"
         through = (

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .components import CircleChart, PolyChart, PuncturedChart
+from .components import CircleChart, PolyChart, PuncturedChart, component_index
 from .configuration import Cycle
 from .curve import CurveAnalysis, PointRecord, to_configuration
 from .points import ConjugatePairPoint, RationalPoint
@@ -94,10 +94,6 @@ def alternating_interpolant(params: list[Fraction] | tuple[Fraction, ...]) -> Un
     return f
 
 
-def _component_index(cid: str) -> int:
-    return int(cid[1:]) - 1
-
-
 def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
     """Build the alternating-interpolant witness for a simple incidence cycle.
 
@@ -107,14 +103,15 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
     from .configuration import connectivity_report, induced_subconfiguration
 
     config = to_configuration(analysis)
+    comp_ids = set(config.component_ids())
     cycle_comps = sorted(
-        (n for n in cycle.nodes if n.startswith("C")), key=_component_index
+        (n for n in cycle.nodes if n in comp_ids), key=component_index
     )
     if not cycle_comps:
         raise ValueError("cycle contains no components")
     failures: list[str] = []
     for cid in cycle_comps:
-        comp = analysis.components[_component_index(cid)]
+        comp = analysis.component(cid)
         if not isinstance(comp.chart, (PolyChart, PuncturedChart)):
             failures.append(f"{cid}: no line-type chart")
             continue
@@ -132,11 +129,11 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
         if piece is None:
             failures.append(f"{cid}: cycle fell apart after removal")
             continue
-        piece_indexes = {_component_index(p) for p in piece}
+        piece_indexes = {analysis.component(p).index for p in piece}
         attach: list[tuple[str, Fraction]] = []
         ok = True
         for rec in analysis.points:
-            if _component_index(cid) not in rec.components:
+            if comp.index not in rec.components:
                 continue
             if not (set(rec.components) & piece_indexes):
                 continue
@@ -235,8 +232,8 @@ def nonreal_intersection_witness(
             if content < 0:
                 f = -f
             return NonrealIntersectionObstruction(
-                host=f"C{host_index + 1}",
-                zero_component=f"C{zero_index + 1}",
+                host=host.label,
+                zero_component=analysis.components[zero_index].label,
                 abscissas=tuple(abscissas),
                 pair_quadratics=tuple(quadratics),
                 psd_factor=f,

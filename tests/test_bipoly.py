@@ -8,13 +8,12 @@ from soscurves.bipoly import (
     DegenerateInput,
     NotBinaryQuadratic,
     QuadraticSplitKind,
-    first_linear_subresultant,
     have_common_factor,
     resultant_x,
     resultant_y,
     split_binary_quadratic,
-    subresultant_chain,
 )
+from soscurves.intersect import _subresultant_ladder
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.polyparse import parse_unipoly as P
 from soscurves.unipoly import UniPoly, isolate_real_roots
@@ -114,13 +113,9 @@ def test_resultant_vs_root_elimination():
 def test_subresultant_chain_line_circle():
     sheared_circle = UNIT_CIRCLE.compose_linear(1, -1, 0, 1)
     sheared_line = B("x - y").compose_linear(1, -1, 0, 1)
-    lin = first_linear_subresultant(sheared_circle, sheared_line)
-    assert lin is not None
-    s1, s0 = lin
+    s0, s1 = _subresultant_ladder(sheared_circle, sheared_line)[0]
     # single intersection root over u0: y = -s0/s1 evaluated there
     assert s1 == P("-2") and s0 == P("t")
-    chain = subresultant_chain(sheared_circle, sheared_line)
-    assert len(chain[-1]) == 1  # terminates at a y-free member
 
 
 def test_split_binary_quadratics():

@@ -263,6 +263,11 @@ def test_invalid_components():
         build_component(0, B("7"))
 
 
+def test_reducible_factor_is_named_as_such():
+    with pytest.raises(InvalidComponent, match="reducible or has a repeated factor"):
+        build_component(0, B("x*y"))
+
+
 def test_cubic_attributes_default_unknown():
     c = build_component(0, B("y^2 - x^3"))
     assert c.is_real is TriBool.UNKNOWN

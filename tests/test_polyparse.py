@@ -57,6 +57,14 @@ def test_parse_errors():
         parse_bipoly("x + 1) * 2")
 
 
+def test_deep_nesting_is_a_parse_error():
+    assert parse_bipoly("(" * 100 + "x" + ")" * 100) == parse_bipoly("x")
+    with pytest.raises(ParseError, match="nesting"):
+        parse_bipoly("(" * 3000 + "x" + ")" * 3000)
+    with pytest.raises(ParseError, match="nesting"):
+        parse_bipoly("x*" + "-" * 3000 + "x")
+
+
 def test_format_zero_and_constants():
     assert format_bipoly(BiPoly.zero()) == "0"
     assert format_bipoly(BiPoly.const(Fr(-7, 3))) == "-7/3"
