@@ -268,18 +268,16 @@ def build_gram_problem(
     subset = tuple(subset)
     blocks: list[GramBlock] = []
     charts: dict[str, object] = {}
-    target_map: dict[str, RingFn] = {}
     offset = 0
     for cid in subset:
         chart = analysis.component(cid).chart
         charts[cid] = chart
-        target_map[cid] = targets[cid]
         if isinstance(chart, PolyChart):
             # squares of polynomials cannot cancel leading terms, so a line
             # summand has degree exactly half the target degree; powers above
             # that bound never occur in an exact representation and would
             # only loosen the numeric relaxation
-            fn = target_map[cid]
+            fn = targets[cid]
             if isinstance(fn, LineFn) and fn.order == 0:
                 rule = max(0, -(-fn.num.degree // 2))
             else:
@@ -318,7 +316,7 @@ def build_gram_problem(
                         slots_exact[slot][(i, j)] = 2 * c
                     else:
                         slots_exact[slot][(i, j)] = c
-        wanted = _coeff_slots(target_map[block.component])
+        wanted = _coeff_slots(targets[block.component])
         for slot in wanted:
             if slot not in slots:
                 raise ValueError(
@@ -445,7 +443,7 @@ def build_gram_problem(
         rhs=np.array(rhs),
         tags=tags,
         degree=degree,
-        targets=target_map,
+        targets=targets,
         charts=charts,
         kernel_points=kernel_points,
         values=values,
