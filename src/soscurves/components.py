@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipoly import BiPoly, QuadraticSplitKind, split_binary_quadratic
+from .numbers import sqrt_fraction
 from .polyparse import format_bipoly
 from .tribool import TriBool
-from .unipoly import UniPoly, count_real_roots, gcd, isolate_real_roots, squarefree_part
+from .unipoly import UniPoly, count_real_roots, isolate_real_roots, squarefree_part
 
 
 class UnsupportedComponent(ValueError):
@@ -194,14 +195,19 @@ def _conic_coefficients(F: BiPoly) -> tuple[Fraction, ...]:
     )
 
 
-def _conic_signature(F: BiPoly) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of the projective 3x3 form."""
+def _conic_matrix(F: BiPoly) -> list[list[Fraction]]:
+    """The symmetric 3x3 matrix of the projective form in (x, y, z)."""
     a, b, c, d, e, f = _conic_coefficients(F)
-    m = [
+    return [
         [a, b / 2, d / 2],
         [b / 2, c, e / 2],
         [d / 2, e / 2, f],
     ]
+
+
+def _conic_signature(F: BiPoly) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of the projective 3x3 form."""
+    m = _conic_matrix(F)
     tr = m[0][0] + m[1][1] + m[2][2]
     minors = (
         m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -228,12 +234,7 @@ def _descartes(coeffs: list[Fraction]) -> int:
 
 def _conic_kernel(F: BiPoly) -> tuple[Fraction, Fraction, Fraction]:
     """A nonzero rational kernel vector of the rank-2 projective form."""
-    a, b, c, d, e, f = _conic_coefficients(F)
-    m = [
-        [a, b / 2, d / 2],
-        [b / 2, c, e / 2],
-        [d / 2, e / 2, f],
-    ]
+    m = _conic_matrix(F)
     # gaussian elimination looking for the one-dimensional null space
     cols = 3
     rows = [row[:] for row in m]
@@ -267,6 +268,19 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     if rank == 1:
         raise InvalidComponent("components must be squarefree")
     if rank == 2 and pos == neg:
+        # two real lines crossing at the kernel point k; on a plane X_i = 0
+        # that misses k they cut out the zeros of a binary quadratic form,
+        # and the lines are rational exactly when those zeros are
+        k = _conic_kernel(F)
+        i = next(i for i in range(3) if k[i])
+        u, v = [j for j in range(3) if j != i]
+        m = _conic_matrix(F)
+        # a quarter of the discriminant of m_uu X_u^2 + 2 m_uv X_u X_v + m_vv X_v^2
+        if sqrt_fraction(m[u][v] ** 2 - m[u][u] * m[v][v]) is not None:
+            raise InvalidComponent(
+                f"{format_bipoly(F)} is reducible: it is a product of two "
+                "rational lines; each component must be one irreducible factor"
+            )
         raise UnsupportedComponent(
             "this factor is a product of two real lines over an extension field"
         )

@@ -5,10 +5,10 @@ bases is exactly a psd Gram matrix G subject to affine constraints:
 coefficient matching on each diagonal block, kernel conditions
 G (e_i(P) - e_j(P)) = 0 making every summand agree at shared points, and
 optional value conditions e(P)^T G e(P) = c tying attachment values to a
-part of the curve certified elsewhere.  The solver is Dykstra's alternating
-projection between the psd cone (via a self-contained cyclic Jacobi
-eigensolver) and the affine subspace (least squares, factorized once);
-extraction rationalizes the eigenvector summands and re-verifies exactly.
+part of the curve certified elsewhere.  The solver is Douglas-Rachford
+splitting between the psd cone (eigenvalue clipping) and the affine subspace
+(least squares, factorized once); extraction rounds the iterate, projects it
+exactly onto the affine slice and re-verifies the result exactly.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .unipoly import UniPoly
 
 
 class NoConvergence(RuntimeError):
-    """Alternating projections stalled; carries the residual trajectory tail.
+    """Alternating projections stalled; carries the tail of the residuals.
 
     Both terminal residuals are recomputed from the last iterate pair:
     psd_residual is the most negative eigenvalue (in magnitude) of the
@@ -90,43 +90,37 @@ class PrescribedValue:
 class KernelPoint:
     point_id: str
     components: tuple[str, ...]
-    point: RationalPoint | AlgebraicPoint | None
-    approx: tuple[float, float] | None = None
+    point: RationalPoint | AlgebraicPoint
 
 
-ExactRow = tuple[dict[tuple[int, int], Fraction], Fraction]
+@dataclass(frozen=True)
+class Row:
+    """The constraint sum of coeffs[i, j] * G[i, j] over i <= j equals rhs.
+
+    Coefficients are Fractions, except in the kernel rows of a shared point
+    with algebraic coordinates, where the basis values exist as floats only
+    and `exact` is False.
+    """
+
+    coeffs: dict[tuple[int, int], Fraction | float]
+    rhs: Fraction
+    exact: bool = True
 
 
 @dataclass
 class GramProblem:
     blocks: list[GramBlock]
-    matrices: np.ndarray  # (k, n, n) stacked symmetric constraint matrices
-    rhs: np.ndarray  # (k,)
-    tags: list[str]
+    rows: list[Row]
+    snap: "_ExactAffineSnap"  # exact projection onto the exact rows
     degree: int
     targets: dict[str, RingFn]
     charts: dict[str, object]
     kernel_points: list[KernelPoint] = field(default_factory=list)
     values: list[PrescribedValue] = field(default_factory=list)
-    # rational coefficient rows over the upper triangle, None where only
-    # float data exists (attachments at algebraic points)
-    exact_rows: list[ExactRow | None] = field(default_factory=list)
-    _snap_cache: "_ExactAffineSnap | None | bool" = field(
-        default=False, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return self.blocks[-1].offset + self.blocks[-1].size if self.blocks else 0
-
-    def block(self, component: str) -> GramBlock:
-        return next(b for b in self.blocks if b.component == component)
-
-    def exact_snap(self) -> "_ExactAffineSnap | None":
-        if self._snap_cache is False:
-            rows = [r for r in self.exact_rows if r is not None]
-            self._snap_cache = _ExactAffineSnap(self.dim, rows) if rows else None
-        return self._snap_cache
 
 
 @dataclass
@@ -134,16 +128,9 @@ class GramSolution:
     problem: GramProblem
     matrix: np.ndarray
     iterations: int
-    residual: float
-    trajectory: tuple[float, ...]
-    affine_residual: float = 0.0
-    psd_residual: float = 0.0
     extraction: "Extraction | None" = None
 
 
-_JACOBI_SWEEPS = 30
-_JACOBI_TOL = 1e-14  # off-diagonal size, relative to the diagonal, that counts as zero
-_REBUILD_EVERY = 500  # psd projections between fresh eigenbases
 _SOLVER_TOL = 1e-9
 _MAX_ITER = 20000
 _SEED = 0
@@ -151,66 +138,20 @@ _EXTRACT_EVERY = 25  # iterations between exact extraction attempts
 
 
 def jacobi_eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen decomposition of a symmetric matrix: (w, V) with S = V diag(w) V^T.
 
-    Returns (w, V) with S = V diag(w) V^T up to the sweep tolerance.
+    Calls LAPACK through np.linalg.eigh.  The name is older than that and
+    stays because the benchmark's layer trace times the solver's
+    eigendecompositions under it.
     """
-    n = S.shape[0]
-    a = np.array(S, dtype=float)
-    v = np.eye(n)
-    if n <= 1:
-        return np.diag(a).copy(), v
-    scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    for _ in range(_JACOBI_SWEEPS):
-        off = np.max(np.abs(a - np.diag(np.diag(a)))) if n > 1 else 0.0
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= _JACOBI_TOL * scale:
-                    continue
-                beta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(beta) if beta != 0 else 1.0
-                t = t / (abs(beta) + np.sqrt(beta * beta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), v
+    return np.linalg.eigh(S)
 
 
-class _WarmPsdProjector:
-    """Psd projection that diagonalizes in the previous call's eigenbasis.
-
-    Successive Dykstra iterates barely move, so after the change of basis
-    the matrix is nearly diagonal and a sweep or two of Jacobi suffices.
-    The basis is rebuilt from scratch periodically to stop orthogonality
-    drift from accumulating.
-    """
-
-    def __init__(self, n: int):
-        self.basis = np.eye(n)
-        self.calls = 0
-
-    def __call__(self, S: np.ndarray) -> np.ndarray:
-        self.calls += 1
-        if self.calls % _REBUILD_EVERY == 0:
-            self.basis = np.eye(S.shape[0])
-        rotated = self.basis.T @ S @ self.basis
-        w, q = jacobi_eigh(rotated)
-        v = self.basis @ q
-        self.basis = v
-        w = np.maximum(w, 0.0)
-        out = (v * w) @ v.T
-        return (out + out.T) / 2.0
+def _project_psd(S: np.ndarray) -> np.ndarray:
+    """Nearest psd matrix in the Frobenius norm: V max(w, 0) V^T."""
+    w, v = jacobi_eigh(S)
+    out = (v * np.maximum(w, 0.0)) @ v.T
+    return (out + out.T) / 2.0
 
 
 def _line_basis(degree: int) -> tuple[LineFn, ...]:
@@ -292,30 +233,17 @@ def build_gram_problem(
         blocks.append(GramBlock(cid, kind, offset, basis))
         offset += len(basis)
     n = offset
+    block_of = {b.component: b for b in blocks}
 
-    mats: list[np.ndarray] = []
-    rhs: list[float] = []
-    tags: list[str] = []
-    exact_rows: list[ExactRow | None] = []
-
+    rows: list[Row] = []
     for block in blocks:
-        slots: dict[tuple[str, int], np.ndarray] = {}
-        slots_exact: dict[tuple[str, int], dict[tuple[int, int], Fraction]] = {}
+        slots: dict[tuple[str, int], dict[tuple[int, int], Fraction]] = {}
         for k in range(block.size):
             for l in range(k, block.size):
+                i, j = block.offset + k, block.offset + l
                 prod = block.basis[k] * block.basis[l]
                 for slot, c in _coeff_slots(prod).items():
-                    mat = slots.get(slot)
-                    if mat is None:
-                        mat = slots[slot] = np.zeros((n, n))
-                        slots_exact[slot] = {}
-                    i, j = block.offset + k, block.offset + l
-                    mat[i, j] += float(c)
-                    if i != j:
-                        mat[j, i] += float(c)
-                        slots_exact[slot][(i, j)] = 2 * c
-                    else:
-                        slots_exact[slot][(i, j)] = c
+                    slots.setdefault(slot, {})[(i, j)] = c if i == j else 2 * c
         wanted = _coeff_slots(targets[block.component])
         for slot in wanted:
             if slot not in slots:
@@ -323,12 +251,8 @@ def build_gram_problem(
                     f"{block.component}: target degree exceeds the basis "
                     f"(missing {slot} at gram degree {degree})"
                 )
-        for slot, mat in sorted(slots.items()):
-            beta = wanted.get(slot, Fraction(0))
-            mats.append(mat)
-            rhs.append(float(beta))
-            tags.append(f"coeff:{block.component}:{slot[0]}^{slot[1]}")
-            exact_rows.append((slots_exact[slot], beta))
+        for slot, coeffs in sorted(slots.items()):
+            rows.append(Row(coeffs, wanted.get(slot, Fraction(0))))
 
     kernel_points: list[KernelPoint] = []
     index_of = {cid: analysis.component(cid).index for cid in subset}
@@ -338,117 +262,78 @@ def build_gram_problem(
         incident = [cid for cid in subset if index_of[cid] in rec.components]
         if len(incident) < 2:
             continue
-        if isinstance(rec.point, RationalPoint):
+        rational = isinstance(rec.point, RationalPoint)
+        if rational:
             evals = {
-                cid: _basis_values(next(b for b in blocks if b.component == cid),
-                                   charts[cid], rec.point)
+                cid: _basis_values(block_of[cid], charts[cid], rec.point)
                 for cid in incident
             }
-            exact_pt: RationalPoint | None = rec.point
-            approx = None
         else:
             xf, yf = rec.point.as_floats(60)
-            evals = {}
-            for cid in incident:
-                block = next(b for b in blocks if b.component == cid)
-                evals[cid] = _float_basis_values(block, charts[cid], xf, yf)
-            exact_pt = rec.point
-            approx = (xf, yf)
-        kernel_points.append(KernelPoint(rec.id, tuple(incident), exact_pt, approx))
-        base = incident[0]
-        rational = isinstance(rec.point, RationalPoint)
+            evals = {
+                cid: _float_basis_values(block_of[cid], charts[cid], xf, yf)
+                for cid in incident
+            }
+        kernel_points.append(KernelPoint(rec.id, tuple(incident), rec.point))
+        base = block_of[incident[0]]
         for other in incident[1:]:
-            u = np.zeros(n)
-            b0 = next(b for b in blocks if b.component == base)
-            b1 = next(b for b in blocks if b.component == other)
-            u[b0.offset : b0.offset + b0.size] = [float(v) for v in evals[base]]
-            u[b1.offset : b1.offset + b1.size] = [-float(v) for v in evals[other]]
-            u_exact: dict[int, Fraction] = {}
-            if rational:
-                for off, vals in (
-                    (b0.offset, evals[base]),
-                    (b1.offset, [-v for v in evals[other]]),
-                ):
-                    for s, val in enumerate(vals):
-                        if val:
-                            u_exact[off + s] = val
-            for r in range(n):
-                mat = np.zeros((n, n))
-                mat[r, :] += u / 2.0
-                mat[:, r] += u / 2.0
-                mats.append(mat)
-                rhs.append(0.0)
-                tags.append(f"kernel:{rec.id}:{base}~{other}:{r}")
-                if rational:
-                    row = {
-                        (min(r, s), max(r, s)): c for s, c in u_exact.items()
-                    }
-                    exact_rows.append((row, Fraction(0)))
-                else:
-                    exact_rows.append(None)
+            u = _basis_vector(base, evals[base.component])
+            for s, v in _basis_vector(block_of[other], evals[other]).items():
+                u[s] = -v
+            rows += _kernel_rows(u, n, rational)
 
     values = list(values)
-    evecs: list[np.ndarray] = []
-    evecs_exact: list[dict[int, Fraction]] = []
-    for pv in values:
-        block = next(b for b in blocks if b.component == pv.component)
-        vals = _basis_values(block, charts[pv.component], pv.point)
-        e = np.zeros(n)
-        e[block.offset : block.offset + block.size] = [float(v) for v in vals]
-        evecs.append(e)
-        evecs_exact.append(
-            {block.offset + s: v for s, v in enumerate(vals) if v}
+    evecs = [
+        _basis_vector(
+            block_of[pv.component],
+            _basis_values(block_of[pv.component], charts[pv.component], pv.point),
         )
+        for pv in values
+    ]
     zero_ids = {i for i, pv in enumerate(values) if not any(pv.vector)}
     for i in sorted(zero_ids):
         # a zero prescription means every summand vanishes at the point,
         # which for a psd matrix is the linear condition G e(P) = 0; the
         # quadratic form alone would leave the kernel membership implicit
         # and exact factorization could not recover it from rounded data
-        pv = values[i]
-        e = evecs[i]
-        for r in range(n):
-            mat = np.zeros((n, n))
-            mat[r, :] += e / 2.0
-            mat[:, r] += e / 2.0
-            mats.append(mat)
-            rhs.append(0.0)
-            tags.append(f"value-kernel:{pv.point_id}:{r}")
-            row = {(min(r, s), max(r, s)): c for s, c in evecs_exact[i].items()}
-            exact_rows.append((row, Fraction(0)))
+        rows += _kernel_rows(evecs[i], n, True)
     for i, pv in enumerate(values):
         for j in range(i, len(values)):
             if i in zero_ids or j in zero_ids:
                 continue
-            other = values[j]
             inner = sum(
-                (a * b for a, b in zip(pv.vector, other.vector)), Fraction(0)
+                (a * b for a, b in zip(pv.vector, values[j].vector)), Fraction(0)
             )
-            mat = np.outer(evecs[i], evecs[j])
-            mat = (mat + mat.T) / 2.0
-            mats.append(mat)
-            rhs.append(float(inner))
-            label = "value" if i == j else "cross-value"
-            tags.append(f"{label}:{pv.point_id}" + ("" if i == j else f"~{other.point_id}"))
             row: dict[tuple[int, int], Fraction] = {}
-            for a, ca in evecs_exact[i].items():
-                for b, cb in evecs_exact[j].items():
+            for a, ca in evecs[i].items():
+                for b, cb in evecs[j].items():
                     key = (min(a, b), max(a, b))
                     row[key] = row.get(key, Fraction(0)) + ca * cb
-            exact_rows.append((row, inner))
+            rows.append(Row(row, inner))
 
     return GramProblem(
         blocks=blocks,
-        matrices=np.array(mats) if mats else np.zeros((0, n, n)),
-        rhs=np.array(rhs),
-        tags=tags,
+        rows=rows,
+        snap=_ExactAffineSnap([r for r in rows if r.exact]),
         degree=degree,
         targets=targets,
         charts=charts,
         kernel_points=kernel_points,
         values=values,
-        exact_rows=exact_rows,
     )
+
+
+def _basis_vector(block: GramBlock, vals: list) -> dict[int, Fraction | float]:
+    """Nonzero basis values of one block, keyed by their index in the stacked basis."""
+    return {block.offset + s: v for s, v in enumerate(vals) if v}
+
+
+def _kernel_rows(u: dict[int, Fraction | float], n: int, exact: bool) -> list[Row]:
+    """The n rows of G u = 0."""
+    return [
+        Row({(min(r, s), max(r, s)): c for s, c in u.items()}, Fraction(0), exact)
+        for r in range(n)
+    ]
 
 
 def _float_basis_values(block: GramBlock, chart, xf: float, yf: float) -> list[float]:
@@ -461,16 +346,31 @@ def _float_basis_values(block: GramBlock, chart, xf: float, yf: float) -> list[f
     return out
 
 
+def _constraint_matrix(problem: GramProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as a k x n^2 operator on row-major G, and the right-hand sides.
+
+    Row r holds the symmetric matrix M with M_ii = c_ii and M_ij = M_ji =
+    c_ij / 2, so that <M, G> is the row's left-hand side for symmetric G.
+    """
+    n = problem.dim
+    m = np.zeros((len(problem.rows), n * n))
+    for r, row in enumerate(problem.rows):
+        for (i, j), c in row.coeffs.items():
+            if i == j:
+                m[r, i * n + i] = float(c)
+            else:
+                m[r, i * n + j] = m[r, j * n + i] = float(c) / 2.0
+    return m, np.array([float(row.rhs) for row in problem.rows])
+
+
 def _affine_projector(problem: GramProblem):
     n = problem.dim
-    k = problem.matrices.shape[0]
-    if k == 0:
+    if not problem.rows:
         return lambda x: x, lambda x: 0.0
-    m = problem.matrices.reshape(k, n * n)
+    m, rhs = _constraint_matrix(problem)
     gram = m @ m.T
     pinv = np.linalg.pinv(gram, rcond=1e-12)
     lift = m.T @ pinv
-    rhs = problem.rhs
     scale = max(1.0, float(np.max(np.abs(rhs))))
 
     def project(x: np.ndarray) -> np.ndarray:
@@ -492,18 +392,14 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
     which keeps its speed when every solution sits on the cone boundary, as
     happens whenever an attachment value pins part of the kernel.  The run
     starts from a fixed seed, so it is deterministic, and raises NoConvergence
-    with the tail of the residual trajectory when it stalls.  Every few iterations the solver
-    attempts an exact extraction from the current psd iterate and returns
-    early when rounding already hits a true certificate; that is a common
-    exit, since targets built from rational data have Gram matrices with
-    small denominators long before tight convergence.
+    with the tail of its residuals when it stalls.  Every few iterations the
+    solver attempts an exact extraction from the current psd iterate and
+    returns early when rounding already hits a true certificate; that is a
+    common exit, since targets built from rational data have Gram matrices
+    with small denominators long before tight convergence.
     """
     n = problem.dim
     project_affine, affine_residual = _affine_projector(problem)
-
-    def psd_violation(x: np.ndarray) -> float:
-        w, _ = jacobi_eigh(x)
-        return max(0.0, -float(np.min(w))) if w.size else 0.0
 
     rng = np.random.default_rng(_SEED)
     z = rng.standard_normal((n, n)) * 0.1
@@ -512,54 +408,34 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
     def stalled(it: int, y: np.ndarray, tail: list[float]) -> NoConvergence:
         # recompute both terminal residuals from the final iterate pair
         # rather than reporting loop-internal estimates
+        w, _ = jacobi_eigh(project_affine(y))
         return NoConvergence(
             it,
             tuple(tail),
-            psd_residual=psd_violation(project_affine(y)),
+            psd_residual=max(0.0, -float(np.min(w))) if w.size else 0.0,
             affine_residual=affine_residual(y),
         )
 
-    project_cone = _WarmPsdProjector(n)
-    trajectory: list[float] = []
-    y = None
+    residuals: list[float] = []
     for it in range(1, _MAX_ITER + 1):
-        y = project_cone(z)
+        y = _project_psd(z)
         x = project_affine(2.0 * y - z)
         z = z + x - y
         gap = float(np.linalg.norm(x - y)) / (1.0 + float(np.linalg.norm(y)))
         res = max(gap, affine_residual(y))
-        trajectory.append(res)
+        residuals.append(res)
         if res <= _SOLVER_TOL:
-            return GramSolution(
-                problem,
-                y,
-                it,
-                res,
-                tuple(trajectory[-10:]),
-                affine_residual=affine_residual(y),
-                psd_residual=psd_violation(y),
-            )
+            return GramSolution(problem, y, it)
         if it % _EXTRACT_EVERY == 0:
             ext = _extract(problem, y, ladder=_PROBE_LADDER)
             if ext.exact:
-                return GramSolution(
-                    problem,
-                    y,
-                    it,
-                    res,
-                    tuple(trajectory[-10:]),
-                    affine_residual=affine_residual(y),
-                    psd_residual=psd_violation(y),
-                    extraction=ext,
-                )
+                return GramSolution(problem, y, it, extraction=ext)
         # patience rule: infeasible problems level off at a positive gap,
         # slow feasible ones keep shaving the residual
         if it >= 500 and it % 100 == 0 and res > 1000 * _SOLVER_TOL:
-            if res >= 0.98 * trajectory[-401]:
-                raise stalled(it, y, trajectory[-10:])
-    if y is None:
-        y = project_cone(z)
-    raise stalled(_MAX_ITER, y, trajectory[-10:])
+            if res >= 0.98 * residuals[-401]:
+                raise stalled(it, y, residuals[-10:])
+    raise stalled(_MAX_ITER, y, residuals[-10:])
 
 
 _ROUND_LADDER = (1, 2, 4, 8, 16, 64, 1024, 10**6, 10**9)
@@ -576,15 +452,14 @@ class _ExactAffineSnap:
     factored once, and each snap is two substitutions.
     """
 
-    def __init__(self, dim: int, rows: list[ExactRow]):
-        self.dim = dim
+    def __init__(self, rows: list[Row]):
         self.rows = rows
         k = len(rows)
         normal = [[Fraction(0)] * k for _ in range(k)]
         for a in range(k):
-            ra = rows[a][0]
+            ra = rows[a].coeffs
             for b in range(a, k):
-                rb = rows[b][0]
+                rb = rows[b].coeffs
                 small, large = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
                 acc = Fraction(0)
                 for key, c in small.items():
@@ -656,28 +531,28 @@ class _ExactAffineSnap:
         the correction system is inconsistent, which rounding noise cannot
         cause (the rows come from a feasible problem)."""
         v = []
-        for row, beta in self.rows:
-            acc = beta
-            for (i, j), c in row.items():
+        for row in self.rows:
+            acc = row.rhs
+            for (i, j), c in row.coeffs.items():
                 acc -= c * ghat[i][j]
             v.append(acc)
         lam = self._solve_normal(v)
         if lam is None:
             return None
         out = [r[:] for r in ghat]
-        for l, (row, _) in zip(lam, self.rows):
+        for l, row in zip(lam, self.rows):
             if not l:
                 continue
-            for (i, j), c in row.items():
+            for (i, j), c in row.coeffs.items():
                 w = 2 if i != j else 1
                 out[i][j] += l * c / w
                 if i != j:
                     out[j][i] = out[i][j]
-        for row, beta in self.rows:
+        for row in self.rows:
             acc = Fraction(0)
-            for (i, j), c in row.items():
+            for (i, j), c in row.coeffs.items():
                 acc += c * out[i][j]
-            if acc != beta:
+            if acc != row.rhs:
                 return None
         return out
 
@@ -703,16 +578,15 @@ def _extract(
 ) -> Extraction:
     """Summand functions from the Gram matrix.
 
-    The exact route rounds the matrix entries to small rationals, factors
-    the result as L D L^T over the rationals, and turns each positive pivot
-    into a square list, so irrational eigen directions are never an
-    obstruction; the result is promoted to exact only after re-verification
-    against the stored targets, kernel points and value data.  Failing that,
-    the eigenvector summands are returned with a coefficient residual.
+    The exact route rounds the matrix entries to small rationals, projects
+    the result exactly onto the slice of the exact rows, factors it as
+    L D L^T over the rationals, and turns each positive pivot into a square
+    list, so irrational eigen directions are never an obstruction; the result
+    is promoted to exact only after re-verification against the stored
+    targets, kernel points and value data.  Failing that, the eigenvector
+    summands are returned with a coefficient residual.
     """
     n = problem.dim
-
-    snap = problem.exact_snap()
     for denom in ladder:
         g = [
             [Fraction(float(matrix[i, j])).limit_denominator(denom) for j in range(n)]
@@ -721,15 +595,12 @@ def _extract(
         for i in range(n):
             for j in range(i + 1, n):
                 g[j][i] = g[i][j]
-        candidates = [g]
-        if snap is not None:
-            snapped = snap.snap(g)
-            if snapped is not None:
-                candidates.insert(0, snapped)
-        for cand in candidates:
-            found = _promote(problem, cand)
-            if found is not None:
-                return Extraction(found, True, 0.0, f"rationalized at {denom}")
+        # a rounded g that passes _promote meets every exact row, so the
+        # snap returns it unchanged: the snapped matrix is the only candidate
+        snapped = problem.snap.snap(g)
+        found = None if snapped is None else _promote(problem, snapped)
+        if found is not None:
+            return Extraction(found, True, 0.0, f"rationalized at {denom}")
 
     w, v = jacobi_eigh(matrix)
     order = np.argsort(w)[::-1]
@@ -847,7 +718,7 @@ def _weighted_exact_check(
                 }
                 if len(vals) != 1:
                     return False
-        elif kp.point is not None:
+        else:
             base = kp.components[0]
             for d, fns in weighted:
                 if not d:

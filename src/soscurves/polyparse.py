@@ -24,6 +24,7 @@ class ParseError(ValueError):
 
 
 _MAX_NESTING = 100  # parentheses and unary minus signs; each level costs recursion frames
+_MAX_DEGREE = 32  # of any power or product; expanding costs grow steeply with it
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>\*\*|[()^*+-]))"
@@ -75,6 +76,10 @@ class _Parser:
         if self.depth > _MAX_NESTING:
             raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
 
+    def _check_degree(self, degree: int, pos: int) -> None:
+        if degree > _MAX_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds {_MAX_DEGREE}", pos)
+
     def parse(self) -> BiPoly:
         if not self.tokens:
             raise ParseError("empty polynomial", 0)
@@ -113,12 +118,12 @@ class _Parser:
             tok = self._peek()
             if tok is not None and tok[:2] == ("op", "*"):
                 self._take()
-                out = out * self._power()
-            elif tok is not None and (tok[0] in ("name", "num") or tok[1] == "("):
-                # juxtaposition like "2x" or "x(x+1)"
-                out = out * self._power()
-            else:
+            elif tok is None or (tok[0] not in ("name", "num") and tok[1] != "("):
                 return out
+            # "a * b", or juxtaposition like "2x" or "x(x+1)"
+            factor = self._power()
+            self._check_degree(out.total_degree + factor.total_degree, tok[2])
+            out = out * factor
 
     def _power(self) -> BiPoly:
         base = self._atom()
@@ -128,6 +133,7 @@ class _Parser:
             ntok = self._take()
             if ntok[0] != "num" or "/" in ntok[1]:
                 raise ParseError("exponent must be a nonnegative integer", ntok[2])
+            self._check_degree(base.total_degree * int(ntok[1]), tok[2])
             return base ** int(ntok[1])
         return base
 

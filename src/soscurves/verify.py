@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .components import CircleChart, PolyChart, PuncturedChart
+from .components import CircleChart, PolyChart
 from .curve import CurveAnalysis
 from .glue import SosCertificate
 from .points import (
@@ -64,17 +64,6 @@ def _fn_residual(fn: RingFn) -> float:
     return max((abs(float(c)) for c in coeffs), default=0.0)
 
 
-def _fn_is_zero(fn: RingFn) -> bool:
-    if isinstance(fn, LineFn):
-        return fn.num.is_zero()
-    return fn.is_zero
-
-
-def _infinity_degree(fn: LineFn) -> int:
-    """Degree as a function on the line, poles at the puncture subtracted."""
-    return fn.num.degree - fn.order
-
-
 def _float_value(fn: RingFn, chart, p: AlgebraicPoint) -> float:
     xf, yf = p.as_floats(60)
     if isinstance(fn, CircleFn):
@@ -111,7 +100,7 @@ def _pair_value_poly(fn: RingFn, chart, pt: ConjugatePairPoint) -> UniPoly | Non
 
 def verify_certificate(
     analysis: CurveAnalysis,
-    F,
+    F: BiPoly,
     cert: SosCertificate,
     tol: float = 1e-7,
 ) -> ExactReport:
@@ -120,7 +109,7 @@ def verify_certificate(
     Exact certificates must reproduce the target coefficient for coefficient
     and agree exactly at every shared point; numeric ones are measured and
     pass when the worst deviation stays within tol.  `F` is the plane target
-    polynomial, or a ready-made mapping component id -> restriction.
+    polynomial; it is restricted to each component's chart here.
     """
     checks: list[Check] = []
     notes: list[str] = []
@@ -137,10 +126,7 @@ def verify_certificate(
     for cid in cids:
         comp = analysis.component(cid)
         charts[cid] = comp.chart
-        if isinstance(F, dict):
-            targets[cid] = F[cid]
-        else:
-            targets[cid] = restrict_to_chart(F, comp.chart)
+        targets[cid] = restrict_to_chart(F, comp.chart)
     ragged = [
         i for i, s in enumerate(cert.summands) if set(s) != set(cids)
     ]
@@ -162,7 +148,7 @@ def verify_certificate(
             total = sq if total is None else total + sq
         diff = (total - target) if total is not None else target
         if cert.exact:
-            passed = _fn_is_zero(diff)
+            passed = diff.is_zero
             detail = "" if passed else "sum of squares misses the target"
         else:
             dev = _fn_residual(diff)
@@ -171,20 +157,16 @@ def verify_certificate(
             detail = f"residual {dev:.3g}"
         checks.append(Check(f"sum:{cid}", passed, detail))
 
-        if cert.exact and isinstance(target, LineFn) and not _fn_is_zero(target):
-            degs = [
-                _infinity_degree(s[cid])
-                for s in cert.summands
-                if not _fn_is_zero(s[cid])
-            ]
+        if cert.exact and isinstance(target, LineFn) and not target.is_zero:
+            degs = [s[cid].top_degree for s in cert.summands if not s[cid].is_zero]
             top = max(degs, default=0)
-            rule = _infinity_degree(target) == 2 * top
+            rule = target.top_degree == 2 * top
             checks.append(
                 Check(
                     f"degree-rule:{cid}",
                     rule,
                     "" if rule else
-                    f"target degree {_infinity_degree(target)} != 2*{top}",
+                    f"target degree {target.top_degree} != 2*{top}",
                 )
             )
 

@@ -268,6 +268,12 @@ def test_reducible_factor_is_named_as_such():
         build_component(0, B("x*y"))
 
 
+@pytest.mark.parametrize("poly", ["x^2 - y^2", "(x + y)*(x + y + 1)", "x^2 - y^2 + 2*x + 1"])
+def test_rational_line_pair_is_reducible(poly):
+    with pytest.raises(InvalidComponent, match="product of two rational lines"):
+        build_component(0, B(poly))
+
+
 def test_cubic_attributes_default_unknown():
     c = build_component(0, B("y^2 - x^3"))
     assert c.is_real is TriBool.UNKNOWN

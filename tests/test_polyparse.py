@@ -65,6 +65,13 @@ def test_deep_nesting_is_a_parse_error():
         parse_bipoly("x*" + "-" * 3000 + "x")
 
 
+def test_degree_cap_is_a_parse_error():
+    assert parse_bipoly("(x+y+1)^8").total_degree == 8
+    for text in ("(x+y+1)^60", "((x+1)^8)^8", "(x+1)^20*(y+1)^20"):
+        with pytest.raises(ParseError, match="degree"):
+            parse_bipoly(text)
+
+
 def test_format_zero_and_constants():
     assert format_bipoly(BiPoly.zero()) == "0"
     assert format_bipoly(BiPoly.const(Fr(-7, 3))) == "-7/3"
