@@ -19,6 +19,7 @@ from .components import (
     Component,
     PolyChart,
     PuncturedChart,
+    _conic_kernel,
     build_component,
     component_index,
 )
@@ -348,8 +349,6 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
     # conjugate complex lines is real even though the component is not
     for i, comp in enumerate(components):
         if comp.conic_kind == "conjugate-lines" and comp.has_real_points is TriBool.YES:
-            from .components import _conic_kernel
-
             k1, k2, k3 = _conic_kernel(factors[i])
             add_real(RationalPoint(k1 / k3, k2 / k3), {i}, {i})
 

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from soscurves.bipoly import BiPoly
+from soscurves.bipoly import BiPoly, have_common_factor, resultant_y
 from soscurves.components import (
     CircleChart,
     InvalidComponent,
@@ -18,6 +19,8 @@ from soscurves.intersect import (
     SharedComponent,
     choose_shear,
     fast_intersection,
+    shear_bad_bound,
+    shear_score,
     sheared_intersection,
 )
 from soscurves.points import (
@@ -29,6 +32,7 @@ from soscurves.points import (
 )
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.tribool import TriBool
+from soscurves.unipoly import squarefree_part
 
 UNIT_CIRCLE = B("x^2 + y^2 - 1")
 
@@ -117,6 +121,65 @@ def test_point_identity_across_pairs():
             if same_point(p, q):
                 hits += 1
     assert hits == 2  # (r2, r2) and (-r2, -r2) with r2 = sqrt(2)
+
+
+def _random_pair(rng: random.Random) -> tuple[BiPoly, BiPoly]:
+    while True:
+        F, G = (
+            BiPoly({(i, j): rng.randint(-2, 2) for i in range(d + 1) for j in range(d + 1 - i)})
+            for d in (rng.randint(1, 2), rng.randint(1, 2))
+        )
+        if F.total_degree >= 1 and G.total_degree >= 1 and not have_common_factor(F, G):
+            return F, G
+
+
+def _valid_shear(F: BiPoly, G: BiPoly, k: int) -> bool:
+    # the y^deg coefficient of P(u - k*y, y) is the leading form at (-k, 1)
+    return all(P.leading_form()(-k, 1) != 0 for P in (F, G))
+
+
+def _pool_maximum_reference(F: BiPoly, G: BiPoly) -> list[bool]:
+    """Per integer shear in the pool: valid, and the squarefree degree of the
+    sheared resultant reaches its maximum over the pool."""
+    scores = []
+    for k in range(1, shear_bad_bound(F, G) + 2):
+        Fs, Gs = (P.compose_linear(1, -k, 0, 1) for P in (F, G))
+        scores.append(squarefree_part(resultant_y(Fs, Gs)).degree if _valid_shear(F, G, k) else -1)
+    best = max(scores)
+    return [s == best for s in scores]
+
+
+FIXED_PAIRS = [
+    ("x^2 + y^2 - 4", "x*y - 2"),  # tangent at two irrational points
+    ("y^2 - x^3", "y - x"),  # line through a cusp
+    ("y^2 - x^2*(x + 1)", "y - x"),  # line along a branch of a node
+    ("x^2 + y^2 - 1", "(x-1)^2 + (y-1)^2 - 1"),  # collides at lam = 1
+    # on the fibre x + y = 0 both restrict to multiples of y^3, resp. y^3 - y:
+    # one triple point (separating at lam = 1), three points (colliding)
+    ("y^3 + (x + y)*(x^2 + 1)", "2*y^3 - (x + y)*(y^2 + x - 1)"),
+    ("y^3 - y + (x + y)*(x^2 + 1)", "2*y^3 - 2*y - (x + y)*(y^2 + x - 1)"),
+]
+
+
+def test_shear_score_is_the_pool_maximum_test():
+    rng = random.Random(20080803)
+    pairs = [_random_pair(rng) for _ in range(30)] + [(B(f), B(g)) for f, g in FIXED_PAIRS]
+    rejected_valid = 0
+    for F, G in pairs:
+        expected = _pool_maximum_reference(F, G)
+        got = [shear_score(F, G, Fr(k)) for k in range(1, len(expected) + 1)]
+        assert got == expected, (F, G)
+        assert choose_shear([(F, G)]) == expected.index(True) + 1
+        rejected_valid += sum(not ok and _valid_shear(F, G, k) for k, ok in enumerate(expected, start=1))
+    assert rejected_valid > 0  # some valid shears merge two points
+
+
+def test_shear_collision_is_rejected():
+    # (1, 0) and (0, 1) share u = x + y = 1
+    F, G = UNIT_CIRCLE, B("(x-1)^2 + (y-1)^2 - 1")
+    assert shear_score(F, G, Fr(1)) is False
+    assert shear_score(F, G, Fr(2)) is True
+    assert choose_shear([(F, G)]) == 2
 
 
 def test_shared_component_detected():
@@ -371,3 +434,14 @@ def test_curve_sign_at_algebraic_points():
     assert curve_sign_at(B("x"), upper) > 0
     assert curve_sign_at(B("x - 1"), upper) < 0
     assert curve_sign_at(UNIT_CIRCLE, upper) == 0
+
+
+def test_three_cubics_analysis():
+    an = analyze_curve([B("y^2 - x^3 + 2*x - 1"), B("y - x^3 + x"), B("x^2*y - y^3 + 1 - x")])
+    assert an.shear == 2
+    assert len(an.points) == 16
+    real = [r for r in an.points if r.is_real]
+    assert len(real) == 10
+    (triple,) = [r for r in an.points if r.components == (0, 1, 2)]
+    assert triple.is_real
+    assert triple.classification.kind is PointClass.NOT_OMPIT
