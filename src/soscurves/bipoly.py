@@ -338,11 +338,6 @@ def resultant_y(F: BiPoly, G: BiPoly) -> UniPoly:
     return _det_bareiss(rows)
 
 
-def resultant_x(F: BiPoly, G: BiPoly) -> UniPoly:
-    """Resultant eliminating x, as a polynomial in y."""
-    return resultant_y(F.swap_vars(), G.swap_vars())
-
-
 def have_common_factor(F: BiPoly, G: BiPoly) -> bool:
     """Whether two nonzero curves share a component."""
     if F.is_zero() or G.is_zero():

@@ -440,6 +440,7 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
 
 _ROUND_LADDER = (1, 2, 4, 8, 16, 64, 1024, 10**6, 10**9)
 _PROBE_LADDER = (1, 2, 4, 8, 16, 64, 1024)
+_SCREEN_MARGIN = 1e-9  # relative eigenvalue margin of the float screen in _rational_ldl
 
 
 class _ExactAffineSnap:
@@ -588,13 +589,11 @@ def _extract(
     """
     n = problem.dim
     for denom in ladder:
-        g = [
-            [Fraction(float(matrix[i, j])).limit_denominator(denom) for j in range(n)]
-            for i in range(n)
-        ]
+        g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i + 1, n):
-                g[j][i] = g[i][j]
+            for j in range(i, n):
+                c = Fraction(float(matrix[i, j])).limit_denominator(denom)
+                g[i][j] = g[j][i] = c
         # a rounded g that passes _promote meets every exact row, so the
         # snap returns it unchanged: the snapped matrix is the only candidate
         snapped = problem.snap.snap(g)
@@ -641,7 +640,21 @@ def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction
     Returns (pivot, column) pairs with the matrix equal to the sum of
     pivot * column * column^T, or None if the matrix is not psd over the
     rationals (negative pivot, or a zero diagonal with a nonzero row).
+
+    A float screen runs first and may only reject: it returns None when the
+    smallest eigenvalue of the rounded matrix lies below
+    -_SCREEN_MARGIN * max(1, ||G||_F).  For psd G that cannot happen.
+    Rounding each entry to a float moves it by at most 2^-53 of its size
+    (plus 2^-1074 for subnormals), so the rounded matrix lies within
+    2^-53 ||G||_F + n * 2^-1074 of G in the 2-norm, and LAPACK's eigenvalues
+    are exact for a matrix within c * n * 2^-53 ||G||_2 of that one (Weyl's
+    inequality bounds the eigenvalue shift by each distance).  While c * n
+    stays below 900 both terms are more than 10^4 times smaller than the
+    margin.  Matrices with entries outside the float range skip the screen.
+    Every psd verdict comes from the exact elimination below.
     """
+    if _float_screen_rejects(g):
+        return None
     n = len(g)
     m = [row[:] for row in g]
     active = list(range(n))
@@ -664,6 +677,20 @@ def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction
         active.remove(p)
         out.append((d, col))
     return out
+
+
+def _float_screen_rejects(g: list[list[Fraction]]) -> bool:
+    """Whether g is certainly not psd by the eigenvalue margin in _rational_ldl.
+
+    A norm beyond the float range makes the margin infinite: no rejection.
+    """
+    with np.errstate(over="ignore"):
+        try:
+            a = np.array([[float(c) for c in row] for row in g])
+            lowest = np.linalg.eigvalsh(a)[0]
+        except (OverflowError, np.linalg.LinAlgError):
+            return False
+        return bool(lowest < -_SCREEN_MARGIN * max(1.0, float(np.linalg.norm(a))))
 
 
 def _vectors_to_summands(

@@ -96,7 +96,3 @@ def rational_square_list(c: Fraction) -> list[Fraction]:
         return [s]
     ints = int_square_list(c.numerator * c.denominator)
     return [Fraction(v, c.denominator) for v in ints]
-
-
-def round_to_fraction(x: float, max_denominator: int) -> Fraction:
-    return Fraction(x).limit_denominator(max_denominator)

@@ -445,11 +445,13 @@ def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
         if p(mid) == 0:
             eps = (b - a)
             # shrink a window around the exact root until it isolates
-            while True:
+            for _ in range(20000):
                 eps /= 2
                 l2, h2 = mid - eps, mid + eps
                 if p(l2) != 0 and p(h2) != 0 and var_at(l2) - var_at(h2) == 1:
                     break
+            else:
+                raise RuntimeError("root window refinement did not converge")
             out.append(RootBox(l2, h2, 1, mid, p))
             rec(a, l2, va, var_at(l2))
             rec(h2, b, var_at(h2), vb)
@@ -481,10 +483,10 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
     rats = set(_rational_roots(radical))
     out = []
     for box in boxes:
-        mult = 1
-        for q, i in parts:
-            if q.degree == 0:
-                continue
+        # every box holds a root of the radical, so a box that no earlier
+        # Yun factor claims belongs to the last one without a Sturm count
+        mult = parts[-1][1]
+        for q, i in parts[:-1]:
             if box.exact_value is not None:
                 if q(box.exact_value) == 0:
                     mult = i
@@ -564,28 +566,12 @@ def box_compare(a: RootBox, b: RootBox) -> int:
     if boxes_equal(a, b):
         return 0
     ra, rb = a, b
-    while True:
+    for _ in range(20000):
         if ra.high <= rb.low:
             return -1
         if rb.high <= ra.low:
             return 1
         ra = ra.refined()
         rb = rb.refined()
+    raise RuntimeError("order refinement did not converge")
 
-
-def exact_box(v) -> RootBox:
-    """Degenerate RootBox holding a known rational value."""
-    v = _fr(v)
-    return RootBox(v - 1, v + 1, 1, v, UniPoly.linear_root(v))
-
-
-def sum_of_squares_expand(fs: Sequence[UniPoly]) -> UniPoly:
-    """Sum of the squares, asserting the even-degree rule deg = 2 * max deg."""
-    total = UniPoly.zero()
-    maxdeg = -1
-    for f in fs:
-        total = total + f * f
-        maxdeg = max(maxdeg, f.degree)
-    if maxdeg >= 0 and total.degree != 2 * maxdeg:
-        raise AssertionError("leading squares cancelled; degree rule violated")
-    return total

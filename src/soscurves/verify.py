@@ -64,8 +64,7 @@ def _fn_residual(fn: RingFn) -> float:
     return max((abs(float(c)) for c in coeffs), default=0.0)
 
 
-def _float_value(fn: RingFn, chart, p: AlgebraicPoint) -> float:
-    xf, yf = p.as_floats(60)
+def _float_value(fn: RingFn, chart, xf: float, yf: float) -> float:
     if isinstance(fn, CircleFn):
         wf = yf + float(chart.s1) * xf + float(chart.s0)
         return fn.a.eval_float(xf) + fn.b.eval_float(xf) * wf
@@ -198,16 +197,18 @@ def verify_certificate(
             checks.append(Check(name, not bad, bad))
         elif rec.is_real and isinstance(rec.point, AlgebraicPoint):
             bad = ""
+            pairs = list(zip(incident, incident[1:]))
+            if not cert.exact:
+                xy = rec.point.as_floats(60)
             for j, s in enumerate(cert.summands):
-                pairs = list(zip(incident, incident[1:]))
                 for ca, cb in pairs:
                     if cert.exact:
                         agree = values_agree_at_algebraic(
                             s[ca], charts[ca], s[cb], charts[cb], rec.point
                         )
                     else:
-                        va = _float_value(s[ca], charts[ca], rec.point)
-                        vb = _float_value(s[cb], charts[cb], rec.point)
+                        va = _float_value(s[ca], charts[ca], *xy)
+                        vb = _float_value(s[cb], charts[cb], *xy)
                         agree = abs(va - vb) <= tol
                         residual = max(residual, abs(va - vb))
                     if not agree:

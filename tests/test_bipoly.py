@@ -9,7 +9,6 @@ from soscurves.bipoly import (
     NotBinaryQuadratic,
     QuadraticSplitKind,
     have_common_factor,
-    resultant_x,
     resultant_y,
     split_binary_quadratic,
 )
@@ -63,7 +62,6 @@ def test_specialize_and_substitute():
 def test_resultant_frozen_circle_pairs():
     far = B("(x - 3)^2 + y^2 - 1")
     assert resultant_y(UNIT_CIRCLE, far) == P("36t^2 - 108t + 81")
-    assert resultant_x(UNIT_CIRCLE, far) == P("36t^2 + 45")
     near = B("(x - 1)^2 + y^2 - 1")
     assert resultant_y(UNIT_CIRCLE, near) == P("4t^2 - 4t + 1")
 

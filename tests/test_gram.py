@@ -95,3 +95,62 @@ def test_snap_fixes_a_matrix_on_the_slice(factors, target):
         diag = [[Fr(int(i == j and i < 2)) for j in range(3)] for i in range(3)]
         assert _meets_every_row(snap.rows, diag)
         assert snap.snap(diag) == diag
+
+
+def _rank_deficient_psd(rng, n, r, scale):
+    """Sum of r < n rational outer products, with an integer kernel vector."""
+    v = [Fr(int(rng.integers(-4, 5))) for _ in range(n)]
+    v[int(rng.integers(n))] = Fr(int(rng.integers(1, 5)))
+    vv = sum(c * c for c in v)
+    g = [[Fr(0)] * n for _ in range(n)]
+    for _ in range(r):
+        w = [
+            Fr(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**9)))
+            for _ in range(n)
+        ]
+        t = sum(a * b for a, b in zip(w, v)) / vv
+        u = [a - t * b for a, b in zip(w, v)]
+        for i in range(n):
+            for j in range(n):
+                g[i][j] += scale * u[i] * u[j]
+    return g, v
+
+
+def _rebuild(pivots, n):
+    out = [[Fr(0)] * n for _ in range(n)]
+    for d, col in pivots:
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += d * col[i] * col[j]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_ldl_on_rank_deficient_psd(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 2 + seed
+    for scale in (Fr(10) ** -6, Fr(1), Fr(10) ** 6):
+        r = int(rng.integers(1, n))
+        g, v = _rank_deficient_psd(rng, n, r, scale)
+        pivots = gram._rational_ldl(g)
+        assert pivots is not None
+        assert len(pivots) == r
+        assert all(d > 0 for d, _ in pivots)
+        assert _rebuild(pivots, n) == g
+        # v is in the kernel, so removing eps * e_i e_i^T with v_i != 0 gives
+        # v^T g v = -eps * v_i^2 < 0: not psd however small eps is
+        i = next(k for k, c in enumerate(v) if c)
+        for eps in (Fr(10) ** -30, Fr(1)):
+            bad = [row[:] for row in g]
+            bad[i][i] -= eps
+            assert gram._rational_ldl(bad) is None
+
+
+def test_rational_ldl_beyond_float_range():
+    # entries overflow a float: the factorization stays exact
+    big = Fr(10) ** 400
+    g = [[big, big, 0], [big, 2 * big, big], [0, big, big]]
+    pivots = gram._rational_ldl(g)
+    assert pivots is not None and _rebuild(pivots, 3) == g
+    g[2][2] -= 1
+    assert gram._rational_ldl(g) is None

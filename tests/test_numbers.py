@@ -7,7 +7,6 @@ from soscurves.numbers import (
     exact_isqrt,
     int_square_list,
     rational_square_list,
-    round_to_fraction,
     sqrt_fraction,
 )
 
@@ -53,8 +52,3 @@ def test_rational_square_list_random():
 def test_rational_square_list_rejects_negative():
     with pytest.raises(ValueError):
         rational_square_list(Fr(-1, 2))
-
-
-def test_round_to_fraction():
-    assert round_to_fraction(0.5, 100) == Fr(1, 2)
-    assert round_to_fraction(3.14159265, 1000) == Fr(355, 113)

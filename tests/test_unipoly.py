@@ -13,12 +13,10 @@ from soscurves.unipoly import (
     boxes_equal,
     cauchy_bound,
     count_real_roots,
-    exact_box,
     gcd,
     isolate_real_roots,
     sturm_chain,
     sturm_count,
-    sum_of_squares_expand,
     yun_decomposition,
 )
 from soscurves.polyparse import parse_unipoly as P
@@ -150,14 +148,18 @@ def test_boxes_equal_across_defining_polynomials():
     assert boxes_equal(a, b)
     half = [c for c in isolate_real_roots(P("2t^2 - 1")) if c.low >= 0][0]
     assert not boxes_equal(a, half)
-    assert boxes_equal(exact_box(Fr(3, 2)), exact_box(Fr(3, 2)))
-    assert not boxes_equal(exact_box(Fr(3, 2)), a)
+    c = Fr(3, 2)
+    rational = RootBox(c - 1, c + 1, 1, c, UniPoly.linear_root(c))
+    assert boxes_equal(rational, RootBox(c - 1, c + 1, 1, c, UniPoly.linear_root(c)))
+    assert not boxes_equal(rational, a)
 
 
 def test_box_compare_orders_mixed_values():
     sqrt2 = [b for b in isolate_real_roots(P("t^2 - 2")) if b.low >= 0][0]
-    assert box_compare(exact_box(Fr(1)), sqrt2) < 0
-    assert box_compare(exact_box(Fr(2)), sqrt2) > 0
+    one = RootBox(Fr(0), Fr(2), 1, Fr(1), UniPoly.linear_root(1))
+    two = RootBox(Fr(1), Fr(3), 1, Fr(2), UniPoly.linear_root(2))
+    assert box_compare(one, sqrt2) < 0
+    assert box_compare(two, sqrt2) > 0
     assert box_compare(sqrt2, sqrt2) == 0
 
 
@@ -173,9 +175,3 @@ def test_refined_boxes_keep_their_root():
     tight = box.refined(30)
     assert tight.width() <= box.width() / 2**30
     assert tight.low ** 3 <= 2 <= tight.high ** 3
-
-
-def test_sum_of_squares_expand_degree_rule():
-    fs = [P("t^2 - 2"), P("2t")]
-    total = sum_of_squares_expand(fs)
-    assert total == P("t^4 + 4")
