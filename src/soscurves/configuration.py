@@ -50,7 +50,6 @@ class ConfigPoint:
     realness: TriBool
     components: tuple[str, ...]
     ompit: TriBool
-    in_S: bool | None = None
     # parameter of the point on each incident component's line-type chart,
     # when known and rational; the preorder operations evaluate restricted
     # functions through this table
@@ -311,7 +310,7 @@ def induced_subconfiguration(
             if pt.params:
                 params = {c: v for c, v in pt.params.items() if c in chosen} or None
             pts.append(
-                ConfigPoint(pt.id, pt.realness, incident, pt.ompit, pt.in_S, params)
+                ConfigPoint(pt.id, pt.realness, incident, pt.ompit, params)
             )
     return CurveConfiguration(comps, tuple(pts))
 
@@ -355,8 +354,6 @@ def configuration_to_json(config: CurveConfiguration) -> dict[str, Any]:
             "components": list(p.components),
             "ompit": _flag_to_json(p.ompit),
         }
-        if p.in_S is not None:
-            entry["in_S"] = p.in_S
         if p.params:
             entry["params"] = {cid: str(v) for cid, v in sorted(p.params.items())}
         pts.append(entry)
@@ -420,7 +417,6 @@ def configuration_from_json(data: Mapping[str, Any]) -> CurveConfiguration:
                 realness=_flag_from_json(rp.get("realness", "unknown"), where),
                 components=tuple(str(c) for c in rp.get("components", [])),
                 ompit=_flag_from_json(rp.get("ompit", "unknown"), where),
-                in_S=rp.get("in_S"),
                 params=params,
             )
         )

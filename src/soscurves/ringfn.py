@@ -31,6 +31,9 @@ class ChartlessComponent(ValueError):
     """The component has no usable rational parametrization."""
 
 
+_NO_POLE = Fraction(0)
+
+
 @dataclass(frozen=True)
 class LineFn:
     """num(t) / (t - pole_at)^order on a (possibly punctured) line.
@@ -43,7 +46,7 @@ class LineFn:
 
     num: UniPoly
     order: int = 0
-    pole_at: Fraction = Fraction(0)
+    pole_at: Fraction = _NO_POLE
 
     def __post_init__(self):
         if self.order < 0:
@@ -51,12 +54,13 @@ class LineFn:
         num, order, pole = self.num, self.order, self.pole_at
         if num.is_zero():
             order = 0
-        lin = UniPoly.linear_root(pole)
-        while order > 0 and num(pole) == 0:
-            num = num.exact_div(lin)
-            order -= 1
+        if order > 0:
+            lin = UniPoly.linear_root(pole)
+            while order > 0 and num.sign_at(pole) == 0:
+                num = num.exact_div(lin)
+                order -= 1
         if order == 0:
-            pole = Fraction(0)
+            pole = _NO_POLE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "pole_at", pole)
@@ -86,9 +90,11 @@ class LineFn:
     def __add__(self, other: LineFn) -> LineFn:
         pole = self._common(other)
         k = max(self.order, other.order)
-        lin = UniPoly.linear_root(pole)
-        a = self.num * lin ** (k - self.order)
-        b = other.num * lin ** (k - other.order)
+        a, b = self.num, other.num
+        if k:
+            lin = UniPoly.linear_root(pole)
+            a = a * lin ** (k - self.order)
+            b = b * lin ** (k - other.order)
         return LineFn(a + b, k, pole)
 
     def __sub__(self, other: LineFn) -> LineFn:

@@ -1,15 +1,36 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, computed on integers.
 
-Everything in here is exact: coefficients are fractions.Fraction, real roots are
-isolated by Sturm bisection inside the Cauchy bound, and numbers that happen to
-be rational are recognised exactly (monic integer transform plus unit-interval
-bisection, no factoring).
+A polynomial is stored as integer numerators over one positive common
+denominator, p(t) = (n_0 + n_1 t + ... + n_d t^d) / den, in canonical form: no
+trailing zero numerator and gcd(den, n_0, ..., n_d) = 1, with the zero
+polynomial stored as ((), 1).  Equal polynomials therefore have equal pairs.
+Every ring operation runs on Python ints and normalises once at the end;
+`.coeffs` rebuilds the Fraction coefficients for callers.
+
+Division is pseudo-division on the numerators.  A step scales the remainder
+and the partial quotient by the divisor's leading coefficient (its part not
+shared with the leading term) only when the step does not divide exactly.
+The gcd is a primitive remainder sequence over the integers: each
+pseudo-remainder is divided by its content, and the last nonzero member is
+made monic, which is the polynomial the rational Euclid loop returns (Collins,
+*Subresultants and reduced polynomial remainder sequences*, J. ACM 1967;
+Brown, *On Euclid's algorithm and the computation of polynomial greatest
+common divisors*, J. ACM 1971).  Sturm chains use the same pseudo-remainders;
+their scale factors are positive, so the sign of each remainder survives.
+
+Signs are exact without building a Fraction: at t = a/b, homogeneous Horner
+on the integers sum n_i a^i b^(d-i) has the sign of p(t); over an interval
+[L/D, H/D] the interval-Horner enclosure runs on integers scaled by D^k.
+
+Real roots are isolated by Sturm bisection inside the Cauchy bound, and
+numbers that happen to be rational are recognised exactly (monic integer
+transform plus unit-interval bisection, no factoring).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd as int_gcd
+from math import ceil, floor, gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -30,15 +51,17 @@ def _fr(v) -> Fraction:
 
 
 class UniPoly:
-    """Immutable dense polynomial; coeffs[i] is the coefficient of t**i."""
+    """Immutable dense polynomial (sum of _num[i] * t**i) / _den in canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) is int else _fr(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs if type(c) is not int))
+        num = [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs]
+        num, den = _canonical(num, den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("UniPoly is immutable")
@@ -46,11 +69,11 @@ class UniPoly:
     # -- constructors -------------------------------------------------
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly((1,))
+        return _ONE
 
     @staticmethod
     def const(c) -> "UniPoly":
@@ -58,29 +81,38 @@ class UniPoly:
 
     @staticmethod
     def var() -> "UniPoly":
-        return UniPoly((0, 1))
+        return _make((0, 1), 1)
 
     @staticmethod
     def linear_root(a) -> "UniPoly":
         """t - a."""
-        return UniPoly((-_fr(a), Fraction(1)))
+        a = _fr(a)
+        return _make((-a.numerator, a.denominator), a.denominator)
 
     # -- basic structure ----------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """coeffs[i] is the coefficient of t**i."""
+        den = self._den
+        if den == 1:
+            return tuple(Fraction(c) for c in self._num)
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         from .polyparse import format_unipoly
@@ -88,25 +120,36 @@ class UniPoly:
         return f"UniPoly({format_unipoly(self)!r})"
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self._den, other._den
+        if den != db:
+            g = int_gcd(den, db)
+            ka, kb = db // g, den // g
+            a = [c * ka for c in a]
+            b = [c * kb for c in b]
+            den *= ka
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return _make(*_canonical(out, den))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return _make(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -114,23 +157,24 @@ class UniPoly:
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
         if not a or not b:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _make(*_canonical(out, self._den * other._den))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "UniPoly":
         c = _fr(c)
         if c == 0:
-            return UniPoly.zero()
-        return UniPoly(tuple(k * c for k in self.coeffs))
+            return _ZERO
+        n = c.numerator
+        return _make(*_canonical([k * n for k in self._num], self._den * c.denominator))
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -147,18 +191,11 @@ class UniPoly:
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(0, len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / lead
-                q[i - dn] = f
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - dn + j] -= f * oc
-        return UniPoly(q), UniPoly(rem[:dn])
+        # s*a = q*b + r on the numerators, so self = (q*db / (s*da)) * other + r / (s*da)
+        q, r, s = _pseudo_divmod(self._num, other._num, True)
+        den = s * self._den
+        db = other._den
+        return _make(*_canonical([c * db for c in q], den)), _make(*_canonical(r, den))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         return self.divmod(other)
@@ -176,34 +213,35 @@ class UniPoly:
         return q
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
+        return _make(*_canonical([i * c for i, c in enumerate(self._num) if i], self._den))
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
+        return _monic(self._num)
 
     # -- evaluation -----------------------------------------------------
     def __call__(self, t) -> Fraction:
-        acc = Fraction(0)
+        num = self._num
+        if not num:
+            return Fraction(0)
         t = _fr(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        b = t.denominator
+        return Fraction(_horner(num, t.numerator, b), self._den * b ** (len(num) - 1))
+
+    def sign_at(self, t) -> int:
+        """Sign of self(t) at a rational t, without building a Fraction."""
+        num = self._num
+        if not num:
+            return 0
+        t = _fr(t)
+        v = _horner(num, t.numerator, t.denominator)
+        return (v > 0) - (v < 0)
 
     def eval_float(self, t: float) -> float:
+        den = self._den
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in reversed(self._num):
+            acc = acc * t + c / den
         return acc
-
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Enclosure of the image of [lo, hi] (interval Horner)."""
-        alo, ahi = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-            alo, ahi = min(cands) + c, max(cands) + c
-        return alo, ahi
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero()
@@ -211,32 +249,146 @@ class UniPoly:
             acc = acc * inner + UniPoly.const(c)
         return acc
 
-    def reverse(self) -> "UniPoly":
-        """t**deg * p(1/t)."""
-        return UniPoly(tuple(reversed(self.coeffs)))
-
     # -- integer normalisation -------------------------------------------
     def primitive_integer(self) -> tuple["UniPoly", Fraction]:
         """Return (q, c) with q = self / c, q having coprime integer coefficients and positive lead."""
-        if self.is_zero():
+        num = self._num
+        if not num:
             return self, Fraction(1)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        sign = 1 if ints[-1] > 0 else -1
-        g *= sign
-        return UniPoly([Fraction(v, g) for v in ints]), Fraction(g, den)
+        g = int_gcd(*num)
+        if num[-1] < 0:
+            g = -g
+        return _make(tuple(c // g for c in num), 1), Fraction(g, self._den)
+
+
+_set_num = UniPoly._num.__set__
+_set_den = UniPoly._den.__set__
+
+
+def _make(num: tuple[int, ...], den: int) -> UniPoly:
+    """The UniPoly with numerators num over den; the pair must be canonical."""
+    p = object.__new__(UniPoly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair of num / den for den > 0: no trailing zero, no common factor."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    g = int_gcd(den, *num)
+    if g != 1:
+        return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+_ZERO = _make((), 1)
+_ONE = _make((1,), 1)
+
+
+def _monic(num: Sequence[int]) -> UniPoly:
+    """num / num[-1] (the zero polynomial for empty num)."""
+    if not num:
+        return _ZERO
+    lead = num[-1]
+    if lead < 0:
+        return _make(*_canonical([-c for c in num], -lead))
+    return _make(*_canonical(list(num), lead))
+
+
+def _primitive(num: Sequence[int]) -> Sequence[int]:
+    g = int_gcd(*num)
+    return num if g == 1 else [c // g for c in num]
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int], quotient: bool) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s*a = q*b + r, deg r < deg b and s > 0, on integer coefficient lists.
+
+    A step whose leading term the divisor's lead does not divide multiplies the
+    remainder and the partial quotient by the smallest positive factor that
+    makes it divide; s is the product of those factors.  With quotient=False q
+    is left empty.  r may carry trailing zeros.
+    """
+    rem = list(a)
+    dn = len(b) - 1
+    lead = b[-1]
+    body = b[:-1]
+    q = [0] * max(0, len(rem) - dn) if quotient else []
+    s = 1
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        f, m = divmod(c, lead)
+        if m:
+            k = abs(lead) // int_gcd(c, lead)
+            s *= k
+            rem = [x * k for x in rem[:i]]
+            q = [x * k for x in q]
+            f = c * k // lead
+        if quotient:
+            q[i - dn] = f
+        off = i - dn
+        for j, bc in enumerate(body, off):
+            rem[j] -= f * bc
+    return q, rem[:dn], s
+
+
+def _horner(num: Sequence[int], a: int, b: int) -> int:
+    """sum num[i] * a**i * b**(d-i): the value at a/b times b**d (b > 0)."""
+    it = reversed(num)
+    acc = next(it)
+    if b == 1:
+        for c in it:
+            acc = acc * a + c
+        return acc
+    bk = 1
+    for c in it:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
+
+
+def _enclosure_sign(num: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign on [lo, hi] of the polynomial with coefficients num, certified by
+    interval Horner, or 0 when the enclosure contains 0.
+
+    With lo = L/D and hi = H/D, the k-th rational Horner enclosure times
+    D**(k-1) is an integer interval, so the recursion runs on ints and
+    certifies exactly the signs the rational one does.
+    """
+    ld, hd = lo.denominator, hi.denominator
+    D = lcm(ld, hd)
+    L, H = lo.numerator * (D // ld), hi.numerator * (D // hd)
+    alo = ahi = 0
+    dk = 1
+    for c in reversed(num):
+        cands = (alo * L, alo * H, ahi * L, ahi * H)
+        c *= dk
+        alo, ahi = min(cands) + c, max(cands) + c
+        dk *= D
+    return 1 if alo > 0 else -1 if ahi < 0 else 0
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over the rationals, by a primitive remainder sequence over the integers."""
+    f, g = a._num, b._num
+    if len(f) < len(g):
+        f, g = g, f
+    if not g:
+        return _monic(f)
+    f, g = _primitive(f), _primitive(g)
+    while len(g) > 1:
+        r = _pseudo_divmod(f, g, False)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return _monic(g)
+        f, g = g, _primitive(r)
+    return _ONE
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -273,23 +425,25 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
-
-
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
+    """p, p', then the primitive integer polynomials carrying the sign of -remainder."""
     chain = [p]
     d = p.derivative()
     if d.is_zero():
         return chain
     chain.append(d)
+    a, b = p._num, d._num
     while True:
-        r = chain[-2] % chain[-1]
-        if r.is_zero():
+        # the scale of a pseudo-remainder is positive and so are the
+        # denominators, so r has the signs of the rational remainder
+        r = _pseudo_divmod(a, b, False)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             return chain
-        # normalise by positive content only, so the sign pattern of -r survives
-        prim, c = r.primitive_integer()
-        chain.append(prim.scale(-1) if c > 0 else prim)
+        g = int_gcd(*r)
+        a, b = b, tuple(-c // g for c in r)
+        chain.append(_make(b, 1))
 
 
 def _variations(vals: Sequence[int]) -> int:
@@ -314,11 +468,11 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     g = gcd(p, p.derivative())
     if g.degree > 0:
         raise NotSquarefree("Sturm count requires a squarefree polynomial")
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise EndpointIsRoot("interval endpoint is a root")
     chain = sturm_chain(p)
-    va = _variations([_sign(q(lo)) for q in chain])
-    vb = _variations([_sign(q(hi)) for q in chain])
+    va = _variations([q.sign_at(lo) for q in chain])
+    vb = _variations([q.sign_at(hi) for q in chain])
     return va - vb
 
 
@@ -326,9 +480,9 @@ def cauchy_bound(p: UniPoly) -> Fraction:
     """All real roots of p lie in (-B, B)."""
     if p.is_zero():
         raise ZeroPolynomial("Cauchy bound of the zero polynomial")
-    lead = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    num = p._num
+    m = max((abs(c) for c in num[:-1]), default=0)
+    return Fraction(1) + Fraction(m, abs(num[-1]))
 
 
 @dataclass(frozen=True)
@@ -350,10 +504,11 @@ class RootBox:
                 hi = (hi + v) / 2
             return RootBox(lo, hi, self.multiplicity, v, self.poly)
         lo, hi = self.low, self.high
-        slo = _sign(self.poly(lo))
+        poly = self.poly
+        slo = poly.sign_at(lo)
         for _ in range(times):
             mid = (lo + hi) / 2
-            sm = _sign(self.poly(mid))
+            sm = poly.sign_at(mid)
             if sm == 0:
                 eps = (hi - lo) / 4
                 return RootBox(mid - eps, mid + eps, self.multiplicity, mid, self.poly)
@@ -379,25 +534,25 @@ def _rational_roots(q: UniPoly) -> list[Fraction]:
     integer roots of m divided by lc, and integer roots are pinned down by
     bisecting each isolating interval below unit width.
     """
-    qi, _ = q.primitive_integer()
-    lead = int(qi.leading())
-    d = qi.degree
+    qi = q.primitive_integer()[0]._num
+    lead = qi[-1]
+    d = len(qi) - 1
     if d == 0:
         return []
-    # m(s) = lead**(d-1) * qi(s/lead): coefficients lead**(d-1-i) * a_i
-    m = UniPoly([qi.coeff(i) * Fraction(lead) ** (d - 1 - i) for i in range(d + 1)])
+    # m(s) = lead**(d-1) * qi(s/lead): coefficients lead**(d-1-i) * a_i, monic
+    m = _make(tuple(qi[i] * lead ** (d - 1 - i) for i in range(d)) + (1,), 1)
     roots = []
     for box in _isolate_squarefree(squarefree_part(m)):
         lo, hi = box.low, box.high
         if box.exact_value is not None:
             v = box.exact_value
-            if v.denominator == 1 and m(v) == 0:
+            if v.denominator == 1 and m.sign_at(v) == 0:
                 roots.append(Fraction(int(v), lead))
             continue
-        slo = _sign(m(lo))
+        slo = m.sign_at(lo)
         while hi - lo >= 1:
             mid = (lo + hi) / 2
-            sm = _sign(m(mid))
+            sm = m.sign_at(mid)
             if sm == 0:
                 lo = hi = mid
                 break
@@ -411,7 +566,7 @@ def _rational_roots(q: UniPoly) -> list[Fraction]:
                 roots.append(Fraction(int(v), lead))
             continue
         c0 = ceil(lo)
-        if floor(hi) >= c0 and m(Fraction(c0)) == 0:
+        if floor(hi) >= c0 and m.sign_at(c0) == 0:
             roots.append(Fraction(c0, lead))
     return sorted(roots)
 
@@ -423,14 +578,14 @@ def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
     bound = cauchy_bound(p)
     lo, hi = -bound, bound
     # nudge endpoints off roots (Cauchy bound is strict, but stay safe)
-    while p(lo) == 0:
+    while p.sign_at(lo) == 0:
         lo -= 1
-    while p(hi) == 0:
+    while p.sign_at(hi) == 0:
         hi += 1
     chain = sturm_chain(p)
 
     def var_at(v: Fraction) -> int:
-        return _variations([_sign(q(v)) for q in chain])
+        return _variations([q.sign_at(v) for q in chain])
 
     out: list[RootBox] = []
 
@@ -442,13 +597,13 @@ def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
             out.append(RootBox(a, b, 1, None, p))
             return
         mid = (a + b) / 2
-        if p(mid) == 0:
+        if p.sign_at(mid) == 0:
             eps = (b - a)
             # shrink a window around the exact root until it isolates
             for _ in range(20000):
                 eps /= 2
                 l2, h2 = mid - eps, mid + eps
-                if p(l2) != 0 and p(h2) != 0 and var_at(l2) - var_at(h2) == 1:
+                if p.sign_at(l2) != 0 and p.sign_at(h2) != 0 and var_at(l2) - var_at(h2) == 1:
                     break
             else:
                 raise RuntimeError("root window refinement did not converge")
@@ -488,7 +643,7 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
         mult = parts[-1][1]
         for q, i in parts[:-1]:
             if box.exact_value is not None:
-                if q(box.exact_value) == 0:
+                if q.sign_at(box.exact_value) == 0:
                     mult = i
                     break
             elif sturm_count(q, box.low, box.high) > 0:
@@ -514,23 +669,21 @@ def count_real_roots(p: UniPoly) -> int:
 def box_sign(g: UniPoly, box: RootBox) -> int:
     """Exact sign of g at the algebraic number described by box."""
     if box.exact_value is not None:
-        return _sign(g(box.exact_value))
+        return g.sign_at(box.exact_value)
     if g.is_zero():
         return 0
     h = gcd(g, box.poly)
     if h.degree > 0:
         b = box
-        while h(b.low) == 0 or h(b.high) == 0:
+        while h.sign_at(b.low) == 0 or h.sign_at(b.high) == 0:
             b = b.refined()
         if sturm_count(h, b.low, b.high) > 0:
             return 0
     b = box
     for _ in range(20000):
-        lo, hi = g.eval_interval(b.low, b.high)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        s = _enclosure_sign(g._num, b.low, b.high)
+        if s:
+            return s
         b = b.refined()
     raise RuntimeError("sign refinement did not converge")
 

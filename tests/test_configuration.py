@@ -197,3 +197,11 @@ def test_json_rejects_garbage():
         configuration_from_json({"components": "nope"})
     with pytest.raises(ConfigurationError):
         configuration_from_json({"components": [{"id": "C1", "is_real": "maybe"}]})
+
+
+def test_json_reader_ignores_unknown_point_keys():
+    config = triangle()
+    raw = configuration_to_json(config)
+    for entry in raw["intersection_points"]:
+        entry["in_S"] = True
+    assert configuration_from_json(raw) == config

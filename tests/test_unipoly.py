@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -175,3 +176,249 @@ def test_refined_boxes_keep_their_root():
     tight = box.refined(30)
     assert tight.width() <= box.width() / 2**30
     assert tight.low ** 3 <= 2 <= tight.high ** 3
+
+
+# -- integer core against a Fraction reference --------------------------------
+#
+# The reference below is plain Euclid over fractions.Fraction on coefficient
+# lists (index i holds the coefficient of t**i, no trailing zeros).  UniPoly
+# must return the same rational objects: same quotients, remainders, monic
+# gcds, Sturm chains and values.
+
+
+def _trim(cs):
+    cs = [Fr(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fr(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_divmod(a, b):
+    rem, dn = list(a), len(b) - 1
+    q = [Fr(0)] * max(0, len(a) - dn)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        f = rem[i] / b[-1]
+        q[i - dn] = f
+        for j, c in enumerate(b):
+            rem[i - dn + j] -= f * c
+    return _trim(q), _trim(rem[:dn])
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_derivative(a):
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_primitive_integer(a):
+    if not a:
+        return [], Fr(1)
+    den = 1
+    for c in a:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in a]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [Fr(v, g) for v in ints], Fr(g, den)
+
+
+def ref_eval(a, t):
+    acc = Fr(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def ref_sturm_chain(p):
+    chain = [p]
+    d = ref_derivative(p)
+    if not d:
+        return chain
+    chain.append(d)
+    while True:
+        r = ref_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            return chain
+        prim, c = ref_primitive_integer(r)
+        chain.append([-v for v in prim] if c > 0 else prim)
+
+
+def ref_box_sign(g, lo, hi):
+    """Sign of g on [lo, hi] by Fraction interval Horner, or None if 0 is enclosed."""
+    alo = ahi = Fr(0)
+    for c in reversed(g):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return 1 if alo > 0 else -1 if ahi < 0 else None
+
+
+def _sgn(v):
+    return (v > 0) - (v < 0)
+
+
+def _random_coeffs(rng, degree=None):
+    """Coefficients of degree 0-12 with denominators up to 10**6; sometimes zero."""
+    if degree is None:
+        if rng.random() < 0.05:
+            return []
+        degree = rng.randint(0, 12)
+    big = rng.random() < 0.5
+    cs = []
+    for _ in range(degree + 1):
+        if rng.random() < 0.2:
+            cs.append(Fr(0))
+        elif big:
+            cs.append(Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        else:
+            cs.append(Fr(rng.randint(-9, 9), rng.randint(1, 4)))
+    while cs[-1] == 0:
+        cs[-1] = Fr(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+    return cs
+
+
+def _points(rng):
+    return [Fr(0), Fr(1), Fr(-1)] + [Fr(rng.randint(-10**4, 10**4), rng.randint(1, 10**4)) for _ in range(4)]
+
+
+def test_ring_operations_match_fraction_reference():
+    rng = random.Random(2024)
+    for _ in range(150):
+        a, b = _random_coeffs(rng), _random_coeffs(rng)
+        pa, pb = UniPoly(a), UniPoly(b)
+        assert list(pa.coeffs) == _trim(a)
+        assert all(type(c) is Fr for c in pa.coeffs)
+        assert list((pa + pb).coeffs) == ref_add(a, b)
+        assert list((pa - pb).coeffs) == ref_add(a, [-c for c in b])
+        assert list((-pa).coeffs) == _trim([-c for c in a])
+        assert list((pa * pb).coeffs) == ref_mul(a, b)
+        c = Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        assert list(pa.scale(c).coeffs) == _trim([c * v for v in a])
+        assert list(pa.monic().coeffs) == ref_monic(_trim(a))
+        assert list(pa.derivative().coeffs) == ref_derivative(_trim(a))
+        prim, content = pa.primitive_integer()
+        ref_prim, ref_content = ref_primitive_integer(_trim(a))
+        assert (list(prim.coeffs), content) == (ref_prim, ref_content)
+        for t in _points(rng):
+            assert pa(t) == ref_eval(a, t)
+            assert type(pa(t)) is Fr
+
+
+def test_divmod_matches_fraction_reference():
+    rng = random.Random(2025)
+    for _ in range(150):
+        a = _random_coeffs(rng)
+        b = _random_coeffs(rng, rng.randint(0, 8))
+        q, r = UniPoly(a).divmod(UniPoly(b))
+        ref_q, ref_r = ref_divmod(_trim(a), b)
+        assert (list(q.coeffs), list(r.coeffs)) == (ref_q, ref_r)
+        assert q * UniPoly(b) + r == UniPoly(a)
+        assert r.is_zero() or r.degree < len(b) - 1
+
+
+def _gcd_pairs(rng, count):
+    """Random pairs, half of them with a planted common factor."""
+    for k in range(count):
+        a, b = _random_coeffs(rng, rng.randint(0, 7)), _random_coeffs(rng, rng.randint(0, 7))
+        if k % 2:
+            common = _random_coeffs(rng, rng.randint(1, 5))
+            a, b = ref_mul(a, common), ref_mul(b, common)
+        yield a, b
+
+
+def test_gcd_matches_fraction_reference():
+    rng = random.Random(2026)
+    for a, b in _gcd_pairs(rng, 80):
+        assert list(gcd(UniPoly(a), UniPoly(b)).coeffs) == ref_gcd(a, b)
+    assert gcd(UniPoly.zero(), UniPoly.zero()).is_zero()
+    assert gcd(UniPoly.zero(), P("2t - 4")) == P("t - 2")
+    assert gcd(P("-3t + 1"), UniPoly.zero()) == P("t - 1/3")
+
+
+def test_gcd_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    rng = random.Random(2027)
+    for a, b in _gcd_pairs(rng, 30):
+        if not a or not b:
+            continue
+        sa = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(a)], x, domain="QQ")
+        sb = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(b)], x, domain="QQ")
+        expected = [Fr(int(c.p), int(c.q)) for c in reversed(sa.gcd(sb).monic().all_coeffs())]
+        assert list(gcd(UniPoly(a), UniPoly(b)).coeffs) == expected
+
+
+def test_sturm_chain_matches_fraction_reference():
+    rng = random.Random(2028)
+    for _ in range(60):
+        p = _random_coeffs(rng, rng.randint(0, 10))
+        chain = sturm_chain(UniPoly(p))
+        assert [list(q.coeffs) for q in chain] == ref_sturm_chain(p)
+
+
+def test_sign_at_is_the_sign_of_the_value():
+    rng = random.Random(2029)
+    for _ in range(100):
+        a = _random_coeffs(rng)
+        pa = UniPoly(a)
+        for t in _points(rng) + [rng.randint(-50, 50)]:
+            assert pa.sign_at(t) == _sgn(pa(t))
+    # exact roots give sign 0
+    assert P("4t^2 - 4t + 1").sign_at(Fr(1, 2)) == 0
+    assert UniPoly.zero().sign_at(Fr(3, 7)) == 0
+
+
+def test_box_sign_matches_fraction_reference():
+    rng = random.Random(2030)
+    # an exact rational root
+    (half,) = [b for b in isolate_real_roots(P("2t - 1") * P("t^2 + 1"))]
+    for _ in range(40):
+        g = _random_coeffs(rng)
+        assert box_sign(UniPoly(g), half) == _sgn(ref_eval(g, Fr(1, 2)))
+    # boxed irrational roots
+    for k in (3, 4, 5, 7):
+        for box in isolate_real_roots(P(f"t^3 - {k}t + 1")):
+            assert box.exact_value is None
+            assert box_sign(P(f"t^3 - {k}t + 1") * UniPoly(_random_coeffs(rng, 2)), box) == 0
+            for _ in range(10):
+                g = _random_coeffs(rng, rng.randint(1, 6))
+                if len(ref_gcd(g, box.poly.coeffs)) > 1:
+                    continue
+                b, expected = box, None
+                while expected is None:
+                    expected = ref_box_sign(g, b.low, b.high)
+                    b = b.refined()
+                assert box_sign(UniPoly(g), box) == expected
+
+
+def test_canonical_form():
+    a = UniPoly([Fr(1, 2), 1])
+    b = UniPoly([Fr(2, 4), Fr(3, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert a.coeffs == (Fr(1, 2), Fr(1)) and all(type(c) is Fr for c in a.coeffs)
+    assert UniPoly([0, 0]) == UniPoly.zero() and UniPoly([0, 0]).coeffs == ()
+    assert hash(UniPoly([Fr(0)])) == hash(UniPoly.zero())
+    assert UniPoly([3, Fr(6, 4)]) == UniPoly([Fr(6), 3]).scale(Fr(1, 2))
+    assert UniPoly([1, -1]) != UniPoly([1, 1])
+    assert UniPoly((1, 2)).coeff(5) == 0 and UniPoly((1, 2)).leading() == 2
