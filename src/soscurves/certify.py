@@ -4,7 +4,7 @@ The decision engine says when a certificate must exist; this module builds
 one.  Components with trivial bounded-function ring are assembled by exact
 two-square gluing; the remaining compact-type components are completed by
 the Gram solver, with attachment values prescribed so the two parts agree,
-then rotated into exact agreement summand by summand.
+then reflected into exact agreement summand by summand.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .components import CircleChart
 from .configuration import extract_C_prime, induced_subconfiguration
 from .curve import CurveAnalysis, to_configuration
 from .decide import PreconditionViolated, decide_psd_eq_sos, explain
-from .glue import SosCertificate, apply_matrix, forest_assemble, orthogonal_match
+from .glue import SosCertificate, forest_assemble, reflect
 from .gram import (
     NoConvergence,
     PrescribedValue,
@@ -158,6 +158,14 @@ def _align(
     prescribed: list[PrescribedValue],
     subset: tuple[str, ...],
 ) -> list[dict[str, RingFn]]:
+    """Reflect the summands so their values reproduce each prescribed vector.
+
+    One rank-one `reflect` per prescribed point, in order, with u = v - w
+    for the point's current value vector v (read off the summands already
+    reflected) and its goal w.  A later reflection keeps the earlier points
+    matched because the pairwise inner products of the value vectors agree
+    with those of the goals.
+    """
     if not prescribed:
         return summands
     k = max(
@@ -165,15 +173,15 @@ def _align(
     )
     while len(summands) < k:
         summands = summands + [{cid: _zero_fn(analysis, cid) for cid in subset}]
-    goals = [list(pv.vector) + [Fraction(0)] * (k - len(pv.vector)) for pv in prescribed]
-    currents = []
+    columns = {cid: [s[cid] for s in summands] for cid in subset}
     for pv in prescribed:
         chart = analysis.component(pv.component).chart
-        currents.append(
-            [value_at_point(s[pv.component], chart, pv.point) for s in summands]
-        )
-    b = orthogonal_match(currents, goals)
-    columns = {cid: apply_matrix(b, [s[cid] for s in summands]) for cid in subset}
+        goal = list(pv.vector) + [Fraction(0)] * (k - len(pv.vector))
+        u = [
+            value_at_point(f, chart, pv.point) - g
+            for f, g in zip(columns[pv.component], goal)
+        ]
+        columns = {cid: reflect(fns, u) for cid, fns in columns.items()}
     return [{cid: columns[cid][i] for cid in subset} for i in range(k)]
 
 

@@ -34,7 +34,6 @@ from .intersect import (
     sheared_intersection,
 )
 from .points import (
-    AlgebraicPoint,
     ConjugatePairPoint,
     RationalPoint,
     RealPoint,
@@ -147,6 +146,11 @@ class CurveAnalysis:
     components: list[Component]
     points: list[PointRecord]
     shear: Fraction | None
+    # built by the first `to_configuration` call; an analysis is never
+    # changed after `analyze_curve` returns it
+    _configuration: CurveConfiguration | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def component(self, cid: str) -> Component:
         """The component with id `cid`."""
@@ -201,8 +205,11 @@ def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
     Components keep only their attribute flags and a parametrization
     descriptor; intersection points keep incidence, realness and the
     ordinary-multiple-point flag.  Points lying on a single component surface
-    as that component's own singularities instead.
+    as that component's own singularities instead.  The configuration is
+    built once per analysis and returned again on later calls.
     """
+    if analysis._configuration is not None:
+        return analysis._configuration
     comps = []
     for comp in analysis.components:
         own = tuple(
@@ -246,7 +253,9 @@ def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
                 params=params or None,
             )
         )
-    return CurveConfiguration(tuple(comps), tuple(pts))
+    config = CurveConfiguration(tuple(comps), tuple(pts))
+    analysis._configuration = config
+    return config
 
 
 def _chart_descriptor(chart) -> dict | None:
@@ -275,24 +284,6 @@ def _chart_descriptor(chart) -> dict | None:
             "scale": str(chart.scale),
         }
     raise TypeError(f"unknown chart type {type(chart).__name__}")
-
-
-def describe_point(record: PointRecord) -> str:
-    """Short human-readable location string for text reports."""
-    p = record.point
-    if isinstance(p, RationalPoint):
-        return f"({p.x}, {p.y})"
-    if isinstance(p, AlgebraicPoint):
-        x, y = p.as_floats()
-        return f"({x:.6g}, {y:.6g}) [algebraic]"
-    parts = ["conjugate pair"]
-    if p.abscissa is not None:
-        parts.append(f"over x = {p.abscissa}")
-    if p.y_quadratic is not None:
-        parts.append(f"with {format_unipoly(p.y_quadratic, 'y')} = 0")
-    if p.note:
-        parts.append(f"({p.note})")
-    return " ".join(parts)
 
 
 def _intersection_tasks(factors: list[BiPoly], components: list[Component]):

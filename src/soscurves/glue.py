@@ -2,10 +2,20 @@
 
 Component-wise decompositions give summand vectors whose values at a shared
 point generally disagree; since both value vectors have the same Euclidean
-norm (the value of the target there), a single Householder reflection turns
-one into the other exactly.  Processing the components of a forest in
-attachment order therefore stitches all the local decompositions into one
-certificate over the whole curve.
+norm (the value of the target there), a single Householder reflection
+H = I - 2 u u^T / (u^T u) with u = v - w turns one into the other exactly.
+`reflect` applies H to a list of functions as a rank-one update: one
+combination s = sum_j u_j f_j, then f_i - (2 u_i / u^T u) s for each i with
+u_i != 0, so no k x k matrix is ever formed.  Processing the components of
+a forest in attachment order therefore stitches all the local
+decompositions into one certificate over the whole curve.
+
+A reflection that matches one point keeps an earlier match intact when the
+pairwise inner products agree: with the earlier value vector already at its
+goal w1 and the next pair (v2, w2), u2 = v2 - w2 is orthogonal to w1 exactly
+when <v2, w1> = <w2, w1>.  In `forest_assemble` every already-built function
+list is reflected together, so the values at earlier shared points move on
+both sides alike and stay equal.
 """
 from __future__ import annotations
 
@@ -67,45 +77,22 @@ class SosCertificate:
         return tuple(sorted(self.summands[0], key=component_index))
 
 
-def orthogonal_match(
-    current: list[list[Fraction]], goal: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Orthogonal matrix sending each current vector to its goal, built as a
-    product of reflections; exists whenever all pairwise inner products agree.
+def reflect(fns: list[RingFn], u: list[Fraction]) -> list[RingFn]:
+    """The functions (I - 2 u u^T / u^T u) fns, as a rank-one update.
 
-    For a single pair (v, w) of equal norm this is the one reflection
-    I - 2 u u^T / (u^T u) with u = v - w, or the identity when v = w.
+    With s = sum_j u_j fns_j, entry i becomes fns_i - (2 u_i / u^T u) s; the
+    entries with u_i = 0 stay as they are, and fns comes back unchanged when
+    s is zero (u = 0 included).  For u = v - w with |v| = |w| this is the
+    reflection that sends the value vector v to w.
     """
-    k = len(current[0]) if current else 0
-    b = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for v0, a in zip(current, goal):
-        v = [sum(b[i][j] * v0[j] for j in range(k)) for i in range(k)]
-        u = [vi - ai for vi, ai in zip(v, a)]
-        nn = sum(ui * ui for ui in u)
-        if nn == 0:
-            continue
-        # replace b by (I - 2 u u^T / nn) b
-        ub = [sum(u[l] * b[l][j] for l in range(k)) for j in range(k)]
-        for i in range(k):
-            ci = 2 * u[i] / nn
-            if not ci:
-                continue
-            bi = b[i]
-            for j in range(k):
-                bi[j] -= ci * ub[j]
-    return b
-
-
-def apply_matrix(b: list[list[Fraction]], fns: list[RingFn]) -> list[RingFn]:
-    """The functions sum_j b[i][j] * fns[j], one per row of b."""
-    out = []
-    for row in b:
-        acc = fns[0].scale(0)
-        for c, f in zip(row, fns):
-            if c and not f.is_zero:
-                acc = acc + f.scale(c)
-        out.append(acc)
-    return out
+    s = None
+    for uj, f in zip(u, fns):
+        if uj and not f.is_zero:
+            s = f.scale(uj) if s is None else s + f.scale(uj)
+    if s is None or s.is_zero:
+        return fns
+    c = 2 / sum(ui * ui for ui in u)
+    return [f - s.scale(c * ui) if ui else f for f, ui in zip(fns, u)]
 
 
 def _pad(fs: list[LineFn], n: int) -> list[LineFn]:
@@ -121,8 +108,10 @@ def forest_assemble(
     sub-configuration on the components to assemble; that sub-curve must
     satisfy the unbounded-case conditions on its own.  Components are
     processed in attachment order; each one contributes the two-square
-    decomposition of the restriction, reflected into agreement with the
-    already-built part at the single shared point.
+    decomposition of the restriction.  At the single shared point the
+    already-built part has value vector v and the new part w, of equal
+    norm; one `reflect` with u = v - w, applied to every function list built
+    so far, brings the two into agreement there.
     """
     verdict = decide_unbounded_case(config)
     if verdict.answer is not TriBool.YES:
@@ -190,9 +179,9 @@ def forest_assemble(
                     f"square sums disagree at {rec.id}; the target does not "
                     "restrict consistently"
                 )
-            b = orthogonal_match([v], [w])
+            u = [a - b for a, b in zip(v, w)]
             for other in funcs:
-                funcs[other] = apply_matrix(b, _pad(funcs[other], n))
+                funcs[other] = reflect(_pad(funcs[other], n), u)
             funcs[cid] = _pad(parts, n)
             provenance.append(
                 f"{cid}: {len(parts)} squares, reflected into agreement at {rec.id}"

@@ -23,14 +23,16 @@ on the integers sum n_i a^i b^(d-i) has the sign of p(t); over an interval
 [L/D, H/D] the interval-Horner enclosure runs on integers scaled by D^k.
 
 Real roots are isolated by Sturm bisection inside the Cauchy bound, and
-numbers that happen to be rational are recognised exactly (monic integer
-transform plus unit-interval bisection, no factoring).
+roots that happen to be rational are recognised exactly in their isolating
+boxes: a rational root of a primitive integer polynomial with leading
+coefficient a is k/a for an integer k, so bisecting a box below width 1/a
+leaves one candidate to test (no factoring).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd as int_gcd, lcm
+from math import floor, gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -527,48 +529,26 @@ class RootBox:
         return float((self.low + self.high) / 2)
 
 
-def _rational_roots(q: UniPoly) -> list[Fraction]:
-    """All rational roots of q, found without factoring integers.
+def _rational_root_in(q: UniPoly, box: RootBox, a: int) -> Fraction | None:
+    """The root of squarefree q in its isolating box when it is rational.
 
-    Uses the monic transform m(s) = lc**(d-1) q(s/lc): rational roots of q are
-    integer roots of m divided by lc, and integer roots are pinned down by
-    bisecting each isolating interval below unit width.
+    a is the leading coefficient of q's primitive integer form, so every
+    rational root of q is k/a for an integer k.  Bisecting the box below
+    width 1/a leaves one candidate, k = floor(a*low) + 1.
     """
-    qi = q.primitive_integer()[0]._num
-    lead = qi[-1]
-    d = len(qi) - 1
-    if d == 0:
-        return []
-    # m(s) = lead**(d-1) * qi(s/lead): coefficients lead**(d-1-i) * a_i, monic
-    m = _make(tuple(qi[i] * lead ** (d - 1 - i) for i in range(d)) + (1,), 1)
-    roots = []
-    for box in _isolate_squarefree(squarefree_part(m)):
-        lo, hi = box.low, box.high
-        if box.exact_value is not None:
-            v = box.exact_value
-            if v.denominator == 1 and m.sign_at(v) == 0:
-                roots.append(Fraction(int(v), lead))
-            continue
-        slo = m.sign_at(lo)
-        while hi - lo >= 1:
-            mid = (lo + hi) / 2
-            sm = m.sign_at(mid)
-            if sm == 0:
-                lo = hi = mid
-                break
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        if lo == hi:
-            v = lo
-            if v.denominator == 1:
-                roots.append(Fraction(int(v), lead))
-            continue
-        c0 = ceil(lo)
-        if floor(hi) >= c0 and m.sign_at(c0) == 0:
-            roots.append(Fraction(c0, lead))
-    return sorted(roots)
+    lo, hi = box.low, box.high
+    slo = q.sign_at(lo)
+    while a * (hi - lo) >= 1:
+        mid = (lo + hi) / 2
+        sm = q.sign_at(mid)
+        if sm == 0:
+            return mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    v = Fraction(floor(a * lo) + 1, a)
+    return v if v < hi and q.sign_at(v) == 0 else None
 
 
 def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
@@ -635,7 +615,7 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
         radical = radical * q
     radical = radical.monic()
     boxes = _isolate_squarefree(radical)
-    rats = set(_rational_roots(radical))
+    lead = radical.primitive_integer()[0].leading().numerator
     out = []
     for box in boxes:
         # every box holds a root of the radical, so a box that no earlier
@@ -651,10 +631,7 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
                 break
         exact = box.exact_value
         if exact is None:
-            for r in rats:
-                if box.low < r < box.high:
-                    exact = r
-                    break
+            exact = _rational_root_in(radical, box, lead)
         out.append(RootBox(box.low, box.high, mult, exact, radical))
     return out
 

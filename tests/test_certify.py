@@ -3,14 +3,16 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from soscurves import curve
 from soscurves.certify import full_certify
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
 from soscurves.decide import decide_psd_eq_sos
-from soscurves.glue import orthogonal_match
+from soscurves.glue import reflect
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import IrrationalAttachment
+from soscurves.ringfn import IrrationalAttachment, LineFn
 from soscurves.tribool import TriBool
+from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate, verify_witness
 from soscurves.witness import CycleObstruction, cycle_witness
 
@@ -67,28 +69,60 @@ def _reflect(u, v):
     return [b - 2 * dot / nn * a for a, b in zip(u, v)]
 
 
-def test_orthogonal_match_is_exact():
+def test_reflect_is_exact():
     rng = random.Random(7)
 
     def vec(n):
         return [Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
 
+    def linear(a, b):
+        """The functions a_i + (b_i - a_i) t: values a at t = 0 and b at t = 1."""
+        return [LineFn(UniPoly([ai, bi - ai])) for ai, bi in zip(a, b)]
+
     for n in range(1, 6):
         for _ in range(10):
-            # an exact rational rotation: two reflections with random normals
+            # goals from an exact rational rotation: two reflections with random normals
             u1, u2 = vec(n), vec(n)
             if not any(u1) or not any(u2):
                 continue
-            vs = [vec(n) for _ in range(2 if n > 2 else 1)]
-            ws = [_reflect(u2, _reflect(u1, v)) for v in vs]
-            b = orthogonal_match(vs, ws)
-            for v, w in zip(vs, ws):
-                assert [sum(bi[j] * v[j] for j in range(n)) for bi in b] == w
-            for i in range(n):
-                for j in range(n):
-                    col = sum(b[k][i] * b[k][j] for k in range(n))
-                    assert col == (1 if i == j else 0)
-    assert orthogonal_match([[Fr(3), Fr(4)]], [[Fr(3), Fr(4)]]) == [
-        [Fr(1), Fr(0)],
-        [Fr(0), Fr(1)],
-    ]
+            v = vec(n)
+            w = _reflect(u2, _reflect(u1, v))
+            out = reflect([LineFn.const(c) for c in v], [a - b for a, b in zip(v, w)])
+            assert [f(0) for f in out] == w
+
+            fns = linear(vec(n), vec(n))
+            out = reflect(fns, vec(n))
+            for t in (Fr(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)):
+                assert sum(f(t) ** 2 for f in out) == sum(f(t) ** 2 for f in fns)
+
+            if n > 2:
+                # a pair whose inner products agree with those of its goals
+                v1, v2 = vec(n), vec(n)
+                w1, w2 = (_reflect(u2, _reflect(u1, x)) for x in (v1, v2))
+                fns = reflect(linear(v1, v2), [a - b for a, b in zip(v1, w1)])
+                fns = reflect(fns, [f(1) - b for f, b in zip(fns, w2)])
+                assert [f(0) for f in fns] == w1
+                assert [f(1) for f in fns] == w2
+    fns = [LineFn.const(3), LineFn.const(4)]
+    assert reflect(fns, [Fr(0), Fr(0)]) is fns
+
+
+def test_configuration_is_built_once(monkeypatch):
+    builds = []
+    build = curve.CurveConfiguration
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(curve, "CurveConfiguration", counting)
+    analysis = analyze_curve([B("y - x^2"), B("x - 1"), B("x + 2")])
+    config = to_configuration(analysis)
+    full_certify(analysis, B("x^2 + 1"))
+    assert to_configuration(analysis) is config
+    assert len(builds) == 1
+
+    analysis = analyze_curve([B("x"), B("y"), B("1 - x - y")])
+    config = to_configuration(analysis)
+    cycle_witness(analysis, is_forest(config, extract_C_prime(config).members))
+    assert len(builds) == 2

@@ -70,3 +70,29 @@ def test_squarefree_part_matches_sympy(seed):
 def test_real_root_count_matches_sympy(seed):
     p = _random_uni(random.Random(2000 + seed))
     assert len(isolate_real_roots(p)) == _sympy_uni(p).count_roots()
+
+
+def _random_rational_rooted(rng: random.Random) -> UniPoly:
+    """Rational roots with non-unit denominators under large non-monic leads,
+    times a factor that may add irrational or no real roots."""
+    p = UniPoly.const(Fr(rng.randint(1, 9), rng.randint(1, 9)))
+    for _ in range(rng.randint(1, 3)):
+        lead = rng.choice([1, 7, 12, 360, 1009, 99991])
+        p = p * UniPoly([rng.randint(-2000, 2000), lead]) ** rng.randint(1, 2)
+    other = UniPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 3))] + [rng.choice([3, 250, 4096])])
+    return p * other
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_rational_roots_match_sympy(seed):
+    p = _random_rational_rooted(random.Random(3000 + seed))
+    _, factors = sp.factor_list(_sympy_uni(p).as_expr(), X)
+    expected = set()
+    for f, _ in factors:
+        f = sp.Poly(f, X)
+        if f.degree() == 1:
+            c1, c0 = f.all_coeffs()
+            root = -sp.Rational(c0) / sp.Rational(c1)
+            expected.add(Fr(int(root.p), int(root.q)))
+    found = {box.exact_value for box in isolate_real_roots(p) if box.exact_value is not None}
+    assert found == expected

@@ -1,8 +1,11 @@
-"""Every name a module imports is used in it (a stand-in for pyflakes' check)."""
+"""Every name a module imports is used in it (a stand-in for pyflakes' check),
+and every module-level function or class of the package is named somewhere."""
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "soscurves"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "soscurves"
+TREES = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -47,3 +50,44 @@ def test_no_module_imports_an_unused_name():
         for name in unused_imports(path.read_text())
     }
     assert not found, sorted(found)
+
+
+def module_level_definitions(source: str) -> set[str]:
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds)}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Identifiers a file uses: names, attributes, imported names, and the
+    dotted parts of string constants (wrappers that patch by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out |= set(node.value.split("."))
+    return out
+
+
+def test_dead_definitions_are_found():
+    assert module_level_definitions("def f(): pass\nclass C: pass\nx = 1\n") == {"f", "C"}
+    assert referenced_names("from a import b\nc.d('e.f')\n") >= {"b", "c", "d", "e", "f"}
+
+
+def test_every_definition_is_named_somewhere():
+    used = set()
+    for tree in TREES:
+        for path in sorted(tree.rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    dead = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in module_level_definitions(path.read_text())
+        if name not in used
+    }
+    assert not dead, sorted(dead)
