@@ -2,17 +2,18 @@
 
 Terms are stored sparsely as a map from exponent pairs to nonzero rational
 coefficients.  The module also carries the elimination machinery used by the
-intersection engine: Sylvester resultants computed fraction-free (the
-Bareiss determinant the subresultant ladder in `intersect` reuses), and
-splitting of binary quadratic forms.
+intersection engine: Sylvester resultants and subresultants as fraction-free
+Bareiss determinants of Sylvester minors, and splitting of binary quadratic
+forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, gcd as igcd
 
+from .numbers import sqrt_fraction
 from .unipoly import UniPoly, gcd as uni_gcd
 
 
@@ -319,23 +320,42 @@ def _det_bareiss(mat: list[list[UniPoly]]) -> UniPoly:
     return out.scale(-1) if sign < 0 else out
 
 
+def _detpol_subresultant(fy: list[UniPoly], gy: list[UniPoly], j: int) -> list[UniPoly]:
+    """Coefficients (degrees 0..j in y) of the j-th subresultant, as Sylvester
+    minors; j = 0 gives the whole Sylvester matrix, whose determinant is the
+    resultant."""
+    m, n = len(fy) - 1, len(gy) - 1
+    rows: list[list[UniPoly]] = []
+    width = m + n - j
+    for e in range(n - j - 1, -1, -1):
+        rows.append(_coeff_row(fy, e, width))
+    for e in range(m - j - 1, -1, -1):
+        rows.append(_coeff_row(gy, e, width))
+    r = len(rows)
+    out: list[UniPoly] = []
+    for k in range(j + 1):
+        cols = list(range(r - 1)) + [width - 1 - k]
+        minor = [[row[c] for c in cols] for row in rows]
+        out.append(_det_bareiss(minor))
+    return out
+
+
+def _coeff_row(poly: list[UniPoly], shift: int, width: int) -> list[UniPoly]:
+    """Coefficient vector of y^shift * poly, columns by descending y-degree."""
+    row = [UniPoly.zero()] * width
+    for i, c in enumerate(poly):
+        deg = i + shift
+        row[width - 1 - deg] = c
+    return row
+
+
 def resultant_y(F: BiPoly, G: BiPoly) -> UniPoly:
     """Resultant eliminating y, as a polynomial in x (Sylvester determinant)."""
     fy = F.as_y_polynomial()
     gy = G.as_y_polynomial()
-    m, n = len(fy) - 1, len(gy) - 1
-    if m < 1 or n < 1:
+    if len(fy) < 2 or len(gy) < 2:
         raise DegenerateInput("both inputs must actually involve the eliminated variable")
-    size = m + n
-    zero = UniPoly.zero()
-    rows: list[list[UniPoly]] = []
-    frow = list(reversed(fy))
-    grow = list(reversed(gy))
-    for s in range(n):
-        rows.append([zero] * s + frow + [zero] * (size - s - m - 1))
-    for s in range(m):
-        rows.append([zero] * s + grow + [zero] * (size - s - n - 1))
-    return _det_bareiss(rows)
+    return _detpol_subresultant(fy, gy, 0)[0]
 
 
 def have_common_factor(F: BiPoly, G: BiPoly) -> bool:
@@ -383,8 +403,6 @@ class QuadraticSplit:
 
 def _primitive_linear(a: Fraction, b: Fraction) -> BiPoly:
     """a*x + b*y scaled to coprime integer coefficients with positive leading entry."""
-    from math import gcd as igcd
-
     form = BiPoly({(1, 0): a, (0, 1): b})
     lcm_den = 1
     for c in (a, b):
@@ -410,8 +428,6 @@ def split_binary_quadratic(Q: BiPoly) -> QuadraticSplit:
     disc = b * b - 4 * a * c
     if disc < 0:
         return QuadraticSplit(QuadraticSplitKind.IRREDUCIBLE_OVER_REALS, disc)
-    from .numbers import sqrt_fraction
-
     if disc == 0:
         if a:
             rep = _primitive_linear(2 * a, b)

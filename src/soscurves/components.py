@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bipoly import BiPoly, QuadraticSplitKind, split_binary_quadratic
+from .bipoly import BiPoly, QuadraticSplitKind, have_common_factor, split_binary_quadratic
 from .numbers import sqrt_fraction
 from .polyparse import format_bipoly
 from .tribool import TriBool
@@ -127,8 +127,6 @@ def is_squarefree(F: BiPoly) -> bool:
     fy = F.partial_y()
     if fx.is_zero() and fy.is_zero():
         return F.total_degree <= 0
-    from .bipoly import have_common_factor
-
     probe = fy if fx.is_zero() else fx
     return not have_common_factor(F, probe)
 
@@ -137,12 +135,13 @@ def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Comp
     d = F.total_degree
     if d < 1:
         raise InvalidComponent("components must be non-constant")
-    if not is_squarefree(F):
+    frames = _line_frames(F) if d >= 3 else []
+    if not is_squarefree(F) or any(G.deg_y > 0 and G.content_wrt_y().degree > 0 for G in frames):
         raise InvalidComponent(
             f"{format_bipoly(F)} is reducible or has a repeated factor; "
             "each component must be one irreducible factor"
         )
-    if d >= 3 and (F.deg_x == 0 or F.deg_y == 0):
+    if any(G.deg_y == 0 for G in frames):
         raise UnsupportedComponent(
             "a univariate factor of degree three or more always splits over the reals"
         )
@@ -155,6 +154,23 @@ def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Comp
         comp = _high_degree_component(index, label, F)
     _apply_metadata(comp, metadata)
     return comp
+
+
+def _line_frames(F: BiPoly) -> list[BiPoly]:
+    """F with each rational linear factor of its leading form moved to the
+    first coordinate: the factor x leaves F as it is, and y - t*x gives
+    F(y, x + t*y).
+
+    A line inside F has such a factor as its leading form, so in that frame
+    it divides the content of F in the first coordinate; F free of the
+    second coordinate is a union of parallel lines.
+    """
+    p = F.leading_form().specialize_x(1)  # L(1, t): L vanishes on (1, t)
+    frames = [F] if p.degree < F.total_degree else []  # x divides L
+    for box in isolate_real_roots(p):
+        if box.exact_value is not None:
+            frames.append(F.compose_linear(0, 1, 1, box.exact_value))
+    return frames
 
 
 # -- lines -------------------------------------------------------------------

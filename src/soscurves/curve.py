@@ -182,9 +182,9 @@ def analyze_curve(
             resolved.append((owners, got, is_sing))
     shear = None
     if pending:
-        shear = choose_shear([(F, G) for _, F, G, _ in pending])
-        for owners, F, G, is_sing in pending:
-            resolved.append((owners, sheared_intersection(F, G, shear), is_sing))
+        shear, sheared = choose_shear([(F, G) for _, F, G, _ in pending])
+        for (owners, _, _, is_sing), pair in zip(pending, sheared):
+            resolved.append((owners, sheared_intersection(pair), is_sing))
 
     records = _merge_points(factors, components, resolved)
     for record in records:

@@ -15,6 +15,10 @@ over each root of the sheared resultant the fibre gcd is read off the
 subresultant ladder, and the test checks exactly, in Q[u], that it is a power
 of one linear factor (Gonzalez-Vega and El Kahoui, J. Complexity 1996;
 Bouzidi, Lazard, Pouget and Rouillier, JSC 2015).
+
+The test that accepts lam hands the pair's squarefree sheared resultant and
+ladder (a `ShearedPair`) to `sheared_intersection`, which reads every point
+off the ladder, so each pair is eliminated once.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bipoly import BiPoly, _det_bareiss, resultant_y
+from .bipoly import BiPoly, _detpol_subresultant, resultant_y
 from .points import AlgebraicPoint, ConjugatePairPoint, RationalPoint, RealPoint
 from .unipoly import RootBox, UniPoly, box_sign, gcd, isolate_real_roots, squarefree_part
 
@@ -44,14 +48,12 @@ def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
     if F.deg_y == 0 and G.deg_y == 0:
         # two curves of vertical lines; coprime means no shared x-root
         return PairIntersection()
-    if F.deg_y == 0:
-        return _fast_vertical(F, G)
-    if G.deg_y == 0:
-        return _fast_vertical(G, F)
-
-    R = resultant_y(F, G)
-    if R.is_zero():
-        raise SharedComponent("resultant vanished identically")
+    if F.deg_y == 0 or G.deg_y == 0:  # vertical lines: their x-values directly
+        R = (F if F.deg_y == 0 else G).specialize_y(0)
+    else:
+        R = resultant_y(F, G)
+        if R.is_zero():
+            raise SharedComponent("resultant vanished identically")
     rad = squarefree_part(R)
     if rad.degree == 0:
         return PairIntersection()
@@ -62,22 +64,6 @@ def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
     out = PairIntersection()
     for xi in xs:
         if not _collect_over_abscissa(F, G, xi, out):
-            return None
-    return out
-
-
-def _fast_vertical(V: BiPoly, G: BiPoly) -> PairIntersection | None:
-    """V is constant in y (a union of vertical lines); G is anything else."""
-    px = V.specialize_y(0)
-    if px.degree < 1:
-        return PairIntersection()
-    boxes = isolate_real_roots(px)
-    xs = [b.exact_value for b in boxes]
-    if any(x is None for x in xs) or len(xs) < squarefree_part(px).degree:
-        return None
-    out = PairIntersection()
-    for xi in xs:
-        if not _collect_over_abscissa(V, G, xi, out):
             return None
     return out
 
@@ -126,8 +112,18 @@ def shear_bad_bound(F: BiPoly, G: BiPoly) -> int:
     return n * (n - 1) // 2 + F.total_degree + G.total_degree
 
 
-def shear_score(F: BiPoly, G: BiPoly, lam: Fraction) -> bool:
-    """True when lam is valid and collision-free for the pair.
+@dataclass(frozen=True)
+class ShearedPair:
+    """A pair eliminated in the frame u = x + lam*y: the squarefree sheared
+    resultant and the subresultant ladder (see _subresultant_ladder)."""
+
+    lam: Fraction
+    radical: UniPoly
+    ladder: list[list[UniPoly]]
+
+
+def shear_score(F: BiPoly, G: BiPoly, lam: Fraction) -> ShearedPair | None:
+    """The pair's elimination when lam is valid and collision-free, else None.
 
     Over the roots of the squarefree resultant W(u) where the first k - 1
     principal subresultant coefficients vanish and s_k does not, the fibre
@@ -135,26 +131,28 @@ def shear_score(F: BiPoly, G: BiPoly, lam: Fraction) -> bool:
     holds a single point exactly when S_k = s_k * (y - y0)^k there, which is
     checked modulo the squarefree factor of those roots.  This is the
     generic-position test of Gonzalez-Vega and El Kahoui (J. Complexity 1996)
-    as used by Bouzidi, Lazard, Pouget and Rouillier (JSC 2015).  The name
-    is kept from the scoring search this test replaced, because the benchmark
-    trace (perfbench/bench_trace.py) wraps it by name and counts its calls
-    per pair.
+    as used by Bouzidi, Lazard, Pouget and Rouillier (JSC 2015).  The result
+    feeds sheared_intersection.  The name is kept from the scoring search
+    this test replaced, because the benchmark trace (perfbench/bench_trace.py)
+    wraps it by name and counts its calls per pair.
     """
     Fs, Gs = _shear(F, lam), _shear(G, lam)
     if not (_leading_is_constant(Fs) and _leading_is_constant(Gs)):
-        return False
+        return None
     W = resultant_y(Fs, Gs)
     if W.is_zero():
         raise SharedComponent("resultant vanished identically")
-    gamma = squarefree_part(W)
-    for k, rung in enumerate(_subresultant_ladder(Fs, Gs), start=1):
+    radical = squarefree_part(W)
+    ladder = _subresultant_ladder(Fs, Gs)
+    gamma = radical
+    for k, rung in enumerate(ladder, start=1):
         if gamma.degree == 0:
             break
         rest = gcd(gamma, rung[k])
         if not _single_root_fibres(rung, k, gamma.exact_div(rest)):
-            return False
+            return None
         gamma = rest
-    return True
+    return ShearedPair(lam, radical, ladder)
 
 
 def _single_root_fibres(rung: list[UniPoly], k: int, phi: UniPoly) -> bool:
@@ -173,19 +171,26 @@ def _single_root_fibres(rung: list[UniPoly], k: int, phi: UniPoly) -> bool:
     return True
 
 
-def choose_shear(pairs: list[tuple[BiPoly, BiPoly]]) -> Fraction:
-    """The least positive integer shear valid and collision-free for every pair.
+def choose_shear(pairs: list[tuple[BiPoly, BiPoly]]) -> tuple[Fraction, list[ShearedPair]]:
+    """The least positive integer shear valid and collision-free for every
+    pair, with each pair's elimination under it (in the order of `pairs`).
 
     shear_bad_bound caps the integers that fail some pair, so one of the
     first sum-plus-one candidates passes.
     """
     if not pairs:
-        return Fraction(1)
+        return Fraction(1), []
     pool = sum(shear_bad_bound(F, G) for F, G in pairs) + 1
     for k in range(1, pool + 1):
         lam = Fraction(k)
-        if all(shear_score(F, G, lam) for F, G in pairs):
-            return lam
+        sheared = []
+        for F, G in pairs:
+            pair = shear_score(F, G, lam)
+            if pair is None:
+                break
+            sheared.append(pair)
+        else:
+            return lam, sheared
     raise AssertionError("no separating shear within the bad-value bound")
 
 
@@ -201,57 +206,37 @@ def _leading_is_constant(Fs: BiPoly) -> bool:
 # -- sheared route -----------------------------------------------------------
 
 
-def sheared_intersection(F: BiPoly, G: BiPoly, lam: Fraction) -> PairIntersection:
-    """Resolve a pair in the frame u = x + lam*y.
+def sheared_intersection(pair: ShearedPair) -> PairIntersection:
+    """Resolve a pair from the elimination its accepted shear returned.
 
-    Requires lam valid and collision-free for this pair (see choose_shear);
-    every intersection point then sits over its own u-root, real points over
-    real roots, and coordinates come out of the subresultant ladder.
+    shear_score certified that every intersection point sits over its own
+    root of the radical, real points over real roots, and that there the
+    first rung with a nonzero leading coefficient is a power of one linear
+    factor in y; each point is read off that rung.
     """
-    Fs, Gs = _shear(F, lam), _shear(G, lam)
-    if not (_leading_is_constant(Fs) and _leading_is_constant(Gs)):
-        raise ValueError("shear parameter is not valid for this pair")
-    W = resultant_y(Fs, Gs)
-    if W.is_zero():
-        raise SharedComponent("resultant vanished identically")
-    rad = squarefree_part(W)
-    out = PairIntersection(used_shear=True)
-    out.total_closed_points = rad.degree
-    if rad.degree == 0:
-        return out
+    rad = pair.radical
+    out = PairIntersection(total_closed_points=rad.degree, used_shear=True)
     boxes = isolate_real_roots(rad)
-    ladder = _subresultant_ladder(Fs, Gs)
     for box in boxes:
-        if box.exact_value is not None:
-            out.real_points.append(_rational_from_frame(Fs, Gs, box.exact_value, lam))
-        else:
-            out.real_points.append(_boxed_from_frame(ladder, box, lam))
+        out.real_points.append(_point_from_ladder(pair.ladder, box, pair.lam))
     pairs = (rad.degree - len(boxes)) // 2
     for _ in range(pairs):
         out.nonreal_pairs.append(ConjugatePairPoint(note="found through a sheared frame"))
     return out
 
 
-def _rational_from_frame(Fs: BiPoly, Gs: BiPoly, u0: Fraction, lam: Fraction) -> RationalPoint:
-    fy = Fs.specialize_x(u0)
-    gy = Gs.specialize_x(u0)
-    g = gcd(fy, gy)
-    k = g.degree
-    if k < 1:
-        raise AssertionError("u-root without a common point")
-    y0 = -g.coeff(k - 1) / k
-    if g != UniPoly.linear_root(y0) ** k:
-        raise AssertionError("shear was not collision-free")
-    return RationalPoint(u0 - lam * y0, y0)
-
-
-def _boxed_from_frame(ladder: list[list[UniPoly]], box: RootBox, lam: Fraction) -> AlgebraicPoint:
-    for k, member in enumerate(ladder, start=1):
-        lead = member[k]
+def _point_from_ladder(ladder: list[list[UniPoly]], box: RootBox, lam: Fraction) -> RealPoint:
+    for k, rung in enumerate(ladder, start=1):
+        lead = rung[k]
         if box_sign(lead, box) != 0:
-            # member = c*(y - y0)^k over this root, so read y0 off the top two coefficients
+            # rung = c*(y - y0)^k over this root, so y0 = B/C off the top two
+            # coefficients and x = u - lam*y0 = A/C
             C = lead.scale(k)
-            B = member[k - 1].scale(-1)
+            B = rung[k - 1].scale(-1)
+            u0 = box.exact_value
+            if u0 is not None:
+                y0 = B(u0) / C(u0)
+                return RationalPoint(u0 - lam * y0, y0)
             A = UniPoly.var() * C - B.scale(lam)
             return AlgebraicPoint(u=box, lam=lam, A=A, B=B, C=C)
     raise AssertionError("subresultant ladder exhausted")
@@ -273,29 +258,3 @@ def _subresultant_ladder(Fs: BiPoly, Gs: BiPoly) -> list[list[UniPoly]]:
         ladder.append(_detpol_subresultant(fy, gy, j))
     ladder.append(gy)
     return ladder
-
-
-def _detpol_subresultant(fy: list[UniPoly], gy: list[UniPoly], j: int) -> list[UniPoly]:
-    m, n = len(fy) - 1, len(gy) - 1
-    rows: list[list[UniPoly]] = []
-    width = m + n - j
-    for e in range(n - j - 1, -1, -1):
-        rows.append(_coeff_row(fy, e, width))
-    for e in range(m - j - 1, -1, -1):
-        rows.append(_coeff_row(gy, e, width))
-    r = len(rows)
-    out: list[UniPoly] = []
-    for k in range(j + 1):
-        cols = list(range(r - 1)) + [width - 1 - k]
-        minor = [[row[c] for c in cols] for row in rows]
-        out.append(_det_bareiss(minor))
-    return out
-
-
-def _coeff_row(poly: list[UniPoly], shift: int, width: int) -> list[UniPoly]:
-    """Coefficient vector of y^shift * poly, columns by descending y-degree."""
-    row = [UniPoly.zero()] * width
-    for i, c in enumerate(poly):
-        deg = i + shift
-        row[width - 1 - deg] = c
-    return row

@@ -235,12 +235,18 @@ def param_of_point(chart: PolyChart | PuncturedChart, p: RationalPoint) -> Fract
     return t
 
 
+def chart_arguments(chart: Chart, p: RationalPoint) -> tuple[Fraction, ...]:
+    """The arguments at which a component function on `chart` takes its value
+    at a rational plane point: the parameter of a line-type chart, or (x, w)
+    with w = y + s1*x + s0 on a circle chart."""
+    if isinstance(chart, CircleChart):
+        return (p.x, p.y + chart.s1 * p.x + chart.s0)
+    return (param_of_point(chart, p),)
+
+
 def value_at_point(fn: RingFn, chart: Chart, p: RationalPoint) -> Fraction:
     """Exact value of a component function at a rational plane point."""
-    if isinstance(fn, LineFn):
-        return fn(param_of_point(chart, p))
-    w = p.y + chart.s1 * p.x + chart.s0
-    return fn(p.x, w)
+    return fn(*chart_arguments(chart, p))
 
 
 def value_as_u_fraction(fn: RingFn, chart: Chart, p: AlgebraicPoint) -> tuple[UniPoly, UniPoly]:

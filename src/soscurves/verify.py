@@ -24,8 +24,8 @@ from .ringfn import (
     CircleFn,
     LineFn,
     RingFn,
+    chart_arguments,
     restrict_to_chart,
-    value_at_point,
     values_agree_at_algebraic,
 )
 from .squares import psd_on_interval
@@ -177,11 +177,10 @@ def verify_certificate(
         name = f"agreement:{rec.id}"
         if rec.is_real and isinstance(rec.point, RationalPoint):
             bad = ""
+            # one attachment parameter per incident component, then every summand
+            args = {cid: chart_arguments(charts[cid], rec.point) for cid in incident}
             for j, s in enumerate(cert.summands):
-                vals = [
-                    value_at_point(s[cid], charts[cid], rec.point)
-                    for cid in incident
-                ]
+                vals = [s[cid](*args[cid]) for cid in incident]
                 if cert.exact:
                     if any(v != vals[0] for v in vals):
                         bad = f"summand {j} disagrees at {rec.id}"

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .components import CircleChart, PolyChart, PuncturedChart, component_index
-from .configuration import Cycle
+from .configuration import Cycle, connectivity_report, induced_subconfiguration
 from .curve import CurveAnalysis, PointRecord, to_configuration
 from .points import ConjugatePairPoint, RationalPoint
 from .ringfn import IrrationalAttachment, param_of_point
+from .squares import psd_on_interval
 from .unipoly import UniPoly
 
 
@@ -100,8 +101,6 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
     The distinguished component is the first cycle member (by id) with a
     line-type chart whose attachment points all have rational parameters.
     """
-    from .configuration import connectivity_report, induced_subconfiguration
-
     config = to_configuration(analysis)
     comp_ids = set(config.component_ids())
     cycle_comps = sorted(
@@ -207,8 +206,6 @@ def nonreal_intersection_witness(
         raise UnsupportedObstruction(
             "two conjugate pairs share an x-value; vanishing orders would be even"
         )
-
-    from .squares import psd_on_interval
 
     for host_index, zero_index in ((i, j), (j, i)):
         host = analysis.components[host_index]

@@ -91,3 +91,31 @@ def test_every_definition_is_named_somewhere():
         if name not in used
     }
     assert not dead, sorted(dead)
+
+
+def function_level_imports(source: str) -> set[tuple[str, str]]:
+    """(function name, imported module) for every import inside a function."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    out.add((node.name, "." * sub.level + (sub.module or "")))
+                elif isinstance(sub, ast.Import):
+                    out |= {(node.name, a.name) for a in sub.names}
+    return out
+
+
+def test_function_level_imports_are_found():
+    source = "import os\ndef f():\n    from .a import b\n    import c\n"
+    assert function_level_imports(source) == {("f", ".a"), ("f", "c")}
+
+
+def test_only_import_cycles_are_deferred():
+    # the polynomial classes print through polyparse, which imports them back
+    found = {
+        (path.stem, *entry)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in function_level_imports(path.read_text())
+    }
+    assert found == {("bipoly", "__repr__", ".polyparse"), ("unipoly", "__repr__", ".polyparse")}

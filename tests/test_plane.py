@@ -14,6 +14,7 @@ from soscurves.components import (
     build_component,
     infinity_summary,
 )
+from soscurves import curve, intersect
 from soscurves.curve import PointClass, analyze_curve, classify_point
 from soscurves.intersect import (
     SharedComponent,
@@ -32,7 +33,7 @@ from soscurves.points import (
 )
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.tribool import TriBool
-from soscurves.unipoly import squarefree_part
+from soscurves.unipoly import UniPoly, gcd, isolate_real_roots, squarefree_part
 
 UNIT_CIRCLE = B("x^2 + y^2 - 1")
 
@@ -71,8 +72,8 @@ def test_fast_path_vertical_line():
 
 
 def test_sheared_line_circle_points():
-    lam = choose_shear([(UNIT_CIRCLE, B("x - y"))])
-    got = sheared_intersection(UNIT_CIRCLE, B("x - y"), lam)
+    _, (pair,) = choose_shear([(UNIT_CIRCLE, B("x - y"))])
+    got = sheared_intersection(pair)
     assert got.total_closed_points == 2
     assert len(got.real_points) == 2
     for p in got.real_points:
@@ -86,8 +87,8 @@ def test_sheared_line_circle_points():
 
 def test_sheared_overlapping_circles():
     other = B("(x-1)^2 + y^2 - 1")
-    lam = choose_shear([(UNIT_CIRCLE, other)])
-    got = sheared_intersection(UNIT_CIRCLE, other, lam)
+    _, (pair,) = choose_shear([(UNIT_CIRCLE, other)])
+    got = sheared_intersection(pair)
     assert got.total_closed_points == 2 and not got.nonreal_pairs
     xs = [p.as_floats()[0] for p in got.real_points]
     ys = sorted(p.as_floats()[1] for p in got.real_points)
@@ -99,8 +100,8 @@ def test_sheared_tangential_contact():
     # circle and hyperbola tangent at two irrational points
     hyp = B("x*y - 2")
     circ = B("x^2 + y^2 - 4")
-    lam = choose_shear([(circ, hyp)])
-    got = sheared_intersection(circ, hyp, lam)
+    _, (pair,) = choose_shear([(circ, hyp)])
+    got = sheared_intersection(pair)
     assert got.total_closed_points == 2
     assert len(got.real_points) == 2
     for p in got.real_points:
@@ -112,9 +113,9 @@ def test_point_identity_across_pairs():
     line = B("x - y")
     hyp = B("x*y - 2")
     circ = B("x^2 + y^2 - 4")
-    lam = choose_shear([(line, circ), (line, hyp)])
-    a = sheared_intersection(line, circ, lam)
-    b = sheared_intersection(line, hyp, lam)
+    _, (with_circ, with_hyp) = choose_shear([(line, circ), (line, hyp)])
+    a = sheared_intersection(with_circ)
+    b = sheared_intersection(with_hyp)
     hits = 0
     for p in a.real_points:
         for q in b.real_points:
@@ -167,9 +168,9 @@ def test_shear_score_is_the_pool_maximum_test():
     rejected_valid = 0
     for F, G in pairs:
         expected = _pool_maximum_reference(F, G)
-        got = [shear_score(F, G, Fr(k)) for k in range(1, len(expected) + 1)]
+        got = [shear_score(F, G, Fr(k)) is not None for k in range(1, len(expected) + 1)]
         assert got == expected, (F, G)
-        assert choose_shear([(F, G)]) == expected.index(True) + 1
+        assert choose_shear([(F, G)])[0] == expected.index(True) + 1
         rejected_valid += sum(not ok and _valid_shear(F, G, k) for k, ok in enumerate(expected, start=1))
     assert rejected_valid > 0  # some valid shears merge two points
 
@@ -177,9 +178,68 @@ def test_shear_score_is_the_pool_maximum_test():
 def test_shear_collision_is_rejected():
     # (1, 0) and (0, 1) share u = x + y = 1
     F, G = UNIT_CIRCLE, B("(x-1)^2 + (y-1)^2 - 1")
-    assert shear_score(F, G, Fr(1)) is False
-    assert shear_score(F, G, Fr(2)) is True
-    assert choose_shear([(F, G)]) == 2
+    assert shear_score(F, G, Fr(1)) is None
+    assert shear_score(F, G, Fr(2)) is not None
+    assert choose_shear([(F, G)])[0] == 2
+
+
+def _fibre_gcd_points(F: BiPoly, G: BiPoly, lam: Fr) -> list[RationalPoint]:
+    """Rational points over the rational u-roots, read off the gcd of the two
+    specialized fibres (an independent reference for the ladder reader)."""
+    Fs, Gs = (P.compose_linear(1, -lam, 0, 1) for P in (F, G))
+    out = []
+    for box in isolate_real_roots(squarefree_part(resultant_y(Fs, Gs))):
+        u0 = box.exact_value
+        if u0 is None:
+            continue
+        g = gcd(Fs.specialize_x(u0), Gs.specialize_x(u0))
+        k = g.degree
+        y0 = -g.coeff(k - 1) / k
+        assert g == UniPoly.linear_root(y0) ** k
+        out.append(RationalPoint(u0 - lam * y0, y0))
+    return out
+
+
+def test_ladder_reads_the_fibre_gcd_points():
+    rng = random.Random(20150601)
+    compared = 0
+    for _ in range(60):
+        F, G = _random_pair(rng)
+        lam, (pair,) = choose_shear([(F, G)])
+        got = [p for p in sheared_intersection(pair).real_points if isinstance(p, RationalPoint)]
+        assert got == _fibre_gcd_points(F, G, lam), (F, G)
+        compared += len(got)
+    assert compared >= 20
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ["y^2 - x^3 + 2*x - 1", "y - x^3 + x", "x^2*y - y^3 + 1 - x"],
+        ["x^2 + y^2 - 1", "x - y"],
+    ],
+)
+def test_accepted_shear_is_not_eliminated_again(monkeypatch, factors):
+    events = []
+    for name in ("_shear", "resultant_y", "_subresultant_ladder"):
+        original = getattr(intersect, name)
+        monkeypatch.setattr(
+            intersect, name, lambda *args, _f=original, _n=name: events.append(_n) or _f(*args)
+        )
+    chooser = curve.choose_shear
+
+    def choose_and_mark(pairs):
+        got = chooser(pairs)
+        events.append("accepted")
+        return got
+
+    monkeypatch.setattr(curve, "choose_shear", choose_and_mark)
+    an = analyze_curve([B(f) for f in factors])
+    assert an.shear is not None
+    assert events.count("accepted") == 1
+    done = events.index("accepted")
+    assert "_subresultant_ladder" in events[:done]  # the separation test ran
+    assert events[done + 1 :] == []
 
 
 def test_shared_component_detected():
@@ -317,6 +377,8 @@ def test_real_line_pair_is_unsupported():
         build_component(0, B("x^2 - 2*y^2"))
     with pytest.raises(UnsupportedComponent):
         build_component(0, B("y^3 - 2"))
+    with pytest.raises(UnsupportedComponent, match="univariate factor"):
+        build_component(0, B("(x + y)^3 - 2"))  # three parallel lines, two of them complex
 
 
 def test_invalid_components():
@@ -334,6 +396,12 @@ def test_reducible_factor_is_named_as_such():
 @pytest.mark.parametrize("poly", ["x^2 - y^2", "(x + y)*(x + y + 1)", "x^2 - y^2 + 2*x + 1"])
 def test_rational_line_pair_is_reducible(poly):
     with pytest.raises(InvalidComponent, match="product of two rational lines"):
+        build_component(0, B(poly))
+
+
+@pytest.mark.parametrize("poly", ["(x - y)*(x^2 + y^2 - 1)", "x*(y^2 - x^3 - 1)"])
+def test_cubic_containing_a_line_is_reducible(poly):
+    with pytest.raises(InvalidComponent, match="reducible or has a repeated factor"):
         build_component(0, B(poly))
 
 
