@@ -4,7 +4,10 @@ A configuration records what the geometry engine (or a hand-written JSON
 file) knows about a curve: one entry per irreducible component with its
 three-valued attribute flags, and one entry per intersection point with the
 components it joins.  Everything in this module is purely combinatorial; no
-polynomial arithmetic happens here.
+polynomial arithmetic happens here.  A configuration carries only what its
+readers (`decide` and the combinatorics below) use: no charts and no
+parameter values, which certificate and witness construction read from the
+curve analysis itself.  The JSON reader ignores keys it does not know.
 
 The incidence graph is bipartite: component nodes on one side, point nodes
 on the other, an edge for each incidence.  A point on exactly two components
@@ -16,7 +19,6 @@ concurrent lines cyclic even though they can be attached one at a time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .tribool import TriBool, all_of
@@ -41,7 +43,6 @@ class ConfigComponent:
     bounded_ring_trivial: TriBool
     rational_open_A1: TriBool
     own_singularities: tuple[OwnSingularity, ...] = ()
-    parametrization: Mapping[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,6 @@ class ConfigPoint:
     realness: TriBool
     components: tuple[str, ...]
     ompit: TriBool
-    # parameter of the point on each incident component's line-type chart,
-    # when known and rational; the preorder operations evaluate restricted
-    # functions through this table
-    params: Mapping[str, Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -306,12 +303,7 @@ def induced_subconfiguration(
     for pt in config.points:
         incident = tuple(cid for cid in pt.components if cid in chosen)
         if len(set(incident)) >= 2:
-            params = None
-            if pt.params:
-                params = {c: v for c, v in pt.params.items() if c in chosen} or None
-            pts.append(
-                ConfigPoint(pt.id, pt.realness, incident, pt.ompit, params)
-            )
+            pts.append(ConfigPoint(pt.id, pt.realness, incident, pt.ompit))
     return CurveConfiguration(comps, tuple(pts))
 
 
@@ -330,9 +322,8 @@ def _flag_from_json(raw: Any, where: str) -> TriBool:
 
 
 def configuration_to_json(config: CurveConfiguration) -> dict[str, Any]:
-    comps = []
-    for c in config.components:
-        entry: dict[str, Any] = {
+    comps = [
+        {
             "id": c.id,
             "label": c.label,
             "is_real": _flag_to_json(c.is_real),
@@ -343,20 +334,18 @@ def configuration_to_json(config: CurveConfiguration) -> dict[str, Any]:
                 {"point": s.point, "ompit": _flag_to_json(s.ompit)}
                 for s in c.own_singularities
             ],
-            "parametrization": dict(c.parametrization) if c.parametrization else None,
         }
-        comps.append(entry)
-    pts = []
-    for p in config.points:
-        entry = {
+        for c in config.components
+    ]
+    pts = [
+        {
             "id": p.id,
             "realness": _flag_to_json(p.realness),
             "components": list(p.components),
             "ompit": _flag_to_json(p.ompit),
         }
-        if p.params:
-            entry["params"] = {cid: str(v) for cid, v in sorted(p.params.items())}
-        pts.append(entry)
+        for p in config.points
+    ]
     return {"components": comps, "intersection_points": pts}
 
 
@@ -394,7 +383,6 @@ def configuration_from_json(data: Mapping[str, Any]) -> CurveConfiguration:
                     rc.get("rational_open_A1", "unknown"), where
                 ),
                 own_singularities=tuple(own),
-                parametrization=rc.get("parametrization") or None,
             )
         )
     pts = []
@@ -402,22 +390,12 @@ def configuration_from_json(data: Mapping[str, Any]) -> CurveConfiguration:
         where = f"intersection_points[{i}]"
         if not isinstance(rp, Mapping) or "id" not in rp:
             raise ConfigurationError(f"{where}: missing id")
-        params = None
-        raw_params = rp.get("params")
-        if raw_params:
-            if not isinstance(raw_params, Mapping):
-                raise ConfigurationError(f"{where}: 'params' must be an object")
-            try:
-                params = {str(c): Fraction(str(v)) for c, v in raw_params.items()}
-            except (ValueError, ZeroDivisionError):
-                raise ConfigurationError(f"{where}: bad parameter value") from None
         pts.append(
             ConfigPoint(
                 id=str(rp["id"]),
                 realness=_flag_from_json(rp.get("realness", "unknown"), where),
                 components=tuple(str(c) for c in rp.get("components", [])),
                 ompit=_flag_from_json(rp.get("ompit", "unknown"), where),
-                params=params,
             )
         )
     return CurveConfiguration(tuple(comps), tuple(pts))

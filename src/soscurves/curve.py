@@ -1,11 +1,17 @@
 """Whole-curve analysis: components, exact intersection points, singularities.
 
-The input is a list of pairwise coprime squarefree factors (assumed
-irreducible over the rationals; reducible input yields answers about the
-curve as factored, not as it truly decomposes).  The analysis resolves every
-pairwise intersection exactly, locates self-singularities of the factors,
-merges coincident points across pairs, and classifies each real point by the
-ordinary-double-point test on the product polynomial.
+The input is a list of squarefree factors (assumed irreducible over the
+rationals; reducible input yields answers about the curve as factored, not as
+it truly decomposes).  The analysis resolves every pairwise intersection
+exactly, locates self-singularities of the factors, merges coincident points
+across pairs, and classifies each real point by the ordinary-double-point
+test on the product polynomial.
+
+Each fact is derived once.  Two factors that share a component are caught by
+their own elimination (`intersect.SharedComponent`), which `analyze_curve`
+re-raises naming the two components.  A point record lists the factors
+through the point, and `classify_point` reads the order-two part of the
+product off exactly those factors' derivatives.
 """
 from __future__ import annotations
 
@@ -13,19 +19,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .bipoly import BiPoly, have_common_factor, split_binary_quadratic, QuadraticSplitKind
-from .components import (
-    CircleChart,
-    Component,
-    PolyChart,
-    PuncturedChart,
-    _conic_kernel,
-    build_component,
-    component_index,
-)
+from .bipoly import BiPoly, split_binary_quadratic, QuadraticSplitKind
+from .components import Component, _conic_kernel, build_component, component_index
 from .configuration import ConfigComponent, ConfigPoint, CurveConfiguration, OwnSingularity
-from .polyparse import format_bipoly, format_unipoly
-from .ringfn import param_of_point
+from .polyparse import format_bipoly
 from .intersect import (
     PairIntersection,
     SharedComponent,
@@ -38,7 +35,6 @@ from .points import (
     RationalPoint,
     RealPoint,
     curve_sign_at,
-    lies_on,
     order_real_points,
     pair_passes_through,
     same_conjugate_pair,
@@ -61,16 +57,19 @@ class PointClassification:
     detail: str = ""
 
 
-def classify_point(factors: list[BiPoly], p: RealPoint) -> PointClassification:
+def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
     """Ordinary-multiple-point test at a real point of the product curve.
 
-    In the plane an ordinary multiple point with independent tangents is the
-    same thing as an ordinary double point, so any point on more than two
-    factors fails outright.  Rational points go through the literal
-    order-one/order-two expansion; points with algebraic coordinates are
-    decided by exact sign computations of the same quantities.
+    `through` lists the factors that pass through p.  In the plane an
+    ordinary multiple point with independent tangents is the same thing as
+    an ordinary double point, so a point on more than two factors fails
+    outright.  Otherwise the order-two part of the product at p is read off
+    the derivatives: (F_xx/2, F_xy, F_yy/2) for one factor singular at p, and
+    the product of the gradients for two factors.  At a rational point that
+    form is evaluated and split into its tangents; at an algebraic point its
+    discriminant is decided by exact signs (for two factors, by the Jacobian,
+    whose square it is).
     """
-    through = [F for F in factors if lies_on(F, p)]
     k = len(through)
     if k == 0:
         raise ValueError("the point does not lie on the curve")
@@ -78,49 +77,44 @@ def classify_point(factors: list[BiPoly], p: RealPoint) -> PointClassification:
         return PointClassification(
             PointClass.NOT_OMPIT, k, detail="more than two branches through the point"
         )
+    F = through[0]
+    fx, fy = F.partial_x(), F.partial_y()
+    if k == 1:
+        if curve_sign_at(fx, p) != 0 or curve_sign_at(fy, p) != 0:
+            return PointClassification(PointClass.NON_SINGULAR, 1)
+        half = Fraction(1, 2)
+        form = (fx.partial_x().scale(half), fx.partial_y(), fy.partial_y().scale(half))
+    else:
+        gx, gy = through[1].partial_x(), through[1].partial_y()
+        form = (fx * gx, fx * gy + fy * gx, fy * gy)
+    tangents = None
     if isinstance(p, RationalPoint):
-        return _classify_rational(through, p)
-    if k == 2:
-        F, G = through
-        jac = F.partial_x() * G.partial_y() - F.partial_y() * G.partial_x()
-        if curve_sign_at(jac, p) != 0:
-            return PointClassification(
-                PointClass.ORDINARY_DOUBLE_POINT, 2, detail="transversal crossing"
-            )
-        return PointClassification(PointClass.NOT_OMPIT, 2, detail="tangential contact")
-    (F,) = through
-    if curve_sign_at(F.partial_x(), p) != 0 or curve_sign_at(F.partial_y(), p) != 0:
-        return PointClassification(PointClass.NON_SINGULAR, 1)
-    fxx, fxy, fyy = F.partial_x().partial_x(), F.partial_x().partial_y(), F.partial_y().partial_y()
-    disc = fxy * fxy - fxx * fyy
-    if curve_sign_at(disc, p) > 0:
+        a, b, c = (q(p.x, p.y) for q in form)
+        split = split_binary_quadratic(BiPoly({(2, 0): a, (1, 1): b, (0, 2): c}))
+        kind, tangents = split.kind, split.factors
+    else:
+        a, b, c = form
+        if k == 1:
+            disc = curve_sign_at(b * b - (a * c).scale(4), p)
+        else:
+            disc = abs(curve_sign_at(fx * gy - fy * gx, p))
+        if disc > 0:
+            kind = QuadraticSplitKind.TWO_DISTINCT_REAL
+        elif disc < 0:
+            kind = QuadraticSplitKind.IRREDUCIBLE_OVER_REALS
+        elif curve_sign_at(a, p) == 0 and curve_sign_at(c, p) == 0:
+            kind = QuadraticSplitKind.ZERO  # b^2 = 4ac, so b vanishes too
+        else:
+            kind = QuadraticSplitKind.PERFECT_SQUARE
+    if kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
         return PointClassification(
-            PointClass.ORDINARY_DOUBLE_POINT, 1, detail="two real branches"
-        )
-    return PointClassification(PointClass.NOT_OMPIT, 1, detail="degenerate tangent cone")
-
-
-def _classify_rational(through: list[BiPoly], p: RationalPoint) -> PointClassification:
-    k = len(through)
-    prod = BiPoly.const(1)
-    for F in through:
-        prod = prod * F
-    local = prod.translate(p.x, p.y)
-    if not local.homogeneous_part(1).is_zero():
-        return PointClassification(PointClass.NON_SINGULAR, k)
-    split = split_binary_quadratic(local.homogeneous_part(2))
-    if split.kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
-        return PointClassification(
-            PointClass.ORDINARY_DOUBLE_POINT,
-            k,
-            tangents=split.factors,
-            detail="ordinary double point",
+            PointClass.ORDINARY_DOUBLE_POINT, k, tangents=tangents, detail="ordinary double point"
         )
     reason = {
         QuadraticSplitKind.ZERO: "order-two part vanishes",
         QuadraticSplitKind.PERFECT_SQUARE: "repeated tangent",
         QuadraticSplitKind.IRREDUCIBLE_OVER_REALS: "isolated real branch (conjugate tangents)",
-    }[split.kind]
+    }[kind]
     return PointClassification(PointClass.NOT_OMPIT, k, detail=reason)
 
 
@@ -133,7 +127,6 @@ class PointRecord:
     ompit: TriBool | None
     singular_on: tuple[int, ...] = ()
     classification: PointClassification | None = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def is_intersection(self) -> bool:
@@ -164,18 +157,18 @@ def analyze_curve(
         raise ValueError("need at least one component")
     metadata = metadata or {}
     components = [build_component(i, F, metadata.get(i)) for i, F in enumerate(factors)]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if have_common_factor(factors[i], factors[j]):
-                raise SharedComponent(
-                    f"components {components[i].label} and {components[j].label} share a factor"
-                )
 
     tasks = _intersection_tasks(factors, components)
     resolved: list[tuple[tuple[int, ...], PairIntersection, bool]] = []
     pending: list[tuple[tuple[int, ...], BiPoly, BiPoly, bool]] = []
     for owners, F, G, is_sing in tasks:
-        got = fast_intersection(F, G)
+        try:
+            got = fast_intersection(F, G)
+        except SharedComponent:
+            i, j = owners  # F and F_x are coprime, because build_component checked F
+            raise SharedComponent(
+                f"components {components[i].label} and {components[j].label} share a factor"
+            ) from None
         if got is None:
             pending.append((owners, F, G, is_sing))
         else:
@@ -202,8 +195,8 @@ def analyze_curve(
 def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
     """Project the geometric analysis onto the abstract configuration model.
 
-    Components keep only their attribute flags and a parametrization
-    descriptor; intersection points keep incidence, realness and the
+    Components keep only their attribute flags and own singularities;
+    intersection points keep incidence, realness and the
     ordinary-multiple-point flag.  Points lying on a single component surface
     as that component's own singularities instead.  The configuration is
     built once per analysis and returned again on later calls.
@@ -228,62 +221,21 @@ def to_configuration(analysis: CurveAnalysis) -> CurveConfiguration:
                 bounded_ring_trivial=comp.bounded_ring_trivial,
                 rational_open_A1=comp.rational_open_A1,
                 own_singularities=own,
-                parametrization=_chart_descriptor(comp.chart),
             )
         )
-    pts = []
-    for rec in analysis.points:
-        if len(rec.components) < 2:
-            continue
-        params: dict[str, Fraction] = {}
-        if isinstance(rec.point, RationalPoint):
-            for k in rec.components:
-                comp = analysis.components[k]
-                if isinstance(comp.chart, (PolyChart, PuncturedChart)):
-                    try:
-                        params[comp.label] = param_of_point(comp.chart, rec.point)
-                    except ValueError:
-                        pass
-        pts.append(
-            ConfigPoint(
-                id=rec.id,
-                realness=TriBool.of(rec.is_real),
-                components=tuple(analysis.components[k].label for k in rec.components),
-                ompit=rec.ompit if rec.ompit is not None else TriBool.UNKNOWN,
-                params=params or None,
-            )
+    pts = tuple(
+        ConfigPoint(
+            id=rec.id,
+            realness=TriBool.of(rec.is_real),
+            components=tuple(analysis.components[k].label for k in rec.components),
+            ompit=rec.ompit if rec.ompit is not None else TriBool.UNKNOWN,
         )
-    config = CurveConfiguration(tuple(comps), tuple(pts))
+        for rec in analysis.points
+        if len(rec.components) >= 2
+    )
+    config = CurveConfiguration(tuple(comps), pts)
     analysis._configuration = config
     return config
-
-
-def _chart_descriptor(chart) -> dict | None:
-    if chart is None:
-        return None
-    if isinstance(chart, PolyChart):
-        return {
-            "kind": "affine-line" if chart.kind == "line" else "polynomial",
-            "x": format_unipoly(chart.x),
-            "y": format_unipoly(chart.y),
-        }
-    if isinstance(chart, PuncturedChart):
-        return {
-            "kind": "punctured-line",
-            "x_num": format_unipoly(chart.x_num),
-            "y_num": format_unipoly(chart.y_num),
-            "den": format_unipoly(chart.den),
-            "excluded": [str(chart.excluded)],
-        }
-    if isinstance(chart, CircleChart):
-        return {
-            "kind": "circle-normal-form",
-            "q": format_unipoly(chart.q, "x"),
-            "s1": str(chart.s1),
-            "s0": str(chart.s0),
-            "scale": str(chart.scale),
-        }
-    raise TypeError(f"unknown chart type {type(chart).__name__}")
 
 
 def _intersection_tasks(factors: list[BiPoly], components: list[Component]):
@@ -343,11 +295,10 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
             k1, k2, k3 = _conic_kernel(factors[i])
             add_real(RationalPoint(k1 / k3, k2 / k3), {i}, {i})
 
-    # extend incidence across all components
-    for entry in real_entries:
-        for k, F in enumerate(factors):
-            if k not in entry["components"] and lies_on(F, entry["point"]):
-                entry["components"].add(k)
+    # Every pair is intersected and real points merge by exact equality, so a
+    # real entry already lists every factor through it.  A non-real pair found
+    # through the shear carries no data to merge on, so the pairs that do
+    # carry data are tested against every factor.
     for entry in nonreal_entries:
         for k, F in enumerate(factors):
             if k in entry["components"]:

@@ -25,6 +25,7 @@ from .ringfn import (
     CircleFn,
     LineFn,
     RingFn,
+    float_value,
     value_at_point,
     values_agree_at_algebraic,
 )
@@ -271,7 +272,7 @@ def build_gram_problem(
         else:
             xf, yf = rec.point.as_floats(60)
             evals = {
-                cid: _float_basis_values(block_of[cid], charts[cid], xf, yf)
+                cid: [float_value(b, charts[cid], xf, yf) for b in block_of[cid].basis]
                 for cid in incident
             }
         kernel_points.append(KernelPoint(rec.id, tuple(incident), rec.point))
@@ -334,16 +335,6 @@ def _kernel_rows(u: dict[int, Fraction | float], n: int, exact: bool) -> list[Ro
         Row({(min(r, s), max(r, s)): c for s, c in u.items()}, Fraction(0), exact)
         for r in range(n)
     ]
-
-
-def _float_basis_values(block: GramBlock, chart, xf: float, yf: float) -> list[float]:
-    out = []
-    for b in block.basis:
-        if isinstance(b, LineFn):
-            raise ValueError("line components need rational attachment points")
-        wf = yf + float(chart.s1) * xf + float(chart.s0)
-        out.append(b.a.eval_float(xf) + b.b.eval_float(xf) * wf)
-    return out
 
 
 def _constraint_matrix(problem: GramProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -40,13 +40,17 @@ class PairIntersection:
     real_points: list[RealPoint] = field(default_factory=list)
     nonreal_pairs: list[ConjugatePairPoint] = field(default_factory=list)
     total_closed_points: int = 0  # distinct complex intersection points
-    used_shear: bool = False
 
 
 def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
-    """Substitution route; returns None when exact shearing is required."""
-    if F.deg_y == 0 and G.deg_y == 0:
-        # two curves of vertical lines; coprime means no shared x-root
+    """Substitution route; returns None when exact shearing is required.
+
+    Raises SharedComponent when the two curves share a factor: a zero
+    resultant, a vertical line on both, or a fibre on which both vanish.
+    """
+    if F.deg_y == 0 and G.deg_y == 0:  # two curves of vertical lines
+        if gcd(F.specialize_y(0), G.specialize_y(0)).degree > 0:
+            raise SharedComponent("both curves contain a vertical line")
         return PairIntersection()
     if F.deg_y == 0 or G.deg_y == 0:  # vertical lines: their x-values directly
         R = (F if F.deg_y == 0 else G).specialize_y(0)
@@ -72,6 +76,8 @@ def _collect_over_abscissa(F: BiPoly, G: BiPoly, xi: Fraction, out: PairIntersec
     """Add all intersection points over x = xi; False when data turns irrational."""
     fy = F.specialize_x(xi)
     gy = G.specialize_x(xi)
+    if fy.is_zero() and gy.is_zero():
+        raise SharedComponent(f"both curves contain the line x = {xi}")
     if fy.is_zero():
         common = gy  # the vertical line x = xi lies inside F
     elif gy.is_zero():
@@ -215,7 +221,7 @@ def sheared_intersection(pair: ShearedPair) -> PairIntersection:
     factor in y; each point is read off that rung.
     """
     rad = pair.radical
-    out = PairIntersection(total_closed_points=rad.degree, used_shear=True)
+    out = PairIntersection(total_closed_points=rad.degree)
     boxes = isolate_real_roots(rad)
     for box in boxes:
         out.real_points.append(_point_from_ladder(pair.ladder, box, pair.lam))

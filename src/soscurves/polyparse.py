@@ -133,15 +133,25 @@ class _Parser:
             ntok = self._take()
             if ntok[0] != "num" or "/" in ntok[1]:
                 raise ParseError("exponent must be a nonnegative integer", ntok[2])
-            self._check_degree(base.total_degree * int(ntok[1]), tok[2])
-            return base ** int(ntok[1])
+            n = int(self._number(ntok[1], ntok[2]))
+            self._check_degree(base.total_degree * n, tok[2])
+            return base ** n
         return base
+
+    @staticmethod
+    def _number(text: str, pos: int) -> Fraction:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", pos) from None
+        except ValueError:  # int() refuses strings past sys.get_int_max_str_digits()
+            raise ParseError("number has too many digits", pos) from None
 
     def _atom(self) -> BiPoly:
         tok = self._take()
         kind, value, pos = tok
         if kind == "num":
-            return BiPoly.const(Fraction(value))
+            return BiPoly.const(self._number(value, pos))
         if kind == "name":
             if value not in self.slots:
                 raise ParseError(f"unknown variable {value!r}", pos)

@@ -249,6 +249,18 @@ def value_at_point(fn: RingFn, chart: Chart, p: RationalPoint) -> Fraction:
     return fn(*chart_arguments(chart, p))
 
 
+def float_value(fn: RingFn, chart: Chart, xf: float, yf: float) -> float:
+    """A circle-chart function a(x) + b(x)*(y + s1*x + s0) at a float point.
+
+    Line components meet other components at rational points only, so their
+    functions are never evaluated in floats.
+    """
+    if isinstance(fn, LineFn):
+        raise ValueError("line components carry rational attachment points only")
+    wf = yf + float(chart.s1) * xf + float(chart.s0)
+    return fn.a.eval_float(xf) + fn.b.eval_float(xf) * wf
+
+
 def value_as_u_fraction(fn: RingFn, chart: Chart, p: AlgebraicPoint) -> tuple[UniPoly, UniPoly]:
     """Value of a component function at an algebraic point, as N(u)/D(u).
 

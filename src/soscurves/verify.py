@@ -25,6 +25,7 @@ from .ringfn import (
     LineFn,
     RingFn,
     chart_arguments,
+    float_value,
     restrict_to_chart,
     values_agree_at_algebraic,
 )
@@ -62,13 +63,6 @@ def _fn_residual(fn: RingFn) -> float:
     else:
         coeffs = fn.a.coeffs + fn.b.coeffs
     return max((abs(float(c)) for c in coeffs), default=0.0)
-
-
-def _float_value(fn: RingFn, chart, xf: float, yf: float) -> float:
-    if isinstance(fn, CircleFn):
-        wf = yf + float(chart.s1) * xf + float(chart.s0)
-        return fn.a.eval_float(xf) + fn.b.eval_float(xf) * wf
-    raise ValueError("line components carry rational attachment points only")
 
 
 def _pair_value_poly(fn: RingFn, chart, pt: ConjugatePairPoint) -> UniPoly | None:
@@ -206,8 +200,8 @@ def verify_certificate(
                             s[ca], charts[ca], s[cb], charts[cb], rec.point
                         )
                     else:
-                        va = _float_value(s[ca], charts[ca], *xy)
-                        vb = _float_value(s[cb], charts[cb], *xy)
+                        va = float_value(s[ca], charts[ca], *xy)
+                        vb = float_value(s[cb], charts[cb], *xy)
                         agree = abs(va - vb) <= tol
                         residual = max(residual, abs(va - vb))
                     if not agree:

@@ -204,4 +204,8 @@ def test_json_reader_ignores_unknown_point_keys():
     raw = configuration_to_json(config)
     for entry in raw["intersection_points"]:
         entry["in_S"] = True
+        entry["params"] = {cid: "1/2" for cid in entry["components"]}
+    for entry in raw["components"]:
+        entry["parametrization"] = {"kind": "affine-line", "x": "1*t", "y": "0"}
     assert configuration_from_json(raw) == config
+    assert configuration_to_json(configuration_from_json(raw)) == configuration_to_json(config)

@@ -1,9 +1,16 @@
 import random
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
-from soscurves.bipoly import BiPoly, have_common_factor, resultant_y
+from soscurves.bipoly import (
+    BiPoly,
+    QuadraticSplitKind,
+    have_common_factor,
+    resultant_y,
+    split_binary_quadratic,
+)
 from soscurves.components import (
     CircleChart,
     InvalidComponent,
@@ -14,8 +21,8 @@ from soscurves.components import (
     build_component,
     infinity_summary,
 )
-from soscurves import curve, intersect
-from soscurves.curve import PointClass, analyze_curve, classify_point
+from soscurves import bipoly, curve, intersect, ringfn
+from soscurves.curve import PointClass, analyze_curve, classify_point, to_configuration
 from soscurves.intersect import (
     SharedComponent,
     choose_shear,
@@ -247,6 +254,59 @@ def test_shared_component_detected():
         fast_intersection(B("x - y"), B("(x - y)*(x + y)"))
 
 
+@pytest.mark.parametrize(
+    "F, G",
+    [
+        ("x - 1", "(x - 1)*(y - x)"),  # both vanish on the fibre x = 1
+        ("(x - 1)*(y + x)", "(x - 1)*(y - x)"),  # resultant -2x(x - 1)^2 is not zero
+        ("x^2 - 1", "x - 1"),  # two curves of vertical lines
+    ],
+)
+def test_shared_vertical_line_is_detected(F, G):
+    with pytest.raises(SharedComponent):
+        fast_intersection(B(F), B(G))
+    with pytest.raises(SharedComponent):
+        fast_intersection(B(G), B(F))
+
+
+@pytest.mark.parametrize(
+    "factors, first, second",
+    [
+        (["x - 1", "2*x - 2"], "C1", "C2"),
+        (["x - y", "2*x - 2*y"], "C1", "C2"),
+        (["x^2 + y^2 - 1", "x^2 + y^2 - 1"], "C1", "C2"),
+        (["x^2 + y^2 - 1", "y", "2*x^2 + 2*y^2 - 2"], "C1", "C3"),
+    ],
+)
+def test_shared_component_names_the_pair(factors, first, second):
+    with pytest.raises(SharedComponent, match=f"^components {first} and {second} share a factor$"):
+        analyze_curve([B(f) for f in factors])
+
+
+def test_unsheared_pair_is_eliminated_once(monkeypatch):
+    eliminated = []
+    original = bipoly.resultant_y
+    for module in (bipoly, intersect):
+        monkeypatch.setattr(
+            module, "resultant_y", lambda F, G: eliminated.append((F, G)) or original(F, G)
+        )
+    looked_up = []
+    lookup = ringfn.param_of_point
+    counted = lambda *args: looked_up.append(args) or lookup(*args)  # noqa: E731
+    monkeypatch.setattr(ringfn, "param_of_point", counted)
+    monkeypatch.setattr(curve, "param_of_point", counted, raising=False)
+    retested = []
+    monkeypatch.setattr(curve, "lies_on", lambda *args: retested.append(args) or lies_on(*args), raising=False)
+    factors = [B(f) for f in ("y", "x - y", "x + y - 2", "y - x^2", "x - 3")]
+    an = analyze_curve(factors)
+    assert an.shear is None
+    both = [(F, G) for F, G in combinations(factors, 2) if F.deg_y > 0 and G.deg_y > 0]
+    assert sorted(map(str, eliminated)) == sorted(map(str, both))
+    assert retested == []  # incidences come from the pairs' own intersections
+    to_configuration(an)
+    assert looked_up == []
+
+
 # -- point classification -----------------------------------------------------
 
 
@@ -287,6 +347,85 @@ def test_classify_three_concurrent_lines():
     got = classify_point([B("x"), B("y"), B("x - y")], RationalPoint(Fr(0), Fr(0)))
     assert got.kind is PointClass.NOT_OMPIT
     assert got.factors_through == 3
+
+
+def _reference_classification(through, p):
+    """The order-one/order-two expansion of the product translated to p."""
+    prod = BiPoly.const(1)
+    for F in through:
+        prod = prod * F
+    local = prod.translate(p.x, p.y)
+    if not local.homogeneous_part(1).is_zero():
+        return PointClass.NON_SINGULAR, None, ""
+    split = split_binary_quadratic(local.homogeneous_part(2))
+    if split.kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
+        return PointClass.ORDINARY_DOUBLE_POINT, split.factors, "ordinary double point"
+    return PointClass.NOT_OMPIT, None, split.kind
+
+
+def _vanishing_at(rng, p, order):
+    """A random polynomial of degree <= 3 vanishing to at least `order` at p."""
+    terms = {
+        (i, j): rng.randint(-3, 3)
+        for i in range(4)
+        for j in range(4 - i)
+        if i + j >= order and rng.random() < 0.5
+    }
+    local = BiPoly(terms)
+    if local.is_zero():
+        local = BiPoly({(order, 0): 1, (0, 3): 1})
+    return local.translate(-p.x, -p.y)
+
+
+def test_classify_matches_the_translated_product():
+    rng = random.Random(20080804)
+    seen = set()
+    for _ in range(300):
+        p = RationalPoint(Fr(rng.randint(-4, 4), rng.randint(1, 3)), Fr(rng.randint(-4, 4), rng.randint(1, 3)))
+        F = _vanishing_at(rng, p, rng.choice((1, 2)))
+        if rng.random() < 0.5:
+            through = [F]
+        elif rng.random() < 0.3:  # the tangent line of F at p (a vertical one where F is singular)
+            fx, fy = F.partial_x()(p.x, p.y), F.partial_y()(p.x, p.y)
+            if fx == fy == 0:
+                fx = Fr(1)
+            through = [F, BiPoly({(1, 0): fx, (0, 1): fy, (0, 0): -fx * p.x - fy * p.y})]
+        else:
+            through = [F, _vanishing_at(rng, p, rng.choice((1, 1, 2)))]
+        got = classify_point(through, p)
+        kind, tangents, why = _reference_classification(through, p)
+        assert (got.kind, got.tangents, got.factors_through) == (kind, tangents, len(through))
+        if kind is PointClass.NOT_OMPIT:
+            seen.add(why)
+            assert got.detail == {
+                QuadraticSplitKind.ZERO: "order-two part vanishes",
+                QuadraticSplitKind.PERFECT_SQUARE: "repeated tangent",
+                QuadraticSplitKind.IRREDUCIBLE_OVER_REALS: "isolated real branch (conjugate tangents)",
+            }[why]
+        else:
+            seen.add(kind)
+            assert got.detail == why
+    assert len(seen) == 5  # every kind and every degenerate form occurred
+
+
+@pytest.mark.parametrize(
+    "factors, detail",
+    [
+        (["y - (x^2 - 2)^2", "y"], "repeated tangent"),
+        (["y^2 - (x^2 - 2)^2*(x + 3)", "y"], "order-two part vanishes"),
+        (["y^2 + (x^2 - 2)^2*(x + 3)"], "isolated real branch (conjugate tangents)"),
+        (["y^2 - (x^2 - 2)^2*(x + 3)"], "ordinary double point"),
+    ],
+)
+def test_classify_at_algebraic_points(factors, detail):
+    an = analyze_curve([B(f) for f in factors])
+    boxed = [r for r in an.points if isinstance(r.point, AlgebraicPoint)]
+    assert len(boxed) == 2
+    for rec in boxed:
+        assert rec.classification.detail == detail
+        assert rec.classification.tangents is None
+        wanted = PointClass.ORDINARY_DOUBLE_POINT if detail == "ordinary double point" else PointClass.NOT_OMPIT
+        assert rec.classification.kind is wanted
 
 
 def test_classify_algebraic_crossing():

@@ -55,6 +55,12 @@ def test_parse_errors():
         parse_bipoly("")
     with pytest.raises(ParseError):
         parse_bipoly("x + 1) * 2")
+    with pytest.raises(ParseError, match="zero denominator.*offset 2"):
+        parse_bipoly("x+1/0")
+    with pytest.raises(ParseError, match="too many digits.*offset 2"):
+        parse_bipoly("x+" + "7" * 5000)
+    with pytest.raises(ParseError, match="too many digits.*offset 2"):
+        parse_bipoly("x^" + "1" * 5000)
 
 
 def test_deep_nesting_is_a_parse_error():

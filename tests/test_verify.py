@@ -1,11 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction as Fr
 
+import pytest
+
 from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
-from soscurves.points import AlgebraicPoint
+from soscurves.points import AlgebraicPoint, RationalPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import CircleFn
+from soscurves.ringfn import CircleFn, LineFn, float_value, restrict_to_chart, value_at_point
 from soscurves.verify import verify_certificate
 
 
@@ -32,3 +34,16 @@ def test_numeric_agreement_at_algebraic_points():
     failed = {c.name for c in report.failures()}
     assert {"agreement:P1", "agreement:P2"} <= failed
     assert not report.ok
+
+
+def test_float_value_is_the_circle_formula():
+    analysis = analyze_curve([B("x^2 + y^2 - 2*x - 24"), B("x - y")])
+    circle, line = analysis.components
+    fn = restrict_to_chart(B("x^3 + x*y^2 - 7*y + 2"), circle.chart)
+    xf, yf = 0.3, -1.7
+    wf = yf + float(circle.chart.s1) * xf + float(circle.chart.s0)
+    assert float_value(fn, circle.chart, xf, yf) == fn.a.eval_float(xf) + fn.b.eval_float(xf) * wf
+    p = RationalPoint(Fr(5), Fr(-3))  # on the circle
+    assert float_value(fn, circle.chart, 5.0, -3.0) == pytest.approx(float(value_at_point(fn, circle.chart, p)))
+    with pytest.raises(ValueError):
+        float_value(LineFn.const(1), line.chart, xf, yf)
