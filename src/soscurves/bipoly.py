@@ -161,9 +161,6 @@ class BiPoly:
             total += c * a**i * b**j
         return total
 
-    def eval_float(self, a: float, b: float) -> float:
-        return float(sum(float(c) * a**i * b**j for (i, j), c in self.terms.items()))
-
     def homogeneous_part(self, d: int) -> BiPoly:
         return BiPoly({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
 

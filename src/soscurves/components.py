@@ -8,7 +8,7 @@ user-supplied metadata or an Unknown flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, QuadraticSplitKind, have_common_factor, split_binary_quadratic
@@ -104,8 +104,6 @@ class Component:
     infinity: InfinitySummary
     chart: Chart | None = None
     conic_kind: str | None = None
-    notes: list[str] = field(default_factory=list)
-    metadata_used: dict = field(default_factory=dict)
 
 
 def component_index(cid: str) -> int:
@@ -302,9 +300,8 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         )
     if rank == 2:
         # two conjugate complex lines; their crossing is the only real point
-        k1, k2, k3 = _conic_kernel(F)
-        has_pt = TriBool.of(k3 != 0)
-        comp = Component(
+        has_pt = TriBool.of(_conic_kernel(F)[2] != 0)
+        return Component(
             index=index,
             label=label,
             poly=F,
@@ -316,11 +313,6 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
             infinity=inf,
             conic_kind="conjugate-lines",
         )
-        if k3 != 0:
-            comp.notes.append(
-                f"single real point at ({k1 / k3}, {k2 / k3}) on a non-real component"
-            )
-        return comp
 
     # rank 3: a smooth conic
     empty = pos == 3 or neg == 3
@@ -336,7 +328,7 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         kind = "ellipse"
         chart = _circle_chart(F)
         bounded, open_a1 = TriBool.NO, TriBool.NO
-    comp = Component(
+    return Component(
         index=index,
         label=label,
         poly=F,
@@ -349,9 +341,6 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         chart=chart,
         conic_kind=kind if not empty else "empty",
     )
-    if chart is None and kind == "hyperbola":
-        comp.notes.append("asymptotic directions are irrational; no rational chart")
-    return comp
 
 
 def infinity_summary(F: BiPoly, smooth_curve: bool = False) -> InfinitySummary:
@@ -467,7 +456,6 @@ def _apply_metadata(comp: Component, metadata: dict | None) -> None:
         current = getattr(comp, name)
         if current is TriBool.UNKNOWN:
             setattr(comp, name, supplied)
-            comp.metadata_used[name] = metadata[name]
         elif current is not supplied:
             raise MetadataConflict(
                 f"metadata sets {name}={metadata[name]} but exact analysis of "

@@ -259,6 +259,7 @@ def _intersection_tasks(factors: list[BiPoly], components: list[Component]):
 def _merge_points(factors, components, resolved) -> list[PointRecord]:
     real_entries: list[dict] = []
     nonreal_entries: list[dict] = []
+    counted: list[tuple[tuple[int, ...], list[ConjugatePairPoint]]] = []
 
     def add_real(p: RealPoint, owners: set[int], singular: set[int]) -> None:
         for entry in real_entries:
@@ -278,7 +279,10 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
             continue
         for p in result.real_points:
             add_real(p, set(owners), set())
+        counted.append((owners, [pt for pt in result.nonreal_pairs if pt.abscissa is None]))
         for pair_pt in result.nonreal_pairs:
+            if pair_pt.abscissa is None:
+                continue
             merged = False
             for entry in nonreal_entries:
                 if same_conjugate_pair(entry["point"], pair_pt):
@@ -298,7 +302,8 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
     # Every pair is intersected and real points merge by exact equality, so a
     # real entry already lists every factor through it.  A non-real pair found
     # through the shear carries no data to merge on, so the pairs that do
-    # carry data are tested against every factor.
+    # carry data are tested against every factor, and a sheared pair adds
+    # only as many count-only points as it has beyond those already on both.
     for entry in nonreal_entries:
         for k, F in enumerate(factors):
             if k in entry["components"]:
@@ -306,6 +311,9 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
             hit = pair_passes_through(F, entry["point"])
             if hit:
                 entry["components"].add(k)
+    for owners, points in counted:
+        known = sum(1 for entry in nonreal_entries if entry["components"] >= set(owners))
+        nonreal_entries.extend({"point": pt, "components": set(owners)} for pt in points[known:])
 
     ordered_real = order_real_points([entry["point"] for entry in real_entries])
     by_identity = {id(entry["point"]): entry for entry in real_entries}

@@ -102,9 +102,7 @@ def _collect_over_abscissa(F: BiPoly, G: BiPoly, xi: Fraction, out: PairIntersec
         out.nonreal_pairs.append(ConjugatePairPoint(abscissa=xi, y_quadratic=leftover.monic()))
     else:
         for _ in range(pairs):
-            out.nonreal_pairs.append(
-                ConjugatePairPoint(abscissa=xi, note="one of several conjugate pairs over this x")
-            )
+            out.nonreal_pairs.append(ConjugatePairPoint(abscissa=xi))
     return True
 
 
@@ -227,7 +225,7 @@ def sheared_intersection(pair: ShearedPair) -> PairIntersection:
         out.real_points.append(_point_from_ladder(pair.ladder, box, pair.lam))
     pairs = (rad.degree - len(boxes)) // 2
     for _ in range(pairs):
-        out.nonreal_pairs.append(ConjugatePairPoint(note="found through a sheared frame"))
+        out.nonreal_pairs.append(ConjugatePairPoint())
     return out
 
 

@@ -65,7 +65,6 @@ class ConjugatePairPoint:
 
     abscissa: Fraction | None = None
     y_quadratic: UniPoly | None = None
-    note: str = ""
 
 
 def curve_sign_at(F: BiPoly, p: RealPoint) -> int:

@@ -37,16 +37,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num") is not None:
-            out.append(("num", m.group("num").replace(" ", ""), m.start()))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name"), m.start()))
-        else:
-            op = m.group("op")
-            out.append(("op", "^" if op == "**" else op, m.start()))
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "num":
+            value = value.replace(" ", "")
+        elif value == "**":
+            value = "^"
+        out.append((kind, value, m.start(kind)))
         pos = m.end()
     return out
 

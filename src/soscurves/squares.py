@@ -1,13 +1,22 @@
 """Sum-of-squares decompositions of univariate polynomials.
 
-The exact path writes a psd polynomial p = c * s^2 * r (Yun decomposition),
-splits the squarefree rootless part r as A^2 + B^2 by pairing complex roots
-so that the paired factor has Gaussian-rational coefficients, and combines
-with a two-square splitting of the constant via the Brahmagupta identity.
-Every exact result is re-verified by expanding the squares; nothing is
-trusted from floating point.  When no exact decomposition is found the
-numeric path pairs all upper-half-plane roots and reports the coefficient
-residual.
+Positivity is decided once per restriction.  A function on a line is
+num / (t - pole)^order.  For an even order, num is split once by Yun's
+algorithm as c * square^2 * rootless with monic factors, rootless being the
+product of the factors of odd multiplicity; num is psd exactly when c > 0
+and rootless has no real root, and that same split is then decomposed.
+Otherwise `negative_point` finds a rational point where the function is
+negative: p keeps one sign between consecutive distinct real roots, and the
+endpoints of the disjoint isolating boxes sample every such interval, so no
+refinement is needed.
+
+The exact decomposition splits the squarefree rootless part r as A^2 + B^2
+by pairing complex roots so that the paired factor has Gaussian-rational
+coefficients, and combines with a two-square splitting of the constant via
+the Brahmagupta identity.  Every exact result is re-verified by expanding
+the squares; nothing is trusted from floating point.  When no exact
+decomposition is found the numeric path pairs all upper-half-plane roots and
+reports the coefficient residual.
 """
 from __future__ import annotations
 
@@ -19,13 +28,7 @@ import numpy as np
 
 from .numbers import _two_squares, rational_square_list
 from .ringfn import LineFn
-from .unipoly import (
-    UniPoly,
-    cauchy_bound,
-    isolate_real_roots,
-    sturm_count,
-    yun_decomposition,
-)
+from .unipoly import UniPoly, isolate_real_roots, yun_decomposition
 
 _DENOMINATOR_LADDER = (16, 1024, 10**6, 10**9, 10**12)
 _MAX_PAIRING_DEGREE = 24
@@ -53,49 +56,33 @@ class SumOfSquares:
     exact: bool
     residual: float = 0.0
 
-    @property
-    def pair(self) -> tuple:
-        if len(self.parts) != 2:
-            raise ValueError(f"{len(self.parts)} parts, not a two-square form")
-        return self.parts
 
+def negative_point(
+    p: UniPoly, lo: Fraction | None = None, hi: Fraction | None = None
+) -> Fraction | None:
+    """A rational point where p < 0, inside [lo, hi] when both are given.
 
-def uni_psd_witness(p: UniPoly) -> Fraction | None:
-    """A rational point where p is negative, or None when p is psd."""
+    None when there is no such point.  p keeps one sign on each open
+    interval between consecutive distinct real roots, and before the first
+    and after the last.  The isolating boxes are disjoint, each holds one
+    root, and no endpoint is a root, so the high end of each box samples the
+    interval after its root and the first box's low end the one before;
+    without real roots, 0 samples the whole line.  On [lo, hi] the samples
+    are lo, hi and the box endpoints strictly between them: a piece where p
+    keeps one sign either ends at lo or hi in a point that is no root, or
+    lies between consecutive roots r < r' in [lo, hi] and holds the high
+    end of r's box.  No box needs refining.
+    """
     if p.is_zero():
         return None
-    if p.degree == 0:
-        return Fraction(0) if p.coeff(0) < 0 else None
-    bound = cauchy_bound(p) + 1
-    if p.degree % 2 == 1 or p.leading() < 0:
-        for t0 in (-bound, bound):
-            if p(t0) < 0:
-                return t0
-        raise AssertionError("sign analysis outside the root bound went wrong")
-    odd_part = UniPoly.one()
-    for factor, mult in yun_decomposition(p):
-        if mult % 2:
-            odd_part = odd_part * factor
-    if odd_part.degree <= 0:
-        return None
-    boxes = isolate_real_roots(odd_part)
-    if not boxes:
-        return None
-    for k in range(len(boxes) - 1):
-        a, b = boxes[k], boxes[k + 1]
-        guard = 0
-        while a.high >= b.low:
-            a, b = a.refined(2), b.refined(2)
-            guard += 1
-            if guard > 500:
-                raise AssertionError("failed to separate adjacent root boxes")
-        lo, hi = a.high, b.low
-        samples = p.degree + 3
-        for j in range(1, samples):
-            t0 = lo + (hi - lo) * Fraction(j, samples)
-            if p(t0) < 0:
-                return t0
-    return None
+    ends = [e for box in isolate_real_roots(p) for e in (box.low, box.high)]
+    if lo is None or hi is None:
+        samples = ends or [Fraction(0)]
+    elif lo > hi:
+        raise ValueError("need lo <= hi")
+    else:
+        samples = [lo, *(e for e in ends if lo < e < hi), hi]
+    return next((t for t in samples if p.sign_at(t) < 0), None)
 
 
 def _two_square_fractions(c: Fraction) -> tuple[Fraction, Fraction] | None:
@@ -110,7 +97,11 @@ def _two_square_fractions(c: Fraction) -> tuple[Fraction, Fraction] | None:
 
 
 def _split_psd(p: UniPoly) -> tuple[Fraction, UniPoly, UniPoly]:
-    """p = c * square^2 * rootless with monic factors, c the leading coeff."""
+    """p = c * square^2 * rootless with monic factors, c the leading coeff.
+
+    rootless is the product of the factors of odd multiplicity; it has no
+    real root exactly when p keeps one sign.
+    """
     c = p.leading()
     square, rootless = UniPoly.one(), UniPoly.one()
     for factor, mult in yun_decomposition(p):
@@ -145,7 +136,7 @@ def _rationalize(values: list[float], denominator: int) -> UniPoly:
     return UniPoly([Fraction(v).limit_denominator(denominator) for v in values])
 
 
-def _gaussian_pairing(r: UniPoly) -> tuple[UniPoly, UniPoly] | None:
+def _gaussian_pairing(r: UniPoly, upper: list[complex]) -> tuple[UniPoly, UniPoly] | None:
     """r = A^2 + B^2 with rational A, B through complex root pairing.
 
     A monic rootless r factors over the complex numbers as M * conj(M) for
@@ -153,9 +144,6 @@ def _gaussian_pairing(r: UniPoly) -> tuple[UniPoly, UniPoly] | None:
     coefficients (when any exist) survive the exact re-verification.
     """
     if r.degree > _MAX_PAIRING_DEGREE:
-        return None
-    upper = _roots_upper_half(r)
-    if upper is None:
         return None
     m = len(upper)
     for mask in range(2 ** max(m - 1, 0)):
@@ -173,11 +161,10 @@ def _gaussian_pairing(r: UniPoly) -> tuple[UniPoly, UniPoly] | None:
     return None
 
 
-def _quadratic_square_lists(r: UniPoly) -> list[tuple[UniPoly, ...]] | None:
+def _quadratic_square_lists(
+    r: UniPoly, upper: list[complex]
+) -> list[tuple[UniPoly, ...]] | None:
     """Square-lists of exact rational quadratic factors covering all of r."""
-    upper = _roots_upper_half(r)
-    if upper is None:
-        return None
     remaining = r
     lists: list[tuple[UniPoly, ...]] = []
     for z in upper:
@@ -235,53 +222,43 @@ def _constant_square_list(c: Fraction) -> tuple[UniPoly, ...]:
     return tuple(UniPoly.const(e) for e in rational_square_list(c) if e)
 
 
-def _numeric_two_squares(p: UniPoly) -> SumOfSquares:
-    c, square, rootless = _split_psd(p)
+def _numeric_two_squares(
+    p: UniPoly, c: Fraction, square: UniPoly, upper: list[complex]
+) -> SumOfSquares:
     scale = math.sqrt(float(c))
-    if rootless.degree == 0:
-        f1 = square.scale(Fraction(scale))
-        parts = (f1, UniPoly.zero())
-    else:
-        upper = _roots_upper_half(rootless)
-        if upper is None:
-            raise NumericFailure("complex roots did not split into conjugate pairs")
-        coeffs = _poly_from_roots(upper)
-        a = UniPoly([Fraction(v.real) for v in coeffs])
-        b = UniPoly([Fraction(v.imag) for v in coeffs])
-        f1 = (square * a).scale(Fraction(scale))
-        f2 = (square * b).scale(Fraction(scale))
-        parts = (f1, f2)
-    gap = f1 * f1 - p
-    for part in parts[1:]:
-        gap = gap + part * part
+    coeffs = _poly_from_roots(upper)
+    a = UniPoly([Fraction(v.real) for v in coeffs])
+    b = UniPoly([Fraction(v.imag) for v in coeffs])
+    f1 = (square * a).scale(Fraction(scale))
+    f2 = (square * b).scale(Fraction(scale))
+    gap = f1 * f1 + f2 * f2 - p
     residual = max((abs(float(v)) for v in gap.coeffs), default=0.0)
     if residual > _NUMERIC_TOL:
         raise NumericFailure(
             f"numeric decomposition residual {residual:.3g} exceeds {_NUMERIC_TOL:.3g}"
         )
-    return SumOfSquares(_signed(parts), exact=False, residual=residual)
+    return SumOfSquares(_signed((f1, f2)), exact=False, residual=residual)
 
 
-def uni_sos_two_squares(p: UniPoly) -> SumOfSquares:
-    """Decompose a psd polynomial as a sum of (preferably two) squares.
+def uni_sos_two_squares(
+    p: UniPoly, c: Fraction, square: UniPoly, rootless: UniPoly
+) -> SumOfSquares:
+    """Decompose psd p = c * square^2 * rootless as a sum of (preferably two) squares.
 
-    Raises NotPsd with an exact negative-value witness otherwise.  Returns
-    two exact squares whenever the complex root pairing yields them, a
-    longer exact list when only rational quadratic factors are available,
-    and falls back to the numeric answer as a last resort.
+    The split is `_split_psd(p)`, already known psd: c > 0 and rootless
+    without real roots.  Returns two exact squares whenever the complex root
+    pairing yields them, a longer exact list when only rational quadratic
+    factors are available, and falls back to the numeric answer as a last
+    resort.
     """
-    witness = uni_psd_witness(p)
-    if witness is not None:
-        raise NotPsd(witness, p(witness))
-    if p.is_zero():
-        return SumOfSquares((), exact=True)
-
-    c, square, rootless = _split_psd(p)
     if rootless.degree == 0:
         parts = tuple(square * e for e in _constant_square_list(c))
         return SumOfSquares(_signed(parts), exact=True)
 
-    pairing = _gaussian_pairing(rootless)
+    upper = _roots_upper_half(rootless)
+    if upper is None:
+        raise NumericFailure("complex roots did not split into conjugate pairs")
+    pairing = _gaussian_pairing(rootless, upper)
     if pairing is not None:
         a, b = pairing
         two = _two_square_fractions(c)
@@ -303,7 +280,7 @@ def uni_sos_two_squares(p: UniPoly) -> SumOfSquares:
         assert total == p
         return SumOfSquares(_signed(parts), exact=True)
 
-    lists = _quadratic_square_lists(rootless)
+    lists = _quadratic_square_lists(rootless, upper)
     if lists is not None:
         acc: tuple[UniPoly, ...] = (square,)
         for entry in lists:
@@ -316,95 +293,28 @@ def uni_sos_two_squares(p: UniPoly) -> SumOfSquares:
         assert total == p
         return SumOfSquares(_signed(parts), exact=True)
 
-    return _numeric_two_squares(p)
-
-
-def psd_on_interval(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """A rational point of [lo, hi] where p is negative, None when p >= 0 there."""
-    if p.is_zero():
-        return None
-    if lo > hi:
-        raise ValueError("need lo <= hi")
-    for e in (lo, hi):
-        if p(e) < 0:
-            return e
-    if lo == hi:
-        return None
-    odd_part = UniPoly.one()
-    for factor, mult in yun_decomposition(p):
-        if mult % 2:
-            odd_part = odd_part * factor
-    for e in (lo, hi):
-        lin = UniPoly.linear_root(e)
-        while odd_part.degree > 0 and odd_part(e) == 0:
-            odd_part = odd_part.exact_div(lin)
-    if odd_part.degree > 0 and sturm_count(odd_part, lo, hi) > 0:
-        # a sign change inside; walk the isolating boxes for a witness
-        for box in isolate_real_roots(odd_part):
-            guard = 0
-            while not (lo < box.low and box.high < hi) and guard < 400:
-                if box.high < lo or box.low > hi:
-                    break
-                box = box.refined(2)
-                guard += 1
-            if not (lo < box.low and box.high < hi):
-                continue
-            for _ in range(400):
-                if p(box.low) < 0:
-                    return box.low
-                if p(box.high) < 0:
-                    return box.high
-                box = box.refined(1)
-        raise AssertionError("interior sign change lost while refining boxes")
-    # no interior sign change: the sign at almost every sample is the sign
-    # everywhere, so scan enough samples to dodge the even-order roots
-    samples = p.degree + 3
-    for j in range(1, samples):
-        t0 = lo + (hi - lo) * Fraction(j, samples)
-        if p(t0) < 0:
-            return t0
-    return None
-
-
-def line_fn_psd_witness(fn: LineFn) -> Fraction | None:
-    """A rational parameter where the function is negative, None when psd."""
-    if fn.is_zero:
-        return None
-    if fn.order % 2 == 0:
-        w = uni_psd_witness(fn.num)
-        if w is None:
-            return None
-        if fn.order == 0 or w != fn.pole_at:
-            return w
-        # numerator negative exactly at the pole: slide off it
-        target = fn.num(fn.pole_at)
-        assert target < 0
-        delta = Fraction(1)
-        for _ in range(400):
-            for t0 in (fn.pole_at + delta, fn.pole_at - delta):
-                if fn.num(t0) < 0:
-                    return t0
-            delta /= 2
-        raise AssertionError("could not move the witness off the pole")
-    # odd pole order: the function changes sign across the pole
-    side = -1 if fn.num(fn.pole_at) > 0 else 1
-    delta = Fraction(1)
-    for _ in range(400):
-        t0 = fn.pole_at + side * delta
-        if fn(t0) < 0:
-            return t0
-        delta /= 2
-    raise AssertionError("sign change across an odd-order pole not found")
+    return _numeric_two_squares(p, c, square, upper)
 
 
 def line_fn_sos(fn: LineFn) -> SumOfSquares:
-    """Sum-of-squares decomposition on a (possibly punctured) line component."""
-    witness = line_fn_psd_witness(fn)
-    if witness is not None:
-        raise NotPsd(witness, fn(witness))
+    """Sum-of-squares decomposition on a (possibly punctured) line component.
+
+    Raises NotPsd at a rational parameter other than the pole where the
+    function is negative.  An odd pole order is never psd, since the normal
+    form keeps num(pole) != 0 and the function changes sign there.
+    """
     if fn.is_zero:
         return SumOfSquares((), exact=True)
-    inner = uni_sos_two_squares(fn.num)
-    half = fn.order // 2
-    parts = tuple(LineFn(g, half, fn.pole_at) for g in inner.parts)
-    return SumOfSquares(parts, inner.exact, inner.residual)
+    if fn.order % 2 == 0:
+        c, square, rootless = _split_psd(fn.num)
+        if c > 0 and not isolate_real_roots(rootless):
+            inner = uni_sos_two_squares(fn.num, c, square, rootless)
+            half = fn.order // 2
+            parts = tuple(LineFn(g, half, fn.pole_at) for g in inner.parts)
+            return SumOfSquares(parts, inner.exact, inner.residual)
+    # off the pole, num * (t - pole)^(2 - order mod 2) has the function's
+    # sign, and the pole is a root of it, so never the witness
+    lin = UniPoly.linear_root(fn.pole_at)
+    w = negative_point(fn.num * lin ** (2 - fn.order % 2))
+    assert w is not None, "a function that is not psd has a negative point"
+    raise NotPsd(w, fn(w))

@@ -29,11 +29,13 @@ from .ringfn import (
     restrict_to_chart,
     values_agree_at_algebraic,
 )
-from .squares import psd_on_interval
+from .squares import negative_point
 from .unipoly import UniPoly, count_real_roots, sturm_count
 from .witness import CycleObstruction, NonrealIntersectionObstruction
 
 Witness = CycleObstruction | NonrealIntersectionObstruction
+
+_NUMERIC_TOL = 1e-7  # largest deviation a numeric certificate may show
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,13 @@ def verify_certificate(
     analysis: CurveAnalysis,
     F: BiPoly,
     cert: SosCertificate,
-    tol: float = 1e-7,
 ) -> ExactReport:
     """Re-check a sum-of-squares certificate from first principles.
 
     Exact certificates must reproduce the target coefficient for coefficient
     and agree exactly at every shared point; numeric ones are measured and
-    pass when the worst deviation stays within tol.  `F` is the plane target
-    polynomial; it is restricted to each component's chart here.
+    pass when the worst deviation stays within _NUMERIC_TOL.  `F` is the
+    plane target polynomial; it is restricted to each component's chart here.
     """
     checks: list[Check] = []
     notes: list[str] = []
@@ -146,7 +147,7 @@ def verify_certificate(
         else:
             dev = _fn_residual(diff)
             residual = max(residual, dev)
-            passed = dev <= tol
+            passed = dev <= _NUMERIC_TOL
             detail = f"residual {dev:.3g}"
         checks.append(Check(f"sum:{cid}", passed, detail))
 
@@ -184,7 +185,7 @@ def verify_certificate(
                         float(v) for v in vals
                     )
                     residual = max(residual, spread)
-                    if spread > tol:
+                    if spread > _NUMERIC_TOL:
                         bad = f"summand {j} spread {spread:.3g} at {rec.id}"
                         break
             checks.append(Check(name, not bad, bad))
@@ -202,7 +203,7 @@ def verify_certificate(
                     else:
                         va = float_value(s[ca], charts[ca], *xy)
                         vb = float_value(s[cb], charts[cb], *xy)
-                        agree = abs(va - vb) <= tol
+                        agree = abs(va - vb) <= _NUMERIC_TOL
                         residual = max(residual, abs(va - vb))
                     if not agree:
                         bad = f"summand {j} disagrees at {rec.id}"
@@ -306,7 +307,7 @@ def _verify_nonreal(
     f = w.psd_factor
     lo, hi = w.x_range
 
-    neg_at = psd_on_interval(f, lo, hi)
+    neg_at = negative_point(f, lo, hi)
     checks.append(
         Check(
             "psd-on-range",

@@ -22,7 +22,7 @@ from .configuration import Cycle, connectivity_report, induced_subconfiguration
 from .curve import CurveAnalysis, PointRecord, to_configuration
 from .points import ConjugatePairPoint, RationalPoint
 from .ringfn import IrrationalAttachment, param_of_point
-from .squares import psd_on_interval
+from .squares import negative_point
 from .unipoly import UniPoly
 
 
@@ -223,7 +223,7 @@ def nonreal_intersection_witness(
             if any(m(a) == 0 for a in abscissas):
                 continue
             f = vanish * m
-            if psd_on_interval(f, lo, hi) is not None:
+            if negative_point(f, lo, hi) is not None:
                 continue
             f, content = f.primitive_integer()
             if content < 0:

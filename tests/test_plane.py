@@ -620,6 +620,24 @@ def test_triple_point_merging_with_irrational_coordinates():
         assert rec.classification.factors_through == 3
 
 
+def test_sheared_pair_does_not_repeat_a_known_nonreal_point():
+    # C1 and C3 need the shear, which reports their one non-real pair as a
+    # count only; the pair (2, +-i*sqrt(3)) is already known exactly from
+    # the line C2, which passes through it too
+    an = analyze_curve([UNIT_CIRCLE, B("x - 2"), B("2*x^2 - x*y + y^2 - 2*x + 2*y - 1")])
+    assert an.shear is not None
+    nonreal = [r for r in an.points if not r.is_real and {0, 2} <= set(r.components)]
+    (rec,) = nonreal
+    assert rec.components == (0, 1, 2)
+    assert (rec.point.abscissa, rec.point.y_quadratic) == (2, UniPoly([Fr(3), Fr(0), Fr(1)]))
+    config = to_configuration(an)
+    joining = [
+        p for p in config.points
+        if p.realness is TriBool.NO and {"C1", "C3"} <= set(p.components)
+    ]
+    assert len(joining) == 1
+
+
 def test_acnode_component_point_found():
     an = analyze_curve([B("x^2 + y^2"), B("x - 5")])
     real = [r for r in an.points if r.is_real]

@@ -61,6 +61,15 @@ def test_parse_errors():
         parse_bipoly("x+" + "7" * 5000)
     with pytest.raises(ParseError, match="too many digits.*offset 2"):
         parse_bipoly("x^" + "1" * 5000)
+    # offsets point at the token, not at the spaces before it
+    with pytest.raises(ParseError, match="zero denominator.*offset 4"):
+        parse_bipoly("x + 1/0")
+    with pytest.raises(ParseError, match="unknown variable 'z'.*offset 4"):
+        parse_bipoly("x + z")
+    with pytest.raises(ParseError, match="unexpected character '\\$'.*offset 5"):
+        parse_bipoly("x +  $")
+    with pytest.raises(ParseError, match="too many digits.*offset 6"):
+        parse_bipoly("x ^   " + "1" * 5000)
 
 
 def test_deep_nesting_is_a_parse_error():

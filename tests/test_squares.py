@@ -1,0 +1,192 @@
+import random
+from fractions import Fraction as Fr
+
+import pytest
+
+from soscurves import squares
+from soscurves.ringfn import LineFn
+from soscurves.squares import NotPsd, line_fn_sos, negative_point
+from soscurves.unipoly import UniPoly
+
+T = UniPoly.var()
+
+
+def _poly(*coeffs) -> UniPoly:
+    return UniPoly([Fr(c) for c in coeffs])
+
+
+def _random_poly(rng: random.Random) -> UniPoly:
+    """A product of rational linear and quadratic factors, some repeated."""
+    p = UniPoly.const(rng.choice([1, 2, 3, -1, -2, Fr(1, 2)]))
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.5:
+            f = UniPoly.linear_root(Fr(rng.randint(-4, 4), rng.randint(1, 3)))
+        else:
+            f = _poly(rng.randint(-3, 5), rng.randint(-3, 3), 1)
+        p = p * f ** rng.randint(1, 3)
+    return p
+
+
+def _reference_negative(p: UniPoly, lo=None, hi=None) -> bool:
+    """Whether p < 0 somewhere (on [lo, hi]), from sympy's exact real roots."""
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    expr = sum(sp.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(p.coeffs))
+    if p.degree <= 0:
+        return expr < 0
+    roots = sorted(set(sp.real_roots(sp.Poly(expr, t))), key=lambda r: r.evalf(40))
+    if lo is None:
+        cuts = roots
+        samples = [sp.floor(roots[0]) - 1, sp.ceiling(roots[-1]) + 1] if roots else [0]
+    else:
+        lo, hi = sp.Rational(lo.numerator, lo.denominator), sp.Rational(hi.numerator, hi.denominator)
+        cuts = sorted({lo, hi, *(r for r in roots if lo < r < hi)}, key=lambda r: r.evalf(40))
+        samples = [lo, hi]
+    for a, b in zip(cuts, cuts[1:]):
+        samples.append(sp.Rational(str(((a + b) / 2).evalf(40))))
+    return any(expr.subs(t, s) < 0 for s in samples)
+
+
+def test_negative_point_matches_the_reference():
+    rng = random.Random(20261018)
+    seen_even = seen_root_end = 0
+    for _ in range(150):
+        p = _random_poly(rng)
+        w = negative_point(p)
+        assert (w is not None) == _reference_negative(p), p
+        if w is not None:
+            assert p(w) < 0
+        roots = [b.exact_value for b in squares.isolate_real_roots(p) if b.exact_value is not None]
+        seen_even += any(b.multiplicity % 2 == 0 for b in squares.isolate_real_roots(p))
+        for _ in range(2):
+            if roots and rng.random() < 0.5:
+                lo = rng.choice(roots)
+                hi = max(lo, rng.choice(roots))
+                seen_root_end += 1
+            else:
+                lo = Fr(rng.randint(-6, 6), rng.randint(1, 2))
+                hi = lo + Fr(rng.randint(0, 6), rng.randint(1, 3))
+            w = negative_point(p, lo, hi)
+            assert (w is not None) == _reference_negative(p, lo, hi), (p, lo, hi)
+            if w is not None:
+                assert lo <= w <= hi and p(w) < 0
+    assert seen_even > 10 and seen_root_end > 10
+
+
+def test_negative_point_edge_cases():
+    assert negative_point(UniPoly.zero()) is None
+    assert negative_point(UniPoly.const(3)) is None
+    assert negative_point(UniPoly.const(-3)) == 0
+    assert negative_point(UniPoly.const(-3), Fr(5), Fr(5)) == 5
+    # (t-1)^2 (t-2)^2: psd, with both interval ends at roots
+    p = (T - UniPoly.one()) ** 2 * (T - UniPoly.const(2)) ** 2
+    assert negative_point(p) is None
+    assert negative_point(p, Fr(1), Fr(2)) is None
+    # -(t-1)^2 (t-2)^2 is negative strictly between its two roots
+    w = negative_point(-p, Fr(1), Fr(2))
+    assert w is not None and 1 < w < 2
+    # (t^2 - 1/10^6): negative only on a short piece of [0, 1]
+    q = _poly(Fr(-1, 10**6), 0, 1)
+    w = negative_point(q, Fr(0), Fr(1))
+    assert w is not None and q(w) < 0
+    assert negative_point(q, Fr(1, 1000), Fr(1)) is None
+    with pytest.raises(ValueError):
+        negative_point(q, Fr(1), Fr(0))
+
+
+@pytest.mark.parametrize(
+    "num, order, pole",
+    [
+        (_poly(-1, 0, 1), 0, 0),  # t^2 - 1
+        (_poly(-1), 0, 0),
+        (_poly(1, 0, 1), 1, 0),  # (t^2 + 1) / t
+        (_poly(Fr(-1, 100), 0, 1), 2, 0),  # negative only near the pole
+        (_poly(-1, 0, 0, 0, 1), 2, Fr(1, 3)),
+        (_poly(5, 1), 3, Fr(-2)),
+        (_poly(-2, 0, 1) ** 2, 1, Fr(7, 5)),
+    ],
+)
+def test_line_fn_sos_raises_off_the_pole(num, order, pole):
+    fn = LineFn(num, order, pole)
+    assert fn.order == order
+    with pytest.raises(NotPsd) as info:
+        line_fn_sos(fn)
+    point = info.value.point
+    assert order == 0 or point != pole
+    assert fn(point) < 0 and info.value.value == fn(point)
+
+
+def test_line_fn_sos_random_orders():
+    rng = random.Random(5)
+    raised = decomposed = 0
+    for _ in range(120):
+        order = rng.randint(0, 3)
+        pole = Fr(rng.randint(-3, 3), rng.randint(1, 2))
+        num = _random_poly(rng)
+        if rng.random() < 0.5:
+            num = num * num
+        fn = LineFn(num, order, pole)
+        try:
+            dec = line_fn_sos(fn)
+        except NotPsd as bad:
+            raised += 1
+            assert fn.order == 0 or bad.point != fn.pole_at
+            assert fn(bad.point) < 0
+            continue
+        decomposed += 1
+        assert fn.order % 2 == 0
+        assert negative_point(fn.num) is None
+        if dec.exact:
+            total = LineFn.zero()
+            for part in dec.parts:
+                total = total + part * part
+            assert total == fn
+    assert raised > 20 and decomposed > 20
+
+
+@pytest.mark.parametrize(
+    "num",
+    [
+        _poly(1, 0, 1),  # Gaussian pairing
+        (T - UniPoly.one()) ** 2 * _poly(1, 0, 1).scale(3),  # 3 is no sum of two squares
+        _poly(1, 0, 1) * _poly(2, 0, 1),  # rational quadratic lists
+        UniPoly.const(Fr(7, 4)),
+        (T + UniPoly.const(2)) ** 4,
+    ],
+)
+def test_exact_decompositions_reexpand(num):
+    for order, pole in ((0, Fr(0)), (2, Fr(5)), (4, Fr(-1, 2))):
+        fn = LineFn(num, order, pole)
+        dec = line_fn_sos(fn)
+        assert dec.exact
+        total = LineFn.zero()
+        for part in dec.parts:
+            total = total + part * part
+        assert total == fn
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        LineFn(_poly(1, 1, 0, 0, 1)),  # numeric fallback
+        LineFn(_poly(2, 0, 1, 0, 1), 2, Fr(3)),
+        LineFn(_poly(1, 0, 1) * _poly(2, 0, 1)),
+        LineFn(_poly(1, 0, 1)),
+    ],
+)
+def test_psd_restriction_splits_and_finds_roots_once(monkeypatch, fn):
+    calls = {"split": 0, "roots": 0}
+    split, roots = squares._split_psd, squares._roots_upper_half
+
+    def counted_split(p):
+        calls["split"] += 1
+        return split(p)
+
+    def counted_roots(r):
+        calls["roots"] += 1
+        return roots(r)
+
+    monkeypatch.setattr(squares, "_split_psd", counted_split)
+    monkeypatch.setattr(squares, "_roots_upper_half", counted_roots)
+    line_fn_sos(fn)
+    assert calls == {"split": 1, "roots": 1}
