@@ -8,7 +8,18 @@ optional value conditions e(P)^T G e(P) = c tying attachment values to a
 part of the curve certified elsewhere.  The solver is Douglas-Rachford
 splitting between the psd cone (eigenvalue clipping) and the affine subspace
 (least squares, factorized once); extraction rounds the iterate, projects it
-exactly onto the affine slice and re-verifies the result exactly.
+exactly onto the slice of the rational rows and re-verifies the result
+exactly.
+
+At a shared point with algebraic coordinates the kernel condition has
+irrational coefficients, so the solver sees it as float rows only.  Each
+rational candidate is first tested against it exactly: the relation
+e_i(P) - e_j(P), scaled by a power of the frame denominator, is a vector of
+polynomials in the frame value u reduced modulo the point's defining
+polynomial, and G times it must vanish at the boxed root.  For psd
+G = sum d_k l_k l_k^T, u^T G u = sum d_k (l_k . u)^2, so G u = 0 exactly when
+every summand agrees at the point; the test decides agreement before any
+elimination, and a non-psd candidate is rejected by the LDL^T afterwards.
 """
 from __future__ import annotations
 
@@ -26,10 +37,10 @@ from .ringfn import (
     LineFn,
     RingFn,
     float_value,
+    value_as_u_fraction,
     value_at_point,
-    values_agree_at_algebraic,
 )
-from .unipoly import UniPoly
+from .unipoly import UniPoly, box_sign
 
 
 class NoConvergence(RuntimeError):
@@ -89,9 +100,22 @@ class PrescribedValue:
 
 @dataclass(frozen=True)
 class KernelPoint:
+    """A real point shared by two or more components of the problem.
+
+    At a rational point the agreement conditions are exact rows of the
+    problem.  At an algebraic point alpha, with defining polynomial
+    P = point.u.poly, `relations` holds one map per incident component after
+    the first: basis index s to w_s in Q[u] reduced modulo P, with
+    w(alpha) = C(alpha)^K (e_first(alpha) - e_other(alpha)) for the frame
+    denominator C, which does not vanish at alpha.  A psd G makes every
+    summand agree there exactly when G w(alpha) = 0 (see the module
+    docstring); `_agrees_at_algebraic_points` tests that.
+    """
+
     point_id: str
     components: tuple[str, ...]
     point: RationalPoint | AlgebraicPoint
+    relations: tuple[dict[int, UniPoly], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -99,8 +123,9 @@ class Row:
     """The constraint sum of coeffs[i, j] * G[i, j] over i <= j equals rhs.
 
     Coefficients are Fractions, except in the kernel rows of a shared point
-    with algebraic coordinates, where the basis values exist as floats only
-    and `exact` is False.
+    with algebraic coordinates: those carry float basis values for the
+    solver and have `exact` False.  The snap leaves them out; extraction
+    checks the same condition exactly through `KernelPoint.relations`.
     """
 
     coeffs: dict[tuple[int, int], Fraction | float]
@@ -269,13 +294,17 @@ def build_gram_problem(
                 cid: _basis_values(block_of[cid], charts[cid], rec.point)
                 for cid in incident
             }
+            relations = ()
         else:
             xf, yf = rec.point.as_floats(60)
             evals = {
                 cid: [float_value(b, charts[cid], xf, yf) for b in block_of[cid].basis]
                 for cid in incident
             }
-        kernel_points.append(KernelPoint(rec.id, tuple(incident), rec.point))
+            relations = _algebraic_relations(
+                rec.point, [block_of[cid] for cid in incident], charts
+            )
+        kernel_points.append(KernelPoint(rec.id, tuple(incident), rec.point, relations))
         base = block_of[incident[0]]
         for other in incident[1:]:
             u = _basis_vector(base, evals[base.component])
@@ -322,6 +351,34 @@ def build_gram_problem(
         kernel_points=kernel_points,
         values=values,
     )
+
+
+def _algebraic_relations(
+    point: AlgebraicPoint, blocks: list[GramBlock], charts: dict[str, object]
+) -> tuple[dict[int, UniPoly], ...]:
+    """C^K (e_first - e_other) at an algebraic point, reduced modulo its polynomial.
+
+    Each basis value is N/D with D a rational multiple of a power of the
+    frame denominator C (`value_as_u_fraction`), so multiplying every value
+    by the D of highest degree clears all of them with exact quotients.
+    """
+    modulus = point.u.poly
+    fracs = [
+        [value_as_u_fraction(b, charts[block.component], point) for b in block.basis]
+        for block in blocks
+    ]
+    common = max((d for vals in fracs for _, d in vals), key=lambda d: d.degree)
+    scaled = [
+        _basis_vector(block, [(num * common.exact_div(den)) % modulus for num, den in vals])
+        for block, vals in zip(blocks, fracs)
+    ]
+    out = []
+    for other in scaled[1:]:
+        rel = dict(scaled[0])
+        for s, w in other.items():
+            rel[s] = -w
+        out.append(rel)
+    return tuple(out)
 
 
 def _basis_vector(block: GramBlock, vals: list) -> dict[int, Fraction | float]:
@@ -607,10 +664,16 @@ def _promote(
 ) -> list[dict[str, RingFn]] | None:
     """Exact summands from a rational Gram candidate, or None.
 
-    Verifies in weighted form before splitting pivots into square lists:
-    the split can be expensive, and a bad candidate would send huge
-    integers into the four-square search.
+    Agreement at the algebraic shared points is tested first, on g itself:
+    a psd g = sum d_k l_k l_k^T has u^T g u = sum d_k (l_k . u)^2, so each
+    summand agrees at the point exactly when g u = 0, and a g that fails it
+    never reaches the exact LDL^T.  A non-psd g is rejected by the LDL^T.
+    The rest is verified in weighted form before splitting pivots into
+    square lists: the split can be expensive, and a bad candidate would send
+    huge integers into the four-square search.
     """
+    if not _agrees_at_algebraic_points(problem, g):
+        return None
     pivots = _rational_ldl(g)
     if pivots is None:
         return None
@@ -623,6 +686,25 @@ def _promote(
             if r:
                 exact_vectors.append([r * c for c in col])
     return _vectors_to_summands(problem, exact_vectors)
+
+
+def _agrees_at_algebraic_points(problem: GramProblem, g: list[list[Fraction]]) -> bool:
+    """Whether g w(alpha) = 0 for every relation w of every algebraic kernel point.
+
+    Row r of g times w is a polynomial reduced modulo the point's defining
+    polynomial; it vanishes at alpha when it is zero, and otherwise exactly
+    when `box_sign` finds a common root inside the point's box.
+    """
+    for kp in problem.kernel_points:
+        for rel in kp.relations:
+            for row in g:
+                acc = UniPoly.zero()
+                for s, w in rel.items():
+                    if row[s]:
+                        acc = acc + w.scale(row[s])
+                if acc and box_sign(acc, kp.point.u) != 0:
+                    return False
+    return True
 
 
 def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction]]] | None:
@@ -707,11 +789,15 @@ def _vectors_to_summands(
 def _weighted_exact_check(
     problem: GramProblem, weighted: list[tuple[Fraction, dict[str, RingFn]]]
 ) -> bool:
-    """Exactness of sum(d_i * f_i^2) against targets, kernel and value data.
+    """Exactness of sum(d_i * f_i^2) against targets, rational kernel points
+    and value data.
 
     Positive weights let the check run before pivots are expanded into
     square lists; agreement conditions quantify over summands, so they hold
-    for the weighted family iff they hold after expansion.
+    for the weighted family iff they hold after expansion.  Agreement at
+    algebraic kernel points is not tested here: `_promote` has already
+    shown g w(alpha) = 0 for the Gram matrix g = sum d_i l_i l_i^T, and
+    then each l_i . w(alpha) = 0 by the u^T g u argument.
     """
     for block in problem.blocks:
         cid = block.component
@@ -726,30 +812,17 @@ def _weighted_exact_check(
         elif total != target:
             return False
     for kp in problem.kernel_points:
-        if isinstance(kp.point, RationalPoint):
-            for d, fns in weighted:
-                if not d:
-                    continue
-                vals = {
-                    value_at_point(fns[cid], problem.charts[cid], kp.point)
-                    for cid in kp.components
-                }
-                if len(vals) != 1:
-                    return False
-        else:
-            base = kp.components[0]
-            for d, fns in weighted:
-                if not d:
-                    continue
-                for other in kp.components[1:]:
-                    if not values_agree_at_algebraic(
-                        fns[base],
-                        problem.charts[base],
-                        fns[other],
-                        problem.charts[other],
-                        kp.point,
-                    ):
-                        return False
+        if not isinstance(kp.point, RationalPoint):
+            continue
+        for d, fns in weighted:
+            if not d:
+                continue
+            vals = {
+                value_at_point(fns[cid], problem.charts[cid], kp.point)
+                for cid in kp.components
+            }
+            if len(vals) != 1:
+                return False
     value_vecs = {}
     for pv in problem.values:
         value_vecs[pv.point_id] = [

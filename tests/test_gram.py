@@ -1,12 +1,20 @@
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from soscurves import gram
+from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
+from soscurves.points import AlgebraicPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import restrict_to_chart
+from soscurves.ringfn import restrict_to_chart, values_agree_at_algebraic
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from bench_instances import compact_gram_draw, load_data  # noqa: E402
 
 
 def _problem(factors, target, degree):
@@ -154,3 +162,123 @@ def test_rational_ldl_beyond_float_range():
     assert pivots is not None and _rebuild(pivots, 3) == g
     g[2][2] -= 1
     assert gram._rational_ldl(g) is None
+
+
+def _two_circle_draw(k):
+    base = next(b for b in load_data()["compact-gram"]["bases"] if b["name"] == "two-circles")
+    inst = compact_gram_draw(base, k)
+    return list(inst.factors), inst.target
+
+
+def _null_space(rows, n):
+    """A basis of the rational vectors l with row . l = 0 for every row."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        at = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if at is None:
+            continue
+        top = len(pivots)
+        m[top], m[at] = m[at], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [c * inv for c in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fr(0)] * n
+        v[free] = Fr(1)
+        for i, col in enumerate(pivots):
+            v[col] = -m[i][free]
+        basis.append(v)
+    return basis
+
+
+def _summands_agree(problem, vectors):
+    """The per-summand reference: every summand takes one value at every
+    algebraic kernel point, tested with values_agree_at_algebraic."""
+    for fns in gram._vectors_to_summands(problem, vectors):
+        for kp in problem.kernel_points:
+            if not isinstance(kp.point, AlgebraicPoint):
+                continue
+            base = kp.components[0]
+            for other in kp.components[1:]:
+                if not values_agree_at_algebraic(
+                    fns[base], problem.charts[base], fns[other], problem.charts[other], kp.point
+                ):
+                    return False
+    return True
+
+
+AGREEMENT_PROBLEMS = [
+    (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1", 2),
+    (*_two_circle_draw(3), 2),
+    (*_two_circle_draw(17), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, target, degree",
+    AGREEMENT_PROBLEMS,
+    ids=["circle-pair", "two-circles-draw3", "two-circles-draw17"],
+)
+def test_exact_kernel_check_matches_per_summand_agreement(factors, target, degree):
+    problem = _problem(factors, target, degree)
+    n = problem.dim
+    algebraic = [kp for kp in problem.kernel_points if isinstance(kp.point, AlgebraicPoint)]
+    assert len(algebraic) == 2 and all(kp.relations for kp in algebraic)
+    coefficient_rows = [
+        [rel[s].coeff(k) if s in rel else Fr(0) for s in range(n)]
+        for kp in algebraic
+        for rel in kp.relations
+        for k in range(kp.point.u.poly.degree)
+    ]
+    null = _null_space(coefficient_rows, n)
+    assert 0 < len(null) < n
+    rng = np.random.default_rng(41)
+
+    def rational():
+        return Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+
+    def agreeing():
+        out = [Fr(0)] * n
+        for v in null:
+            c = rational()
+            out = [a + c * b for a, b in zip(out, v)]
+        return out
+
+    def candidate(vectors):
+        g = [[Fr(0)] * n for _ in range(n)]
+        for l in vectors:
+            for i in range(n):
+                for j in range(n):
+                    g[i][j] += l[i] * l[j]
+        return g
+
+    for trial in range(12):
+        good = [agreeing() for _ in range(1 + trial % 3)]
+        bad = good[: trial % 2] + [[rational() for _ in range(n)]]
+        for vectors, agree in ((good, True), (bad, False)):
+            assert _summands_agree(problem, vectors) is agree
+            assert gram._agrees_at_algebraic_points(problem, candidate(vectors)) is agree
+
+
+def test_failed_agreement_skips_the_exact_elimination(monkeypatch):
+    # two circles meeting at (1/2, +-sqrt(3)/2): no rounded candidate agrees
+    # exactly at the irrational shared points, and the exact kernel check
+    # rejects each before any LDL^T or weighted check runs
+    calls = {"_rational_ldl": 0, "_weighted_exact_check": 0}
+    for name in calls:
+        original = getattr(gram, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gram, name, counted)
+    analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
+    full_certify(analysis, B("x^2 + y^2 + 1"))
+    assert calls == {"_rational_ldl": 0, "_weighted_exact_check": 0}
