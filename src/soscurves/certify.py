@@ -72,7 +72,6 @@ class CompactResult:
     exact: bool
     residual: float
     degree: int
-    note: str = ""
 
 
 def _zero_fn(analysis: CurveAnalysis, cid: str) -> RingFn:
@@ -122,8 +121,6 @@ def compact_complete(
 
     d_min = max(_min_gram_degree(target_map), 1)
     cap = 2 * max(F.total_degree, 1) + 6
-    if cap < d_min:
-        raise Inconclusive(cap, float("inf"))
 
     best_residual = float("inf")
     best: tuple[list[dict[str, RingFn]], float, int] | None = None
@@ -137,18 +134,18 @@ def compact_complete(
         ext = extract_summands(sol)
         if ext.exact:
             summands = _align(analysis, ext.summands, prescribed, subset)
-            return CompactResult(summands, True, 0.0, degree, ext.note)
+            return CompactResult(summands, True, 0.0, degree)
         if ext.residual < best_residual:
             best_residual = ext.residual
             best = (ext.summands, ext.residual, degree)
         if ext.residual <= _GRAM_TOL:
             summands, res, deg = best
             summands = _align(analysis, summands, prescribed, subset)
-            return CompactResult(summands, False, res, deg, "numeric gram summands")
+            return CompactResult(summands, False, res, deg)
     if best is not None and best[1] <= _NUMERIC_ACCEPT:
         summands, res, deg = best
         summands = _align(analysis, summands, prescribed, subset)
-        return CompactResult(summands, False, res, deg, "numeric gram summands")
+        return CompactResult(summands, False, res, deg)
     raise Inconclusive(cap, best_residual)
 
 

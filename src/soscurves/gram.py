@@ -7,19 +7,23 @@ G (e_i(P) - e_j(P)) = 0 making every summand agree at shared points, and
 optional value conditions e(P)^T G e(P) = c tying attachment values to a
 part of the curve certified elsewhere.  The solver is Douglas-Rachford
 splitting between the psd cone (eigenvalue clipping) and the affine subspace
-(least squares, factorized once); extraction rounds the iterate, projects it
-exactly onto the slice of the rational rows and re-verifies the result
-exactly.
+(least squares, factorized once); extraction rounds the iterate and projects
+it exactly onto the slice of the rational rows (Peyrl and Parrilo, TCS 2008).
 
-At a shared point with algebraic coordinates the kernel condition has
-irrational coefficients, so the solver sees it as float rows only.  Each
-rational candidate is first tested against it exactly: the relation
-e_i(P) - e_j(P), scaled by a power of the frame denominator, is a vector of
-polynomials in the frame value u reduced modulo the point's defining
-polynomial, and G times it must vanish at the boxed root.  For psd
-G = sum d_k l_k l_k^T, u^T G u = sum d_k (l_k . u)^2, so G u = 0 exactly when
-every summand agrees at the point; the test decides agreement before any
-elimination, and a non-psd candidate is rejected by the LDL^T afterwards.
+Each exact fact about a rational candidate G is proved once:
+- the closing check of `_ExactAffineSnap.snap` proves every exact row:
+  coefficient matching, G u = 0 at rational shared points and at zero value
+  prescriptions, and the value rows e(P)^T G e(Q) = <v_P, v_Q>;
+- `_agrees_at_algebraic_points` proves agreement at the shared points with
+  algebraic coordinates, whose kernel rows the solver sees as floats only:
+  the relation e_i(P) - e_j(P), scaled by a power of the frame denominator,
+  is a vector of polynomials in the frame value u reduced modulo the point's
+  defining polynomial, and G times it must vanish at the boxed root;
+- the exact L D L^T of `_rational_ldl` proves G psd, G = sum d_k l_k l_k^T.
+For psd G, u^T G u = sum d_k (l_k . u)^2, so G u = 0 makes every summand
+l_k agree at the point; the coefficient rows give sum d_k f_k^2 = target and
+the value rows are bilinear in G.  Splitting each d_k into rational squares
+keeps all three, so the summands need no further check.
 """
 from __future__ import annotations
 
@@ -475,9 +479,9 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
         if res <= _SOLVER_TOL:
             return GramSolution(problem, y, it)
         if it % _EXTRACT_EVERY == 0:
-            ext = _extract(problem, y, ladder=_PROBE_LADDER)
-            if ext.exact:
-                return GramSolution(problem, y, it, extraction=ext)
+            found = _round_to_exact(problem, y, _PROBE_LADDER)
+            if found is not None:
+                return GramSolution(problem, y, it, Extraction(found, True, 0.0))
         # patience rule: infeasible problems level off at a positive gap,
         # slow feasible ones keep shaving the residual
         if it >= 500 and it % 100 == 0 and res > 1000 * _SOLVER_TOL:
@@ -497,8 +501,12 @@ class _ExactAffineSnap:
     Rounding a near-solution entrywise almost never lands on the slice when
     it is positive-dimensional but tilted; projecting the rounded matrix
     back in exact arithmetic does.  Inner products use the symmetric-matrix
-    metric (off-diagonal entries weigh twice), the normal matrix is LU
-    factored once, and each snap is two substitutions.
+    metric (off-diagonal entries weigh twice).  The normal matrix N of the
+    rows is their Gram matrix in that metric, hence psd, so `_ldl_pivots`
+    factors it once, N = sum d_k c_k c_k^T, without the float screen, and
+    each snap is a forward and a backward sweep over the pivots.  Dependent
+    rows leave pivots out; a system that is inconsistent with them is caught
+    by the closing row check of `snap`.
     """
 
     def __init__(self, rows: list[Row]):
@@ -518,67 +526,45 @@ class _ExactAffineSnap:
                         acc += c * d / w
                 normal[a][b] = acc
                 normal[b][a] = acc
-        # in-place LU with first-nonzero pivoting; exact arithmetic needs no
-        # stability pivot, and first-nonzero keeps runs deterministic
-        self.perm: list[int] = list(range(k))
-        self.pivot_cols: list[tuple[int, int]] = []  # (elimination step, column)
-        m = normal
-        row_of = self.perm
-        step = 0
-        for col in range(k):
-            pr = None
-            for r in range(step, k):
-                if m[row_of[r]][col]:
-                    pr = r
-                    break
-            if pr is None:
-                continue
-            row_of[step], row_of[pr] = row_of[pr], row_of[step]
-            prow = m[row_of[step]]
-            inv = 1 / prow[col]
-            for r in range(step + 1, k):
-                cur = m[row_of[r]]
-                factor = cur[col] * inv
-                if factor:
-                    cur[col] = factor  # store the multiplier in place
-                    for c in range(col + 1, k):
-                        if prow[c]:
-                            cur[c] -= factor * prow[c]
-            self.pivot_cols.append((step, col))
-            step += 1
-        self.lu = m
-        self.rank = step
+        # (pivot row p_k, pivot d_k, the nonzero entries of c_k other than p_k)
+        self.pivots = [
+            (p, d, [(i, c) for i, c in enumerate(col) if c and i != p])
+            for p, d, col in _ldl_pivots(normal)
+        ]
 
-    def _solve_normal(self, v: list[Fraction]) -> list[Fraction] | None:
-        k = len(self.rows)
-        y = [v[i] for i in self.perm]
-        for step, col in self.pivot_cols:
-            pivot_y = y[step]
-            if not pivot_y:
-                continue
-            for r in range(step + 1, k):
-                factor = self.lu[self.perm[r]][col]
-                if factor:
-                    y[r] -= factor * pivot_y
-        for r in range(self.rank, k):
-            if y[r]:
-                return None  # inconsistent with the dependent rows
-        lam = [Fraction(0)] * k
-        for idx in range(self.rank - 1, -1, -1):
-            step, col = self.pivot_cols[idx]
-            acc = y[step]
-            row = self.lu[self.perm[step]]
-            for later in range(idx + 1, self.rank):
-                _, col2 = self.pivot_cols[later]
-                if row[col2]:
-                    acc -= row[col2] * lam[col2]
-            lam[col] = acc / row[col]
+    def _solve_normal(self, v: list[Fraction]) -> list[Fraction]:
+        """A solution of N lam = v, zero off the pivot rows, when one exists.
+
+        Pivot k has c_k[p_k] = 1 and c_k[p_j] = 0 for j < k.  With
+        y_k = d_k (c_k . lam), N lam = sum y_k c_k: the forward sweep reads
+        y_k off the pivot rows of v, and the backward sweep solves
+        c_k . lam = y_k / d_k for lam[p_k], last pivot first.
+        """
+        rest = list(v)
+        ys = []
+        for p, _, col in self.pivots:
+            y = rest[p]
+            ys.append(y)
+            if y:
+                for i, c in col:
+                    rest[i] -= y * c
+        lam = [Fraction(0)] * len(v)
+        for (p, d, col), y in zip(reversed(self.pivots), reversed(ys)):
+            acc = y / d
+            for i, c in col:
+                if lam[i]:
+                    acc -= c * lam[i]
+            lam[p] = acc
         return lam
 
     def snap(self, ghat: list[list[Fraction]]) -> list[list[Fraction]] | None:
-        """Nearest matrix to ghat satisfying every exact row; None only when
-        the correction system is inconsistent, which rounding noise cannot
-        cause (the rows come from a feasible problem)."""
+        """Nearest matrix to ghat satisfying every exact row, or None.
+
+        The closing check is the one place that proves a candidate meets
+        every exact row; it returns None when the rows are inconsistent,
+        which rounding noise cannot cause (the rows come from a feasible
+        problem).
+        """
         v = []
         for row in self.rows:
             acc = row.rhs
@@ -586,8 +572,6 @@ class _ExactAffineSnap:
                 acc -= c * ghat[i][j]
             v.append(acc)
         lam = self._solve_normal(v)
-        if lam is None:
-            return None
         out = [r[:] for r in ghat]
         for l, row in zip(lam, self.rows):
             if not l:
@@ -611,29 +595,36 @@ class Extraction:
     summands: list[dict[str, RingFn]]
     exact: bool
     residual: float
-    note: str = ""
 
 
 def extract_summands(sol: GramSolution) -> Extraction:
+    """Summand functions from the Gram matrix of a solution.
+
+    Exact summands when the rounding ladder finds them; otherwise the
+    eigenvector summands with their coefficient residual.
+    """
     if sol.extraction is not None:
         return sol.extraction
-    return _extract(sol.problem, sol.matrix)
+    found = _round_to_exact(sol.problem, sol.matrix, _ROUND_LADDER)
+    if found is not None:
+        return Extraction(found, True, 0.0)
+    w, v = jacobi_eigh(sol.matrix)
+    order = np.argsort(w)[::-1]
+    cutoff = max(1.0, float(np.max(np.abs(w)))) * 1e-10 if w.size else 0.0
+    vectors = [np.sqrt(max(w[i], 0.0)) * v[:, i] for i in order if w[i] > cutoff]
+    float_vectors = [[Fraction(float(c)) for c in vec] for vec in vectors]
+    summands = _vectors_to_summands(sol.problem, float_vectors)
+    return Extraction(summands, False, _float_residual(sol.problem, summands))
 
 
-def _extract(
-    problem: GramProblem,
-    matrix: np.ndarray,
-    ladder: tuple[int, ...] = _ROUND_LADDER,
-) -> Extraction:
-    """Summand functions from the Gram matrix.
+def _round_to_exact(
+    problem: GramProblem, matrix: np.ndarray, ladder: tuple[int, ...]
+) -> list[dict[str, RingFn]] | None:
+    """Exact summands from the first rounding of the matrix that promotes, or None.
 
-    The exact route rounds the matrix entries to small rationals, projects
-    the result exactly onto the slice of the exact rows, factors it as
-    L D L^T over the rationals, and turns each positive pivot into a square
-    list, so irrational eigen directions are never an obstruction; the result
-    is promoted to exact only after re-verification against the stored
-    targets, kernel points and value data.  Failing that, the eigenvector
-    summands are returned with a coefficient residual.
+    Each rung rounds the entries to rationals with bounded denominators and
+    projects the result exactly onto the slice of the exact rows, so
+    irrational eigen directions are never an obstruction.
     """
     n = problem.dim
     for denom in ladder:
@@ -647,38 +638,25 @@ def _extract(
         snapped = problem.snap.snap(g)
         found = None if snapped is None else _promote(problem, snapped)
         if found is not None:
-            return Extraction(found, True, 0.0, f"rationalized at {denom}")
-
-    w, v = jacobi_eigh(matrix)
-    order = np.argsort(w)[::-1]
-    cutoff = max(1.0, float(np.max(np.abs(w)))) * 1e-10 if w.size else 0.0
-    vectors = [np.sqrt(max(w[i], 0.0)) * v[:, i] for i in order if w[i] > cutoff]
-    float_vectors = [[Fraction(float(c)) for c in vec] for vec in vectors]
-    summands = _vectors_to_summands(problem, float_vectors)
-    residual = _float_residual(problem, summands)
-    return Extraction(summands, False, residual, "rationalization failed")
+            return found
+    return None
 
 
 def _promote(
     problem: GramProblem, g: list[list[Fraction]]
 ) -> list[dict[str, RingFn]] | None:
-    """Exact summands from a rational Gram candidate, or None.
+    """Exact summands from a snapped rational Gram candidate, or None.
 
-    Agreement at the algebraic shared points is tested first, on g itself:
-    a psd g = sum d_k l_k l_k^T has u^T g u = sum d_k (l_k . u)^2, so each
-    summand agrees at the point exactly when g u = 0, and a g that fails it
-    never reaches the exact LDL^T.  A non-psd g is rejected by the LDL^T.
-    The rest is verified in weighted form before splitting pivots into
-    square lists: the split can be expensive, and a bad candidate would send
-    huge integers into the four-square search.
+    The snap has proved every exact row.  Agreement at the algebraic shared
+    points is tested next, on g itself, so a g that fails it never reaches
+    the exact L D L^T; the L D L^T then rejects a non-psd g.  For the rest,
+    g = sum d_k l_k l_k^T with d_k > 0 gives each summand exactly what the
+    module docstring states, and so does each square r^2 of the split of d_k.
     """
     if not _agrees_at_algebraic_points(problem, g):
         return None
     pivots = _rational_ldl(g)
     if pivots is None:
-        return None
-    weighted = [(d, _vectors_to_summands(problem, [col])[0]) for d, col in pivots]
-    if not _weighted_exact_check(problem, weighted):
         return None
     exact_vectors: list[list[Fraction]] = []
     for d, col in pivots:
@@ -712,26 +690,41 @@ def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction
 
     Returns (pivot, column) pairs with the matrix equal to the sum of
     pivot * column * column^T, or None if the matrix is not psd over the
-    rationals (negative pivot, or a zero diagonal with a nonzero row).
+    rationals.  This is the float screen followed by `_ldl_pivots`.
 
-    A float screen runs first and may only reject: it returns None when the
-    smallest eigenvalue of the rounded matrix lies below
-    -_SCREEN_MARGIN * max(1, ||G||_F).  For psd G that cannot happen.
-    Rounding each entry to a float moves it by at most 2^-53 of its size
-    (plus 2^-1074 for subnormals), so the rounded matrix lies within
-    2^-53 ||G||_F + n * 2^-1074 of G in the 2-norm, and LAPACK's eigenvalues
-    are exact for a matrix within c * n * 2^-53 ||G||_2 of that one (Weyl's
-    inequality bounds the eigenvalue shift by each distance).  While c * n
-    stays below 900 both terms are more than 10^4 times smaller than the
-    margin.  Matrices with entries outside the float range skip the screen.
-    Every psd verdict comes from the exact elimination below.
+    The screen may only reject: it returns None when the smallest eigenvalue
+    of the rounded matrix lies below -_SCREEN_MARGIN * max(1, ||G||_F).  For
+    psd G that cannot happen.  Rounding each entry to a float moves it by at
+    most 2^-53 of its size (plus 2^-1074 for subnormals), so the rounded
+    matrix lies within 2^-53 ||G||_F + n * 2^-1074 of G in the 2-norm, and
+    LAPACK's eigenvalues are exact for a matrix within c * n * 2^-53 ||G||_2
+    of that one (Weyl's inequality bounds the eigenvalue shift by each
+    distance).  While c * n stays below 900 both terms are more than 10^4
+    times smaller than the margin.  Matrices with entries outside the float
+    range skip the screen.  Every psd verdict comes from the exact
+    elimination.
     """
     if _float_screen_rejects(g):
         return None
+    pivots = _ldl_pivots(g)
+    return None if pivots is None else [(d, col) for _, d, col in pivots]
+
+
+def _ldl_pivots(
+    g: list[list[Fraction]],
+) -> list[tuple[int, Fraction, list[Fraction]]] | None:
+    """Exact pivoted L D L^T: (pivot index p_k, pivot d_k, column c_k) triples.
+
+    The matrix equals sum d_k c_k c_k^T, each pivot is the largest remaining
+    diagonal entry, c_k[p_k] = 1 and c_k[p_j] = 0 for j < k.  None when the
+    matrix is not psd: a negative pivot, or a zero diagonal with a nonzero
+    remaining entry.  The update skips the zero entries of each column,
+    which keeps sparse normal matrices cheap.
+    """
     n = len(g)
     m = [row[:] for row in g]
     active = list(range(n))
-    out: list[tuple[Fraction, list[Fraction]]] = []
+    out: list[tuple[int, Fraction, list[Fraction]]] = []
     while active:
         p = max(active, key=lambda i: m[i][i])
         d = m[p][p]
@@ -744,11 +737,14 @@ def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction
         col = [Fraction(0)] * n
         for i in active:
             col[i] = m[i][p] / d
-        for i in active:
-            for j in active:
-                m[i][j] -= d * col[i] * col[j]
+        support = [i for i in active if col[i]]
+        for i in support:
+            scaled = d * col[i]
+            row = m[i]
+            for j in support:
+                row[j] -= scaled * col[j]
         active.remove(p)
-        out.append((d, col))
+        out.append((p, d, col))
     return out
 
 
@@ -786,80 +782,13 @@ def _vectors_to_summands(
     return out
 
 
-def _weighted_exact_check(
-    problem: GramProblem, weighted: list[tuple[Fraction, dict[str, RingFn]]]
-) -> bool:
-    """Exactness of sum(d_i * f_i^2) against targets, rational kernel points
-    and value data.
-
-    Positive weights let the check run before pivots are expanded into
-    square lists; agreement conditions quantify over summands, so they hold
-    for the weighted family iff they hold after expansion.  Agreement at
-    algebraic kernel points is not tested here: `_promote` has already
-    shown g w(alpha) = 0 for the Gram matrix g = sum d_i l_i l_i^T, and
-    then each l_i . w(alpha) = 0 by the u^T g u argument.
-    """
-    for block in problem.blocks:
-        cid = block.component
-        target = problem.targets[cid]
-        total = None
-        for d, fns in weighted:
-            term = (fns[cid] * fns[cid]).scale(d)
-            total = term if total is None else total + term
-        if total is None:
-            if not target.is_zero:
-                return False
-        elif total != target:
-            return False
-    for kp in problem.kernel_points:
-        if not isinstance(kp.point, RationalPoint):
-            continue
-        for d, fns in weighted:
-            if not d:
-                continue
-            vals = {
-                value_at_point(fns[cid], problem.charts[cid], kp.point)
-                for cid in kp.components
-            }
-            if len(vals) != 1:
-                return False
-    value_vecs = {}
-    for pv in problem.values:
-        value_vecs[pv.point_id] = [
-            value_at_point(fns[pv.component], problem.charts[pv.component], pv.point)
-            for _, fns in weighted
-        ]
-    for i, pv in enumerate(problem.values):
-        for j in range(i, len(problem.values)):
-            other = problem.values[j]
-            total = Fraction(0)
-            for (d, _), va, vb in zip(
-                weighted, value_vecs[pv.point_id], value_vecs[other.point_id]
-            ):
-                total += d * va * vb
-            goal = sum(
-                (a * b for a, b in zip(pv.vector, other.vector)), Fraction(0)
-            )
-            if total != goal:
-                return False
-    return True
-
-
 def _float_residual(problem: GramProblem, summands: list[dict[str, RingFn]]) -> float:
+    """Largest coefficient of sum f^2 - target, in magnitude, over the blocks."""
     worst = 0.0
     for block in problem.blocks:
-        cid = block.component
-        target = problem.targets[cid]
-        if not summands:
-            gap_slots = _coeff_slots(target)
-            worst = max(
-                [worst] + [abs(float(c)) for c in gap_slots.values()], default=worst
-            )
-            continue
-        total = summands[0][cid].scale(0)
+        gap = problem.targets[block.component].scale(-1)
         for s in summands:
-            total = total + s[cid] * s[cid]
-        gap = total - target
+            gap = gap + s[block.component] * s[block.component]
         for c in _coeff_slots(gap).values():
             worst = max(worst, abs(float(c)))
     return worst

@@ -28,6 +28,11 @@ def _problem(factors, target, degree):
 PROBLEMS = [
     (["x^2 + y^2 - 1"], "x^2 + 1"),
     (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1"),
+    # four rational shared points whose kernel rows make the snap's rows dependent
+    (
+        ["x^2+y^2-1", "(x-1)^2+y^2-1", "x^2+(y-1)^2-1", "(x-1)^2+(y-1)^2-1"],
+        "1",
+    ),
 ]
 
 
@@ -95,14 +100,31 @@ def test_snap_fixes_a_matrix_on_the_slice(factors, target):
     problem = _problem(factors, target, 1)
     snap = problem.snap
     rng = np.random.default_rng(11)
-    g = snap.snap(_random_rational_symmetric(rng, problem.dim))
+    ghat, other = (_random_rational_symmetric(rng, problem.dim) for _ in range(2))
+    g = snap.snap(ghat)
     assert g is not None and _meets_every_row(snap.rows, g)
     assert snap.snap(g) == g
+    # nearest point: ghat - g is orthogonal to the slice in the symmetric
+    # metric, so to the difference of any two points on it
+    h = snap.snap(other)
+    assert h is not None and _meets_every_row(snap.rows, h)
+    n = problem.dim
+    assert sum(
+        (ghat[i][j] - g[i][j]) * (h[i][j] - g[i][j]) for i in range(n) for j in range(n)
+    ) == 0
+    if len(factors) == 4:
+        # the dependent rows leave pivots out of the elimination
+        assert len(snap.pivots) < len(snap.rows)
     if len(factors) == 1:
         # basis 1, x, w on the unit circle: 1 + x^2 is the diagonal (1, 1, 0)
         diag = [[Fr(int(i == j and i < 2)) for j in range(3)] for i in range(3)]
         assert _meets_every_row(snap.rows, diag)
         assert snap.snap(diag) == diag
+
+
+def test_snap_of_inconsistent_rows_is_none():
+    rows = [gram.Row({(0, 0): Fr(1)}, Fr(1)), gram.Row({(0, 0): Fr(1)}, Fr(2))]
+    assert gram._ExactAffineSnap(rows).snap([[Fr(0)]]) is None
 
 
 def _rank_deficient_psd(rng, n, r, scale):
@@ -269,16 +291,15 @@ def test_exact_kernel_check_matches_per_summand_agreement(factors, target, degre
 def test_failed_agreement_skips_the_exact_elimination(monkeypatch):
     # two circles meeting at (1/2, +-sqrt(3)/2): no rounded candidate agrees
     # exactly at the irrational shared points, and the exact kernel check
-    # rejects each before any LDL^T or weighted check runs
-    calls = {"_rational_ldl": 0, "_weighted_exact_check": 0}
-    for name in calls:
-        original = getattr(gram, name)
+    # rejects each before any LDL^T runs
+    calls = []
+    original = gram._rational_ldl
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(gram, name, counted)
+    monkeypatch.setattr(gram, "_rational_ldl", counted)
     analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
     full_certify(analysis, B("x^2 + y^2 + 1"))
-    assert calls == {"_rational_ldl": 0, "_weighted_exact_check": 0}
+    assert not calls
