@@ -24,6 +24,13 @@ For psd G, u^T G u = sum d_k (l_k . u)^2, so G u = 0 makes every summand
 l_k agree at the point; the coefficient rows give sum d_k f_k^2 = target and
 the value rows are bilinear in G.  Splitting each d_k into rational squares
 keeps all three, so the summands need no further check.
+
+One filter runs before these proofs and proves nothing: `_AgreementScreen`
+evaluates the first test `_agrees_at_algebraic_points` would make on the
+snapped matrix directly on the rounded one, since the snap is affine
+(`_ExactAffineSnap.pull_back`), and skips the snap when that test fails.
+It only rejects, and only candidates the agreement check would reject
+after the snap; every accepted candidate is still snapped and proved.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ import numpy as np
 
 from .components import CircleChart, PolyChart
 from .curve import CurveAnalysis
-from .numbers import rational_square_list
+from .numbers import limit_denominators, rational_square_list
 from .points import AlgebraicPoint, RationalPoint
 from .ringfn import (
     CircleFn,
@@ -44,7 +51,7 @@ from .ringfn import (
     value_as_u_fraction,
     value_at_point,
 )
-from .unipoly import UniPoly, box_sign
+from .unipoly import RootBox, UniPoly, box_sign
 
 
 class NoConvergence(RuntimeError):
@@ -142,6 +149,7 @@ class GramProblem:
     blocks: list[GramBlock]
     rows: list[Row]
     snap: "_ExactAffineSnap"  # exact projection onto the exact rows
+    screen: "_AgreementScreen | None"  # reject-only test of candidates before the snap
     degree: int
     targets: dict[str, RingFn]
     charts: dict[str, object]
@@ -345,10 +353,12 @@ def build_gram_problem(
                     row[key] = row.get(key, Fraction(0)) + ca * cb
             rows.append(Row(row, inner))
 
+    snap = _ExactAffineSnap([r for r in rows if r.exact])
     return GramProblem(
         blocks=blocks,
         rows=rows,
-        snap=_ExactAffineSnap([r for r in rows if r.exact]),
+        snap=snap,
+        screen=_AgreementScreen.build(snap, kernel_points),
         degree=degree,
         targets=targets,
         charts=charts,
@@ -507,6 +517,15 @@ class _ExactAffineSnap:
     each snap is a forward and a backward sweep over the pivots.  Dependent
     rows leave pivots out; a system that is inconsistent with them is caught
     by the closing row check of `snap`.
+
+    The snap is affine: snap(ghat) = ghat + sum_a lam_a M_a, with M_a the
+    symmetric matrix of row a (so <M_a, G> = R_a(G)) and lam = S (b - R ghat).
+    The forward sweep of `_solve_normal` reads only the pivot rows p, so
+    S = E_p N_pp^-1 E_p^T, which is symmetric also when rows are dependent.
+    For a linear phi and f_a = phi(M_a) this gives
+    phi(snap(ghat)) = phi(ghat) + (S f) . (b - R ghat) = c + <psi, ghat>
+    with z = S f, c = z . b and psi = phi - sum_a z_a R_a: one solve pulls
+    phi back to the rounded matrix (`pull_back`).
     """
 
     def __init__(self, rows: list[Row]):
@@ -557,6 +576,33 @@ class _ExactAffineSnap:
             lam[p] = acc
         return lam
 
+    def pull_back(
+        self, phi: dict[tuple[int, int], Fraction]
+    ) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
+        """(c, psi) with phi(snap(ghat)) = c + <psi, ghat> for symmetric ghat.
+
+        phi and psi are keyed like row coefficients, (i, j) with i <= j,
+        and <psi, G> = sum psi[i, j] G[i][j]; see the class docstring.
+        The identity holds wherever `snap` returns a matrix.
+        """
+        f = []
+        for row in self.rows:
+            acc = Fraction(0)
+            for key, c in row.coeffs.items():
+                d = phi.get(key)
+                if d is not None:
+                    acc += c * d / (2 if key[0] != key[1] else 1)
+            f.append(acc)
+        psi = dict(phi)
+        const = Fraction(0)
+        for z, row in zip(self._solve_normal(f), self.rows):
+            if not z:
+                continue
+            const += z * row.rhs
+            for key, c in row.coeffs.items():
+                psi[key] = psi.get(key, 0) - z * c
+        return const, {key: c for key, c in psi.items() if c}
+
     def snap(self, ghat: list[list[Fraction]]) -> list[list[Fraction]] | None:
         """Nearest matrix to ghat satisfying every exact row, or None.
 
@@ -588,6 +634,52 @@ class _ExactAffineSnap:
             if acc != row.rhs:
                 return None
         return out
+
+
+@dataclass(frozen=True)
+class _AgreementScreen:
+    """The first test of `_agrees_at_algebraic_points`, pulled back before the snap.
+
+    For the first relation w of the first algebraic kernel point, with
+    defining polynomial P, that test takes row 0 of the snapped matrix:
+    sum_s G[0][s] w_s, a polynomial of degree below deg P, and rejects when
+    it is nonzero with a nonzero `box_sign` at the point.  Its coefficient
+    of u^k is the linear map phi_k(G) = sum_s G[0][s] coeff_k(w_s), and
+    `_ExactAffineSnap.pull_back` turns each into c_k + <psi_k, ghat> on the
+    rounded matrix, so the screen evaluates the same polynomial without
+    snapping.  It only ever rejects a candidate that `_promote` would
+    reject; every acceptance still goes through the snap and `_promote`.
+    """
+
+    box: RootBox
+    terms: tuple[tuple[Fraction, tuple[tuple[int, int, Fraction], ...]], ...]
+
+    @staticmethod
+    def build(
+        snap: _ExactAffineSnap, kernel_points: list[KernelPoint]
+    ) -> "_AgreementScreen | None":
+        kp = next((kp for kp in kernel_points if kp.relations), None)
+        if kp is None:
+            return None
+        rel = kp.relations[0]
+        terms = []
+        for k in range(kp.point.u.poly.degree):
+            phi = {(0, s): w.coeff(k) for s, w in rel.items() if w.coeff(k)}
+            const, psi = snap.pull_back(phi)
+            terms.append((const, tuple((i, j, c) for (i, j), c in psi.items())))
+        return _AgreementScreen(kp.point.u, tuple(terms))
+
+    def rejects(self, ghat: list[list[Fraction]]) -> bool:
+        """Whether row 0 of snap(ghat) fails the agreement test at the point."""
+        coeffs = []
+        for const, psi in self.terms:
+            acc = const
+            for i, j, c in psi:
+                if ghat[i][j]:
+                    acc += c * ghat[i][j]
+            coeffs.append(acc)
+        poly = UniPoly(coeffs)
+        return bool(poly) and box_sign(poly, self.box) != 0
 
 
 @dataclass
@@ -624,15 +716,28 @@ def _round_to_exact(
 
     Each rung rounds the entries to rationals with bounded denominators and
     projects the result exactly onto the slice of the exact rows, so
-    irrational eigen directions are never an obstruction.
+    irrational eigen directions are never an obstruction.  Each entry is
+    rounded once for the whole ladder (`limit_denominators`).
+
+    Before the snap, the problem's `_AgreementScreen` evaluates the first
+    agreement test of `_promote` on the snapped matrix without computing
+    it: the snap is affine with a symmetric solve (`_ExactAffineSnap`), so
+    each coefficient of the tested polynomial is c_k + <psi_k, ghat>.  A
+    rung the screen rejects would fail `_agrees_at_algebraic_points` after
+    the snap, so skipping it changes no result.
     """
     n = problem.dim
-    for denom in ladder:
+    upper = [
+        [limit_denominators(x, ladder) for x in row[i:]]
+        for i, row in enumerate(matrix.tolist())
+    ]
+    for rung in range(len(ladder)):
         g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                c = Fraction(float(matrix[i, j])).limit_denominator(denom)
-                g[i][j] = g[j][i] = c
+                g[i][j] = g[j][i] = upper[i][j - i][rung]
+        if problem.screen is not None and problem.screen.rejects(g):
+            continue
         # a rounded g that passes _promote meets every exact row, so the
         # snap returns it unchanged: the snapped matrix is the only candidate
         snapped = problem.snap.snap(g)

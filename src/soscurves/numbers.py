@@ -23,6 +23,40 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return Fraction(a, b)
 
 
+def limit_denominators(x, ladder: tuple[int, ...] | list[int]) -> list[Fraction]:
+    """[Fraction(x).limit_denominator(d) for d in ladder] from one expansion.
+
+    x is anything with `as_integer_ratio` (a float, int or Fraction).  The
+    continued fraction of x is expanded once, in integers, as far as the
+    largest rung needs; each rung then picks between its last convergent
+    p1/q1 and the semiconvergent next to it by cross-multiplying, with
+    CPython's tie rule (the convergent wins a tie).
+    """
+    num, den = x.as_integer_ratio()
+    best: dict[int, Fraction] = {}
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    for bound in sorted(set(ladder)):
+        if den <= bound:
+            best[bound] = Fraction(num, den)
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        ps, qs = p0 + k * p1, q0 + k * q1
+        # |p1/q1 - x| <= |ps/qs - x|, both distances over the common den
+        if abs(p1 * den - num * q1) * qs <= abs(ps * den - num * qs) * q1:
+            best[bound] = Fraction(p1, q1)
+        else:
+            best[bound] = Fraction(ps, qs)
+    return [best[bound] for bound in ladder]
+
+
 def _two_squares(n: int) -> list[int] | None:
     """n = a**2 + b**2 with a >= b >= 0, by scanning the short admissible range."""
     if n == 0:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numbers import _two_squares, rational_square_list
+from .numbers import _two_squares, limit_denominators, rational_square_list
 from .ringfn import LineFn
 from .unipoly import UniPoly, isolate_real_roots, yun_decomposition
 
@@ -132,10 +132,6 @@ def _poly_from_roots(roots: list[complex]) -> list[complex]:
     return coeffs
 
 
-def _rationalize(values: list[float], denominator: int) -> UniPoly:
-    return UniPoly([Fraction(v).limit_denominator(denominator) for v in values])
-
-
 def _gaussian_pairing(r: UniPoly, upper: list[complex]) -> tuple[UniPoly, UniPoly] | None:
     """r = A^2 + B^2 with rational A, B through complex root pairing.
 
@@ -151,11 +147,10 @@ def _gaussian_pairing(r: UniPoly, upper: list[complex]) -> tuple[UniPoly, UniPol
             upper[j] if (mask >> j) & 1 else upper[j].conjugate() for j in range(m)
         ]
         coeffs = _poly_from_roots(chosen)
-        re = [c.real for c in coeffs]
-        im = [c.imag for c in coeffs]
-        for denom in _DENOMINATOR_LADDER:
-            a = _rationalize(re, denom)
-            b = _rationalize(im, denom)
+        # one tuple of coefficients per rung of the ladder
+        re = zip(*(limit_denominators(c.real, _DENOMINATOR_LADDER) for c in coeffs))
+        im = zip(*(limit_denominators(c.imag, _DENOMINATOR_LADDER) for c in coeffs))
+        for a, b in zip(map(UniPoly, re), map(UniPoly, im)):
             if a * a + b * b == r:
                 return a, b
     return None
@@ -171,9 +166,9 @@ def _quadratic_square_lists(
         if remaining.degree < 2:
             break
         found = None
-        for denom in _DENOMINATOR_LADDER:
-            u = Fraction(-2.0 * z.real).limit_denominator(denom)
-            v = Fraction(abs(z) ** 2).limit_denominator(denom)
+        us = limit_denominators(-2.0 * z.real, _DENOMINATOR_LADDER)
+        vs = limit_denominators(abs(z) ** 2, _DENOMINATOR_LADDER)
+        for u, v in zip(us, vs):
             quad = UniPoly([v, u, Fraction(1)])
             quo, rem = divmod(remaining, quad)
             if rem.is_zero():

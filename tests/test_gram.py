@@ -11,6 +11,7 @@ from soscurves.curve import analyze_curve
 from soscurves.points import AlgebraicPoint
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import restrict_to_chart, values_agree_at_algebraic
+from soscurves.unipoly import UniPoly, box_sign, isolate_real_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -303,3 +304,101 @@ def test_failed_agreement_skips_the_exact_elimination(monkeypatch):
     analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
     full_certify(analysis, B("x^2 + y^2 + 1"))
     assert not calls
+
+
+def _apply(phi, g):
+    return sum((c * g[i][j] for (i, j), c in phi.items()), Fr(0))
+
+
+@pytest.mark.parametrize(
+    "factors, target, degree",
+    AGREEMENT_PROBLEMS + [(*PROBLEMS[2], 1)],
+    ids=["circle-pair", "two-circles-draw3", "two-circles-draw17", "four-circles"],
+)
+def test_pull_back_matches_the_snap(factors, target, degree):
+    problem = _problem(factors, target, degree)
+    snap, n = problem.snap, problem.dim
+    if len(factors) == 4:
+        # dependent rows: the solve reads the pivot rows only
+        assert (len(snap.rows), len(snap.pivots)) == (68, 58)
+    rng = np.random.default_rng(29)
+
+    def rational():
+        return Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+
+    kp = next(kp for kp in problem.kernel_points if kp.relations)
+    rel = kp.relations[0]
+    degree_p = kp.point.u.poly.degree
+    # the screen's maps, coefficient k of row 0 of G times the first relation,
+    # then maps on seeded upper-triangle entries, diagonal and off-diagonal
+    phis = [
+        {(0, s): w.coeff(k) for s, w in rel.items() if w.coeff(k)} for k in range(degree_p)
+    ]
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
+    for _ in range(3):
+        picks = rng.choice(len(keys), size=8, replace=False)
+        phis.append({keys[p]: rational() for p in picks})
+    pulled = [snap.pull_back(phi) for phi in phis]
+    assert problem.screen.box is kp.point.u
+    assert problem.screen.terms == tuple(
+        (c, tuple((i, j, x) for (i, j), x in psi.items())) for c, psi in pulled[:degree_p]
+    )
+    rejected = 0
+    for _ in range(6):
+        ghat = _random_rational_symmetric(rng, n)
+        g = snap.snap(ghat)
+        assert g is not None
+        for phi, (c, psi) in zip(phis, pulled):
+            assert c + _apply(psi, ghat) == _apply(phi, g)
+        # the screen is the first agreement test on the snapped matrix
+        first = UniPoly.zero()
+        for s, w in rel.items():
+            first = first + w.scale(g[0][s])
+        fails = bool(first) and box_sign(first, kp.point.u) != 0
+        assert problem.screen.rejects(ghat) is fails
+        if fails:
+            rejected += 1
+            assert not gram._agrees_at_algebraic_points(problem, g)
+    assert rejected
+
+
+def test_screen_skips_snaps_and_keeps_the_certificate(monkeypatch):
+    # two circles meeting at (1/2, +-sqrt(3)/2): rounded candidates fail the
+    # agreement there, and the screen turns most of them away before the snap
+    snaps = []
+    original = gram._ExactAffineSnap.snap
+
+    def counted(self, ghat):
+        snaps.append(ghat)
+        return original(self, ghat)
+
+    monkeypatch.setattr(gram._ExactAffineSnap, "snap", counted)
+
+    def certify():
+        snaps.clear()
+        analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
+        cert = full_certify(analysis, B("x^2 + y^2 + 1"))
+        return len(snaps), (cert.exact, cert.residual, cert.provenance, repr(cert.summands))
+
+    screened, result = certify()
+    with monkeypatch.context() as m:
+        m.setattr(gram._AgreementScreen, "build", staticmethod(lambda snap, kernel_points: None))
+        unscreened, reference = certify()
+    assert unscreened == 9
+    assert screened < unscreened
+    assert result == reference
+
+
+def test_screen_rejects_only_a_nonzero_value_at_the_point():
+    # at sqrt(2), a root of the reducible (u^2 - 2)(u - 3), the screened
+    # polynomial g00 * (u^2 + m) vanishes for m = -2 although it is nonzero
+    box = isolate_real_roots(UniPoly([6, -2, -3, 1]))[1]
+    assert box.low < Fr(3, 2) < box.high
+
+    def screen(m):
+        terms = ((Fr(0), ((0, 0, Fr(m)),)), (Fr(0), ()), (Fr(0), ((0, 0, Fr(1)),)))
+        return gram._AgreementScreen(box, terms)
+
+    assert not screen(-2).rejects([[Fr(1)]])
+    assert screen(-3).rejects([[Fr(1)]])
+    assert not screen(-3).rejects([[Fr(0)]])
