@@ -1,20 +1,30 @@
-"""Exact bivariate polynomials over the rationals.
+"""Exact bivariate polynomials over the rationals, computed on integers.
 
-Terms are stored sparsely as a map from exponent pairs to nonzero rational
-coefficients.  The module also carries the elimination machinery used by the
-intersection engine: Sylvester resultants and subresultants as fraction-free
-Bareiss determinants of Sylvester minors, and splitting of binary quadratic
-forms.
+A polynomial is stored sparsely as integer numerators over one positive
+common denominator, F = (sum n_ij x^i y^j) / den, with `_num` mapping each
+exponent pair (i, j) to its nonzero numerator n_ij.  The pair is canonical:
+gcd(den, n_ij...) = 1, and the zero polynomial is ({}, 1), so equal
+polynomials have equal pairs.  Every ring operation runs on Python ints and
+normalises once at the end, and so do the conversions to `UniPoly`
+(`as_y_polynomial`, `specialize_x`, `substitute`, `compose_rational`):
+evaluating at p/q is homogeneous, sum n_ij p^i q^(d-i), and a substituted
+polynomial is split into its integer numerators and its denominator before
+its powers are taken.  `.terms` and `.coeff` rebuild Fraction coefficients
+for callers.
+
+The module also carries the elimination machinery used by the intersection
+engine: Sylvester resultants and subresultants as fraction-free Bareiss
+determinants of Sylvester minors, and splitting of binary quadratic forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd as igcd
+from math import comb, gcd as igcd, lcm
 
 from .numbers import sqrt_fraction
-from .unipoly import UniPoly, gcd as uni_gcd
+from .unipoly import UniPoly, _canonical as _uni_canonical, _make as _uni_make, gcd as uni_gcd
 
 
 class DegenerateInput(ValueError):
@@ -28,21 +38,28 @@ class NotBinaryQuadratic(ValueError):
 Rat = Fraction | int
 
 
-def _frac(v: Rat) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _ratio(v: Rat) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational."""
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 class BiPoly:
-    __slots__ = ("terms",)
+    """Immutable sparse polynomial (sum of _num[i, j] * x**i * y**j) / _den in canonical form."""
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
+        num: dict[tuple[int, int], int] = {}
+        den = 1
         if terms:
-            for (i, j), c in terms.items():
-                c = _frac(c)
-                if c:
-                    cleaned[(i, j)] = c
-        object.__setattr__(self, "terms", cleaned)
+            pairs = {k: _ratio(c) for k, c in terms.items()}
+            den = lcm(*(d for _, d in pairs.values()))
+            num = {k: n * (den // d) for k, (n, d) in pairs.items()}
+        num, den = _canonical(num, den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -51,55 +68,61 @@ class BiPoly:
 
     @staticmethod
     def zero() -> BiPoly:
-        return BiPoly()
+        return _ZERO
 
     @staticmethod
     def const(c: Rat) -> BiPoly:
-        return BiPoly({(0, 0): _frac(c)})
+        return BiPoly({(0, 0): c})
 
     @staticmethod
     def x() -> BiPoly:
-        return BiPoly({(1, 0): Fraction(1)})
+        return _make({(1, 0): 1}, 1)
 
     @staticmethod
     def y() -> BiPoly:
-        return BiPoly({(0, 1): Fraction(1)})
+        return _make({(0, 1): 1}, 1)
 
     @staticmethod
     def term(c: Rat, i: int, j: int) -> BiPoly:
-        return BiPoly({(i, j): _frac(c)})
+        return BiPoly({(i, j): c})
 
     # -- shape -------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """terms[i, j] is the nonzero coefficient of x**i * y**j (a new dict)."""
+        den = self._den
+        return {k: Fraction(c, den) for k, c in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(i + j for i, j in self.terms)
+        return max(i + j for i, j in self._num)
 
     @property
     def deg_x(self) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(i for i, _ in self.terms)
+        return max(i for i, _ in self._num)
 
     @property
     def deg_y(self) -> int:
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(j for _, j in self.terms)
+        return max(j for _, j in self._num)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self._num.get((i, j), 0), self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return isinstance(other, BiPoly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self) -> str:
         from .polyparse import format_bipoly
@@ -109,30 +132,47 @@ class BiPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: BiPoly) -> BiPoly:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiPoly(out)
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other
+        den, db = self._den, other._den
+        ka = kb = 1
+        if den != db:
+            g = igcd(den, db)
+            ka, kb = db // g, den // g
+        out = {k: c * ka for k, c in a.items()}
+        get = out.get
+        for k, c in b.items():
+            out[k] = get(k, 0) + c * kb
+        return _make(*_canonical(out, den * ka))
 
     def __neg__(self) -> BiPoly:
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return _make({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other: BiPoly) -> BiPoly:
         return self + (-other)
 
     def __mul__(self, other: BiPoly) -> BiPoly:
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        a, b = self._num, other._num
+        if not a or not b:
+            return _ZERO
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiPoly(out)
+                out[key] = get(key, 0) + c1 * c2
+        return _make(*_canonical(out, self._den * other._den))
 
     def scale(self, c: Rat) -> BiPoly:
-        c = _frac(c)
-        if not c:
-            return BiPoly.zero()
-        return BiPoly({k: v * c for k, v in self.terms.items()})
+        n, d = _ratio(c)
+        if not n:
+            return _ZERO
+        if n == d == 1:
+            return self
+        return _make(*_canonical({k: v * n for k, v in self._num.items()}, self._den * d))
 
     def __pow__(self, n: int) -> BiPoly:
         if n < 0:
@@ -149,123 +189,150 @@ class BiPoly:
     # -- calculus and evaluation --------------------------------------------
 
     def partial_x(self) -> BiPoly:
-        return BiPoly({(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
+        return _make(*_canonical({(i - 1, j): c * i for (i, j), c in self._num.items() if i}, self._den))
 
     def partial_y(self) -> BiPoly:
-        return BiPoly({(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
+        return _make(*_canonical({(i, j - 1): c * j for (i, j), c in self._num.items() if j}, self._den))
 
     def __call__(self, a: Rat, b: Rat) -> Fraction:
-        a, b = _frac(a), _frac(b)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * a**i * b**j
-        return total
+        num = self._num
+        if not num:
+            return Fraction(0)
+        (p, q), (r, s) = _ratio(a), _ratio(b)
+        dx, dy = self.deg_x, self.deg_y
+        xs, ys = _homogeneous_powers(p, q, dx), _homogeneous_powers(r, s, dy)
+        total = sum(c * xs[i] * ys[j] for (i, j), c in num.items())
+        return Fraction(total, self._den * q**dx * s**dy)
 
     def homogeneous_part(self, d: int) -> BiPoly:
-        return BiPoly({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
+        return _make(*_canonical({k: c for k, c in self._num.items() if k[0] + k[1] == d}, self._den))
 
     def leading_form(self) -> BiPoly:
         return self.homogeneous_part(self.total_degree)
 
     def monomial_content(self) -> tuple[int, int]:
         """Largest (i, j) with x^i * y^j dividing every term."""
-        if not self.terms:
+        if not self._num:
             return (0, 0)
-        return (min(i for i, _ in self.terms), min(j for _, j in self.terms))
+        return (min(i for i, _ in self._num), min(j for _, j in self._num))
 
     def shift_down(self, i0: int, j0: int) -> BiPoly:
         """Exact division by x^i0 * y^j0."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self._num.items():
             if i < i0 or j < j0:
                 raise ValueError("monomial does not divide")
             out[(i - i0, j - j0)] = c
-        return BiPoly(out)
+        return _make(out, self._den)
 
     # -- substitutions ---------------------------------------------------
 
     def translate(self, a: Rat, b: Rat) -> BiPoly:
         """The polynomial F(x + a, y + b), moving the point (a, b) to the origin."""
-        a, b = _frac(a), _frac(b)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
+        num = self._num
+        if not num:
+            return _ZERO
+        (p, q), (r, s) = _ratio(a), _ratio(b)
+        dx, dy = self.deg_x, self.deg_y
+        # times q^dx * s^dy, a^e becomes xs[e] = p^e * q^(dx - e), and b^e likewise
+        xs, ys = _homogeneous_powers(p, q, dx), _homogeneous_powers(r, s, dy)
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in num.items():
             for k in range(i + 1):
-                ca = c * comb(i, k) * a ** (i - k)
+                ca = c * comb(i, k) * xs[i - k]
                 for m in range(j + 1):
                     key = (k, m)
-                    out[key] = out.get(key, Fraction(0)) + ca * comb(j, m) * b ** (j - m)
-        return BiPoly(out)
+                    out[key] = out.get(key, 0) + ca * comb(j, m) * ys[j - m]
+        return _make(*_canonical(out, self._den * q**dx * s**dy))
 
     def compose_linear(self, a: Rat, b: Rat, c: Rat, d: Rat) -> BiPoly:
         """Substitute x -> a*x + b*y and y -> c*x + d*y."""
-        nx = BiPoly({(1, 0): _frac(a), (0, 1): _frac(b)})
-        ny = BiPoly({(1, 0): _frac(c), (0, 1): _frac(d)})
-        out = BiPoly.zero()
-        xp = _PowerCache(nx)
-        yp = _PowerCache(ny)
-        for (i, j), coef in self.terms.items():
-            out = out + (xp[i] * yp[j]).scale(coef)
-        return out
+        num = self._num
+        if not num:
+            return _ZERO
+        # the forms are X / ex and Y / ey with integer X, Y
+        nx, ny = BiPoly({(1, 0): a, (0, 1): b}), BiPoly({(1, 0): c, (0, 1): d})
+        ex, ey = nx._den, ny._den
+        xp, yp = _PowerCache(_make(nx._num, 1)), _PowerCache(_make(ny._num, 1))
+        dx, dy = self.deg_x, self.deg_y
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), coef in num.items():
+            k = coef * ex ** (dx - i) * ey ** (dy - j)
+            for key, v in (xp[i] * yp[j])._num.items():
+                out[key] = out.get(key, 0) + k * v
+        return _make(*_canonical(out, self._den * ex**dx * ey**dy))
 
     def swap_vars(self) -> BiPoly:
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
+        return _make({(j, i): c for (i, j), c in self._num.items()}, self._den)
 
     def specialize_x(self, a: Rat) -> UniPoly:
         """F(a, t) as a univariate polynomial in the second variable."""
-        a = _frac(a)
-        coeffs = [Fraction(0)] * (self.deg_y + 1) if self.terms else []
-        for (i, j), c in self.terms.items():
-            coeffs[j] += c * a**i
-        return UniPoly(coeffs)
+        num = self._num
+        if not num:
+            return UniPoly.zero()
+        p, q = _ratio(a)
+        dx = self.deg_x
+        xs = _homogeneous_powers(p, q, dx)
+        out = [0] * (self.deg_y + 1)
+        for (i, j), c in num.items():
+            out[j] += c * xs[i]
+        return _uni(out, self._den * q**dx)
 
     def specialize_y(self, b: Rat) -> UniPoly:
         return self.swap_vars().specialize_x(b)
 
     def substitute(self, xp: UniPoly, yp: UniPoly) -> UniPoly:
         """F(xp(t), yp(t)) as a univariate polynomial."""
-        xc = _PowerCache(xp)
-        yc = _PowerCache(yp)
-        out = UniPoly.zero()
-        for (i, j), c in self.terms.items():
-            out = out + (xc[i] * yc[j]).scale(c)
-        return out
+        num = self._num
+        if not num:
+            return UniPoly.zero()
+        # xp = X / ex and yp = Y / ey with integer X, Y
+        ex, ey = xp._den, yp._den
+        xc, yc = _PowerCache(_uni_make(xp._num, 1)), _PowerCache(_uni_make(yp._num, 1))
+        dx, dy = self.deg_x, self.deg_y
+        out: list[int] = []
+        for (i, j), c in num.items():
+            _accumulate(out, c * ex ** (dx - i) * ey ** (dy - j), xc[i] * yc[j])
+        return _uni(out, self._den * ex**dx * ey**dy)
 
     def compose_rational(self, A: UniPoly, B: UniPoly, C: UniPoly) -> UniPoly:
         """Clear denominators in F(A/C, B/C): returns C^d * F(A/C, B/C) for d the total degree."""
         d = self.total_degree
         if d < 0:
             return UniPoly.zero()
-        ac = _PowerCache(A)
-        bc = _PowerCache(B)
-        cc = _PowerCache(C)
-        out = UniPoly.zero()
-        for (i, j), c in self.terms.items():
-            out = out + (ac[i] * bc[j] * cc[d - i - j]).scale(c)
-        return out
+        ad, bd, cd = A._den, B._den, C._den
+        ac, bc, cc = (_PowerCache(_uni_make(P._num, 1)) for P in (A, B, C))
+        out: list[int] = []
+        for (i, j), c in self._num.items():
+            k = c * ad ** (d - i) * bd ** (d - j) * cd ** (i + j)
+            _accumulate(out, k, ac[i] * bc[j] * cc[d - i - j])
+        return _uni(out, self._den * (ad * bd * cd) ** d)
 
     # -- views as a univariate polynomial over UniPoly coefficients ---------
 
     def as_y_polynomial(self) -> list[UniPoly]:
         """Coefficient list [c_0(x), ..., c_m(x)] with F = sum c_j(x) y^j."""
-        if not self.terms:
+        num = self._num
+        if not num:
             return []
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.deg_y + 1)]
-        for (i, j), c in self.terms.items():
+        rows: list[dict[int, int]] = [{} for _ in range(self.deg_y + 1)]
+        for (i, j), c in num.items():
             rows[j][i] = c
+        den = self._den
         out = []
         for row in rows:
             if row:
-                coeffs = [Fraction(0)] * (max(row) + 1)
+                coeffs = [0] * (max(row) + 1)
                 for i, c in row.items():
                     coeffs[i] = c
-                out.append(UniPoly(coeffs))
+                out.append(_uni(coeffs, den))
             else:
                 out.append(UniPoly.zero())
         return out
 
     @staticmethod
     def from_unipoly_in_x(p: UniPoly) -> BiPoly:
-        return BiPoly({(i, 0): c for i, c in enumerate(p.coeffs) if c})
+        return _make({(i, 0): c for i, c in enumerate(p._num) if c}, p._den)
 
     def content_wrt_y(self) -> UniPoly:
         """Gcd over the x-line of the y-coefficients (monic, or zero)."""
@@ -273,6 +340,60 @@ class BiPoly:
         for p in self.as_y_polynomial():
             g = uni_gcd(g, p)
         return g
+
+
+_set_num = BiPoly._num.__set__
+_set_den = BiPoly._den.__set__
+
+
+def _make(num: dict[tuple[int, int], int], den: int) -> BiPoly:
+    """The BiPoly with numerators num over den; the pair must be canonical."""
+    p = object.__new__(BiPoly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _canonical(num: dict[tuple[int, int], int], den: int) -> tuple[dict[tuple[int, int], int], int]:
+    """The canonical pair of num / den for den > 0: no zero numerator, no common factor."""
+    num = {k: c for k, c in num.items() if c}
+    if not num:
+        return {}, 1
+    if den != 1:
+        g = igcd(den, *num.values())
+        if g != 1:
+            return {k: c // g for k, c in num.items()}, den // g
+    return num, den
+
+
+_ZERO = _make({}, 1)
+
+
+def _homogeneous_powers(p: int, q: int, d: int) -> list[int]:
+    """[p**e * q**(d - e) for e in 0..d]: the powers of p/q times q**d (q > 0)."""
+    out = [1] * (d + 1)
+    for e in range(1, d + 1):
+        out[e] = out[e - 1] * p
+    if q != 1:
+        qk = 1
+        for e in range(d - 1, -1, -1):
+            qk *= q
+            out[e] *= qk
+    return out
+
+
+def _uni(num: list[int], den: int) -> UniPoly:
+    """The UniPoly num / den, normalised once."""
+    return _uni_make(*_uni_canonical(num, den))
+
+
+def _accumulate(out: list[int], k: int, p: UniPoly) -> None:
+    """out += k * numerators of p, for p with denominator 1."""
+    pn = p._num
+    if len(pn) > len(out):
+        out.extend([0] * (len(pn) - len(out)))
+    for e, v in enumerate(pn):
+        out[e] += k * v
 
 
 class _PowerCache:
@@ -419,7 +540,7 @@ def split_binary_quadratic(Q: BiPoly) -> QuadraticSplit:
     """Factor a real binary quadratic form into linear forms where possible."""
     if Q.is_zero():
         return QuadraticSplit(QuadraticSplitKind.ZERO, Fraction(0))
-    if any(i + j != 2 for i, j in Q.terms):
+    if any(i + j != 2 for i, j in Q._num):
         raise NotBinaryQuadratic("expected a homogeneous form of degree two")
     a, b, c = Q.coeff(2, 0), Q.coeff(1, 1), Q.coeff(0, 2)
     disc = b * b - 4 * a * c

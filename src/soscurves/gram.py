@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -531,20 +532,28 @@ class _ExactAffineSnap:
     def __init__(self, rows: list[Row]):
         self.rows = rows
         k = len(rows)
+        # row a is ints[a] / dens[a]; weighted[a] doubles its diagonal keys, so
+        # an entry is (sum ints[a] * weighted[b]) / (2 dens[a] dens[b])
+        dens, ints, weighted = [], [], []
+        for row in rows:
+            den = lcm(*(c.denominator for c in row.coeffs.values()))
+            num = {key: c.numerator * (den // c.denominator) for key, c in row.coeffs.items()}
+            dens.append(den)
+            ints.append(num)
+            weighted.append({key: 2 * c if key[0] == key[1] else c for key, c in num.items()})
         normal = [[Fraction(0)] * k for _ in range(k)]
         for a in range(k):
-            ra = rows[a].coeffs
+            ra, wa = ints[a], weighted[a]
             for b in range(a, k):
-                rb = rows[b].coeffs
-                small, large = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
-                acc = Fraction(0)
+                rb, wb = ints[b], weighted[b]
+                small, large = (ra, wb) if len(ra) <= len(rb) else (rb, wa)
+                acc = 0
                 for key, c in small.items():
                     d = large.get(key)
                     if d is not None:
-                        w = 2 if key[0] != key[1] else 1
-                        acc += c * d / w
-                normal[a][b] = acc
-                normal[b][a] = acc
+                        acc += c * d
+                if acc:
+                    normal[a][b] = normal[b][a] = Fraction(acc, 2 * dens[a] * dens[b])
         # (pivot row p_k, pivot d_k, the nonzero entries of c_k other than p_k)
         self.pivots = [
             (p, d, [(i, c) for i, c in enumerate(col) if c and i != p])
@@ -653,6 +662,17 @@ class _AgreementScreen:
 
     box: RootBox
     terms: tuple[tuple[Fraction, tuple[tuple[int, int, Fraction], ...]], ...]
+    # per term: const and psi as integer numerators over one denominator
+    _ints: tuple[tuple[Fraction, int, tuple[tuple[int, int, int], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        ints = []
+        for const, psi in self.terms:
+            den = lcm(*(c.denominator for _, _, c in psi))
+            ints.append((const, den, tuple((i, j, c.numerator * (den // c.denominator)) for i, j, c in psi)))
+        object.__setattr__(self, "_ints", tuple(ints))
 
     @staticmethod
     def build(
@@ -672,12 +692,19 @@ class _AgreementScreen:
     def rejects(self, ghat: list[list[Fraction]]) -> bool:
         """Whether row 0 of snap(ghat) fails the agreement test at the point."""
         coeffs = []
-        for const, psi in self.terms:
-            acc = const
+        for const, den, psi in self._ints:
+            # sum c * ghat[i][j] as acc / acc_den, over a running common denominator
+            acc, acc_den = 0, 1
             for i, j, c in psi:
-                if ghat[i][j]:
-                    acc += c * ghat[i][j]
-            coeffs.append(acc)
+                x = ghat[i][j]
+                if x:
+                    xd = x.denominator
+                    if acc_den % xd:
+                        m = xd // gcd(acc_den, xd)
+                        acc *= m
+                        acc_den *= m
+                    acc += c * x.numerator * (acc_den // xd)
+            coeffs.append(const + Fraction(acc, acc_den * den))
         poly = UniPoly(coeffs)
         return bool(poly) and box_sign(poly, self.box) != 0
 

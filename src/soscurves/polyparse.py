@@ -199,10 +199,11 @@ def _monomial(names: tuple[str, str], i: int, j: int) -> str:
 def format_bipoly(F: BiPoly, variables: tuple[str, str] = ("x", "y")) -> str:
     if F.is_zero():
         return "0"
-    keys = sorted(F.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
+    terms = F.terms
+    keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
     pieces = []
     for idx, key in enumerate(keys):
-        c = F.terms[key]
+        c = terms[key]
         mono = _monomial(variables, *key)
         body = f"{_format_coeff(abs(c))}*{mono}" if mono else _format_coeff(abs(c))
         if idx == 0:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd as int_gcd, lcm
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -470,12 +470,19 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
     g = gcd(p, p.derivative())
     if g.degree > 0:
         raise NotSquarefree("Sturm count requires a squarefree polynomial")
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
+    return _chain_count(sturm_chain(p), lo, hi)
+
+
+def _chain_count(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
+    """`sturm_count` on the Sturm chain of a squarefree polynomial, for lo < hi.
+
+    Callers that count one polynomial on many intervals build its chain once.
+    """
+    sa = [q.sign_at(lo) for q in chain]
+    sb = [q.sign_at(hi) for q in chain]
+    if sa[0] == 0 or sb[0] == 0:
         raise EndpointIsRoot("interval endpoint is a root")
-    chain = sturm_chain(p)
-    va = _variations([q.sign_at(lo) for q in chain])
-    vb = _variations([q.sign_at(hi) for q in chain])
-    return va - vb
+    return _variations(sa) - _variations(sb)
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
@@ -534,20 +541,26 @@ def _rational_root_in(q: UniPoly, box: RootBox, a: int) -> Fraction | None:
 
     a is the leading coefficient of q's primitive integer form, so every
     rational root of q is k/a for an integer k.  Bisecting the box below
-    width 1/a leaves one candidate, k = floor(a*low) + 1.
+    width 1/a leaves one candidate, k = floor(a*low) + 1.  The bisection
+    runs on integers: the box is [L/D, H/D], each midpoint is (L+H)/2D, and
+    its sign is that of homogeneous Horner on q's numerators.
     """
+    num = q._num
     lo, hi = box.low, box.high
-    slo = q.sign_at(lo)
-    while a * (hi - lo) >= 1:
-        mid = (lo + hi) / 2
-        sm = q.sign_at(mid)
-        if sm == 0:
-            return mid
-        if sm == slo:
-            lo = mid
+    ld, hd = lo.denominator, hi.denominator
+    D = lcm(ld, hd)
+    L, H = lo.numerator * (D // ld), hi.numerator * (D // hd)
+    slo = _horner(num, L, D) > 0
+    while a * (H - L) >= D:
+        M, D = L + H, 2 * D
+        vm = _horner(num, M, D)
+        if vm == 0:
+            return Fraction(M, D)
+        if (vm > 0) == slo:
+            L, H = M, 2 * H
         else:
-            hi = mid
-    v = Fraction(floor(a * lo) + 1, a)
+            L, H = 2 * L, M
+    v = Fraction(a * L // D + 1, a)
     return v if v < hi and q.sign_at(v) == 0 else None
 
 
@@ -616,17 +629,22 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
     radical = radical.monic()
     boxes = _isolate_squarefree(radical)
     lead = radical.primitive_integer()[0].leading().numerator
+    chains: dict[int, list[UniPoly]] = {}  # Sturm chain of Yun factor k, built on first use
     out = []
     for box in boxes:
         # every box holds a root of the radical, so a box that no earlier
-        # Yun factor claims belongs to the last one without a Sturm count
+        # Yun factor claims belongs to the last one without a Sturm count;
+        # box endpoints are not roots of the radical, so not of a factor
         mult = parts[-1][1]
-        for q, i in parts[:-1]:
+        for k, (q, i) in enumerate(parts[:-1]):
             if box.exact_value is not None:
                 if q.sign_at(box.exact_value) == 0:
                     mult = i
                     break
-            elif sturm_count(q, box.low, box.high) > 0:
+                continue
+            if k not in chains:
+                chains[k] = sturm_chain(q)
+            if _chain_count(chains[k], box.low, box.high) > 0:
                 mult = i
                 break
         exact = box.exact_value
@@ -676,15 +694,17 @@ def boxes_equal(a: RootBox, b: RootBox) -> bool:
     h = gcd(a.poly, b.poly)
     if h.degree == 0:
         return False
-    # box endpoints are never roots of the defining polynomials, hence not of h
-    if sturm_count(h, a.low, a.high) == 0 or sturm_count(h, b.low, b.high) == 0:
+    # box endpoints are never roots of the defining polynomials, hence not
+    # of h, which divides both and is squarefree: one chain serves every count
+    chain = sturm_chain(h)
+    if _chain_count(chain, a.low, a.high) == 0 or _chain_count(chain, b.low, b.high) == 0:
         return False
     ra, rb = a, b
     for _ in range(20000):
         if ra.high <= rb.low or rb.high <= ra.low:
             return False
         lo, hi = min(ra.low, rb.low), max(ra.high, rb.high)
-        if sturm_count(h, lo, hi) == 1:
+        if _chain_count(chain, lo, hi) == 1:
             # one common root in the union, and each box holds a root of h
             return True
         ra, rb = ra.refined(), rb.refined()

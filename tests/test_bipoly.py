@@ -146,3 +146,204 @@ def test_monomial_content():
     F = B("x^2*y + x*y^2")
     assert F.monomial_content() == (1, 1)
     assert F.shift_down(1, 1) == B("x + y")
+
+
+# -- integer core against a Fraction reference --------------------------------
+#
+# The reference is a plain {(i, j): Fraction} dict with no zero values, and
+# univariate results are Fraction coefficient lists with no trailing zeros.
+# BiPoly must return the same rational polynomials and values.
+
+
+def _clean(d):
+    return {k: Fr(c) for k, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return _clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return _clean(out)
+
+
+def ref_pow(a, n):
+    out = {(0, 0): Fr(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_scale(a, c):
+    return _clean({k: v * c for k, v in a.items()})
+
+
+def ref_call(a, x, y):
+    return sum((c * x**i * y**j for (i, j), c in a.items()), Fr(0))
+
+
+def ref_linear_compose(a, fx, fy):
+    """a(fx, fy) for bivariate dicts fx, fy."""
+    out = {}
+    for (i, j), c in a.items():
+        out = ref_add(out, ref_scale(ref_mul(ref_pow(fx, i), ref_pow(fy, j)), c))
+    return out
+
+
+def ul_trim(cs):
+    cs = [Fr(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ul_add(a, b):
+    n = max(len(a), len(b))
+    return ul_trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def ul_mul(a, b):
+    out = [Fr(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ul_trim(out)
+
+
+def ul_pow(a, n):
+    out = [Fr(1)]
+    for _ in range(n):
+        out = ul_mul(out, a)
+    return out
+
+
+def ref_univariate(a, fx, fy, fz=None, d=0):
+    """sum c fx^i fy^j (fz^(d-i-j) when fz is given) on coefficient lists."""
+    out = []
+    for (i, j), c in a.items():
+        term = ul_mul(ul_pow(fx, i), ul_pow(fy, j))
+        if fz is not None:
+            term = ul_mul(term, ul_pow(fz, d - i - j))
+        out = ul_add(out, [c * v for v in term])
+    return out
+
+
+def _rational(rng):
+    """Mixed denominators: units, small, and up to 10**6; sometimes zero."""
+    r = rng.random()
+    if r < 0.1:
+        return Fr(0)
+    if r < 0.3:
+        return Fr(rng.randint(-9, 9))
+    if r < 0.7:
+        return Fr(rng.randint(-20, 20), rng.choice([2, 3, 4, 6, 7, 12]))
+    return Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _random_terms(rng, max_deg=4, max_terms=7):
+    if rng.random() < 0.05:
+        return {}
+    return {
+        (rng.randint(0, max_deg), rng.randint(0, max_deg)): _rational(rng)
+        for _ in range(rng.randint(1, max_terms))
+    }
+
+
+def _uni(rng, degree):
+    return UniPoly([_rational(rng) for _ in range(degree + 1)])
+
+
+def test_operations_match_fraction_reference():
+    rng = random.Random(1507)
+    for _ in range(120):
+        a, b = _random_terms(rng), _random_terms(rng)
+        ra, rb = _clean(a), _clean(b)
+        A, Bp = BiPoly(a), BiPoly(b)
+        assert A.terms == ra and all(type(c) is Fr for c in A.terms.values())
+        assert (A + Bp).terms == ref_add(ra, rb)
+        assert (A - Bp).terms == ref_add(ra, ref_scale(rb, -1))
+        assert (-A).terms == ref_scale(ra, -1)
+        assert (A * Bp).terms == ref_mul(ra, rb)
+        c = _rational(rng)
+        assert A.scale(c).terms == ref_scale(ra, c)
+        k = rng.randint(-5, 5)
+        assert A.scale(k).terms == ref_scale(ra, k)
+        n = rng.randint(0, 3)
+        assert (A**n).terms == ref_pow(ra, n)
+        assert A.partial_x().terms == _clean({(i - 1, j): c * i for (i, j), c in ra.items() if i})
+        assert A.partial_y().terms == _clean({(i, j - 1): c * j for (i, j), c in ra.items() if j})
+        d = rng.randint(0, 6)
+        assert A.homogeneous_part(d).terms == {k: c for k, c in ra.items() if sum(k) == d}
+        assert A.swap_vars().terms == {(j, i): c for (i, j), c in ra.items()}
+        if ra:
+            i0, j0 = A.monomial_content()
+            assert (i0, j0) == (min(i for i, _ in ra), min(j for _, j in ra))
+            assert A.shift_down(i0, j0).terms == {(i - i0, j - j0): c for (i, j), c in ra.items()}
+            assert (A.total_degree, A.deg_x, A.deg_y) == (
+                max(i + j for i, j in ra), max(i for i, _ in ra), max(j for _, j in ra)
+            )
+        for x, y in ((Fr(3, 7), Fr(-5, 2)), (Fr(0), Fr(1)), (_rational(rng), _rational(rng)), (2, -3)):
+            assert A(x, y) == ref_call(ra, Fr(x), Fr(y)) and type(A(x, y)) is Fr
+        x0, y0 = _rational(rng), _rational(rng)
+        shifted = ref_linear_compose(ra, {(1, 0): Fr(1), (0, 0): x0}, {(0, 1): Fr(1), (0, 0): y0})
+        assert A.translate(x0, y0).terms == shifted
+        p, q, r, s = (_rational(rng) for _ in range(4))
+        composed = ref_linear_compose(ra, _clean({(1, 0): p, (0, 1): q}), _clean({(1, 0): r, (0, 1): s}))
+        assert A.compose_linear(p, q, r, s).terms == composed
+
+
+def test_conversions_match_fraction_reference():
+    rng = random.Random(1508)
+    for _ in range(120):
+        a = _random_terms(rng)
+        ra = _clean(a)
+        A = BiPoly(a)
+        rows = [] if not ra else [[Fr(0)] * 5 for _ in range(max(j for _, j in ra) + 1)]
+        for (i, j), c in ra.items():
+            rows[j][i] = c
+        assert [list(p.coeffs) for p in A.as_y_polynomial()] == [ul_trim(row) for row in rows]
+        for t in (Fr(3, 7), Fr(-1), Fr(0), _rational(rng)):
+            by_x = [sum((c * t**i for (i, j), c in ra.items() if j == k), Fr(0)) for k in range(5)]
+            by_y = [sum((c * t**j for (i, j), c in ra.items() if i == k), Fr(0)) for k in range(5)]
+            assert list(A.specialize_x(t).coeffs) == ul_trim(by_x)
+            assert list(A.specialize_y(t).coeffs) == ul_trim(by_y)
+        X, Y, Z = (_uni(rng, rng.randint(0, 3)) for _ in range(3))
+        xs, ys, zs = (list(P.coeffs) for P in (X, Y, Z))
+        assert list(A.substitute(X, Y).coeffs) == ref_univariate(ra, xs, ys)
+        d = max((i + j for i, j in ra), default=-1)
+        assert list(A.compose_rational(X, Y, Z).coeffs) == ref_univariate(ra, xs, ys, zs, d)
+        U = _uni(rng, rng.randint(0, 5))
+        assert BiPoly.from_unipoly_in_x(U).terms == _clean({(i, 0): c for i, c in enumerate(U.coeffs)})
+
+
+def test_canonical_form():
+    half = BiPoly({(1, 0): Fr(2, 4)})
+    assert half == BiPoly({(1, 0): Fr(1, 2)}) and hash(half) == hash(BiPoly({(1, 0): Fr(1, 2)}))
+    assert (half._num, half._den) == ({(1, 0): 1}, 2)
+    assert BiPoly({(0, 0): 0, (2, 1): Fr(0)}) == BiPoly.zero()
+    assert (BiPoly.zero()._num, BiPoly.zero()._den) == ({}, 1)
+    assert ((half - half)._num, (half - half)._den) == ({}, 1)
+    # 3/4 x + 1/2 y over 4, and its double over 2: the gcd is taken out
+    F = BiPoly({(1, 0): Fr(3, 4), (0, 1): Fr(1, 2)})
+    assert (F._num, F._den) == ({(1, 0): 3, (0, 1): 2}, 4)
+    assert (F.scale(2)._num, F.scale(2)._den) == ({(1, 0): 3, (0, 1): 2}, 2)
+    assert F.scale(Fr(4, 3)) == BiPoly({(1, 0): 1, (0, 1): Fr(2, 3)})
+    assert F.terms == {(1, 0): Fr(3, 4), (0, 1): Fr(1, 2)}
+    assert all(type(c) is Fr for c in F.terms.values())
+    assert type(F.coeff(1, 0)) is Fr and F.coeff(1, 0) == Fr(3, 4)
+    assert type(F.coeff(5, 5)) is Fr and F.coeff(5, 5) == 0
+    # .terms is a copy, so the polynomial cannot be changed through it
+    F.terms[(1, 0)] = Fr(9)
+    assert F.coeff(1, 0) == Fr(3, 4)
+    with pytest.raises(AttributeError):
+        F.terms = {}
+    assert BiPoly({(1, 1): 2}) != BiPoly({(1, 1): Fr(1, 2)})
+    assert BiPoly({(1, 0): 1}) != BiPoly({(1, 0): Fr(1, 2)})  # equal numerators
+    assert hash(BiPoly({(0, 0): Fr(6, 3)})) == hash(BiPoly.const(2))

@@ -402,3 +402,12 @@ def test_screen_rejects_only_a_nonzero_value_at_the_point():
     assert not screen(-2).rejects([[Fr(1)]])
     assert screen(-3).rejects([[Fr(1)]])
     assert not screen(-3).rejects([[Fr(0)]])
+
+    # mixed denominators in psi and in ghat: u^2 - 1 - k, zero at sqrt(2) for k = 1 only
+    def mixed(k):
+        c0 = ((0, 0, Fr(-2, 3)), (0, 1, Fr(-7 * k, 5)))
+        return gram._AgreementScreen(box, ((Fr(0), c0), (Fr(0), ()), (Fr(0), ((0, 0, Fr(2, 3)),))))
+
+    ghat = [[Fr(3, 2), Fr(5, 7)], [Fr(5, 7), Fr(0)]]
+    assert not mixed(1).rejects(ghat)
+    assert mixed(2).rejects(ghat)

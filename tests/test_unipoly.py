@@ -9,6 +9,8 @@ from soscurves.unipoly import (
     NotSquarefree,
     RootBox,
     UniPoly,
+    _isolate_squarefree,
+    _rational_root_in,
     box_compare,
     box_sign,
     boxes_equal,
@@ -18,6 +20,7 @@ from soscurves.unipoly import (
     isolate_real_roots,
     sturm_chain,
     sturm_count,
+    squarefree_part,
     yun_decomposition,
 )
 from soscurves.polyparse import parse_unipoly as P
@@ -422,3 +425,75 @@ def test_canonical_form():
     assert UniPoly([3, Fr(6, 4)]) == UniPoly([Fr(6), 3]).scale(Fr(1, 2))
     assert UniPoly([1, -1]) != UniPoly([1, 1])
     assert UniPoly((1, 2)).coeff(5) == 0 and UniPoly((1, 2)).leading() == 2
+
+
+def ref_rational_root_in(q, lo, hi, a):
+    """The Fraction bisection: halve [lo, hi] below width 1/a, then test k/a."""
+    slo = _sgn(ref_eval(list(q.coeffs), lo))
+    while a * (hi - lo) >= 1:
+        mid = (lo + hi) / 2
+        sm = _sgn(ref_eval(list(q.coeffs), mid))
+        if sm == 0:
+            return mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    v = Fr(math.floor(a * lo) + 1, a)
+    return v if v < hi and ref_eval(list(q.coeffs), v) == 0 else None
+
+
+def _root_in(q, lo, hi):
+    box = RootBox(Fr(lo), Fr(hi), 1, None, q)
+    return _rational_root_in(q, box, q.primitive_integer()[0].leading().numerator)
+
+
+def test_rational_root_in_midpoint_and_mixed_denominators():
+    # a midpoint is the root: 1/2 at the first step, 3/8 at the third
+    assert _root_in(P("2t - 1"), 0, 1) == Fr(1, 2)
+    assert _root_in(P("8t - 3"), 0, 1) == Fr(3, 8)
+    # endpoint denominators 3 and 7 (common 21), and 3 and 4 (common 12)
+    assert _root_in(P("2t - 1"), Fr(1, 3), Fr(5, 7)) == Fr(1, 2)
+    assert _root_in(P("5t - 2"), Fr(-1, 3), Fr(3, 4)) == Fr(2, 5)
+    # a negative box: k = floor(a * low) + 1 rounds towards minus infinity
+    assert _root_in(P("3t + 2"), -1, Fr(-1, 2)) == Fr(-2, 3)
+    assert _root_in(P("7t + 3") * P("t^2 + 1"), Fr(-5, 6), Fr(-1, 9)) == Fr(-3, 7)
+    # irrational roots give None
+    assert _root_in(P("t^2 - 2"), 1, Fr(3, 2)) is None
+    assert _root_in(P("3t^2 - 2"), Fr(1, 2), Fr(6, 7)) is None
+
+
+def test_rational_root_in_matches_fraction_reference():
+    rng = random.Random(2031)
+    for _ in range(60):
+        q = UniPoly.one()
+        for _ in range(rng.randint(1, 3)):
+            q = q * UniPoly([rng.randint(-30, 30), rng.randint(1, 12)])
+        q = q * P(f"t^2 - {rng.choice([2, 3, 5, 7])}")
+        q = squarefree_part(q)
+        lead = q.primitive_integer()[0].leading().numerator
+        for box in _isolate_squarefree(q):
+            for _ in range(rng.randint(0, 3)):
+                box = box.refined()
+            assert box.exact_value is not None or _rational_root_in(q, box, lead) == ref_rational_root_in(
+                q, box.low, box.high, lead
+            )
+
+
+def test_boxes_equal_builds_one_sturm_chain(monkeypatch):
+    import soscurves.unipoly as up
+
+    built = []
+    chain = up.sturm_chain
+    monkeypatch.setattr(up, "sturm_chain", lambda p: built.append(p) or chain(p))
+    a = isolate_real_roots(P("t^3 - 2"))[0]
+    b = isolate_real_roots(P("t^3 - 2") * P("t^2 - 3"))[1]
+    assert a.exact_value is None and b.low < a.high and a.low < b.high
+    built.clear()
+    assert boxes_equal(a, b)
+    assert built == [P("t^3 - 2")]
+    # isolation builds one chain per Yun factor it counts in, not one per box
+    built.clear()
+    boxes = isolate_real_roots(P("t^2 - 2") ** 2 * P("t^2 - 5") * P("t^2 - 7") ** 3)
+    assert [bx.multiplicity for bx in boxes] == [3, 1, 2, 2, 1, 3]
+    assert len(built) == 1 + 2  # the radical's, then the two earlier Yun factors
