@@ -177,12 +177,18 @@ class BiPoly:
     def __pow__(self, n: int) -> BiPoly:
         if n < 0:
             raise ValueError("negative power")
-        out = BiPoly.const(1)
+        if n == 0:
+            return BiPoly.const(1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 
 def exact_isqrt(n: int) -> int | None:
     if n < 0:
@@ -57,22 +59,58 @@ def limit_denominators(x, ladder: tuple[int, ...] | list[int]) -> list[Fraction]
     return [best[bound] for bound in ladder]
 
 
+_BLOCK = 4096  # candidates screened per numpy step
+_SCREEN_LIMIT = 1 << 62  # below this, every screened value fits int64 exactly
+
+
 def _two_squares(n: int) -> list[int] | None:
-    """n = a**2 + b**2 with a >= b >= 0, by scanning the short admissible range."""
+    """n = a**2 + b**2 with a >= b >= 0: the first a, scanning down, that works.
+
+    The scan runs a = isqrt(n), isqrt(n) - 1, ... down to the least a with
+    2a**2 >= n (that a is isqrt(n // 2) or one more), and returns [a, b] for
+    the first a at which n - a**2 = b**2; a square n gives [isqrt(n)] and 0
+    gives [0].  None means no a in that range works.
+
+    For n < 2**62 a range of at least `_BLOCK` candidates is screened in
+    int64 blocks of `_BLOCK`, in the same descending order: with
+    r = n - a**2 and s = rint(sqrt(float(r))), the first a with s*s == r is
+    confirmed with `exact_isqrt` and returned (an a that failed the check
+    would be skipped, never returned).  The screen is exact:
+    a < 2**31, so r lies in [0, 2**62); for r = k**2 the float error of sqrt
+    is at most about k * 2**-52 < 1e-6, so rint gives k; and s <= 2**31, so
+    s*s < 2**63 does not overflow.  Hence the screen never misses a square
+    and never accepts a non-square, and the result equals the plain scan's.
+    Larger n, and shorter ranges, where numpy's per-call cost outweighs the
+    block, take the plain scan.
+    """
     if n == 0:
         return [0]
     s = exact_isqrt(n)
     if s is not None:
         return [s]
-    a = isqrt(n)
-    lo = isqrt(n // 2)
-    while a * a * 2 >= n:
+    hi = isqrt(n)
+    bot = isqrt(n // 2)
+    if 2 * bot * bot < n:
+        bot += 1
+    if n < _SCREEN_LIMIT and hi - bot + 1 >= _BLOCK:
+        return _two_squares_in_blocks(n, hi, bot)
+    for a in range(hi, bot - 1, -1):
         r = exact_isqrt(n - a * a)
         if r is not None:
             return [a, r]
-        a -= 1
-        if a < lo:
-            break
+    return None
+
+
+def _two_squares_in_blocks(n: int, hi: int, bot: int) -> list[int] | None:
+    for top in range(hi, bot - 1, -_BLOCK):
+        a = np.arange(top, max(top - _BLOCK, bot - 1), -1, dtype=np.int64)
+        r = n - a * a
+        s = np.rint(np.sqrt(r.astype(np.float64))).astype(np.int64)
+        for i in np.flatnonzero(s * s == r):
+            ai = int(a[i])
+            b = exact_isqrt(n - ai * ai)
+            if b is not None:
+                return [ai, b]
     return None
 
 

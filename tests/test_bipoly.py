@@ -347,3 +347,20 @@ def test_canonical_form():
     assert BiPoly({(1, 1): 2}) != BiPoly({(1, 1): Fr(1, 2)})
     assert BiPoly({(1, 0): 1}) != BiPoly({(1, 0): Fr(1, 2)})  # equal numerators
     assert hash(BiPoly({(0, 0): Fr(6, 3)})) == hash(BiPoly.const(2))
+
+
+def test_pow_matches_repeated_products_with_fewest_squarings(monkeypatch):
+    p = BiPoly({(2, 0): Fr(1, 3), (1, 1): Fr(-2), (0, 0): Fr(5, 7)})
+    mul = BiPoly.__mul__
+    expected = BiPoly.const(1)
+    for n in range(10):
+        calls = []
+        monkeypatch.setattr(BiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        got = p**n
+        monkeypatch.setattr(BiPoly, "__mul__", mul)
+        assert got == expected
+        # square per bit below the top one, multiply per set bit below the top one
+        assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+        expected = expected * p
+    with pytest.raises(ValueError):
+        p**-1

@@ -1,10 +1,12 @@
 import random
 import struct
 from fractions import Fraction as Fr
+from math import isqrt
 
 import pytest
 
 from soscurves.numbers import (
+    _two_squares,
     exact_isqrt,
     int_square_list,
     limit_denominators,
@@ -26,7 +28,15 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fr(0)) == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 28, 60, 112, 2023, 9999, 123456])
+def _seeded_ints(seed, top_bits, count):
+    rng = random.Random(seed)
+    return [rng.getrandbits(rng.randint(20, top_bits)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 7, 15, 28, 60, 112, 2023, 9999, 123456, 2**48 - 1, 4**22 * 7]
+    + _seeded_ints(11, 48, 24)
+)
 def test_int_square_list_reconstructs(n):
     parts = int_square_list(n)
     assert len(parts) <= 4
@@ -44,8 +54,9 @@ def test_int_square_list_needs_four_sometimes():
 
 def test_rational_square_list_random():
     rng = random.Random(5)
-    for _ in range(60):
-        q = Fr(rng.randint(0, 400), rng.randint(1, 40))
+    for bits in [9] * 60 + [24] * 10 + [48] * 10:
+        den = rng.randint(1, 1 << (bits // 2))
+        q = Fr(rng.randint(0, 1 << (bits // 2)), den)
         parts = rational_square_list(q)
         assert len(parts) <= 4
         assert sum(p * p for p in parts) == q
@@ -54,6 +65,92 @@ def test_rational_square_list_random():
 def test_rational_square_list_rejects_negative():
     with pytest.raises(ValueError):
         rational_square_list(Fr(-1, 2))
+
+
+def _plain_two_squares(n):
+    """The reference: the first a, from isqrt(n) down while 2a^2 >= n, with n - a^2 square."""
+    if n == 0:
+        return [0]
+    a = isqrt(n)
+    if a * a == n:
+        return [a]
+    while 2 * a * a >= n:
+        b = isqrt(n - a * a)
+        if b * b == n - a * a:
+            return [a, b]
+        a -= 1
+    return None
+
+
+def _candidates(n):
+    """Length of the scanned range: isqrt(n) down to the least a with 2a^2 >= n."""
+    bot = isqrt(n // 2)
+    if 2 * bot * bot < n:
+        bot += 1
+    return isqrt(n) - bot + 1
+
+
+def test_two_squares_matches_plain_scan_on_small_and_seeded_n():
+    rng = random.Random(16)
+    ns = list(range(0, 3000)) + [k * k for k in (1, 2, 3, 4097, 2**18 + 3, 2**31 - 1)]
+    ns += [rng.getrandbits(rng.randint(20, 36)) for _ in range(60)]
+    ns += [a * a + b * b for a, b in ((rng.getrandbits(18), rng.getrandbits(18)) for _ in range(30))]
+    for n in ns:
+        assert _two_squares(n) == _plain_two_squares(n), n
+
+
+@pytest.mark.parametrize("length", [4095, 4096, 4097, 8192, 8193])
+def test_two_squares_matches_plain_scan_on_block_sized_ranges(length):
+    # n spread over a window, each with exactly `length` candidates
+    m = int(length / (1 - 0.5**0.5))
+    ns = [n for n in range((m - 8) ** 2, (m + 8) ** 2, 37) if _candidates(n) == length]
+    assert len(ns) > 20
+    for n in ns[:: len(ns) // 12] + ns[-3:]:
+        assert _two_squares(n) == _plain_two_squares(n), n
+
+
+@pytest.mark.parametrize(
+    "n, length, hit",
+    [
+        (195465992, 4095, 4094),  # last candidate of a range one short of a block
+        (195584644, 4096, 4095),  # last candidate of exactly one block
+        (782417682, 8193, 8192),  # a third block holding one candidate
+        (580606721, 7057, 4095),  # last candidate of the first block
+        (580660481, 7057, 4096),  # first candidate of the second block
+        (580687364, 7058, 4097),
+        (676331492, 7617, 6000),
+    ],
+)
+def test_two_squares_first_hit_at_block_edges(n, length, hit):
+    expected = _plain_two_squares(n)
+    assert _candidates(n) == length and isqrt(n) - expected[0] == hit
+    assert _two_squares(n) == expected
+
+
+def test_two_squares_near_and_above_the_int64_screen():
+    # each n has its first hit within a few candidates of isqrt(n)
+    top = 2**31 - 1
+    below = [top * top + 65535**2, top * top + 7**2, (top - 3) ** 2 + 131071**2]
+    above = [2**62 + 5**2, 2**62 + 2**32 + 1, (2**32 - 5) ** 2 + 9**2, 2**80 + 2**38]
+    assert max(below) < 2**62 <= min(above)
+    for n in below + above:
+        assert _two_squares(n) == _plain_two_squares(n), n
+
+
+@pytest.mark.parametrize(
+    "n, a, b",
+    [
+        (4033076998932296753, 1997470937, 207814472),
+        (2903115510698567081, 1694144275, 181633384),
+    ],
+)
+def test_two_squares_hit_beyond_float_precision(n, a, b):
+    # n is a prime 1 mod 4, so a^2 + b^2 is its only representation and the
+    # plain scan's first hit; b^2 > 2^54 is not a float, and the hit lies
+    # millions of candidates below isqrt(n), too far for the plain reference
+    assert n < 2**62 and b > 2**27 and a * a + b * b == n
+    assert pow(3, n - 1, n) == 1
+    assert _two_squares(n) == [a, b]
 
 
 # every rung the library rounds with, plus small odd, repeated and unsorted ones

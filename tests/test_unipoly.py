@@ -497,3 +497,20 @@ def test_boxes_equal_builds_one_sturm_chain(monkeypatch):
     boxes = isolate_real_roots(P("t^2 - 2") ** 2 * P("t^2 - 5") * P("t^2 - 7") ** 3)
     assert [bx.multiplicity for bx in boxes] == [3, 1, 2, 2, 1, 3]
     assert len(built) == 1 + 2  # the radical's, then the two earlier Yun factors
+
+
+def test_pow_matches_repeated_products_with_fewest_squarings(monkeypatch):
+    p = UniPoly([Fr(1, 3), Fr(-2), Fr(5, 7)])
+    mul = UniPoly.__mul__
+    expected = UniPoly.one()
+    for n in range(10):
+        calls = []
+        monkeypatch.setattr(UniPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        got = p**n
+        monkeypatch.setattr(UniPoly, "__mul__", mul)
+        assert got == expected
+        # square per bit below the top one, multiply per set bit below the top one
+        assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+        expected = expected * p
+    with pytest.raises(ValueError):
+        p**-1
