@@ -4,11 +4,13 @@ Component-wise decompositions give summand vectors whose values at a shared
 point generally disagree; since both value vectors have the same Euclidean
 norm (the value of the target there), a single Householder reflection
 H = I - 2 u u^T / (u^T u) with u = v - w turns one into the other exactly.
-`reflect` applies H to a list of functions as a rank-one update: one
-combination s = sum_j u_j f_j, then f_i - (2 u_i / u^T u) s for each i with
-u_i != 0, so no k x k matrix is ever formed.  Processing the components of
-a forest in attachment order therefore stitches all the local
-decompositions into one certificate over the whole curve.
+`reflect` applies H to a list of functions as a rank-one update in one
+pass: one linear combination s = sum_j u_j f_j, then the two-term
+combination f_i - (2 u_i / u^T u) s for each i with u_i != 0.  Each
+combination sums the integer numerators of the function type (`lincomb`)
+and normalises once, and no k x k matrix is ever formed.  Processing the
+components of a forest in attachment order therefore stitches all the
+local decompositions into one certificate over the whole curve.
 
 A reflection that matches one point keeps an earlier match intact when the
 pairwise inner products agree: with the earlier value vector already at its
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .bipoly import BiPoly
 from .components import PolyChart, PuncturedChart, component_index
@@ -36,7 +39,7 @@ from .ringfn import (
     param_of_point,
     restrict_to_chart,
 )
-from .squares import NotPsd, line_fn_sos
+from .squares import _NUMERIC_TOL, NotPsd, line_fn_sos
 from .tribool import TriBool
 
 
@@ -80,19 +83,27 @@ class SosCertificate:
 def reflect(fns: list[RingFn], u: list[Fraction]) -> list[RingFn]:
     """The functions (I - 2 u u^T / u^T u) fns, as a rank-one update.
 
-    With s = sum_j u_j fns_j, entry i becomes fns_i - (2 u_i / u^T u) s; the
-    entries with u_i = 0 stay as they are, and fns comes back unchanged when
-    s is zero (u = 0 included).  For u = v - w with |v| = |w| this is the
-    reflection that sends the value vector v to w.
+    With u = U / D over the common denominator D of its entries and
+    n = U^T U, entry i becomes fns_i - (2 u_i / u^T u) sum_j u_j fns_j =
+    fns_i - 2 U_i s for s = sum_j (U_j / n) fns_j.  That is one linear
+    combination for s, then one two-term combination with integer weights
+    per entry with u_i != 0; each sums integer numerators and normalises
+    once (`lincomb` of the function type).  The entries with u_i = 0 stay as
+    they are, and fns comes back unchanged when s is zero (u = 0 included).
+    For u = v - w with |v| = |w| this is the reflection that sends the
+    value vector v to w.
     """
-    s = None
-    for uj, f in zip(u, fns):
-        if uj and not f.is_zero:
-            s = f.scale(uj) if s is None else s + f.scale(uj)
-    if s is None or s.is_zero:
+    D = lcm(*(ui.denominator for ui in u))
+    U = [ui.numerator * (D // ui.denominator) for ui in u]
+    live = [(x, f) for x, f in zip(U, fns) if x and not f.is_zero]
+    if not live:
         return fns
-    c = 2 / sum(ui * ui for ui in u)
-    return [f - s.scale(c * ui) if ui else f for f, ui in zip(fns, u)]
+    combine = type(live[0][1]).lincomb
+    n = sum(x * x for x in U)
+    s = combine([Fraction(x, n) for x, _ in live], [f for _, f in live])
+    if s.is_zero:
+        return fns
+    return [combine((1, -2 * x), (f, s)) if x else f for f, x in zip(fns, U)]
 
 
 def _pad(fs: list[LineFn], n: int) -> list[LineFn]:
@@ -111,7 +122,9 @@ def forest_assemble(
     decomposition of the restriction.  At the single shared point the
     already-built part has value vector v and the new part w, of equal
     norm; one `reflect` with u = v - w, applied to every function list built
-    so far, brings the two into agreement there.
+    so far, brings the two into agreement there.  When the certificate is
+    already numeric and every |u_i| is within the numeric tolerance, the
+    reflection is skipped: its normal would be float noise.
     """
     verdict = decide_unbounded_case(config)
     if verdict.answer is not TriBool.YES:
@@ -180,12 +193,18 @@ def forest_assemble(
                     "restrict consistently"
                 )
             u = [a - b for a, b in zip(v, w)]
-            for other in funcs:
-                funcs[other] = reflect(_pad(funcs[other], n), u)
+            if not exact and any(u) and all(abs(x) <= _NUMERIC_TOL for x in u):
+                # numeric values that agree up to float noise: a reflection
+                # along that noise would undo the agreement at earlier points
+                for other in funcs:
+                    funcs[other] = _pad(funcs[other], n)
+                how = "agreeing within the numeric tolerance"
+            else:
+                for other in funcs:
+                    funcs[other] = reflect(_pad(funcs[other], n), u)
+                how = "reflected into agreement"
             funcs[cid] = _pad(parts, n)
-            provenance.append(
-                f"{cid}: {len(parts)} squares, reflected into agreement at {rec.id}"
-            )
+            provenance.append(f"{cid}: {len(parts)} squares, {how} at {rec.id}")
         else:
             raise AssertionError(
                 f"{cid} meets the assembled part at {len(shared)} points; "

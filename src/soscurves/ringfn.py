@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .bipoly import BiPoly
 from .components import Chart, CircleChart, PolyChart, PuncturedChart
@@ -110,12 +111,32 @@ class LineFn:
     def scale(self, c) -> LineFn:
         return LineFn(self.num.scale(c), self.order, self.pole_at)
 
+    @staticmethod
+    def lincomb(coeffs: Sequence, fns: Sequence[LineFn]) -> LineFn:
+        """sum c_j * fns_j: the numerators lifted to the largest pole order
+        and combined by one `UniPoly.lincomb`."""
+        k = max(f.order for f in fns)
+        if not k:
+            return LineFn(UniPoly.lincomb(coeffs, [f.num for f in fns]))
+        poles = {f.pole_at for f in fns if f.order}
+        if len(poles) > 1:
+            raise ValueError("functions have poles at different parameter values")
+        pole = poles.pop()
+        lin = UniPoly.linear_root(pole)
+        nums = [
+            f.num * lin ** (k - f.order) if f.order < k and not f.is_zero else f.num
+            for f in fns
+        ]
+        return LineFn(UniPoly.lincomb(coeffs, nums), k, pole)
+
     def square(self) -> LineFn:
         return self * self
 
     def __call__(self, t) -> Fraction:
+        if not self.order:
+            return self.num(t)
         t = Fraction(t)
-        if self.order and t == self.pole_at:
+        if t == self.pole_at:
             raise ZeroDivisionError("evaluation at the excluded parameter value")
         return self.num(t) / (t - self.pole_at) ** self.order
 
@@ -170,6 +191,18 @@ class CircleFn:
 
     def scale(self, c) -> CircleFn:
         return CircleFn(self.a.scale(c), self.b.scale(c), self.q)
+
+    @staticmethod
+    def lincomb(coeffs: Sequence, fns: Sequence[CircleFn]) -> CircleFn:
+        """sum c_j * fns_j, one `UniPoly.lincomb` each on a and on b."""
+        q = fns[0].q
+        if any(f.q != q for f in fns):
+            raise ValueError("functions live on different conics")
+        return CircleFn(
+            UniPoly.lincomb(coeffs, [f.a for f in fns]),
+            UniPoly.lincomb(coeffs, [f.b for f in fns]),
+            q,
+        )
 
     def square(self) -> CircleFn:
         return self * self

@@ -13,10 +13,15 @@ refinement is needed.
 The exact decomposition splits the squarefree rootless part r as A^2 + B^2
 by pairing complex roots so that the paired factor has Gaussian-rational
 coefficients, and combines with a two-square splitting of the constant via
-the Brahmagupta identity.  Every exact result is re-verified by expanding
-the squares; nothing is trusted from floating point.  When no exact
-decomposition is found the numeric path pairs all upper-half-plane roots and
-reports the coefficient residual.
+the Brahmagupta identity.  A monic quadratic r = t^2 + u t + v, and the last
+quadratic factor left of a longer r, is decomposed exactly with no floats:
+r = (t + u/2)^2 + gap with gap = v - u^2/4 > 0, which pairs as
+(t + u/2, sqrt(gap)) exactly when gap is a rational square and otherwise
+gives the square-list (t + u/2, rational squares of gap).  numpy's roots
+serve rootless parts of degree 4 and more only.  Every exact result is
+re-verified by expanding the squares; nothing is trusted from floating
+point.  When no exact decomposition is found the numeric path pairs all
+upper-half-plane roots and reports the coefficient residual.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .numbers import _two_squares, limit_denominators, rational_square_list
 from .ringfn import LineFn
-from .unipoly import UniPoly, isolate_real_roots, yun_decomposition
+from .unipoly import UniPoly, count_real_roots, isolate_real_roots, yun_decomposition
 
 _DENOMINATOR_LADDER = (16, 1024, 10**6, 10**9, 10**12)
 _MAX_PAIRING_DEGREE = 24
@@ -156,14 +161,33 @@ def _gaussian_pairing(r: UniPoly, upper: list[complex]) -> tuple[UniPoly, UniPol
     return None
 
 
+def _completed_square(q: UniPoly) -> tuple[UniPoly, ...]:
+    """A square-list of the monic rootless quadratic q = t^2 + u t + v.
+
+    q = (t + u/2)^2 + gap with gap = v - u^2/4 > 0, so the list is t + u/2
+    followed by a rational square-list of gap: the single constant
+    sqrt(gap) exactly when gap is a rational square.
+    """
+    u, v = q.coeff(1), q.coeff(0)
+    gap = v - u * u / 4
+    return (
+        UniPoly([u / 2, Fraction(1)]),
+        *(UniPoly.const(e) for e in rational_square_list(gap) if e),
+    )
+
+
 def _quadratic_square_lists(
     r: UniPoly, upper: list[complex]
 ) -> list[tuple[UniPoly, ...]] | None:
-    """Square-lists of exact rational quadratic factors covering all of r."""
+    """Square-lists of exact rational quadratic factors covering all of monic r.
+
+    Factors are recovered from the roots through the denominator ladder
+    until a quadratic is left, which is the last factor exactly.
+    """
     remaining = r
     lists: list[tuple[UniPoly, ...]] = []
     for z in upper:
-        if remaining.degree < 2:
+        if remaining.degree <= 2:
             break
         found = None
         us = limit_denominators(-2.0 * z.real, _DENOMINATOR_LADDER)
@@ -172,17 +196,15 @@ def _quadratic_square_lists(
             quad = UniPoly([v, u, Fraction(1)])
             quo, rem = divmod(remaining, quad)
             if rem.is_zero():
-                found = (quad, quo, u, v)
+                found = (quad, quo)
                 break
         if found is None:
             continue
-        quad, remaining, u, v = found
-        # t^2 + u t + v = (t + u/2)^2 + (v - u^2/4), the gap being positive
-        gap = v - u * u / 4
-        parts = [UniPoly([u / 2, Fraction(1)])]
-        parts.extend(UniPoly.const(e) for e in rational_square_list(gap) if e)
-        lists.append(tuple(parts))
-    if remaining.degree != 0:
+        quad, remaining = found
+        lists.append(_completed_square(quad))
+    if remaining.degree == 2:
+        lists.append(_completed_square(remaining))
+    elif remaining.degree != 0:
         return None
     return lists
 
@@ -244,16 +266,23 @@ def uni_sos_two_squares(
     without real roots.  Returns two exact squares whenever the complex root
     pairing yields them, a longer exact list when only rational quadratic
     factors are available, and falls back to the numeric answer as a last
-    resort.
+    resort.  A quadratic rootless part never needs the roots: its completed
+    square is the pairing when it has two entries, else the one list.
     """
     if rootless.degree == 0:
         parts = tuple(square * e for e in _constant_square_list(c))
         return SumOfSquares(_signed(parts), exact=True)
 
-    upper = _roots_upper_half(rootless)
-    if upper is None:
-        raise NumericFailure("complex roots did not split into conjugate pairs")
-    pairing = _gaussian_pairing(rootless, upper)
+    if rootless.degree == 2:
+        entry = _completed_square(rootless)
+        pairing = entry if len(entry) == 2 else None
+        lists = [entry]
+    else:
+        upper = _roots_upper_half(rootless)
+        if upper is None:
+            raise NumericFailure("complex roots did not split into conjugate pairs")
+        pairing = _gaussian_pairing(rootless, upper)
+        lists = None if pairing is not None else _quadratic_square_lists(rootless, upper)
     if pairing is not None:
         a, b = pairing
         two = _two_square_fractions(c)
@@ -275,7 +304,6 @@ def uni_sos_two_squares(
         assert total == p
         return SumOfSquares(_signed(parts), exact=True)
 
-    lists = _quadratic_square_lists(rootless, upper)
     if lists is not None:
         acc: tuple[UniPoly, ...] = (square,)
         for entry in lists:
@@ -302,7 +330,7 @@ def line_fn_sos(fn: LineFn) -> SumOfSquares:
         return SumOfSquares((), exact=True)
     if fn.order % 2 == 0:
         c, square, rootless = _split_psd(fn.num)
-        if c > 0 and not isolate_real_roots(rootless):
+        if c > 0 and count_real_roots(rootless) == 0:
             inner = uni_sos_two_squares(fn.num, c, square, rootless)
             half = fn.order // 2
             parts = tuple(LineFn(g, half, fn.pole_at) for g in inner.parts)

@@ -178,6 +178,27 @@ class UniPoly:
         n = c.numerator
         return _make(*_canonical([k * n for k in self._num], self._den * c.denominator))
 
+    @staticmethod
+    def lincomb(coeffs: Iterable, polys: Iterable["UniPoly"]) -> "UniPoly":
+        """sum c_j * p_j, summed on the integer numerators and normalised once."""
+        terms = []
+        den = 1
+        for c, p in zip(coeffs, polys):
+            if c and p._num:
+                if type(c) is not int:
+                    c = _fr(c)
+                d = c.denominator * p._den
+                terms.append((c.numerator, d, p._num))
+                den = lcm(den, d)
+        if not terms:
+            return _ZERO
+        out = [0] * max(len(num) for _, _, num in terms)
+        for k, d, num in terms:
+            k *= den // d
+            for i, v in enumerate(num):
+                out[i] += k * v
+        return _make(*_canonical(out, den))
+
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -661,7 +682,20 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
 
 
 def count_real_roots(p: UniPoly) -> int:
-    return len(isolate_real_roots(p))
+    """Number of distinct real roots of p, repeated roots counted once.
+
+    Sturm's theorem on the whole line: the sign variations of `sturm_chain(p)`
+    at -inf minus those at +inf, read off the leading coefficients.  The
+    chain ends in gcd(p, p'), and dividing every member by it (a sign that
+    is constant near each infinity) changes no variation count, so p need
+    not be squarefree.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("cannot count the roots of the zero polynomial")
+    chain = sturm_chain(p)
+    at_pos = [1 if q._num[-1] > 0 else -1 for q in chain]
+    at_neg = [-s if q.degree % 2 else s for s, q in zip(at_pos, chain)]
+    return _variations(at_neg) - _variations(at_pos)
 
 
 # -- exact arithmetic with algebraic numbers ---------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from soscurves import squares
 from soscurves.ringfn import LineFn
+from soscurves.numbers import limit_denominators, rational_square_list, sqrt_fraction
 from soscurves.squares import NotPsd, line_fn_sos, negative_point
 from soscurves.unipoly import UniPoly
 
@@ -166,15 +167,16 @@ def test_exact_decompositions_reexpand(num):
 
 
 @pytest.mark.parametrize(
-    "fn",
+    "fn, root_calls",
     [
-        LineFn(_poly(1, 1, 0, 0, 1)),  # numeric fallback
-        LineFn(_poly(2, 0, 1, 0, 1), 2, Fr(3)),
-        LineFn(_poly(1, 0, 1) * _poly(2, 0, 1)),
-        LineFn(_poly(1, 0, 1)),
+        (LineFn(_poly(1, 1, 0, 0, 1)), 1),  # numeric fallback
+        (LineFn(_poly(2, 0, 1, 0, 1), 2, Fr(3)), 1),
+        (LineFn(_poly(1, 0, 1) * _poly(2, 0, 1)), 1),
+        (LineFn(_poly(1, 0, 1)), 0),  # a quadratic needs no roots
     ],
+    ids=["fn0", "fn1", "fn2", "fn3"],
 )
-def test_psd_restriction_splits_and_finds_roots_once(monkeypatch, fn):
+def test_psd_restriction_splits_and_finds_roots_once(monkeypatch, fn, root_calls):
     calls = {"split": 0, "roots": 0}
     split, roots = squares._split_psd, squares._roots_upper_half
 
@@ -189,4 +191,113 @@ def test_psd_restriction_splits_and_finds_roots_once(monkeypatch, fn):
     monkeypatch.setattr(squares, "_split_psd", counted_split)
     monkeypatch.setattr(squares, "_roots_upper_half", counted_roots)
     line_fn_sos(fn)
-    assert calls == {"split": 1, "roots": 1}
+    assert calls == {"split": 1, "roots": root_calls}
+
+
+def _ladder_quadratic(r: UniPoly):
+    """The parts of a monic rootless quadratic r as the float path finds them.
+
+    The Gaussian pairing from numpy's roots, else u and v of t^2 + u t + v
+    read back from the root through the denominator ladder; None when the
+    ladder finds neither.
+    """
+    upper = squares._roots_upper_half(r)
+    pairing = squares._gaussian_pairing(r, upper)
+    if pairing is not None:
+        return pairing
+    z = upper[0]
+    us = limit_denominators(-2.0 * z.real, squares._DENOMINATOR_LADDER)
+    vs = limit_denominators(abs(z) ** 2, squares._DENOMINATOR_LADDER)
+    for u, v in zip(us, vs):
+        if UniPoly([v, u, Fr(1)]) == r:
+            gap = v - u * u / 4
+            return (_poly(u / 2, 1), *(UniPoly.const(e) for e in rational_square_list(gap) if e))
+    return None
+
+
+def _reexpands(fn: LineFn, parts) -> bool:
+    total = LineFn.zero()
+    for part in parts:
+        total = total + part * part
+    return total == fn
+
+
+def test_quadratic_square_lists_match_the_float_ladder():
+    rng = random.Random(59)
+    found = {True: 0, False: 0}
+    for _ in range(120):
+        u = Fr(rng.randint(-20, 20), rng.randint(1, 12))
+        if rng.random() < 0.5:
+            gap = Fr(rng.randint(1, 30), rng.randint(1, 12)) ** 2
+        else:
+            gap = Fr(rng.randint(1, 60), rng.randint(1, 40))
+        r = _poly(u * u / 4 + gap, u, 1)
+        entry = squares._completed_square(r)
+        root = sqrt_fraction(gap)
+        assert entry[0] == _poly(u / 2, 1)
+        if root is not None:
+            assert entry[1:] == (UniPoly.const(root),)
+        else:
+            assert len(entry) > 2
+            assert sum(e.coeff(0) ** 2 for e in entry[1:]) == gap
+        ladder = _ladder_quadratic(r)
+        if ladder is not None:
+            assert tuple(ladder) == entry
+            found[len(entry) == 2] += 1
+        c = Fr(rng.randint(1, 9), rng.randint(1, 4))
+        fn = LineFn(r.scale(c) * _poly(rng.randint(-3, 3), 1) ** 2, 2, Fr(7))
+        dec = line_fn_sos(fn)
+        assert dec.exact and _reexpands(fn, dec.parts)
+    assert found[True] > 10 and found[False] > 10
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        _poly(Fr(1, 10**13 + 37) ** 2, 0, 1),  # sqrt(gap) has denominator above 10^12
+        _poly(Fr(2, 10**13 + 37), 0, 1),  # gap is no square, its denominator above 10^12
+        _poly(Fr(1, 4) + Fr(3, 10**13 + 37), 1, 1),
+    ],
+)
+def test_quadratic_beyond_the_ladder_is_exact(monkeypatch, r):
+    assert _ladder_quadratic(r) is None
+    monkeypatch.setattr(squares, "_roots_upper_half", None)  # no float roots needed
+    for fn in (LineFn(r), LineFn(r.scale(3) * _poly(1, 2) ** 2, 2, Fr(-1, 2))):
+        dec = line_fn_sos(fn)
+        assert dec.exact
+        assert _reexpands(fn, dec.parts)
+
+
+def test_last_quadratic_factor_needs_no_ladder():
+    # two quadratic factors: the first from its root, the last taken exactly
+    far = _poly(Fr(2, 10**13 + 37), 0, 1)
+    r = _poly(2, 0, 1) * far
+    upper = squares._roots_upper_half(r)
+    lists = squares._quadratic_square_lists(r, upper)
+    assert lists is not None and squares._completed_square(far) in lists
+    dec = line_fn_sos(LineFn(r))
+    assert dec.exact and _reexpands(LineFn(r), dec.parts)
+
+
+def test_psd_test_counts_roots_without_isolating(monkeypatch):
+    def refuse(p):
+        raise AssertionError("root isolation on a psd restriction")
+
+    monkeypatch.setattr(squares, "isolate_real_roots", refuse)
+    for num in (_poly(1, 0, 1), _poly(1, 0, 1) * _poly(2, 0, 1), (T - UniPoly.one()) ** 2 * _poly(5, 2, 1)):
+        assert line_fn_sos(LineFn(num)).exact
+
+
+@pytest.mark.parametrize(
+    "num, parts",
+    [
+        # gap 4 is a square: the pairing (t + 1, 2) times each square of 3
+        (_poly(5, 2, 1).scale(3), [_poly(1, 1), _poly(2)] * 3),
+        # gap 5 is not: the square-list (t + 1, 2, 1) times the squares of 3
+        (_poly(6, 2, 1).scale(3), [_poly(1, 1)] * 3 + [_poly(2)] * 3 + [_poly(1)] * 3),
+    ],
+)
+def test_quadratic_parts_keep_the_pairing_layout(num, parts):
+    # 3 is no sum of two rational squares, so the layout of the parts shows
+    # which of the two constructions ran
+    assert line_fn_sos(LineFn(num)).parts == tuple(LineFn(g) for g in parts)

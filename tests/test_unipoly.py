@@ -9,6 +9,7 @@ from soscurves.unipoly import (
     NotSquarefree,
     RootBox,
     UniPoly,
+    ZeroPolynomial,
     _isolate_squarefree,
     _rational_root_in,
     box_compare,
@@ -136,6 +137,46 @@ def test_count_real_roots_random_products():
         assert count_real_roots(p) == len(roots)
         found = isolate_real_roots(p)
         assert [b.exact_value for b in found] == roots
+
+
+def test_count_real_roots_matches_isolation():
+    rng = random.Random(41)
+    irreducible = [P("t^2 - 2"), P("t^2 + 1"), P("t^2 + t + 1"), P("t^3 - 3*t + 1"), P("t^4 + 1")]
+    for _ in range(150):
+        p = UniPoly.const(Fr(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.5:
+                f = UniPoly.linear_root(Fr(rng.randint(-5, 5), rng.randint(1, 3)))
+            else:
+                f = rng.choice(irreducible)
+            p = p * f ** rng.randint(1, 3)  # repeated roots a good share of the time
+        assert count_real_roots(p) == len(isolate_real_roots(p)), p
+    for _ in range(60):
+        cs = _random_coeffs(rng, rng.randint(0, 6))
+        p = UniPoly(cs)
+        assert count_real_roots(p) == len(isolate_real_roots(p)), p
+    for c in (Fr(5), Fr(-1, 3)):
+        assert count_real_roots(UniPoly.const(c)) == 0
+    with pytest.raises(ZeroPolynomial):
+        count_real_roots(UniPoly.zero())
+
+
+def test_lincomb_matches_repeated_scale_and_add():
+    rng = random.Random(43)
+    for _ in range(150):
+        polys = [UniPoly(_random_coeffs(rng)) for _ in range(rng.randint(0, 5))]
+        coeffs = [
+            rng.choice([0, 1, -2, Fr(0), Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))])
+            for _ in polys
+        ]
+        ref = UniPoly.zero()
+        for c, p in zip(coeffs, polys):
+            ref = ref + p.scale(c)
+        out = UniPoly.lincomb(coeffs, polys)
+        assert out == ref
+        assert list(out.coeffs) == list(ref.coeffs)
+    p = P("t^2 - 3*t + 1/2")
+    assert UniPoly.lincomb((1, -1), (p, p)).is_zero()
 
 
 def test_box_sign_at_algebraic_point():

@@ -1,0 +1,137 @@
+"""Dump every benchmark instance's output, or diff two such dumps.
+
+A change that should leave results alone is checked by dumping before and
+after and diffing the two files:
+
+    python3 tools/compare_outputs.py dump --root <old checkout> old.jsonl
+    python3 tools/compare_outputs.py dump new.jsonl
+    python3 tools/compare_outputs.py diff old.jsonl new.jsonl
+
+`dump` runs, from the checkout at --root (default: this one), every
+instance `generate(workload, seed)` gives for the chosen seeds (default 1
+and 2) of the three perfbench workloads, plus each workload's known-defect
+reproducers, through the perfbench operation itself.  One JSON line per
+instance records the outcome and detail and, when one was built, the
+certificate (`exact`, residual, provenance, the `repr` of every summand) or
+the witness (`repr`).  `diff` prints every instance whose record differs and
+exits 1 when any does.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one BLAS thread, as in perfbench/run.py
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+WORKLOADS = ("line-forest", "compact-gram", "shear-elim")
+BUDGET_S = {"line-forest": 8.0, "compact-gram": 4.0, "shear-elim": 40.0}
+
+
+def _load(root: Path):
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import bench_instances
+    import bench_pipeline
+    from soscurves import certify, witness
+
+    return bench_instances, bench_pipeline, certify, witness
+
+
+def _capture(module, name: str, built: list) -> None:
+    """Wrap module.name so each artifact it returns is appended to built."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        built.append(out)
+        return out
+
+    setattr(module, name, wrapper)
+
+
+def _artifact(obj) -> dict | None:
+    if obj is None:
+        return None
+    if hasattr(obj, "summands"):
+        return {
+            "exact": obj.exact,
+            "residual": repr(obj.residual),
+            "provenance": list(obj.provenance),
+            "summands": [
+                {cid: repr(fn) for cid, fn in sorted(s.items())} for s in obj.summands
+            ],
+        }
+    return {"witness": repr(obj)}
+
+
+def dump(root: Path, seeds: list[int], out: Path) -> int:
+    instances, pipeline, certify, witness = _load(root)
+    built: list = []
+    _capture(certify, "full_certify", built)
+    _capture(witness, "cycle_witness", built)
+    _capture(witness, "nonreal_intersection_witness", built)
+    runs = [
+        (w, str(s), inst) for w in WORKLOADS for s in seeds for inst in instances.generate(w, s)
+    ]
+    runs += [(w, "known-defect", inst) for w in WORKLOADS for inst in instances.known_defects(w)]
+    with open(out, "w") as fh:
+        for workload, seed, inst in runs:
+            built.clear()
+            res = pipeline.run_operation(inst, BUDGET_S[workload])
+            record = {
+                "key": f"{workload}/{seed}/{inst.name}",
+                "outcome": res.outcome,
+                "detail": res.detail,
+                "artifact": _artifact(built[-1] if built else None),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    print(f"{len(runs)} instances written to {out}")
+    return 0
+
+
+def _read(path: Path) -> dict[str, dict]:
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    return {r["key"]: r for r in records}
+
+
+def diff(a: Path, b: Path) -> int:
+    old, new = _read(a), _read(b)
+    changed = 0
+    for key in sorted(old.keys() | new.keys()):
+        ra, rb = old.get(key), new.get(key)
+        if ra == rb:
+            continue
+        changed += 1
+        if ra is None or rb is None:
+            print(f"{key}: only in {a if rb is None else b}")
+            continue
+        print(f"{key}: {ra['outcome']} ({ra['detail']}) -> {rb['outcome']} ({rb['detail']})")
+        if ra["artifact"] != rb["artifact"]:
+            print("  artifact differs")
+    print(f"{len(old.keys() | new.keys())} instances, {changed} differ")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="run every instance and write one JSON line each")
+    d.add_argument("out", type=Path)
+    d.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    d.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    c = sub.add_parser("diff", help="print the instances whose records differ")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = ap.parse_args(argv)
+    if args.cmd == "dump":
+        return dump(args.root.resolve(), args.seeds, args.out)
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
