@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, gcd as igcd, lcm
 
 from .numbers import sqrt_fraction
-from .unipoly import UniPoly, _canonical as _uni_canonical, _make as _uni_make, gcd as uni_gcd
+from .unipoly import UniPoly, _canonical as _uni_canonical, _make as _uni_make, _pseudo_divmod, gcd as uni_gcd
 
 
 class DegenerateInput(ValueError):
@@ -420,28 +420,68 @@ class _PowerCache:
 
 
 def _det_bareiss(mat: list[list[UniPoly]]) -> UniPoly:
-    """Fraction-free determinant of a matrix of exact polynomials."""
+    """Determinant of a square matrix of `UniPoly` entries, by fraction-free
+    elimination (Bareiss, *Sylvester's identity and multistep
+    integer-preserving Gaussian elimination*, Math. Comp. 1968).
+
+    Row i is multiplied once by the lcm s_i of its entries' denominators, so
+    det(mat) = det(M) / prod s_i with M over Z[x], and the elimination runs
+    on integer coefficient lists: step k sets
+    M[i][j] = (M[k][k] M[i][j] - M[i][k] M[k][j]) / M[k-1][k-1], a
+    division that is exact in Z[x] because every entry is a minor of M.  The
+    row scales leave every minor zero exactly when it was, so the zero-pivot
+    row swaps are those on mat.  One `UniPoly` is built at the end.
+    """
     n = len(mat)
     if n == 0:
         return UniPoly.one()
-    m = [row[:] for row in mat]
+    m: list[list[list[int]]] = []
+    scale = 1
+    for row in mat:
+        s = lcm(*(c._den for c in row))
+        scale *= s
+        m.append([[v * (s // c._den) for v in c._num] for c in row])
     sign = 1
-    prev = UniPoly.one()
+    prev = [1]
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
                 return UniPoly.zero()
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        rowk = m[k]
+        piv = rowk[k]
         for i in range(k + 1, n):
+            rowi = m[i]
+            a = rowi[k]
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly.zero()
-        prev = m[k][k]
+                v = _conv(piv, rowi[j])
+                if a and rowk[j]:
+                    w = _conv(a, rowk[j])
+                    v.extend([0] * (len(w) - len(v)))
+                    for e, c in enumerate(w):
+                        v[e] -= c
+                    while v and not v[-1]:
+                        v.pop()
+                if v and k:
+                    v = _pseudo_divmod(v, prev, True)[0]
+                rowi[j] = v
+        prev = piv
     out = m[n - 1][n - 1]
-    return out.scale(-1) if sign < 0 else out
+    return _uni(out if sign > 0 else [-c for c in out], scale)
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists (low degree first, [] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _detpol_subresultant(fy: list[UniPoly], gy: list[UniPoly], j: int) -> list[UniPoly]:

@@ -850,33 +850,61 @@ def _ldl_pivots(
     The matrix equals sum d_k c_k c_k^T, each pivot is the largest remaining
     diagonal entry, c_k[p_k] = 1 and c_k[p_j] = 0 for j < k.  None when the
     matrix is not psd: a negative pivot, or a zero diagonal with a nonzero
-    remaining entry.  The update skips the zero entries of each column,
-    which keeps sparse normal matrices cheap.
+    remaining entry.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 1968) on the
+    integer matrix A = s g, s the lcm of g's denominators.  After k pivots
+    the remaining entries of A's Bareiss matrix M are minors of A, hence
+    integers, and the Schur complement of g is M / (s a_{k-1}), where
+    a_k = M[p_k][p_k] is the k-th pivot value (a_{-1} = 1).  So
+    d_k = a_k / (a_{k-1} s) and c_k[i] = M[i][p_k] / a_k, and the largest
+    diagonal, the signs and the zero tests can be read off M.  A step only
+    multiplies a row with a zero in the pivot column by a_k / a_{k-1}, so
+    such a row is left as it is: row i keeps R[i] and the pivot value e_i
+    of its last update, with M[i][j] = R[i][j] a / e_i for a the last pivot
+    value.  That keeps sparse normal matrices cheap.
     """
     n = len(g)
-    m = [row[:] for row in g]
+    s = lcm(*(c.denominator for row in g for c in row))
+    rows = [[c.numerator * (s // c.denominator) for c in row] for row in g]
+    since = [1] * n  # the pivot value row i was last updated with
     active = list(range(n))
     out: list[tuple[int, Fraction, list[Fraction]]] = []
+    prev = 1
     while active:
-        p = max(active, key=lambda i: m[i][i])
-        d = m[p][p]
-        if d < 0:
+        # the largest rows[i][i] / since[i], the first one on ties
+        p = active[0]
+        top, below = rows[p][p], since[p]
+        for i in active:
+            if rows[i][i] * below > top * since[i]:
+                p, top, below = i, rows[i][i], since[i]
+        if top < 0:
             return None
-        if d == 0:
-            if any(m[i][j] for i in active for j in active):
+        if top == 0:
+            if any(rows[i][j] for i in active for j in active):
                 return None
             break
-        col = [Fraction(0)] * n
-        for i in active:
-            col[i] = m[i][p] / d
-        support = [i for i in active if col[i]]
-        for i in support:
-            scaled = d * col[i]
-            row = m[i]
-            for j in support:
-                row[j] -= scaled * col[j]
         active.remove(p)
-        out.append((p, d, col))
+        rp, ep = rows[p], since[p]
+        # the pivot row of the current Bareiss matrix, on its nonzero entries
+        pivot = {j: rp[j] * prev // ep for j in active if rp[j]}
+        a = top * prev // ep
+        col = [Fraction(0)] * n
+        col[p] = Fraction(1)
+        for i in pivot:
+            row, e = rows[i], since[i]
+            f = row[p]
+            col[i] = Fraction(f * prev, e * a)
+            for j in active:
+                v = row[j]
+                pj = pivot.get(j)
+                if pj is not None:
+                    row[j] = (a * v - f * pj) // e
+                elif v:
+                    row[j] = a * v // e
+            since[i] = a
+        out.append((p, Fraction(a, prev * s), col))
+        prev = a
     return out
 
 

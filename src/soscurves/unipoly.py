@@ -26,7 +26,18 @@ Real roots are isolated by Sturm bisection inside the Cauchy bound, and
 roots that happen to be rational are recognised exactly in their isolating
 boxes: a rational root of a primitive integer polynomial with leading
 coefficient a is k/a for an integer k, so bisecting a box below width 1/a
-leaves one candidate to test (no factoring).
+leaves one candidate to test (no factoring).  Bisection, refinement and the
+sign enclosure all run on integer endpoints: a box is a triple (L, H, D)
+for [L/D, H/D], its midpoint is (L+H)/2D, each Sturm-chain member is signed
+by homogeneous Horner on its numerators, and Fractions are built only for
+the boxes handed back.  The bisection keeps an explicit work list, so a
+deep cluster of roots costs steps, not stack.  `isolate_real_roots` runs
+one remainder sequence on (p, p'): when it ends in a constant p is
+squarefree and the sequence is its Sturm chain; otherwise its last member is
+gcd(p, p'), which starts Yun's decomposition, and the members divided by it
+are a Sturm sequence of the radical.  A linear input has its one box in
+closed form, (-B, B) around -c_0 for the monic t + c_0 with B its Cauchy
+bound, which is the box the bisection returns.
 """
 from __future__ import annotations
 
@@ -381,17 +392,14 @@ def _horner(num: Sequence[int], a: int, b: int) -> int:
     return acc
 
 
-def _enclosure_sign(num: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """Sign on [lo, hi] of the polynomial with coefficients num, certified by
+def _enclosure_sign(num: Sequence[int], L: int, H: int, D: int) -> int:
+    """Sign on [L/D, H/D] of the polynomial with coefficients num, certified by
     interval Horner, or 0 when the enclosure contains 0.
 
-    With lo = L/D and hi = H/D, the k-th rational Horner enclosure times
-    D**(k-1) is an integer interval, so the recursion runs on ints and
-    certifies exactly the signs the rational one does.
+    The k-th rational Horner enclosure times D**(k-1) is an integer interval,
+    so the recursion runs on ints and certifies exactly the signs the
+    rational one does.
     """
-    ld, hd = lo.denominator, hi.denominator
-    D = lcm(ld, hd)
-    L, H = lo.numerator * (D // ld), hi.numerator * (D // hd)
     alo = ahi = 0
     dk = 1
     for c in reversed(num):
@@ -400,6 +408,27 @@ def _enclosure_sign(num: Sequence[int], lo: Fraction, hi: Fraction) -> int:
         alo, ahi = min(cands) + c, max(cands) + c
         dk *= D
     return 1 if alo > 0 else -1 if ahi < 0 else 0
+
+
+def _triple(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(L, H, D) with lo = L/D and hi = H/D, D the lcm of the denominators."""
+    ld, hd = lo.denominator, hi.denominator
+    D = lcm(ld, hd)
+    return lo.numerator * (D // ld), hi.numerator * (D // hd), D
+
+
+def _halve(num: Sequence[int], L: int, H: int, D: int, slo: bool) -> tuple[int, int] | None:
+    """One bisection step of the box [L/D, H/D] around one root of num.
+
+    slo says whether num is positive at L/D.  Returns the numerators over 2D
+    of the half that holds the root, or None when the midpoint (L+H)/2D is
+    the root.
+    """
+    M = L + H
+    v = _horner(num, M, 2 * D)
+    if not v:
+        return None
+    return (M, 2 * H) if (v > 0) == slo else (2 * L, M)
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -437,11 +466,14 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
+    return _yun(p, gcd(p, p.derivative()))
+
+
+def _yun(p: UniPoly, a: UniPoly) -> list[tuple[UniPoly, int]]:
+    """`yun_decomposition` of monic p of positive degree, given a = gcd(p, p')."""
     out = []
-    d = p.derivative()
-    a = gcd(p, d)
     b = p.exact_div(a)
-    c = d.exact_div(a)
+    c = p.derivative().exact_div(a)
     i = 1
     while b.degree > 0:
         d2 = c - b.derivative()
@@ -476,15 +508,29 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 
 
 def _variations(vals: Sequence[int]) -> int:
-    out = 0
-    prev = 0
-    for v in vals:
-        if v == 0:
-            continue
-        if prev and v != prev:
-            out += 1
-        prev = v
-    return out
+    """Sign changes along vals, zeros skipped."""
+    signs = [v > 0 for v in vals if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _variations_at(chain: Sequence[Sequence[int]], X: int, D: int) -> int:
+    """Sign variations at X/D of a chain given by its members' numerators.
+
+    Raises EndpointIsRoot when X/D is a root of the first member.
+    """
+    vals = [_horner(num, X, D) for num in chain]
+    if not vals[0]:
+        raise EndpointIsRoot("interval endpoint is a root")
+    return _variations(vals)
+
+
+def _chain_count(chain: Sequence[Sequence[int]], L: int, H: int, D: int) -> int:
+    """Roots in (L/D, H/D) of the squarefree polynomial whose Sturm chain has
+    the members' numerators chain, for L < H.
+
+    Callers that count one polynomial on many intervals build its chain once.
+    """
+    return _variations_at(chain, L, D) - _variations_at(chain, H, D)
 
 
 def sturm_count(p: UniPoly, lo, hi) -> int:
@@ -494,22 +540,11 @@ def sturm_count(p: UniPoly, lo, hi) -> int:
         raise ValueError("need lo < hi")
     if p.is_zero():
         raise ZeroPolynomial("Sturm count of the zero polynomial")
-    g = gcd(p, p.derivative())
-    if g.degree > 0:
+    chain = sturm_chain(p)
+    # the chain ends in gcd(p, p') up to a constant
+    if chain[-1].degree > 0:
         raise NotSquarefree("Sturm count requires a squarefree polynomial")
-    return _chain_count(sturm_chain(p), lo, hi)
-
-
-def _chain_count(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
-    """`sturm_count` on the Sturm chain of a squarefree polynomial, for lo < hi.
-
-    Callers that count one polynomial on many intervals build its chain once.
-    """
-    sa = [q.sign_at(lo) for q in chain]
-    sb = [q.sign_at(hi) for q in chain]
-    if sa[0] == 0 or sb[0] == 0:
-        raise EndpointIsRoot("interval endpoint is a root")
-    return _variations(sa) - _variations(sb)
+    return _chain_count([q._num for q in chain], *_triple(lo, hi))
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
@@ -532,27 +567,24 @@ class RootBox:
     poly: UniPoly
 
     def refined(self, times: int = 1) -> "RootBox":
-        if self.exact_value is not None:
-            lo, hi = self.low, self.high
-            v = self.exact_value
-            for _ in range(times):
-                lo = (lo + v) / 2
-                hi = (hi + v) / 2
-            return RootBox(lo, hi, self.multiplicity, v, self.poly)
-        lo, hi = self.low, self.high
-        poly = self.poly
-        slo = poly.sign_at(lo)
+        v = self.exact_value
+        if v is not None:
+            # each refinement halves the distance of both endpoints to v
+            k = 2**times
+            return RootBox(v + (self.low - v) / k, v + (self.high - v) / k, self.multiplicity, v, self.poly)
+        L, H, D = _triple(self.low, self.high)
+        num = self.poly._num
+        slo = _horner(num, L, D) > 0
         for _ in range(times):
-            mid = (lo + hi) / 2
-            sm = poly.sign_at(mid)
-            if sm == 0:
-                eps = (hi - lo) / 4
-                return RootBox(mid - eps, mid + eps, self.multiplicity, mid, self.poly)
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        return RootBox(lo, hi, self.multiplicity, None, self.poly)
+            half = _halve(num, L, H, D, slo)
+            if half is None:
+                # the midpoint is the root: a window of half the width around it
+                return RootBox(
+                    Fraction(3 * L + H, 4 * D), Fraction(L + 3 * H, 4 * D), self.multiplicity,
+                    Fraction(L + H, 2 * D), self.poly,
+                )
+            (L, H), D = half, 2 * D
+        return RootBox(Fraction(L, D), Fraction(H, D), self.multiplicity, None, self.poly)
 
     def width(self) -> Fraction:
         return self.high - self.low
@@ -573,71 +605,77 @@ def _rational_root_in(q: UniPoly, box: RootBox, a: int) -> Fraction | None:
     its sign is that of homogeneous Horner on q's numerators.
     """
     num = q._num
-    lo, hi = box.low, box.high
-    ld, hd = lo.denominator, hi.denominator
-    D = lcm(ld, hd)
-    L, H = lo.numerator * (D // ld), hi.numerator * (D // hd)
+    L, H, D = _triple(box.low, box.high)
     slo = _horner(num, L, D) > 0
     while a * (H - L) >= D:
-        M, D = L + H, 2 * D
-        vm = _horner(num, M, D)
-        if vm == 0:
-            return Fraction(M, D)
-        if (vm > 0) == slo:
-            L, H = M, 2 * H
-        else:
-            L, H = 2 * L, M
+        half = _halve(num, L, H, D, slo)
+        if half is None:
+            return Fraction(L + H, 2 * D)
+        (L, H), D = half, 2 * D
     v = Fraction(a * L // D + 1, a)
-    return v if v < hi and q.sign_at(v) == 0 else None
+    return v if v < box.high and q.sign_at(v) == 0 else None
+
+
+def _bisect(p: UniPoly, chain: Sequence[Sequence[int]]) -> list[tuple[int, int, int, Fraction | None]]:
+    """Isolating boxes (L, H, D, exact root or None) of the distinct real roots
+    of p, ordered left to right.
+
+    chain holds the numerators of a Sturm sequence whose variations count the
+    distinct roots of p between two points that are not roots.  Boxes are
+    halved from a work list, left half on top, so boxes come off it in
+    order.  A midpoint that is a root gets a window around it, halved until
+    it holds that root alone.
+    """
+    num = p._num
+    bound = cauchy_bound(p)
+    L, H, D = -bound.numerator, bound.numerator, bound.denominator
+    # nudge endpoints off roots (Cauchy bound is strict, but stay safe)
+    while not _horner(num, L, D):
+        L -= D
+    while not _horner(num, H, D):
+        H += D
+    out = []
+    # (L, H, D, variations at L/D and at H/D, the root when it is the midpoint of a window)
+    work = [(L, H, D, _variations_at(chain, L, D), _variations_at(chain, H, D), None)]
+    while work:
+        L, H, D, vl, vh, exact = work.pop()
+        n = vl - vh
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((L, H, D, exact))
+            continue
+        M, E = L + H, 2 * D
+        if _horner(num, M, E):
+            vm = _variations_at(chain, M, E)
+            work.append((M, 2 * H, E, vm, vh, None))
+            work.append((2 * L, M, E, vl, vm, None))
+            continue
+        # shrink a window (M - W, M + W) / E around the exact root M / E,
+        # halving W / E from (H - L) / 2D, until it isolates
+        W = H - L
+        for _ in range(20000):
+            lo, hi = M - W, M + W
+            if _horner(num, lo, E) and _horner(num, hi, E):
+                va, vb = _variations_at(chain, lo, E), _variations_at(chain, hi, E)
+                if va - vb == 1:
+                    break
+            M, E = 2 * M, 2 * E
+        else:
+            raise RuntimeError("root window refinement did not converge")
+        k = E // D
+        work.append((hi, H * k, E, vb, vh, None))
+        work.append((lo, hi, E, va, vb, Fraction(L + H, 2 * D)))
+        work.append((L * k, lo, E, vl, va, None))
+    return out
 
 
 def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
     """Isolating boxes for the distinct real roots of squarefree p (multiplicity set to 1)."""
     if p.degree <= 0:
         return []
-    bound = cauchy_bound(p)
-    lo, hi = -bound, bound
-    # nudge endpoints off roots (Cauchy bound is strict, but stay safe)
-    while p.sign_at(lo) == 0:
-        lo -= 1
-    while p.sign_at(hi) == 0:
-        hi += 1
-    chain = sturm_chain(p)
-
-    def var_at(v: Fraction) -> int:
-        return _variations([q.sign_at(v) for q in chain])
-
-    out: list[RootBox] = []
-
-    def rec(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1:
-            out.append(RootBox(a, b, 1, None, p))
-            return
-        mid = (a + b) / 2
-        if p.sign_at(mid) == 0:
-            eps = (b - a)
-            # shrink a window around the exact root until it isolates
-            for _ in range(20000):
-                eps /= 2
-                l2, h2 = mid - eps, mid + eps
-                if p.sign_at(l2) != 0 and p.sign_at(h2) != 0 and var_at(l2) - var_at(h2) == 1:
-                    break
-            else:
-                raise RuntimeError("root window refinement did not converge")
-            out.append(RootBox(l2, h2, 1, mid, p))
-            rec(a, l2, va, var_at(l2))
-            rec(h2, b, var_at(h2), vb)
-            return
-        vm = var_at(mid)
-        rec(a, mid, va, vm)
-        rec(mid, b, vm, vb)
-
-    rec(lo, hi, var_at(lo), var_at(hi))
-    out.sort(key=lambda bx: (bx.low, bx.high))
-    return out
+    chain = [q._num for q in sturm_chain(p)]
+    return [RootBox(Fraction(L, D), Fraction(H, D), 1, v, p) for L, H, D, v in _bisect(p, chain)]
 
 
 def isolate_real_roots(p: UniPoly) -> list[RootBox]:
@@ -649,35 +687,46 @@ def isolate_real_roots(p: UniPoly) -> list[RootBox]:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return []
-    parts = yun_decomposition(p)
-    radical = UniPoly.one()
-    for q, _ in parts:
-        radical = radical * q
-    radical = radical.monic()
-    boxes = _isolate_squarefree(radical)
+    monic = p.monic()
+    if p.degree == 1:
+        bound = cauchy_bound(monic)
+        return [RootBox(-bound, bound, 1, -monic.coeff(0), monic)]
+    chain = sturm_chain(p)
+    if chain[-1].degree == 0:
+        # p is squarefree and its chain is the radical's
+        radical, parts = monic, [(monic, 1)]
+        nums = [q._num for q in chain]
+    else:
+        # the last member is gcd(p, p') up to a constant; dividing every
+        # member by it leaves a Sturm sequence of the radical p / gcd
+        g = chain[-1]
+        gcd_monic = g.monic()
+        parts = _yun(monic, gcd_monic)
+        radical = monic.exact_div(gcd_monic)
+        nums = [_primitive(_pseudo_divmod(q._num, g._num, True)[0]) for q in chain]
     lead = radical.primitive_integer()[0].leading().numerator
-    chains: dict[int, list[UniPoly]] = {}  # Sturm chain of Yun factor k, built on first use
+    chains: dict[int, list[Sequence[int]]] = {}  # Sturm chain of Yun factor k, built on first use
     out = []
-    for box in boxes:
+    for L, H, D, exact in _bisect(radical, nums):
         # every box holds a root of the radical, so a box that no earlier
         # Yun factor claims belongs to the last one without a Sturm count;
         # box endpoints are not roots of the radical, so not of a factor
         mult = parts[-1][1]
         for k, (q, i) in enumerate(parts[:-1]):
-            if box.exact_value is not None:
-                if q.sign_at(box.exact_value) == 0:
+            if exact is not None:
+                if q.sign_at(exact) == 0:
                     mult = i
                     break
                 continue
             if k not in chains:
-                chains[k] = sturm_chain(q)
-            if _chain_count(chains[k], box.low, box.high) > 0:
+                chains[k] = [c._num for c in sturm_chain(q)]
+            if _chain_count(chains[k], L, H, D) > 0:
                 mult = i
                 break
-        exact = box.exact_value
+        low, high = Fraction(L, D), Fraction(H, D)
         if exact is None:
-            exact = _rational_root_in(radical, box, lead)
-        out.append(RootBox(box.low, box.high, mult, exact, radical))
+            exact = _rational_root_in(radical, RootBox(low, high, mult, None, radical), lead)
+        out.append(RootBox(low, high, mult, exact, radical))
     return out
 
 
@@ -707,47 +756,76 @@ def box_sign(g: UniPoly, box: RootBox) -> int:
         return g.sign_at(box.exact_value)
     if g.is_zero():
         return 0
+    L, H, D = _triple(box.low, box.high)
+    gnum = g._num
+    # a sign certified on the whole box needs no common-root test
+    s = _enclosure_sign(gnum, L, H, D)
+    if s:
+        return s
     h = gcd(g, box.poly)
-    if h.degree > 0:
-        b = box
-        while h.sign_at(b.low) == 0 or h.sign_at(b.high) == 0:
-            b = b.refined()
-        if sturm_count(h, b.low, b.high) > 0:
-            return 0
-    b = box
+    # h divides the squarefree poly, whose one root in the box is simple and
+    # whose roots avoid the endpoints: h vanishes there iff it changes sign
+    if h.degree > 0 and (_horner(h._num, L, D) > 0) != (_horner(h._num, H, D) > 0):
+        return 0
+    num = box.poly._num
+    slo = _horner(num, L, D) > 0
     for _ in range(20000):
-        s = _enclosure_sign(g._num, b.low, b.high)
+        half = _halve(num, L, H, D, slo)
+        if half is None:
+            # the midpoint is the root, which g does not share
+            return g.sign_at(Fraction(L + H, 2 * D))
+        (L, H), D = half, 2 * D
+        s = _enclosure_sign(gnum, L, H, D)
         if s:
             return s
-        b = b.refined()
     raise RuntimeError("sign refinement did not converge")
+
+
+def _common(a: RootBox, b: RootBox) -> tuple[int, int, int, int, int]:
+    """(La, Ha, Lb, Hb, D): the bounds of both boxes over one denominator D."""
+    La, Ha, Da = _triple(a.low, a.high)
+    Lb, Hb, Db = _triple(b.low, b.high)
+    D = lcm(Da, Db)
+    ka, kb = D // Da, D // Db
+    return La * ka, Ha * ka, Lb * kb, Hb * kb, D
+
+
+def _equals_rational(v: Fraction, box: RootBox) -> bool:
+    """Whether the algebraic number behind box is v."""
+    return box_sign(UniPoly.linear_root(v), box) == 0
 
 
 def boxes_equal(a: RootBox, b: RootBox) -> bool:
     """Whether two isolating boxes describe the same real algebraic number."""
-    if a.exact_value is not None and b.exact_value is not None:
-        return a.exact_value == b.exact_value
     if a.exact_value is not None:
-        return box_sign(UniPoly.linear_root(a.exact_value), b) == 0
+        return _equals_rational(a.exact_value, b)
     if b.exact_value is not None:
-        return box_sign(UniPoly.linear_root(b.exact_value), a) == 0
+        return _equals_rational(b.exact_value, a)
+    La, Ha, Lb, Hb, D = _common(a, b)
+    if Ha <= Lb or Hb <= La:
+        return False
     h = gcd(a.poly, b.poly)
     if h.degree == 0:
         return False
     # box endpoints are never roots of the defining polynomials, hence not
     # of h, which divides both and is squarefree: one chain serves every count
-    chain = sturm_chain(h)
-    if _chain_count(chain, a.low, a.high) == 0 or _chain_count(chain, b.low, b.high) == 0:
+    chain = [q._num for q in sturm_chain(h)]
+    if _chain_count(chain, La, Ha, D) == 0 or _chain_count(chain, Lb, Hb, D) == 0:
         return False
-    ra, rb = a, b
+    na, nb = a.poly._num, b.poly._num
+    sa, sb = _horner(na, La, D) > 0, _horner(nb, Lb, D) > 0
     for _ in range(20000):
-        if ra.high <= rb.low or rb.high <= ra.low:
+        if Ha <= Lb or Hb <= La:
             return False
-        lo, hi = min(ra.low, rb.low), max(ra.high, rb.high)
-        if _chain_count(chain, lo, hi) == 1:
+        if _chain_count(chain, min(La, Lb), max(Ha, Hb), D) == 1:
             # one common root in the union, and each box holds a root of h
             return True
-        ra, rb = ra.refined(), rb.refined()
+        ha, hb = _halve(na, La, Ha, D, sa), _halve(nb, Lb, Hb, D, sb)
+        if ha is None:
+            return _equals_rational(Fraction(La + Ha, 2 * D), b)
+        if hb is None:
+            return _equals_rational(Fraction(Lb + Hb, 2 * D), a)
+        (La, Ha), (Lb, Hb), D = ha, hb, 2 * D
     raise RuntimeError("equality refinement did not converge")
 
 
@@ -755,13 +833,23 @@ def box_compare(a: RootBox, b: RootBox) -> int:
     """-1, 0, 1 ordering of the algebraic numbers behind two boxes."""
     if boxes_equal(a, b):
         return 0
-    ra, rb = a, b
+    # once one number is a rational v, the order is the sign of the other minus v
+    if a.exact_value is not None:
+        return -box_sign(UniPoly.linear_root(a.exact_value), b)
+    if b.exact_value is not None:
+        return box_sign(UniPoly.linear_root(b.exact_value), a)
+    La, Ha, Lb, Hb, D = _common(a, b)
+    na, nb = a.poly._num, b.poly._num
+    sa, sb = _horner(na, La, D) > 0, _horner(nb, Lb, D) > 0
     for _ in range(20000):
-        if ra.high <= rb.low:
+        if Ha <= Lb:
             return -1
-        if rb.high <= ra.low:
+        if Hb <= La:
             return 1
-        ra = ra.refined()
-        rb = rb.refined()
+        ha, hb = _halve(na, La, Ha, D, sa), _halve(nb, Lb, Hb, D, sb)
+        if ha is None:
+            return -box_sign(UniPoly.linear_root(Fraction(La + Ha, 2 * D)), b)
+        if hb is None:
+            return box_sign(UniPoly.linear_root(Fraction(Lb + Hb, 2 * D)), a)
+        (La, Ha), (Lb, Hb), D = ha, hb, 2 * D
     raise RuntimeError("order refinement did not converge")
-

@@ -364,3 +364,68 @@ def test_pow_matches_repeated_products_with_fewest_squarings(monkeypatch):
         expected = expected * p
     with pytest.raises(ValueError):
         p**-1
+
+
+# -- fraction-free Sylvester determinants against the UniPoly Bareiss ----------
+
+
+def ref_det_bareiss(mat):
+    """Bareiss elimination with one exact `UniPoly` division per entry update."""
+    n = len(mat)
+    if n == 0:
+        return UniPoly.one()
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = UniPoly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return UniPoly.zero()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+            m[i][k] = UniPoly.zero()
+        prev = m[k][k]
+    return m[n - 1][n - 1].scale(-1) if sign < 0 else m[n - 1][n - 1]
+
+
+def _random_entry(rng, zero_share):
+    if rng.random() < zero_share:
+        return UniPoly.zero()
+    return UniPoly([Fr(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(rng.randint(1, 4))])
+
+
+def test_det_bareiss_matches_unipoly_elimination():
+    from soscurves.bipoly import _det_bareiss
+
+    rng = random.Random(2040)
+    for k in range(400):
+        n = rng.randint(0, 7)
+        # dense, sparse (zero pivots and row swaps), and upper-left zero blocks
+        mat = [[_random_entry(rng, (0.0, 0.5, 0.8)[k % 3]) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and k % 5 == 0:
+            mat[rng.randrange(n)] = list(mat[rng.randrange(n)])  # a repeated row: det 0
+        if n >= 3 and k % 7 == 0:
+            for i in range(n - 1):
+                mat[i][0] = UniPoly.zero()  # the first pivot comes from the last row
+        assert _det_bareiss(mat) == ref_det_bareiss(mat)
+    # a zero column stops the elimination early
+    z = UniPoly.zero()
+    assert _det_bareiss([[z, P("t")], [z, P("1/2")]]).is_zero()
+
+
+def test_resultants_match_the_unipoly_bareiss(monkeypatch):
+    from soscurves import bipoly
+
+    rng = random.Random(2041)
+    pairs = []
+    for _ in range(30):
+        F = B(f"y^2 + ({rng.randint(-3, 3)}/{rng.randint(1, 4)})*x*y + x^2 - {rng.randint(1, 5)}")
+        G = B(f"y^{rng.randint(1, 3)} - ({rng.randint(-4, 4)}/{rng.randint(1, 3)})*x^{rng.randint(1, 3)} + {rng.randint(-2, 2)}")
+        pairs.append((F, G))
+    got = [resultant_y(F, G) for F, G in pairs]
+    monkeypatch.setattr(bipoly, "_det_bareiss", ref_det_bareiss)
+    assert got == [resultant_y(F, G) for F, G in pairs]

@@ -411,3 +411,76 @@ def test_screen_rejects_only_a_nonzero_value_at_the_point():
     ghat = [[Fr(3, 2), Fr(5, 7)], [Fr(5, 7), Fr(0)]]
     assert not mixed(1).rejects(ghat)
     assert mixed(2).rejects(ghat)
+
+
+# -- fraction-free pivoted LDL^T against the Fraction elimination ---------------
+
+
+def ref_ldl_pivots(g):
+    """Pivoted L D L^T on Fractions: one Schur-complement update per step."""
+    n = len(g)
+    m = [row[:] for row in g]
+    active = list(range(n))
+    out = []
+    while active:
+        p = max(active, key=lambda i: m[i][i])
+        d = m[p][p]
+        if d < 0:
+            return None
+        if d == 0:
+            if any(m[i][j] for i in active for j in active):
+                return None
+            break
+        col = [Fr(0)] * n
+        for i in active:
+            col[i] = m[i][p] / d
+        support = [i for i in active if col[i]]
+        for i in support:
+            scaled = d * col[i]
+            for j in support:
+                m[i][j] -= scaled * col[j]
+        active.remove(p)
+        out.append((p, d, col))
+    return out
+
+
+def _ldl_cases(rng):
+    """Seeded symmetric matrices: psd, rank-deficient, sparse psd (zero
+    pivot-column entries), indefinite (negative pivots) and zero diagonals."""
+    for k in range(600):
+        n = int(rng.integers(0, 9))
+        kind = k % 5
+        if kind < 3:
+            rank = n if kind == 0 else int(rng.integers(0, max(n, 1)))
+            density = 0.3 if kind == 2 else 1.0
+            vs = [
+                [Fr(int(rng.integers(-6, 7)), int(rng.choice([1, 2, 3, 5]))) if rng.random() < density else Fr(0)
+                 for _ in range(n)]
+                for _ in range(rank)
+            ]
+            g = [[sum((v[i] * v[j] * (t % 3 + 1) for t, v in enumerate(vs)), Fr(0)) for j in range(n)] for i in range(n)]
+        else:
+            g = _random_rational_symmetric(rng, n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.4:
+                        g[i][j] = g[j][i] = Fr(0)
+            if kind == 4 and n:
+                i = int(rng.integers(n))
+                g[i][i] = Fr(0)
+        yield g
+
+
+def test_ldl_pivots_match_fraction_elimination():
+    rng = np.random.default_rng(2042)
+    verdicts = set()
+    for g in _ldl_cases(rng):
+        before = [row[:] for row in g]
+        got = gram._ldl_pivots(g)
+        assert g == before
+        assert got == ref_ldl_pivots(g)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+    # ties keep the first index; a zero diagonal with a nonzero entry is not psd
+    assert [p for p, _, _ in gram._ldl_pivots([[Fr(1), Fr(0)], [Fr(0), Fr(1)]])] == [0, 1]
+    assert gram._ldl_pivots([[Fr(0), Fr(1, 3)], [Fr(1, 3), Fr(0)]]) is None

@@ -670,3 +670,12 @@ def test_three_cubics_analysis():
     (triple,) = [r for r in an.points if r.components == (0, 1, 2)]
     assert triple.is_real
     assert triple.classification.kind is PointClass.NOT_OMPIT
+
+
+def test_intersections_a_cluster_apart_need_no_recursion():
+    # 1200 bisection levels separate the two abscissae; a recursive
+    # bisection ran out of stack on this input
+    eps = Fr(1, 2**1200)
+    analysis = analyze_curve([B("y"), B(f"y - (x - 1)*(x - 1 - 1/{2**1200})")])
+    assert [r.point for r in analysis.points] == [RationalPoint(Fr(1), Fr(0)), RationalPoint(1 + eps, Fr(0))]
+    assert all(r.classification.kind == PointClass.ORDINARY_DOUBLE_POINT for r in analysis.points)

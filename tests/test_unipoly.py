@@ -555,3 +555,309 @@ def test_pow_matches_repeated_products_with_fewest_squarings(monkeypatch):
         expected = expected * p
     with pytest.raises(ValueError):
         p**-1
+
+
+def test_isolating_a_squarefree_polynomial_builds_one_sturm_chain(monkeypatch):
+    import soscurves.unipoly as up
+
+    built = []
+    chain = up.sturm_chain
+    monkeypatch.setattr(up, "sturm_chain", lambda p: built.append(p) or chain(p))
+    p = P("t^2 - 2") * P("t^3 - 3t + 1") * P("2t - 1")
+    boxes = isolate_real_roots(p)
+    assert [bx.multiplicity for bx in boxes] == [1] * 6
+    # one remainder sequence: Yun's first gcd and the isolation chain share it
+    assert built == [p]
+    # disjoint boxes are different numbers without a gcd or a chain
+    built.clear()
+    assert not boxes_equal(boxes[0], boxes[-1]) and not boxes_equal(boxes[-1], boxes[0])
+    assert built == []
+
+
+# -- integer-endpoint isolation against the Fraction bisection ----------------
+#
+# The references below are the Fraction-endpoint bisection, refinement, sign
+# and comparison routines that the integer-triple ones replaced: recursive
+# bisection on Fraction midpoints, one `sign_at` per chain member, and the
+# Fraction interval-Horner enclosure (`ref_box_sign`).  Both must give equal
+# boxes (bounds, multiplicity, exact value, polynomial), signs and orders.
+
+
+def ref_variations(signs):
+    out, prev = 0, 0
+    for v in signs:
+        if v == 0:
+            continue
+        if prev and v != prev:
+            out += 1
+        prev = v
+    return out
+
+
+def ref_chain_count(chain, lo, hi):
+    return ref_variations([q.sign_at(lo) for q in chain]) - ref_variations([q.sign_at(hi) for q in chain])
+
+
+def ref_isolate_squarefree(p):
+    if p.degree <= 0:
+        return []
+    bound = cauchy_bound(p)
+    lo, hi = -bound, bound
+    while p.sign_at(lo) == 0:
+        lo -= 1
+    while p.sign_at(hi) == 0:
+        hi += 1
+    chain = sturm_chain(p)
+
+    def var_at(v):
+        return ref_variations([q.sign_at(v) for q in chain])
+
+    out = []
+
+    def rec(a, b, va, vb):
+        n = va - vb
+        if n == 0:
+            return
+        if n == 1:
+            out.append(RootBox(a, b, 1, None, p))
+            return
+        mid = (a + b) / 2
+        if p.sign_at(mid) == 0:
+            eps = b - a
+            for _ in range(20000):
+                eps /= 2
+                l2, h2 = mid - eps, mid + eps
+                if p.sign_at(l2) != 0 and p.sign_at(h2) != 0 and var_at(l2) - var_at(h2) == 1:
+                    break
+            out.append(RootBox(l2, h2, 1, mid, p))
+            rec(a, l2, va, var_at(l2))
+            rec(h2, b, var_at(h2), vb)
+            return
+        vm = var_at(mid)
+        rec(a, mid, va, vm)
+        rec(mid, b, vm, vb)
+
+    rec(lo, hi, var_at(lo), var_at(hi))
+    out.sort(key=lambda bx: (bx.low, bx.high))
+    return out
+
+
+def ref_isolate_real_roots(p):
+    parts = yun_decomposition(p)
+    radical = UniPoly.one()
+    for q, _ in parts:
+        radical = radical * q
+    radical = radical.monic()
+    lead = radical.primitive_integer()[0].leading().numerator
+    out = []
+    for box in ref_isolate_squarefree(radical):
+        mult = parts[-1][1]
+        for q, i in parts[:-1]:
+            if box.exact_value is not None:
+                if q.sign_at(box.exact_value) == 0:
+                    mult = i
+                    break
+                continue
+            if ref_chain_count(sturm_chain(q), box.low, box.high) > 0:
+                mult = i
+                break
+        exact = box.exact_value
+        if exact is None:
+            exact = ref_rational_root_in(radical, box.low, box.high, lead)
+        out.append(RootBox(box.low, box.high, mult, exact, radical))
+    return out
+
+
+def ref_refined(box, times=1):
+    lo, hi, v = box.low, box.high, box.exact_value
+    if v is not None:
+        for _ in range(times):
+            lo, hi = (lo + v) / 2, (hi + v) / 2
+        return RootBox(lo, hi, box.multiplicity, v, box.poly)
+    slo = box.poly.sign_at(lo)
+    for _ in range(times):
+        mid = (lo + hi) / 2
+        sm = box.poly.sign_at(mid)
+        if sm == 0:
+            eps = (hi - lo) / 4
+            return RootBox(mid - eps, mid + eps, box.multiplicity, mid, box.poly)
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return RootBox(lo, hi, box.multiplicity, None, box.poly)
+
+
+def ref_box_sign_at(g, box):
+    if box.exact_value is not None:
+        return g.sign_at(box.exact_value)
+    if g.is_zero():
+        return 0
+    h = gcd(g, box.poly)
+    if h.degree > 0 and ref_chain_count(sturm_chain(h), box.low, box.high) > 0:
+        return 0
+    b = box
+    for _ in range(20000):
+        s = ref_box_sign(list(g.coeffs), b.low, b.high)
+        if s:
+            return s
+        b = ref_refined(b)
+    raise RuntimeError("sign refinement did not converge")
+
+
+def ref_boxes_equal(a, b):
+    if a.exact_value is not None and b.exact_value is not None:
+        return a.exact_value == b.exact_value
+    if a.exact_value is not None:
+        return ref_box_sign_at(UniPoly.linear_root(a.exact_value), b) == 0
+    if b.exact_value is not None:
+        return ref_box_sign_at(UniPoly.linear_root(b.exact_value), a) == 0
+    h = gcd(a.poly, b.poly)
+    if h.degree == 0:
+        return False
+    chain = sturm_chain(h)
+    if ref_chain_count(chain, a.low, a.high) == 0 or ref_chain_count(chain, b.low, b.high) == 0:
+        return False
+    ra, rb = a, b
+    while True:
+        if ra.high <= rb.low or rb.high <= ra.low:
+            return False
+        if ref_chain_count(chain, min(ra.low, rb.low), max(ra.high, rb.high)) == 1:
+            return True
+        ra, rb = ref_refined(ra), ref_refined(rb)
+
+
+def ref_box_compare(a, b):
+    if ref_boxes_equal(a, b):
+        return 0
+    ra, rb = a, b
+    while True:
+        if ra.high <= rb.low:
+            return -1
+        if rb.high <= ra.low:
+            return 1
+        ra, rb = ref_refined(ra), ref_refined(rb)
+
+
+IRREDUCIBLE = ["t^2 - 2", "t^2 + 1", "t^3 - 3t + 1", "t^2 - t - 1", "3t^2 - 5", "t^4 - 10t^2 + 1"]
+
+
+def _random_product(rng):
+    """A product of rational roots (dyadic ones land on bisection midpoints),
+    irreducible factors and repeated factors, or a random polynomial."""
+    if rng.random() < 0.3:
+        return UniPoly(_random_coeffs(rng, rng.randint(1, 7)))
+    p = UniPoly.const(Fr(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            f = UniPoly.linear_root(Fr(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 8, 16])))
+        else:
+            f = P(rng.choice(IRREDUCIBLE))
+        p = p * f ** rng.randint(1, 3)
+    return p
+
+
+def _boxes(rng, count):
+    """(p, isolate_real_roots(p), the squarefree part's bisection boxes) for
+    seeded polynomials of positive degree; the bisection boxes keep rational
+    roots off their exact value unless a midpoint hit them."""
+    while count:
+        p = _random_product(rng)
+        if p.degree < 1:
+            continue
+        count -= 1
+        yield p, isolate_real_roots(p), _isolate_squarefree(squarefree_part(p))
+
+
+def test_isolation_matches_fraction_bisection():
+    rng = random.Random(2032)
+    for p, boxes, bisected in _boxes(rng, 200):
+        assert boxes == ref_isolate_real_roots(p), p
+        assert bisected == ref_isolate_squarefree(squarefree_part(p)), p
+    # midpoints that are roots: 0 first, then 1 (bound 2), and 3/8 of a window
+    for p in (P("t^3 - t"), P("t^2 - t"), P("t * (8t - 3) * (t - 1)"), P("t^5 - 5t^3 + 4t")):
+        assert _isolate_squarefree(p) == ref_isolate_squarefree(p)
+        assert isolate_real_roots(p) == ref_isolate_real_roots(p)
+        assert any(b.exact_value is not None for b in _isolate_squarefree(p))
+
+
+def test_linear_box_is_the_bisection_box():
+    rng = random.Random(2033)
+    for _ in range(100):
+        a = Fr(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**3))
+        p = UniPoly([Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), a])
+        (box,) = isolate_real_roots(p)
+        assert [box] == ref_isolate_real_roots(p)
+        assert box.exact_value == -p.coeff(0) / a and box.multiplicity == 1
+
+
+def test_refined_matches_fraction_refinement():
+    rng = random.Random(2034)
+    for _, boxes, bisected in _boxes(rng, 80):
+        for box in boxes + bisected:
+            for k in (0, 1, rng.randint(2, 20), rng.randint(21, 70)):
+                assert box.refined(k) == ref_refined(box, k)
+
+
+def test_box_sign_matches_fraction_box_sign():
+    rng = random.Random(2035)
+    for _, boxes, bisected in _boxes(rng, 80):
+        for box in boxes + bisected:
+            box = box.refined(rng.randint(0, 12))
+            for _ in range(3):
+                g = UniPoly(_random_coeffs(rng, rng.randint(0, 6)))
+                if rng.random() < 0.3:
+                    g = g * box.poly  # g vanishes at the root
+                elif rng.random() < 0.3 and box.poly.degree > 1:
+                    # g shares a factor with the box polynomial that may or may not vanish there
+                    (f, _), *_ = yun_decomposition(_random_product(rng) * box.poly)
+                    g = g * gcd(f, box.poly)
+                assert box_sign(g, box) == ref_box_sign_at(g, box)
+
+
+def test_boxes_equal_and_compare_match_fraction_reference():
+    rng = random.Random(2036)
+    for p, boxes, bisected in _boxes(rng, 60):
+        q = _random_product(rng)
+        if q.degree < 1:
+            continue
+        # a multiple of p shares every root with it
+        others = isolate_real_roots(q * p if rng.random() < 0.5 else q)
+        for a in boxes + bisected:
+            for b in others + bisected:
+                a2, b2 = a.refined(rng.randint(0, 6)), b.refined(rng.randint(0, 6))
+                assert boxes_equal(a2, b2) == ref_boxes_equal(a2, b2)
+                assert box_compare(a2, b2) == ref_box_compare(a2, b2)
+
+
+def test_deep_root_cluster_isolates_without_recursion():
+    # roots 1 +- sqrt(2) * 2^-1200: about 1200 bisection levels apart
+    p = UniPoly([1 - 2 * Fr(1, 2**2400), -2, 1])
+    low, high = isolate_real_roots(p)
+    assert low.exact_value is None and high.exact_value is None
+    assert low.multiplicity == high.multiplicity == 1
+    assert low.high <= high.low and low.low < 1 < high.high
+    for box in (low, high):
+        assert p.sign_at(box.low) * p.sign_at(box.high) < 0
+    assert box_compare(low, high) == -1 and not boxes_equal(low, high)
+
+
+def test_refinement_that_lands_on_the_root_matches_fraction_reference():
+    # boxes without an exact value around the dyadic roots 3/8 and 5/8: the
+    # first or third midpoint is the root
+    p = P("(8t - 3) * (8t - 5)")
+    a = RootBox(Fr(1, 4), Fr(1, 2), 1, None, p)
+    b = RootBox(Fr(7, 16), Fr(1), 1, None, p)
+    wide = RootBox(Fr(0), Fr(1, 2), 1, None, P("8t - 3"))
+    for box in (a, b, wide):
+        for k in range(6):
+            assert box.refined(k) == ref_refined(box, k)
+    # g's root lies within 10^-3 of 3/8, so no enclosure certifies before the hit
+    for g in (P("t - 3/8 + 1/1000"), P("t - 3/8 - 1/1000"), P("(t - 3/8 + 1/1000) * (t - 5)")):
+        assert box_sign(g, wide) == ref_box_sign_at(g, wide) != 0
+        assert box_sign(g, a) == ref_box_sign_at(g, a) != 0
+    # the union holds both roots of the common factor until a's midpoint hits 3/8
+    assert boxes_equal(a, b) is ref_boxes_equal(a, b) is False
+    assert box_compare(a, b) == ref_box_compare(a, b) == -1
+    assert box_compare(b, a) == ref_box_compare(b, a) == 1
+    assert boxes_equal(a, wide) is ref_boxes_equal(a, wide) is True
