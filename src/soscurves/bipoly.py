@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, gcd as igcd, lcm
 
 from .numbers import sqrt_fraction
-from .unipoly import UniPoly, _canonical as _uni_canonical, _make as _uni_make, _pseudo_divmod, gcd as uni_gcd
+from .unipoly import UniPoly, _canonical as _uni_canonical, _conv, _make as _uni_make, _pseudo_divmod, gcd as uni_gcd
 
 
 class DegenerateInput(ValueError):
@@ -470,18 +470,6 @@ def _det_bareiss(mat: list[list[UniPoly]]) -> UniPoly:
         prev = piv
     out = m[n - 1][n - 1]
     return _uni(out if sign > 0 else [-c for c in out], scale)
-
-
-def _conv(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer coefficient lists (low degree first, [] is zero)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
 
 
 def _detpol_subresultant(fy: list[UniPoly], gy: list[UniPoly], j: int) -> list[UniPoly]:

@@ -49,6 +49,7 @@ from .ringfn import (
     LineFn,
     RingFn,
     float_value,
+    sum_of_squares,
     value_as_u_fraction,
     value_at_point,
 )
@@ -89,6 +90,9 @@ class GramBlock:
     component: str
     kind: str  # "line" or "circle"
     offset: int
+    # line: 1, t, ..., t^degree; circle: 1, x, ..., x^degree, then
+    # w, xw, ..., x^(degree-1) w (see `_line_basis`, `_circle_basis`)
+    degree: int
     basis: tuple[RingFn, ...]
 
     @property
@@ -262,14 +266,16 @@ def build_gram_problem(
                 rule = max(0, -(-fn.num.degree // 2))
             else:
                 rule = degree
-            basis: tuple[RingFn, ...] = _line_basis(min(degree, rule))
+            deg = min(degree, rule)
+            basis: tuple[RingFn, ...] = _line_basis(deg)
             kind = "line"
         elif isinstance(chart, CircleChart):
-            basis = _circle_basis(degree, chart.q)
+            deg = degree
+            basis = _circle_basis(deg, chart.q)
             kind = "circle"
         else:
             raise ValueError(f"{cid}: no gram basis for this component type")
-        blocks.append(GramBlock(cid, kind, offset, basis))
+        blocks.append(GramBlock(cid, kind, offset, deg, basis))
         offset += len(basis)
     n = offset
     block_of = {b.component: b for b in blocks}
@@ -662,6 +668,8 @@ class _AgreementScreen:
 
     box: RootBox
     terms: tuple[tuple[Fraction, tuple[tuple[int, int, Fraction], ...]], ...]
+    # the entries (i, j), i <= j, of ghat that `rejects` reads
+    keys: tuple[tuple[int, int], ...] = field(init=False, compare=False)
     # per term: const and psi as integer numerators over one denominator
     _ints: tuple[tuple[Fraction, int, tuple[tuple[int, int, int], ...]], ...] = field(
         init=False, repr=False, compare=False
@@ -673,6 +681,8 @@ class _AgreementScreen:
             den = lcm(*(c.denominator for _, _, c in psi))
             ints.append((const, den, tuple((i, j, c.numerator * (den // c.denominator)) for i, j, c in psi)))
         object.__setattr__(self, "_ints", tuple(ints))
+        keys = dict.fromkeys((i, j) for _, psi in self.terms for i, j, _ in psi)
+        object.__setattr__(self, "keys", tuple(keys))
 
     @staticmethod
     def build(
@@ -743,8 +753,7 @@ def _round_to_exact(
 
     Each rung rounds the entries to rationals with bounded denominators and
     projects the result exactly onto the slice of the exact rows, so
-    irrational eigen directions are never an obstruction.  Each entry is
-    rounded once for the whole ladder (`limit_denominators`).
+    irrational eigen directions are never an obstruction.
 
     Before the snap, the problem's `_AgreementScreen` evaluates the first
     agreement test of `_promote` on the snapped matrix without computing
@@ -752,19 +761,38 @@ def _round_to_exact(
     each coefficient of the tested polynomial is c_k + <psi_k, ghat>.  A
     rung the screen rejects would fail `_agrees_at_algebraic_points` after
     the snap, so skipping it changes no result.
+
+    Entries are rounded lazily: an entry gets one `limit_denominators` call,
+    for every rung at once, the first time a rung reads it.  A rung first
+    fills only the entries the screen reads (`_AgreementScreen.keys`); the
+    full candidate is built, snapped and promoted only when the screen
+    passes it or there is no screen, and it is the candidate an eager
+    rounding of every entry would give.
     """
     n = problem.dim
-    upper = [
-        [limit_denominators(x, ladder) for x in row[i:]]
-        for i, row in enumerate(matrix.tolist())
-    ]
+    entries = matrix.tolist()
+    rounded: dict[tuple[int, int], list[Fraction]] = {}
+
+    def rounding(key: tuple[int, int]) -> list[Fraction]:
+        vals = rounded.get(key)
+        if vals is None:
+            vals = rounded[key] = limit_denominators(entries[key[0]][key[1]], ladder)
+        return vals
+
+    screen = problem.screen
+    if screen is not None:
+        # only the screen's keys are ever set, and every rung sets all of them
+        probe = [[Fraction(0)] * n for _ in range(n)]
     for rung in range(len(ladder)):
+        if screen is not None:
+            for i, j in screen.keys:
+                probe[i][j] = rounding((i, j))[rung]
+            if screen.rejects(probe):
+                continue
         g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                g[i][j] = g[j][i] = upper[i][j - i][rung]
-        if problem.screen is not None and problem.screen.rejects(g):
-            continue
+                g[i][j] = g[j][i] = rounding((i, j))[rung]
         # a rounded g that passes _promote meets every exact row, so the
         # snap returns it unchanged: the snapped matrix is the only candidate
         snapped = problem.snap.snap(g)
@@ -925,19 +953,21 @@ def _float_screen_rejects(g: list[list[Fraction]]) -> bool:
 def _vectors_to_summands(
     problem: GramProblem, vectors: list[list[Fraction]]
 ) -> list[dict[str, RingFn]]:
+    """One summand per vector, read off its coordinates in the monomial bases
+    (`GramBlock.degree`): a line block is the coefficient list of the
+    polynomial, a circle block the d + 1 coefficients of a(x), then of b(x)."""
     out = []
     for vec in vectors:
         entry: dict[str, RingFn] = {}
         for block in problem.blocks:
             coords = vec[block.offset : block.offset + block.size]
             if block.kind == "line":
-                f: RingFn = LineFn.zero()
+                entry[block.component] = LineFn(UniPoly(coords))
             else:
-                f = CircleFn.zero(block.basis[0].q)
-            for c, b in zip(coords, block.basis):
-                if c:
-                    f = f + b.scale(c)
-            entry[block.component] = f
+                split = block.degree + 1
+                entry[block.component] = CircleFn(
+                    UniPoly(coords[:split]), UniPoly(coords[split:]), block.basis[0].q
+                )
         out.append(entry)
     return out
 
@@ -946,9 +976,8 @@ def _float_residual(problem: GramProblem, summands: list[dict[str, RingFn]]) -> 
     """Largest coefficient of sum f^2 - target, in magnitude, over the blocks."""
     worst = 0.0
     for block in problem.blocks:
-        gap = problem.targets[block.component].scale(-1)
-        for s in summands:
-            gap = gap + s[block.component] * s[block.component]
+        target = problem.targets[block.component]
+        gap = sum_of_squares([s[block.component] for s in summands], target) - target
         for c in _coeff_slots(gap).values():
             worst = max(worst, abs(float(c)))
     return worst

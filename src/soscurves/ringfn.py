@@ -112,12 +112,12 @@ class LineFn:
         return LineFn(self.num.scale(c), self.order, self.pole_at)
 
     @staticmethod
-    def lincomb(coeffs: Sequence, fns: Sequence[LineFn]) -> LineFn:
-        """sum c_j * fns_j: the numerators lifted to the largest pole order
-        and combined by one `UniPoly.lincomb`."""
-        k = max(f.order for f in fns)
+    def _lifted(fns: Sequence[LineFn]) -> tuple[list[UniPoly], int, Fraction]:
+        """(nums, k, pole) with fns_j = nums_j / (t - pole)^k, k the largest
+        pole order."""
+        k = max((f.order for f in fns), default=0)
         if not k:
-            return LineFn(UniPoly.lincomb(coeffs, [f.num for f in fns]))
+            return [f.num for f in fns], 0, _NO_POLE
         poles = {f.pole_at for f in fns if f.order}
         if len(poles) > 1:
             raise ValueError("functions have poles at different parameter values")
@@ -127,10 +127,21 @@ class LineFn:
             f.num * lin ** (k - f.order) if f.order < k and not f.is_zero else f.num
             for f in fns
         ]
+        return nums, k, pole
+
+    @staticmethod
+    def lincomb(coeffs: Sequence, fns: Sequence[LineFn]) -> LineFn:
+        """sum c_j * fns_j: the numerators lifted to the largest pole order
+        and combined by one `UniPoly.lincomb`."""
+        nums, k, pole = LineFn._lifted(fns)
         return LineFn(UniPoly.lincomb(coeffs, nums), k, pole)
 
-    def square(self) -> LineFn:
-        return self * self
+    @staticmethod
+    def sum_of_squares(fns: Sequence[LineFn]) -> LineFn:
+        """sum f_j^2: the numerators lifted to the largest pole order, then
+        squared and summed by one `UniPoly.dot`."""
+        nums, k, pole = LineFn._lifted(fns)
+        return LineFn(UniPoly.dot(nums, nums), 2 * k, pole)
 
     def __call__(self, t) -> Fraction:
         if not self.order:
@@ -204,8 +215,17 @@ class CircleFn:
             q,
         )
 
-    def square(self) -> CircleFn:
-        return self * self
+    @staticmethod
+    def sum_of_squares(fns: Sequence[CircleFn], q: UniPoly) -> CircleFn:
+        """sum f_j^2 on the conic w^2 = q: sum a^2 + q * sum b^2 and 2 * sum ab,
+        each sum one `UniPoly.dot`."""
+        if any(f.q != q for f in fns):
+            raise ValueError("functions live on different conics")
+        a = [f.a for f in fns]
+        b = [f.b for f in fns]
+        return CircleFn(
+            UniPoly.dot(a, a) + q * UniPoly.dot(b, b), UniPoly.dot(a, b).scale(2), q
+        )
 
     def __call__(self, x, w) -> Fraction:
         x, w = Fraction(x), Fraction(w)
@@ -213,6 +233,14 @@ class CircleFn:
 
 
 RingFn = LineFn | CircleFn
+
+
+def sum_of_squares(fns: Sequence[RingFn], like: RingFn) -> RingFn:
+    """sum f_j^2 for functions on the component of `like`: a line sum when
+    `like` is a LineFn, otherwise a sum on the conic of `like`."""
+    if isinstance(like, LineFn):
+        return LineFn.sum_of_squares(fns)
+    return CircleFn.sum_of_squares(fns, like.q)
 
 
 def restrict_to_chart(F: BiPoly, chart: Chart) -> RingFn:

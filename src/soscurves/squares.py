@@ -257,6 +257,12 @@ def _numeric_two_squares(
     return SumOfSquares(_signed((f1, f2)), exact=False, residual=residual)
 
 
+def _check_squares(parts: tuple[UniPoly, ...], p: UniPoly) -> None:
+    """The re-verification of an exact decomposition: the squares expand to p."""
+    if UniPoly.dot(parts, parts) != p:
+        raise ArithmeticError("exact square decomposition does not expand to the input")
+
+
 def uni_sos_two_squares(
     p: UniPoly, c: Fraction, square: UniPoly, rootless: UniPoly
 ) -> SumOfSquares:
@@ -298,10 +304,7 @@ def uni_sos_two_squares(
                 if e
                 for g in (a, b)
             )
-        total = UniPoly.zero()
-        for f in parts:
-            total = total + f * f
-        assert total == p
+        _check_squares(parts, p)
         return SumOfSquares(_signed(parts), exact=True)
 
     if lists is not None:
@@ -310,10 +313,7 @@ def uni_sos_two_squares(
             acc = _square_list_product(acc, entry)
         acc = _square_list_product(acc, _constant_square_list(c))
         parts = tuple(f for f in acc if not f.is_zero())
-        total = UniPoly.zero()
-        for f in parts:
-            total = total + f * f
-        assert total == p
+        _check_squares(parts, p)
         return SumOfSquares(_signed(parts), exact=True)
 
     return _numeric_two_squares(p, c, square, upper)

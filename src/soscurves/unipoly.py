@@ -173,12 +173,7 @@ class UniPoly:
         a, b = self._num, other._num
         if not a or not b:
             return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return _make(*_canonical(out, self._den * other._den))
+        return _make(*_canonical(_conv(a, b), self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -193,22 +188,21 @@ class UniPoly:
     def lincomb(coeffs: Iterable, polys: Iterable["UniPoly"]) -> "UniPoly":
         """sum c_j * p_j, summed on the integer numerators and normalised once."""
         terms = []
-        den = 1
         for c, p in zip(coeffs, polys):
             if c and p._num:
                 if type(c) is not int:
                     c = _fr(c)
-                d = c.denominator * p._den
-                terms.append((c.numerator, d, p._num))
-                den = lcm(den, d)
-        if not terms:
-            return _ZERO
-        out = [0] * max(len(num) for _, _, num in terms)
-        for k, d, num in terms:
-            k *= den // d
-            for i, v in enumerate(num):
-                out[i] += k * v
-        return _make(*_canonical(out, den))
+                terms.append((c.numerator, c.denominator * p._den, p._num))
+        return _sum_terms(terms)
+
+    @staticmethod
+    def dot(ps: Iterable["UniPoly"], qs: Iterable["UniPoly"]) -> "UniPoly":
+        """sum p_j * q_j, summed on the integer numerators and normalised once."""
+        return _sum_terms([
+            (1, p._den * q._den, _conv(p._num, q._num))
+            for p, q in zip(ps, qs, strict=True)
+            if p._num and q._num
+        ])
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -327,6 +321,32 @@ def _canonical(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 _ZERO = _make((), 1)
 _ONE = _make((1,), 1)
+
+
+def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists (low degree first, [] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _sum_terms(terms: list[tuple[int, int, Sequence[int]]]) -> UniPoly:
+    """sum k * num / d over the (k, d, num) terms: one integer accumulation
+    over the common denominator, normalised once."""
+    if not terms:
+        return _ZERO
+    den = lcm(*(d for _, d, _ in terms))
+    out = [0] * max(len(num) for _, _, num in terms)
+    for k, d, num in terms:
+        k *= den // d
+        for i, v in enumerate(num):
+            out[i] += k * v
+    return _make(*_canonical(out, den))
 
 
 def _monic(num: Sequence[int]) -> UniPoly:

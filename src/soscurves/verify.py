@@ -3,7 +3,10 @@
 Nothing here trusts the constructors: the sum of squares is re-expanded and
 compared to the target coefficient by coefficient, value agreement is
 re-evaluated at every shared point, and witness properties (sign alternation,
-interlacing, psd ranges, vanishing orders) are re-derived from scratch.
+interlacing, psd ranges, vanishing orders) are re-derived from scratch.  The
+re-expansion is one pass per component (`ringfn.sum_of_squares`): the
+squares are summed on integer numerators and normalised once, which gives
+the same exact function as adding the squares one at a time.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .ringfn import (
     chart_arguments,
     float_value,
     restrict_to_chart,
+    sum_of_squares,
     values_agree_at_algebraic,
 )
 from .squares import negative_point
@@ -136,11 +140,7 @@ def verify_certificate(
 
     for cid in cids:
         target = targets[cid]
-        total = None
-        for s in cert.summands:
-            sq = s[cid] * s[cid]
-            total = sq if total is None else total + sq
-        diff = (total - target) if total is not None else target
+        diff = sum_of_squares([s[cid] for s in cert.summands], target) - target
         if cert.exact:
             passed = diff.is_zero
             detail = "" if passed else "sum of squares misses the target"

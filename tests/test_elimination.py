@@ -1,4 +1,5 @@
 """Differential checks of elimination and root counting against sympy."""
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -96,3 +97,33 @@ def test_rational_roots_match_sympy(seed):
             expected.add(Fr(int(root.p), int(root.q)))
     found = {box.exact_value for box in isolate_real_roots(p) if box.exact_value is not None}
     assert found == expected
+
+
+def _random_quadratic(rng: random.Random, square: bool) -> UniPoly:
+    """a t^2 + b t + c with two real roots: rational ones, or a discriminant
+    that is no square."""
+    lead = rng.choice([1, 2, 9, 360, 1009])
+    if square:
+        r1 = Fr(rng.randint(-500, 500), rng.randint(1, 40))
+        r2 = r1 + Fr(rng.randint(1, 500), rng.randint(1, 40))
+        return UniPoly([r1 * r2, -(r1 + r2), 1]).scale(Fr(lead, rng.randint(1, 7)))
+    while True:
+        b, c = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        disc = b * b - 4 * lead * c
+        if disc > 0 and math.isqrt(disc) ** 2 != disc:
+            return UniPoly([Fr(c, 3), Fr(b, 3), Fr(lead, 3)])
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_quadratic_rational_roots_match_sympy(seed):
+    rng = random.Random(4000 + seed)
+    for square in (True, False, seed % 2 == 0):
+        q = _random_quadratic(rng, square)
+        expected = {Fr(int(r.p), int(r.q)) for r in sp.roots(_sympy_uni(q), filter="Q")}
+        assert len(expected) == (2 if square else 0)
+        boxes = isolate_real_roots(q)
+        assert len(boxes) == 2
+        assert {box.exact_value for box in boxes} - {None} == expected
+        for box in boxes:
+            if box.exact_value is not None:
+                assert box.low < box.exact_value < box.high

@@ -484,3 +484,160 @@ def test_ldl_pivots_match_fraction_elimination():
     # ties keep the first index; a zero diagonal with a nonzero entry is not psd
     assert [p for p, _, _ in gram._ldl_pivots([[Fr(1), Fr(0)], [Fr(0), Fr(1)]])] == [0, 1]
     assert gram._ldl_pivots([[Fr(0), Fr(1, 3)], [Fr(1, 3), Fr(0)]]) is None
+
+
+# -- lazy rounding against rounding every entry up front -------------------------
+
+
+def ref_round_to_exact(problem, matrix, ladder):
+    """Every entry rounded first, then the full candidate at every rung."""
+    n = problem.dim
+    upper = [
+        [gram.limit_denominators(x, ladder) for x in row[i:]]
+        for i, row in enumerate(matrix.tolist())
+    ]
+    for rung in range(len(ladder)):
+        g = [[Fr(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = upper[i][j - i][rung]
+        if problem.screen is not None and problem.screen.rejects(g):
+            continue
+        snapped = problem.snap.snap(g)
+        found = None if snapped is None else gram._promote(problem, snapped)
+        if found is not None:
+            return found
+    return None
+
+
+def _solver_matrices(problem, monkeypatch):
+    """(matrix, ladder) of every rounding the solver and the extraction ask for."""
+    seen = []
+    lazy = gram._round_to_exact
+
+    def recorded(problem, matrix, ladder):
+        seen.append((matrix.copy(), ladder))
+        return lazy(problem, matrix, ladder)
+
+    with monkeypatch.context() as m:
+        m.setattr(gram, "_round_to_exact", recorded)
+        try:
+            gram.extract_summands(gram.alternating_projections(problem))
+        except gram.NoConvergence:
+            pass
+    return seen
+
+
+class _EveryOtherRung:
+    """A stand-in screen with the real screen's keys that passes every
+    second rung, so screened problems build full candidates too."""
+
+    def __init__(self, screen):
+        self.keys = screen.keys
+        self.calls = 0
+
+    def rejects(self, ghat):
+        self.calls += 1
+        return self.calls % 2 == 1
+
+
+def _rounding_run(round_fn, problem, matrix, ladder, monkeypatch):
+    """The result of a rounding and every candidate it hands to the snap."""
+    candidates = []
+    original = gram._ExactAffineSnap.snap
+
+    def recorded(self, ghat):
+        candidates.append([row[:] for row in ghat])
+        return original(self, ghat)
+
+    with monkeypatch.context() as m:
+        m.setattr(gram._ExactAffineSnap, "snap", recorded)
+        return round_fn(problem, matrix, ladder), candidates
+
+
+LAZY_PROBLEMS = AGREEMENT_PROBLEMS + [(*PROBLEMS[0], 2)]
+
+
+@pytest.mark.parametrize(
+    "factors, target, degree",
+    LAZY_PROBLEMS,
+    ids=["circle-pair", "two-circles-draw3", "two-circles-draw17", "unit-circle"],
+)
+def test_lazy_rounding_matches_eager_rounding(factors, target, degree, monkeypatch):
+    problem = _problem(factors, target, degree)
+    screen = problem.screen
+    assert (screen is None) is (len(factors) == 1)
+    seen = _solver_matrices(problem, monkeypatch)
+    assert seen
+    rng = np.random.default_rng(53)
+    n = problem.dim
+    # the solver's iterates, and each one nudged off its rounding
+    cases = seen + [(m + 1e-7 * _random_symmetric(rng, n), ladder) for m, ladder in seen]
+    makers = [lambda: screen]
+    if screen is not None:
+        makers.append(lambda: _EveryOtherRung(screen))
+    found = candidates = 0
+    for matrix, ladder in cases:
+        for make in makers:
+            runs = []
+            for round_fn in (gram._round_to_exact, ref_round_to_exact):
+                problem.screen = make()
+                runs.append(_rounding_run(round_fn, problem, matrix, ladder, monkeypatch))
+            assert runs[0] == runs[1]
+            found += runs[0][0] is not None
+            candidates += len(runs[0][1])
+    assert candidates
+    if screen is None:
+        assert found
+
+
+def test_rejected_rungs_round_only_the_screens_entries(monkeypatch):
+    factors, target = _two_circle_draw(3)
+    problem = _problem(factors, target, 2)
+    keys = problem.screen.keys
+    n = problem.dim
+    assert 0 < len(keys) < n * (n + 1) // 2
+    assert set(keys) == {(i, j) for _, psi in problem.screen.terms for i, j, _ in psi}
+    matrix, ladder = _solver_matrices(problem, monkeypatch)[0]
+    assert ref_round_to_exact(problem, matrix, ladder) is None
+    entries = matrix.tolist()
+    upper = [
+        [gram.limit_denominators(x, ladder) for x in row[i:]] for i, row in enumerate(entries)
+    ]
+    for rung in range(len(ladder)):
+        g = [[upper[min(i, j)][abs(j - i)][rung] for j in range(n)] for i in range(n)]
+        assert problem.screen.rejects(g)
+    rounded = []
+    original = gram.limit_denominators
+
+    def counted(x, ladder):
+        rounded.append(x)
+        return original(x, ladder)
+
+    monkeypatch.setattr(gram, "limit_denominators", counted)
+    assert gram._round_to_exact(problem, matrix, ladder) is None
+    assert rounded == [entries[i][j] for i, j in keys]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize(
+    "factors, target",
+    [PROBLEMS[0], PROBLEMS[1], (["y", "x^2 + y^2 - 1"], "x^2 + 1")],
+    ids=["unit-circle", "circle-pair", "line-and-circle"],
+)
+def test_summands_from_coordinates_match_the_basis(factors, target, degree):
+    """Each block read off its coordinates is sum c_k * basis_k."""
+    problem = _problem(factors, target, degree)
+    assert {b.kind for b in problem.blocks} == ({"line", "circle"} if "y" in factors else {"circle"})
+    rng = np.random.default_rng(11 + degree)
+    vectors = [
+        [Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(problem.dim)]
+        for _ in range(3)
+    ] + [[Fr(0)] * problem.dim]
+    for vec, summand in zip(vectors, gram._vectors_to_summands(problem, vectors)):
+        for block in problem.blocks:
+            coords = vec[block.offset : block.offset + block.size]
+            chain = block.basis[0].scale(0)
+            for c, b in zip(coords, block.basis):
+                chain = chain + b.scale(c)
+            assert summand[block.component] == chain

@@ -10,8 +10,10 @@ from soscurves.points import AlgebraicPoint
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import (
     CircleFn,
+    LineFn,
     float_value,
     restrict_to_chart,
+    sum_of_squares,
     value_as_u_fraction,
     values_agree_at_algebraic,
 )
@@ -89,3 +91,89 @@ def test_restrictions_agree_at_shared_algebraic_points(seed):
             g2 = restrict_to_chart(F + B("1"), c2)
             assert not values_agree_at_algebraic(f1, c1, g2, c2, rec.point)
             assert not values_agree_at_algebraic(g2, c2, f1, c1, rec.point)
+
+
+# -- one-pass sums of squares against the product-and-add chain ----------------
+
+
+def _random_uni(rng, zero_share=0.2):
+    """A seeded polynomial with mixed denominators; zero now and then."""
+    if rng.random() < zero_share:
+        return UniPoly.zero()
+    return UniPoly([_rat(rng, -9, 9, (1, 2, 3, 5, 7)) for _ in range(rng.randint(1, 5))])
+
+
+def _chain_dot(ps, qs):
+    total = UniPoly.zero()
+    for p, q in zip(ps, qs):
+        total = total + p * q
+    return total
+
+
+def _chain_squares(fns, zero):
+    total = zero
+    for f in fns:
+        total = total + f * f
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dot_matches_products_and_sums(seed):
+    rng = random.Random(f"dot/{seed}")
+    for size in range(6):
+        ps = [_random_uni(rng) for _ in range(size)]
+        qs = [_random_uni(rng) for _ in range(size)]
+        assert UniPoly.dot(ps, qs) == _chain_dot(ps, qs)
+        assert UniPoly.dot(ps, ps) == _chain_dot(ps, ps)
+    # cancellation down to zero, and the empty sum
+    p = UniPoly([Fr(1, 3), 2])
+    assert UniPoly.dot([p, p], [p, -p]).is_zero()
+    assert UniPoly.dot([], []) == UniPoly.zero()
+    with pytest.raises(ValueError):
+        UniPoly.dot([p, p], [p])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_line_sum_of_squares_matches_the_chain(seed):
+    rng = random.Random(f"line-sos/{seed}")
+    pole = _rat(rng, -4, 4)
+    for size in range(6):
+        # mixed pole orders at one pole, order 0 and zero functions among them
+        fns = [LineFn(_random_uni(rng), rng.randint(0, 3), pole) for _ in range(size)]
+        assert LineFn.sum_of_squares(fns) == _chain_squares(fns, LineFn.zero())
+        plain = [LineFn(_random_uni(rng)) for _ in range(size)]
+        assert LineFn.sum_of_squares(plain) == _chain_squares(plain, LineFn.zero())
+    # a numerator that the pole divides drops to a lower order first
+    lin = UniPoly.linear_root(pole)
+    fns = [LineFn(lin * UniPoly([1, 1]), 2, pole), LineFn(UniPoly([3]), 1, pole)]
+    assert LineFn.sum_of_squares(fns) == _chain_squares(fns, LineFn.zero())
+    assert LineFn.sum_of_squares([]) == LineFn.zero()
+    with pytest.raises(ValueError):
+        LineFn.sum_of_squares([LineFn(UniPoly([1]), 1, pole), LineFn(UniPoly([1]), 2, pole + 1)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_circle_sum_of_squares_matches_the_chain(seed):
+    rng = random.Random(f"circle-sos/{seed}")
+    q = UniPoly([_rat(rng, 1, 9), _rat(rng), -1])
+    for size in range(6):
+        fns = [
+            CircleFn(_random_uni(rng), _random_uni(rng, 0.4), q) for _ in range(size)
+        ]
+        assert CircleFn.sum_of_squares(fns, q) == _chain_squares(fns, CircleFn.zero(q))
+    assert CircleFn.sum_of_squares([], q) == CircleFn.zero(q)
+    other = UniPoly([2, 0, -1])
+    with pytest.raises(ValueError):
+        CircleFn.sum_of_squares([CircleFn.const(1, q), CircleFn.const(1, other)], q)
+    with pytest.raises(ValueError):
+        CircleFn.sum_of_squares([CircleFn.const(1, other)], q)
+
+
+def test_sum_of_squares_follows_the_target():
+    q = UniPoly([1, 0, -1])
+    line = [LineFn(UniPoly([1, Fr(1, 2)])), LineFn(UniPoly([Fr(-2, 3)]))]
+    assert sum_of_squares(line, LineFn.const(5)) == LineFn.sum_of_squares(line)
+    circle = [CircleFn(UniPoly([1, 2]), UniPoly([Fr(1, 3)]), q), CircleFn.const(2, q)]
+    assert sum_of_squares(circle, CircleFn.const(1, q)) == CircleFn.sum_of_squares(circle, q)
+    with pytest.raises(ValueError):
+        sum_of_squares(circle, CircleFn.const(1, UniPoly([2, 0, -1])))

@@ -301,3 +301,20 @@ def test_quadratic_parts_keep_the_pairing_layout(num, parts):
     # 3 is no sum of two rational squares, so the layout of the parts shows
     # which of the two constructions ran
     assert line_fn_sos(LineFn(num)).parts == tuple(LineFn(g) for g in parts)
+
+
+@pytest.mark.parametrize(
+    "num",
+    [
+        _poly(5, 2, 1).scale(3),  # gap 4: the pairing path
+        _poly(6, 2, 1).scale(3),  # gap 5: the square-list path
+    ],
+)
+def test_a_decomposition_that_misses_the_input_raises(monkeypatch, num):
+    # the re-expansion is an explicit check, not an assert that -O strips
+    good = line_fn_sos(LineFn(num))
+    assert good.exact and _reexpands(LineFn(num), good.parts)
+    completed = squares._completed_square
+    monkeypatch.setattr(squares, "_completed_square", lambda q: (completed(q)[0] + _poly(1), *completed(q)[1:]))
+    with pytest.raises(ArithmeticError, match="does not expand"):
+        line_fn_sos(LineFn(num))

@@ -11,10 +11,12 @@ after and diffing the two files:
 instance `generate(workload, seed)` gives for the chosen seeds (default 1
 and 2) of the three perfbench workloads, plus each workload's known-defect
 reproducers, through the perfbench operation itself.  One JSON line per
-instance records the outcome and detail and, when one was built, the
+instance records the outcome and detail; when one was built, the
 certificate (`exact`, residual, provenance, the `repr` of every summand) or
-the witness (`repr`).  `diff` prints every instance whose record differs and
-exits 1 when any does.
+the witness (`repr`); and when the checker ran, its report (`ok`, residual,
+the names of the failed checks), so a change to the checker is diffed too.
+`diff` prints every instance whose record differs and exits 1 when any
+does.
 """
 from __future__ import annotations
 
@@ -36,9 +38,9 @@ def _load(root: Path):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bench_instances
     import bench_pipeline
-    from soscurves import certify, witness
+    from soscurves import certify, verify, witness
 
-    return bench_instances, bench_pipeline, certify, witness
+    return bench_instances, bench_pipeline, certify, witness, verify
 
 
 def _capture(module, name: str, built: list) -> None:
@@ -68,12 +70,25 @@ def _artifact(obj) -> dict | None:
     return {"witness": repr(obj)}
 
 
+def _report(report) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "ok": report.ok,
+        "residual": repr(report.residual),
+        "failed": [c.name for c in report.failures()],
+    }
+
+
 def dump(root: Path, seeds: list[int], out: Path) -> int:
-    instances, pipeline, certify, witness = _load(root)
+    instances, pipeline, certify, witness, verify = _load(root)
     built: list = []
     _capture(certify, "full_certify", built)
     _capture(witness, "cycle_witness", built)
     _capture(witness, "nonreal_intersection_witness", built)
+    reports: list = []
+    _capture(verify, "verify_certificate", reports)
+    _capture(verify, "verify_witness", reports)
     runs = [
         (w, str(s), inst) for w in WORKLOADS for s in seeds for inst in instances.generate(w, s)
     ]
@@ -81,12 +96,14 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
     with open(out, "w") as fh:
         for workload, seed, inst in runs:
             built.clear()
+            reports.clear()
             res = pipeline.run_operation(inst, BUDGET_S[workload])
             record = {
                 "key": f"{workload}/{seed}/{inst.name}",
                 "outcome": res.outcome,
                 "detail": res.detail,
                 "artifact": _artifact(built[-1] if built else None),
+                "report": _report(reports[-1] if reports else None),
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"{len(runs)} instances written to {out}")
@@ -111,8 +128,9 @@ def diff(a: Path, b: Path) -> int:
             print(f"{key}: only in {a if rb is None else b}")
             continue
         print(f"{key}: {ra['outcome']} ({ra['detail']}) -> {rb['outcome']} ({rb['detail']})")
-        if ra["artifact"] != rb["artifact"]:
-            print("  artifact differs")
+        for part in ("artifact", "report"):
+            if ra.get(part) != rb.get(part):
+                print(f"  {part} differs")
     print(f"{len(old.keys() | new.keys())} instances, {changed} differ")
     return 1 if changed else 0
 
