@@ -16,9 +16,9 @@ Each exact fact about a rational candidate G is proved once:
   prescriptions, and the value rows e(P)^T G e(Q) = <v_P, v_Q>;
 - `_agrees_at_algebraic_points` proves agreement at the shared points with
   algebraic coordinates, whose kernel rows the solver sees as floats only:
-  the relation e_i(P) - e_j(P), scaled by a power of the frame denominator,
-  is a vector of polynomials in the frame value u reduced modulo the point's
-  defining polynomial, and G times it must vanish at the boxed root;
+  there the relation e_i(P) - e_j(P) has its entries in Q[u]/(P') for the
+  point's frame value u (`unipoly.BoxedValue`), and each entry of G times
+  it must vanish at the boxed root;
 - the exact L D L^T of `_rational_ldl` proves G psd, G = sum d_k l_k l_k^T.
 For psd G, u^T G u = sum d_k (l_k . u)^2, so G u = 0 makes every summand
 l_k agree at the point; the coefficient rows give sum d_k f_k^2 = target and
@@ -48,12 +48,10 @@ from .ringfn import (
     CircleFn,
     LineFn,
     RingFn,
-    float_value,
+    chart_arguments,
     sum_of_squares,
-    value_as_u_fraction,
-    value_at_point,
 )
-from .unipoly import RootBox, UniPoly, box_sign
+from .unipoly import BoxedValue, RootBox, UniPoly
 
 
 class NoConvergence(RuntimeError):
@@ -119,19 +117,18 @@ class KernelPoint:
     """A real point shared by two or more components of the problem.
 
     At a rational point the agreement conditions are exact rows of the
-    problem.  At an algebraic point alpha, with defining polynomial
-    P = point.u.poly, `relations` holds one map per incident component after
-    the first: basis index s to w_s in Q[u] reduced modulo P, with
-    w(alpha) = C(alpha)^K (e_first(alpha) - e_other(alpha)) for the frame
-    denominator C, which does not vanish at alpha.  A psd G makes every
-    summand agree there exactly when G w(alpha) = 0 (see the module
-    docstring); `_agrees_at_algebraic_points` tests that.
+    problem.  At an algebraic point alpha, `relations` holds one map per
+    incident component after the first: basis index s to the entry w_s of
+    e_first(alpha) - e_other(alpha) in Q[u]/(P'), P' the modulus of the
+    point's coordinates.  A psd G makes every summand agree there exactly
+    when G w = 0 at alpha (see the module docstring), which
+    `_agrees_at_algebraic_points` tests.
     """
 
     point_id: str
     components: tuple[str, ...]
     point: RationalPoint | AlgebraicPoint
-    relations: tuple[dict[int, UniPoly], ...] = ()
+    relations: tuple[dict[int, BoxedValue], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,9 @@ class Row:
     """The constraint sum of coeffs[i, j] * G[i, j] over i <= j equals rhs.
 
     Coefficients are Fractions, except in the kernel rows of a shared point
-    with algebraic coordinates: those carry float basis values for the
-    solver and have `exact` False.  The snap leaves them out; extraction
-    checks the same condition exactly through `KernelPoint.relations`.
+    with algebraic coordinates: those carry the floats of the entries of
+    `KernelPoint.relations` for the solver and have `exact` False.  The
+    snap leaves them out; extraction checks the relations exactly.
     """
 
     coeffs: dict[tuple[int, int], Fraction | float]
@@ -232,8 +229,17 @@ def _coeff_slots(fn: RingFn) -> dict[tuple[str, int], Fraction]:
     return out
 
 
-def _basis_values(block: GramBlock, chart, point: RationalPoint) -> list[Fraction]:
-    return [value_at_point(b, chart, point) for b in block.basis]
+def _basis_values(block: GramBlock, chart, point: RationalPoint | AlgebraicPoint) -> list:
+    """Exact basis values at a real point (Fractions, or elements of an algebraic
+    point's Q[u]/(P')): running products of the chart arguments, t^k on a line
+    and x^k, then x^k w on a circle, as in `_line_basis` and `_circle_basis`."""
+    args = chart_arguments(chart, point)
+    vals = [args[0] * 0 + 1]  # the one of the arguments' ring
+    for _ in range(block.degree):
+        vals.append(vals[-1] * args[0])
+    if block.kind == "circle":
+        vals += [xk * args[1] for xk in vals[: block.degree]]
+    return vals
 
 
 def build_gram_problem(
@@ -307,29 +313,26 @@ def build_gram_problem(
         incident = [cid for cid in subset if index_of[cid] in rec.components]
         if len(incident) < 2:
             continue
-        rational = isinstance(rec.point, RationalPoint)
-        if rational:
-            evals = {
-                cid: _basis_values(block_of[cid], charts[cid], rec.point)
-                for cid in incident
-            }
-            relations = ()
-        else:
-            xf, yf = rec.point.as_floats(60)
-            evals = {
-                cid: [float_value(b, charts[cid], xf, yf) for b in block_of[cid].basis]
-                for cid in incident
-            }
-            relations = _algebraic_relations(
-                rec.point, [block_of[cid] for cid in incident], charts
-            )
-        kernel_points.append(KernelPoint(rec.id, tuple(incident), rec.point, relations))
-        base = block_of[incident[0]]
+        # e_first - e_other, exact; at an algebraic point the solver sees
+        # its float image and `_agrees_at_algebraic_points` the exact one
+        evals = {
+            cid: _basis_vector(block_of[cid], _basis_values(block_of[cid], charts[cid], rec.point))
+            for cid in incident
+        }
+        relations = []
         for other in incident[1:]:
-            u = _basis_vector(base, evals[base.component])
-            for s, v in _basis_vector(block_of[other], evals[other]).items():
-                u[s] = -v
-            rows += _kernel_rows(u, n, rational)
+            rel = dict(evals[incident[0]])
+            for s, v in evals[other].items():
+                rel[s] = -v
+            relations.append(rel)
+        rational = isinstance(rec.point, RationalPoint)
+        kernel_points.append(
+            KernelPoint(rec.id, tuple(incident), rec.point, () if rational else tuple(relations))
+        )
+        for rel in relations:
+            if not rational:
+                rel = {s: w.poly.eval_float(rec.point.u_float) for s, w in rel.items()}
+            rows += _kernel_rows(rel, n, rational)
 
     values = list(values)
     evecs = [
@@ -372,34 +375,6 @@ def build_gram_problem(
         kernel_points=kernel_points,
         values=values,
     )
-
-
-def _algebraic_relations(
-    point: AlgebraicPoint, blocks: list[GramBlock], charts: dict[str, object]
-) -> tuple[dict[int, UniPoly], ...]:
-    """C^K (e_first - e_other) at an algebraic point, reduced modulo its polynomial.
-
-    Each basis value is N/D with D a rational multiple of a power of the
-    frame denominator C (`value_as_u_fraction`), so multiplying every value
-    by the D of highest degree clears all of them with exact quotients.
-    """
-    modulus = point.u.poly
-    fracs = [
-        [value_as_u_fraction(b, charts[block.component], point) for b in block.basis]
-        for block in blocks
-    ]
-    common = max((d for vals in fracs for _, d in vals), key=lambda d: d.degree)
-    scaled = [
-        _basis_vector(block, [(num * common.exact_div(den)) % modulus for num, den in vals])
-        for block, vals in zip(blocks, fracs)
-    ]
-    out = []
-    for other in scaled[1:]:
-        rel = dict(scaled[0])
-        for s, w in other.items():
-            rel[s] = -w
-        out.append(rel)
-    return tuple(out)
 
 
 def _basis_vector(block: GramBlock, vals: list) -> dict[int, Fraction | float]:
@@ -656,17 +631,18 @@ class _AgreementScreen:
     """The first test of `_agrees_at_algebraic_points`, pulled back before the snap.
 
     For the first relation w of the first algebraic kernel point, with
-    defining polynomial P, that test takes row 0 of the snapped matrix:
-    sum_s G[0][s] w_s, a polynomial of degree below deg P, and rejects when
-    it is nonzero with a nonzero `box_sign` at the point.  Its coefficient
-    of u^k is the linear map phi_k(G) = sum_s G[0][s] coeff_k(w_s), and
-    `_ExactAffineSnap.pull_back` turns each into c_k + <psi_k, ghat> on the
-    rounded matrix, so the screen evaluates the same polynomial without
-    snapping.  It only ever rejects a candidate that `_promote` would
-    reject; every acceptance still goes through the snap and `_promote`.
+    entries in Q[u]/(P'), that test takes row 0 of the snapped matrix:
+    sum_s G[0][s] w_s, and rejects when it does not vanish at the point.
+    Its coordinate of u^k, k < deg P', is the linear map
+    phi_k(G) = sum_s G[0][s] coeff_k(w_s), and `_ExactAffineSnap.pull_back`
+    turns each into c_k + <psi_k, ghat> on the rounded matrix, so the
+    screen evaluates the same element without snapping.  It only ever
+    rejects a candidate that `_promote` would reject; every acceptance
+    still goes through the snap and `_promote`.
     """
 
     box: RootBox
+    modulus: UniPoly
     terms: tuple[tuple[Fraction, tuple[tuple[int, int, Fraction], ...]], ...]
     # the entries (i, j), i <= j, of ghat that `rejects` reads
     keys: tuple[tuple[int, int], ...] = field(init=False, compare=False)
@@ -691,13 +667,14 @@ class _AgreementScreen:
         kp = next((kp for kp in kernel_points if kp.relations), None)
         if kp is None:
             return None
-        rel = kp.relations[0]
+        rel = {s: w.coords for s, w in kp.relations[0].items()}
+        ring = kp.point.x
         terms = []
-        for k in range(kp.point.u.poly.degree):
-            phi = {(0, s): w.coeff(k) for s, w in rel.items() if w.coeff(k)}
+        for k in range(ring.modulus.degree):
+            phi = {(0, s): c[k] for s, c in rel.items() if c[k]}
             const, psi = snap.pull_back(phi)
             terms.append((const, tuple((i, j, c) for (i, j), c in psi.items())))
-        return _AgreementScreen(kp.point.u, tuple(terms))
+        return _AgreementScreen(ring.box, ring.modulus, tuple(terms))
 
     def rejects(self, ghat: list[list[Fraction]]) -> bool:
         """Whether row 0 of snap(ghat) fails the agreement test at the point."""
@@ -715,8 +692,7 @@ class _AgreementScreen:
                         acc_den *= m
                     acc += c * x.numerator * (acc_den // xd)
             coeffs.append(const + Fraction(acc, acc_den * den))
-        poly = UniPoly(coeffs)
-        return bool(poly) and box_sign(poly, self.box) != 0
+        return not BoxedValue(UniPoly(coeffs), self.box, self.modulus).is_zero()
 
 
 @dataclass
@@ -827,20 +803,15 @@ def _promote(
 
 
 def _agrees_at_algebraic_points(problem: GramProblem, g: list[list[Fraction]]) -> bool:
-    """Whether g w(alpha) = 0 for every relation w of every algebraic kernel point.
-
-    Row r of g times w is a polynomial reduced modulo the point's defining
-    polynomial; it vanishes at alpha when it is zero, and otherwise exactly
-    when `box_sign` finds a common root inside the point's box.
-    """
+    """Whether g w(alpha) = 0 for every relation w of every algebraic kernel
+    point: row r of g times w is one element of Q[u]/(P'), zero or not at alpha."""
     for kp in problem.kernel_points:
+        ring = kp.point.x
         for rel in kp.relations:
+            polys = [w.poly for w in rel.values()]
             for row in g:
-                acc = UniPoly.zero()
-                for s, w in rel.items():
-                    if row[s]:
-                        acc = acc + w.scale(row[s])
-                if acc and box_sign(acc, kp.point.u) != 0:
+                acc = UniPoly.lincomb([row[s] for s in rel], polys)
+                if not BoxedValue(acc, ring.box, ring.modulus).is_zero():
                     return False
     return True
 

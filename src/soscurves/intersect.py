@@ -28,7 +28,7 @@ from math import comb
 
 from .bipoly import BiPoly, _detpol_subresultant, resultant_y
 from .points import AlgebraicPoint, ConjugatePairPoint, RationalPoint, RealPoint
-from .unipoly import RootBox, UniPoly, box_sign, gcd, isolate_real_roots, squarefree_part
+from .unipoly import BoxedValue, RootBox, UniPoly, gcd, isolate_real_roots, squarefree_part
 
 
 class SharedComponent(ValueError):
@@ -221,28 +221,35 @@ def sheared_intersection(pair: ShearedPair) -> PairIntersection:
     rad = pair.radical
     out = PairIntersection(total_closed_points=rad.degree)
     boxes = isolate_real_roots(rad)
+    inverses: dict[int, BoxedValue] = {}
     for box in boxes:
-        out.real_points.append(_point_from_ladder(pair.ladder, box, pair.lam))
+        out.real_points.append(_point_from_ladder(pair.ladder, box, pair.lam, inverses))
     pairs = (rad.degree - len(boxes)) // 2
     for _ in range(pairs):
         out.nonreal_pairs.append(ConjugatePairPoint())
     return out
 
 
-def _point_from_ladder(ladder: list[list[UniPoly]], box: RootBox, lam: Fraction) -> RealPoint:
+def _point_from_ladder(
+    ladder: list[list[UniPoly]], box: RootBox, lam: Fraction, inverses: dict[int, BoxedValue]
+) -> RealPoint:
+    """The point over the root in box.  inverses caches -1/(k*lead) per rung
+    k, modulo the factor of the radical that holds every root read off it."""
     for k, rung in enumerate(ladder, start=1):
-        lead = rung[k]
-        if box_sign(lead, box) != 0:
-            # rung = c*(y - y0)^k over this root, so y0 = B/C off the top two
-            # coefficients and x = u - lam*y0 = A/C
-            C = lead.scale(k)
-            B = rung[k - 1].scale(-1)
+        lead = BoxedValue(rung[k], box)
+        if lead.sign() != 0:
+            # rung = lead*(y - y0)^k over this root, so y0 = -rung[k-1]/(k*lead)
+            # off the top two coefficients, and x = u - lam*y0
             u0 = box.exact_value
             if u0 is not None:
-                y0 = B(u0) / C(u0)
+                y0 = -rung[k - 1](u0) / (k * rung[k](u0))
                 return RationalPoint(u0 - lam * y0, y0)
-            A = UniPoly.var() * C - B.scale(lam)
-            return AlgebraicPoint(u=box, lam=lam, A=A, B=B, C=C)
+            if k not in inverses:
+                inverses[k] = (lead * -k).inverse()
+            inv = inverses[k]  # its representative and modulus serve every root of the rung
+            y = BoxedValue(rung[k - 1] * inv.poly, box, inv.modulus)
+            x = BoxedValue(UniPoly.var() - y.poly.scale(lam), box, inv.modulus)
+            return AlgebraicPoint(u=box, lam=lam, x=x, y=y)
     raise AssertionError("subresultant ladder exhausted")
 
 

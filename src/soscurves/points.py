@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 
 from .bipoly import BiPoly
-from .unipoly import RootBox, UniPoly, box_compare, box_sign, boxes_equal, gcd
+from .unipoly import BoxedValue, RootBox, UniPoly, box_compare, boxes_equal, gcd
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,9 @@ class AlgebraicPoint:
     """A real point with irrational coordinates.
 
     The frame parameter ``lam`` fixes u = x + lam*y.  The box isolates the
-    u-value of the point among the roots of its defining polynomial, and both
-    coordinates are rational functions of u:
-
-        x = A(u)/C(u),   y = B(u)/C(u),   C(u) != 0 at the root.
+    u-value of the point among the roots of its defining polynomial P, and
+    both coordinates are elements of Q[u]/(P') read at that root, for P'
+    the factor of P that holds it (`BoxedValue`); x and y share P'.
 
     Points may only be compared when they share a frame; the curve analysis
     picks one shear for an entire configuration so this always holds.
@@ -39,15 +39,17 @@ class AlgebraicPoint:
 
     u: RootBox
     lam: Fraction
-    A: UniPoly
-    B: UniPoly
-    C: UniPoly
+    x: BoxedValue
+    y: BoxedValue
 
-    def as_floats(self, precision: int = 40) -> tuple[float, float]:
-        box = self.u.refined(precision)
-        u0 = float(box.low + box.high) / 2.0
-        c = self.C.eval_float(u0)
-        return (self.A.eval_float(u0) / c, self.B.eval_float(u0) / c)
+    @cached_property
+    def u_float(self) -> float:
+        """The frame value as a float: the midpoint of the box refined 60 times."""
+        box = self.u.refined(60)
+        return float(box.low + box.high) / 2.0
+
+    def as_floats(self) -> tuple[float, float]:
+        return (self.x.poly.eval_float(self.u_float), self.y.poly.eval_float(self.u_float))
 
 
 RealPoint = RationalPoint | AlgebraicPoint
@@ -72,14 +74,7 @@ def curve_sign_at(F: BiPoly, p: RealPoint) -> int:
     if isinstance(p, RationalPoint):
         v = F(p.x, p.y)
         return (v > 0) - (v < 0)
-    numerator = F.compose_rational(p.A, p.B, p.C)
-    s = box_sign(numerator, p.u)
-    if F.total_degree % 2 == 0:
-        return s
-    sc = box_sign(p.C, p.u)
-    if sc == 0:
-        raise ArithmeticError("frame denominator vanishes at the point")
-    return s * sc
+    return BoxedValue(F.substitute(p.x.poly, p.y.poly), p.u, p.x.modulus).sign()
 
 
 def lies_on(F: BiPoly, p: RealPoint) -> bool:
@@ -102,8 +97,7 @@ def same_point(p: RealPoint, q: RealPoint) -> bool:
     if not boxes_equal(p.u, q.u):
         return False
     # same u-value; the frame map u = x + lam*y pins the point once y agrees
-    psi = p.B * q.C - q.B * p.C
-    return box_sign(psi, p.u) == 0
+    return (p.y - q.y).is_zero()
 
 
 def pair_passes_through(F: BiPoly, pt: ConjugatePairPoint) -> bool | None:
@@ -129,25 +123,12 @@ def same_conjugate_pair(p: ConjugatePairPoint, q: ConjugatePairPoint) -> bool | 
 
 
 def order_real_points(points: list) -> list:
-    """Sort mixed real points; algebraic ones by exact comparison of u-values."""
+    """Sort mixed real points: rational ones by (x, y), then algebraic ones by
+    exact comparison of their u-values and, over one u-value, of y."""
     rationals = sorted(
         [p for p in points if isinstance(p, RationalPoint)], key=lambda p: (p.x, p.y)
     )
     boxed = [p for p in points if isinstance(p, AlgebraicPoint)]
-    # insertion sort with exact comparisons; point counts are small
-    ordered: list[AlgebraicPoint] = []
-    for p in boxed:
-        at = len(ordered)
-        for k, q in enumerate(ordered):
-            c = box_compare(p.u, q.u)
-            if c < 0 or (c == 0 and _y_less(p, q)):
-                at = k
-                break
-        ordered.insert(at, p)
-    return rationals + ordered
-
-
-def _y_less(p: AlgebraicPoint, q: AlgebraicPoint) -> bool:
-    psi = p.B * q.C - q.B * p.C
-    s = box_sign(psi, p.u) * box_sign(p.C, p.u) * box_sign(q.C, p.u)
-    return s < 0
+    return rationals + sorted(
+        boxed, key=cmp_to_key(lambda p, q: box_compare(p.u, q.u) or (p.y - q.y).sign())
+    )

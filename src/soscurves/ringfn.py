@@ -19,8 +19,8 @@ from typing import Sequence
 
 from .bipoly import BiPoly
 from .components import Chart, CircleChart, PolyChart, PuncturedChart
-from .points import AlgebraicPoint, RationalPoint
-from .unipoly import UniPoly, box_sign, gcd
+from .points import AlgebraicPoint, RationalPoint, RealPoint
+from .unipoly import BoxedValue, UniPoly, gcd
 
 
 class IrrationalAttachment(ValueError):
@@ -296,13 +296,21 @@ def param_of_point(chart: PolyChart | PuncturedChart, p: RationalPoint) -> Fract
     return t
 
 
-def chart_arguments(chart: Chart, p: RationalPoint) -> tuple[Fraction, ...]:
+def chart_arguments(chart: Chart, p: RealPoint) -> tuple:
     """The arguments at which a component function on `chart` takes its value
-    at a rational plane point: the parameter of a line-type chart, or (x, w)
-    with w = y + s1*x + s0 on a circle chart."""
+    at a real plane point: the parameter of a line-type chart, or (x, w) with
+    w = y + s1*x + s0 on a circle chart.  At an algebraic point they lie in its
+    Q[u]/(P'), read off a chart coordinate of degree one; punctured charts refuse."""
     if isinstance(chart, CircleChart):
-        return (p.x, p.y + chart.s1 * p.x + chart.s0)
-    return (param_of_point(chart, p),)
+        return (p.x, p.y + p.x * chart.s1 + chart.s0)
+    if isinstance(p, RationalPoint):
+        return (param_of_point(chart, p),)
+    if isinstance(chart, PuncturedChart):
+        raise IrrationalAttachment(
+            "algebraic points on punctured components are not supported"
+        )
+    coord, poly = (p.x, chart.x) if chart.x.degree == 1 else (p.y, chart.y)
+    return ((coord - poly.coeff(0)) * (1 / poly.coeff(1)),)
 
 
 def value_at_point(fn: RingFn, chart: Chart, p: RationalPoint) -> Fraction:
@@ -322,61 +330,14 @@ def float_value(fn: RingFn, chart: Chart, xf: float, yf: float) -> float:
     return fn.a.eval_float(xf) + fn.b.eval_float(xf) * wf
 
 
-def value_as_u_fraction(fn: RingFn, chart: Chart, p: AlgebraicPoint) -> tuple[UniPoly, UniPoly]:
-    """Value of a component function at an algebraic point, as N(u)/D(u).
-
-    The point's coordinates are rational functions of its frame value u, so
-    the value of any component function is one too; returning numerator and
-    denominator keeps comparisons exact (cross-multiply, then take the sign
-    over the point's isolating box).  The denominator does not vanish at the
-    root unless the function itself has a pole there, which raises.
-    """
-    if isinstance(chart, PuncturedChart):
-        raise IrrationalAttachment(
-            "algebraic points on punctured components are not supported"
-        )
-    if isinstance(fn, LineFn):
-        assert isinstance(chart, PolyChart)
-        # invert the degree-one chart: t = (coord - c0) / c1 in the frame
-        if chart.x.degree == 1:
-            c0, c1 = chart.x.coeffs[0], chart.x.coeffs[1]
-            coord_num = p.A
-        else:
-            c0, c1 = chart.y.coeffs[0], chart.y.coeffs[1]
-            coord_num = p.B
-        t_num = coord_num - p.C.scale(c0)
-        t_den = p.C.scale(c1)
-        dn = max(fn.num.degree, 0)
-        value_num = UniPoly.zero()
-        for k, c in enumerate(fn.num.coeffs):
-            if c:
-                value_num = value_num + (t_num**k * t_den ** (dn - k)).scale(c)
-        if fn.order == 0:
-            return value_num, t_den**dn
-        pole_num = t_num - t_den.scale(fn.pole_at)
-        return value_num * t_den**fn.order, t_den**dn * pole_num**fn.order
-    assert isinstance(chart, CircleChart)
-    w_num = p.B + p.A.scale(chart.s1) + p.C.scale(chart.s0)
-    da = max(fn.a.degree, 0)
-    db = fn.b.degree
-    depth = max(da, db + 1, 0)
-    total = UniPoly.zero()
-    for k, c in enumerate(fn.a.coeffs):
-        if c:
-            total = total + (p.A**k * p.C ** (depth - k)).scale(c)
-    for k, c in enumerate(fn.b.coeffs):
-        if c:
-            total = total + (p.A**k * p.C ** (depth - 1 - k) * w_num).scale(c)
-    return total, p.C**depth
-
-
-def values_agree_at_algebraic(
-    fn1: RingFn, chart1: Chart, fn2: RingFn, chart2: Chart, p: AlgebraicPoint
-) -> bool:
-    """Exact agreement test for two component functions at a shared algebraic
-    point, via the sign of the cross-multiplied difference at the boxed root."""
-    n1, d1 = value_as_u_fraction(fn1, chart1, p)
-    n2, d2 = value_as_u_fraction(fn2, chart2, p)
-    if box_sign(d1, p.u) == 0 or box_sign(d2, p.u) == 0:
-        raise ZeroDivisionError("function denominator vanishes at the point")
-    return box_sign(n1 * d2 - n2 * d1, p.u) == 0
+def value_at_algebraic(fn: RingFn, chart: Chart, p: AlgebraicPoint) -> BoxedValue:
+    """Exact value of a component function at an algebraic point, in the
+    point's Q[u]/(P'); a pole at the point raises ZeroDivisionError."""
+    if isinstance(fn, CircleFn):
+        x, w = chart_arguments(chart, p)
+        return x.value_of(fn.a) + x.value_of(fn.b) * w
+    (t,) = chart_arguments(chart, p)
+    value = t.value_of(fn.num)
+    if fn.order:
+        value = value * t.value_of(UniPoly.linear_root(fn.pole_at) ** fn.order).inverse()
+    return value

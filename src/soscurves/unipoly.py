@@ -238,7 +238,10 @@ class UniPoly:
         return self.divmod(other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
+        if other.is_zero():
+            raise ZeroPolynomial("division by the zero polynomial")
+        r, s = _pseudo_divmod(self._num, other._num, False)[1:]
+        return _make(*_canonical(r, s * self._den))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -799,6 +802,94 @@ def box_sign(g: UniPoly, box: RootBox) -> int:
         if s:
             return s
     raise RuntimeError("sign refinement did not converge")
+
+
+@dataclass(frozen=True, eq=False)
+class BoxedValue:
+    """An element of Q[u]/(P) read at the real root of P that `box` isolates.
+
+    `poly` is kept reduced modulo `modulus`, a squarefree divisor of
+    `box.poly` that keeps the root (`box.poly` unless given).  The modulus
+    need not be irreducible, so `sign`, `is_zero` and == read the root (one
+    `box_sign`), not `poly`.  `inverse` splits the modulus at a zero divisor
+    and keeps the factor that holds the root: the D5 principle of Della
+    Dora, Dicrescenzo and Duval (EUROCAL 1985).  Values with different
+    moduli, which must share the root, combine modulo the gcd of the
+    moduli; rational scalars mix in +, - and *.
+    """
+
+    poly: UniPoly
+    box: RootBox
+    modulus: UniPoly | None = None
+
+    def __post_init__(self) -> None:
+        m = self.box.poly if self.modulus is None else self.modulus
+        object.__setattr__(self, "modulus", m)
+        if self.poly.degree >= m.degree:
+            object.__setattr__(self, "poly", self.poly % m)
+
+    def _operands(self, other) -> tuple[UniPoly, UniPoly, UniPoly]:
+        """(a, b, m): representatives of self and other modulo one modulus m."""
+        m = self.modulus
+        if not isinstance(other, BoxedValue):
+            return self.poly, UniPoly.const(other), m
+        if other.modulus == m:
+            return self.poly, other.poly, m
+        m = gcd(m, other.modulus)
+        if m.degree < 1:
+            raise ValueError("the two moduli share no root")
+        return self.poly % m, other.poly % m, m
+
+    def __add__(self, other) -> "BoxedValue":
+        a, b, m = self._operands(other)
+        return BoxedValue(a + b, self.box, m)
+
+    def __mul__(self, other) -> "BoxedValue":
+        if not isinstance(other, BoxedValue):
+            return BoxedValue(self.poly.scale(other), self.box, self.modulus)
+        a, b, m = self._operands(other)
+        return BoxedValue(a * b, self.box, m)
+
+    def __neg__(self) -> "BoxedValue":
+        return self * -1
+
+    def __sub__(self, other) -> "BoxedValue":
+        return self + -other
+
+    def __eq__(self, other) -> bool:
+        return (self - other).is_zero()
+
+    def inverse(self) -> "BoxedValue":
+        """1/self at the root, by extended Euclid on (modulus, poly).
+
+        A nonconstant gcd g vanishes at the root exactly when self does,
+        which raises ZeroDivisionError; otherwise the root is one of
+        modulus / g, which is coprime to poly, and the inverse is taken there.
+        """
+        r0, r1, s0, s1 = self.modulus, self.poly, _ZERO, _ONE
+        while r1:
+            q, r = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        if r0.degree == 0:
+            return BoxedValue(s0.scale(1 / r0.leading()), self.box, self.modulus)
+        if box_sign(r0, self.box) == 0:
+            raise ZeroDivisionError("the value vanishes at the boxed root")
+        return BoxedValue(self.poly, self.box, self.modulus.exact_div(r0)).inverse()
+
+    def sign(self) -> int:
+        return box_sign(self.poly, self.box)
+
+    def is_zero(self) -> bool:
+        return self.sign() == 0
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Coordinates in the basis 1, u, ..., u^(m-1), m the degree of the modulus."""
+        return tuple(self.poly.coeff(k) for k in range(self.modulus.degree))
+
+    def value_of(self, p: UniPoly) -> "BoxedValue":
+        """p(self)."""
+        return BoxedValue(p.compose(self.poly), self.box, self.modulus)
 
 
 def _common(a: RootBox, b: RootBox) -> tuple[int, int, int, int, int]:

@@ -18,7 +18,6 @@ from .components import CircleChart, PolyChart
 from .curve import CurveAnalysis
 from .glue import SosCertificate
 from .points import (
-    AlgebraicPoint,
     ConjugatePairPoint,
     RationalPoint,
     pair_passes_through,
@@ -31,7 +30,7 @@ from .ringfn import (
     float_value,
     restrict_to_chart,
     sum_of_squares,
-    values_agree_at_algebraic,
+    value_at_algebraic,
 )
 from .squares import negative_point
 from .unipoly import UniPoly, count_real_roots, sturm_count
@@ -170,12 +169,20 @@ def verify_certificate(
         if len(incident) < 2:
             continue
         name = f"agreement:{rec.id}"
-        if rec.is_real and isinstance(rec.point, RationalPoint):
+        if rec.is_real:
+            # exact values, in Q[u]/(P') at an algebraic point; floats there if numeric
+            p = rec.point
+            if isinstance(p, RationalPoint):
+                args = {cid: chart_arguments(charts[cid], p) for cid in incident}
+                at = lambda fn, cid: fn(*args[cid])  # noqa: E731
+            elif cert.exact:
+                at = lambda fn, cid: value_at_algebraic(fn, charts[cid], p)  # noqa: E731
+            else:
+                xy = p.as_floats()
+                at = lambda fn, cid: float_value(fn, charts[cid], *xy)  # noqa: E731
             bad = ""
-            # one attachment parameter per incident component, then every summand
-            args = {cid: chart_arguments(charts[cid], rec.point) for cid in incident}
             for j, s in enumerate(cert.summands):
-                vals = [s[cid](*args[cid]) for cid in incident]
+                vals = [at(s[cid], cid) for cid in incident]
                 if cert.exact:
                     if any(v != vals[0] for v in vals):
                         bad = f"summand {j} disagrees at {rec.id}"
@@ -188,28 +195,6 @@ def verify_certificate(
                     if spread > _NUMERIC_TOL:
                         bad = f"summand {j} spread {spread:.3g} at {rec.id}"
                         break
-            checks.append(Check(name, not bad, bad))
-        elif rec.is_real and isinstance(rec.point, AlgebraicPoint):
-            bad = ""
-            pairs = list(zip(incident, incident[1:]))
-            if not cert.exact:
-                xy = rec.point.as_floats(60)
-            for j, s in enumerate(cert.summands):
-                for ca, cb in pairs:
-                    if cert.exact:
-                        agree = values_agree_at_algebraic(
-                            s[ca], charts[ca], s[cb], charts[cb], rec.point
-                        )
-                    else:
-                        va = float_value(s[ca], charts[ca], *xy)
-                        vb = float_value(s[cb], charts[cb], *xy)
-                        agree = abs(va - vb) <= _NUMERIC_TOL
-                        residual = max(residual, abs(va - vb))
-                    if not agree:
-                        bad = f"summand {j} disagrees at {rec.id}"
-                        break
-                if bad:
-                    break
             checks.append(Check(name, not bad, bad))
         elif isinstance(rec.point, ConjugatePairPoint):
             bad = ""

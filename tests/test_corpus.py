@@ -49,7 +49,7 @@ def _point_entry(rec) -> dict:
         entry["xy"] = [str(p.x), str(p.y)]
     elif isinstance(p, AlgebraicPoint):
         entry["u_poly"] = format_unipoly(p.u.poly, "u")
-        entry["xy_float"] = [float(f"{v:.12g}") for v in p.as_floats(60)]
+        entry["xy_float"] = [float(f"{v:.12g}") for v in p.as_floats()]
     else:
         assert isinstance(p, ConjugatePairPoint)
         entry["abscissa"] = None if p.abscissa is None else str(p.abscissa)

@@ -10,8 +10,8 @@ from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
 from soscurves.points import AlgebraicPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import restrict_to_chart, values_agree_at_algebraic
-from soscurves.unipoly import UniPoly, box_sign, isolate_real_roots
+from soscurves.ringfn import restrict_to_chart, value_at_algebraic
+from soscurves.unipoly import BoxedValue, UniPoly, isolate_real_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -222,16 +222,16 @@ def _null_space(rows, n):
 
 def _summands_agree(problem, vectors):
     """The per-summand reference: every summand takes one value at every
-    algebraic kernel point, tested with values_agree_at_algebraic."""
+    algebraic kernel point, tested with value_at_algebraic."""
     for fns in gram._vectors_to_summands(problem, vectors):
         for kp in problem.kernel_points:
             if not isinstance(kp.point, AlgebraicPoint):
                 continue
             base = kp.components[0]
             for other in kp.components[1:]:
-                if not values_agree_at_algebraic(
-                    fns[base], problem.charts[base], fns[other], problem.charts[other], kp.point
-                ):
+                va = value_at_algebraic(fns[base], problem.charts[base], kp.point)
+                vb = value_at_algebraic(fns[other], problem.charts[other], kp.point)
+                if not (va - vb).is_zero():
                     return False
     return True
 
@@ -254,10 +254,10 @@ def test_exact_kernel_check_matches_per_summand_agreement(factors, target, degre
     algebraic = [kp for kp in problem.kernel_points if isinstance(kp.point, AlgebraicPoint)]
     assert len(algebraic) == 2 and all(kp.relations for kp in algebraic)
     coefficient_rows = [
-        [rel[s].coeff(k) if s in rel else Fr(0) for s in range(n)]
+        [rel[s].coords[k] if s in rel else Fr(0) for s in range(n)]
         for kp in algebraic
         for rel in kp.relations
-        for k in range(kp.point.u.poly.degree)
+        for k in range(kp.point.x.modulus.degree)
     ]
     null = _null_space(coefficient_rows, n)
     assert 0 < len(null) < n
@@ -328,11 +328,11 @@ def test_pull_back_matches_the_snap(factors, target, degree):
 
     kp = next(kp for kp in problem.kernel_points if kp.relations)
     rel = kp.relations[0]
-    degree_p = kp.point.u.poly.degree
-    # the screen's maps, coefficient k of row 0 of G times the first relation,
+    degree_p = kp.point.x.modulus.degree
+    # the screen's maps, coordinate k of row 0 of G times the first relation,
     # then maps on seeded upper-triangle entries, diagonal and off-diagonal
     phis = [
-        {(0, s): w.coeff(k) for s, w in rel.items() if w.coeff(k)} for k in range(degree_p)
+        {(0, s): w.coords[k] for s, w in rel.items() if w.coords[k]} for k in range(degree_p)
     ]
     keys = [(i, j) for i in range(n) for j in range(i, n)]
     for _ in range(3):
@@ -340,6 +340,7 @@ def test_pull_back_matches_the_snap(factors, target, degree):
         phis.append({keys[p]: rational() for p in picks})
     pulled = [snap.pull_back(phi) for phi in phis]
     assert problem.screen.box is kp.point.u
+    assert problem.screen.modulus is kp.point.x.modulus
     assert problem.screen.terms == tuple(
         (c, tuple((i, j, x) for (i, j), x in psi.items())) for c, psi in pulled[:degree_p]
     )
@@ -351,10 +352,8 @@ def test_pull_back_matches_the_snap(factors, target, degree):
         for phi, (c, psi) in zip(phis, pulled):
             assert c + _apply(psi, ghat) == _apply(phi, g)
         # the screen is the first agreement test on the snapped matrix
-        first = UniPoly.zero()
-        for s, w in rel.items():
-            first = first + w.scale(g[0][s])
-        fails = bool(first) and box_sign(first, kp.point.u) != 0
+        first = UniPoly.lincomb([g[0][s] for s in rel], [w.poly for w in rel.values()])
+        fails = not BoxedValue(first, kp.point.u, kp.point.x.modulus).is_zero()
         assert problem.screen.rejects(ghat) is fails
         if fails:
             rejected += 1
@@ -397,7 +396,7 @@ def test_screen_rejects_only_a_nonzero_value_at_the_point():
 
     def screen(m):
         terms = ((Fr(0), ((0, 0, Fr(m)),)), (Fr(0), ()), (Fr(0), ((0, 0, Fr(1)),)))
-        return gram._AgreementScreen(box, terms)
+        return gram._AgreementScreen(box, box.poly, terms)
 
     assert not screen(-2).rejects([[Fr(1)]])
     assert screen(-3).rejects([[Fr(1)]])
@@ -406,7 +405,9 @@ def test_screen_rejects_only_a_nonzero_value_at_the_point():
     # mixed denominators in psi and in ghat: u^2 - 1 - k, zero at sqrt(2) for k = 1 only
     def mixed(k):
         c0 = ((0, 0, Fr(-2, 3)), (0, 1, Fr(-7 * k, 5)))
-        return gram._AgreementScreen(box, ((Fr(0), c0), (Fr(0), ()), (Fr(0), ((0, 0, Fr(2, 3)),))))
+        return gram._AgreementScreen(
+            box, box.poly, ((Fr(0), c0), (Fr(0), ()), (Fr(0), ((0, 0, Fr(2, 3)),)))
+        )
 
     ghat = [[Fr(3, 2), Fr(5, 7)], [Fr(5, 7), Fr(0)]]
     assert not mixed(1).rejects(ghat)

@@ -119,3 +119,25 @@ def test_only_import_cycles_are_deferred():
         for entry in function_level_imports(path.read_text())
     }
     assert found == {("bipoly", "__repr__", ".polyparse"), ("unipoly", "__repr__", ".polyparse")}
+
+
+def imported_names(source: str) -> set[str]:
+    """Names a module imports with `from ... import`."""
+    return {
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+
+
+def test_signs_in_q_alpha_go_through_one_type():
+    # every sign at a boxed root is taken by unipoly.BoxedValue (or inside
+    # unipoly itself), so no other module imports box_sign
+    assert "box_sign" in imported_names("from .unipoly import BoxedValue, box_sign\n")
+    found = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "unipoly" and "box_sign" in imported_names(path.read_text())
+    }
+    assert not found, sorted(found)

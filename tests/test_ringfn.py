@@ -14,8 +14,7 @@ from soscurves.ringfn import (
     float_value,
     restrict_to_chart,
     sum_of_squares,
-    value_as_u_fraction,
-    values_agree_at_algebraic,
+    value_at_algebraic,
 )
 from soscurves.unipoly import UniPoly
 
@@ -64,7 +63,7 @@ def test_u_fraction_matches_the_float_value(seed):
     rng = random.Random(seed)
     for rec in shared:
         p = rec.point
-        xf, yf = p.as_floats(60)
+        xf, yf = p.as_floats()
         box = p.u.refined(60)
         u0 = float(box.low + box.high) / 2.0
         for idx in rec.components:
@@ -72,8 +71,7 @@ def test_u_fraction_matches_the_float_value(seed):
             assert isinstance(chart, CircleChart)
             for _ in range(10):
                 fn = _random_circle_fn(rng, chart.q)
-                num, den = value_as_u_fraction(fn, chart, p)
-                got = num.eval_float(u0) / den.eval_float(u0)
+                got = value_at_algebraic(fn, chart, p).poly.eval_float(u0)
                 want = float_value(fn, chart, xf, yf)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -87,10 +85,11 @@ def test_restrictions_agree_at_shared_algebraic_points(seed):
         for rec in shared:
             c1, c2 = (analysis.components[i].chart for i in rec.components)
             f1, f2 = restrict_to_chart(F, c1), restrict_to_chart(F, c2)
-            assert values_agree_at_algebraic(f1, c1, f2, c2, rec.point)
-            g2 = restrict_to_chart(F + B("1"), c2)
-            assert not values_agree_at_algebraic(f1, c1, g2, c2, rec.point)
-            assert not values_agree_at_algebraic(g2, c2, f1, c1, rec.point)
+            v1, v2 = (value_at_algebraic(f, c, rec.point) for f, c in ((f1, c1), (f2, c2)))
+            assert (v1 - v2).is_zero()
+            w2 = value_at_algebraic(restrict_to_chart(F + B("1"), c2), c2, rec.point)
+            assert not (v1 - w2).is_zero()
+            assert not (w2 - v1).is_zero()
 
 
 # -- one-pass sums of squares against the product-and-add chain ----------------

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from soscurves.unipoly import (
+    BoxedValue,
     EndpointIsRoot,
     NotSquarefree,
     RootBox,
@@ -861,3 +862,117 @@ def test_refinement_that_lands_on_the_root_matches_fraction_reference():
     assert box_compare(a, b) == ref_box_compare(a, b) == -1
     assert box_compare(b, a) == ref_box_compare(b, a) == 1
     assert boxes_equal(a, wide) is ref_boxes_equal(a, wide) is True
+
+
+# -- BoxedValue: Q[u]/(P) read at a boxed root, against sympy -------------------
+
+
+def _to_sympy(sp, p, t):
+    coeffs = [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sp.Poly(coeffs or [0], t, domain="QQ")
+
+
+def _from_sympy(q):
+    return UniPoly([Fr(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+def _random_modulus(rng):
+    """A squarefree product of one to three small factors, often reducible."""
+    pool = [f"t^2 - {k}" for k in (2, 3, 5, 6, 7)] + [f"t - {k}" for k in (-2, 1, 4)]
+    pool += ["t^3 - 3t + 1", "t^3 - 4t - 1", "2t^2 + 2t - 3"]
+    p = UniPoly.one()
+    for f in rng.sample(pool, rng.randint(1, 3)):
+        p = p * P(f)
+    return squarefree_part(p)
+
+
+def test_boxed_value_ring_operations_match_sympy():
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    rng = random.Random(2024)
+    checked = zeros = 0
+    for _ in range(15):
+        modulus = _random_modulus(rng)
+        m = modulus.degree
+        Pm = _to_sympy(sp, modulus, t)
+        for box in isolate_real_roots(modulus):
+            # the irreducible factor of P that holds the boxed root, and that root
+            f = next(
+                g for g, _ in sp.factor_list(Pm.as_expr(), t)[1]
+                if sp.Poly(g, t).count_roots(box.low, box.high)
+            )
+            F = sp.Poly(f, t)
+            alpha = sp.N(next(r for r in F.real_roots() if box.low < r < box.high), 80)
+
+            def ref_sign(q):
+                Q = _to_sympy(sp, q, t)
+                return 0 if Q.rem(F).is_zero else int(sp.sign(Q.eval(alpha)))
+
+            for _ in range(4):
+                a = UniPoly([Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 2 * m))])
+                b = UniPoly([Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 2 * m))])
+                if rng.random() < 0.2:
+                    b = b * _from_sympy(F)  # a nonzero representative of zero
+                va, vb = BoxedValue(a, box), BoxedValue(b, box)
+                A, Bs = _to_sympy(sp, a, t), _to_sympy(sp, b, t)
+                for got, want in ((va + vb, A + Bs), (va - vb, A - Bs), (va * vb, A * Bs), (-va, -A)):
+                    assert got.modulus == modulus
+                    assert _to_sympy(sp, got.poly, t) == want.rem(Pm)
+                    assert got.poly.degree < m
+                    assert got.coords == tuple(got.poly.coeff(k) for k in range(m))
+                    sign = ref_sign(got.poly)
+                    assert got.sign() == sign and got.is_zero() is (sign == 0)
+                sign_a = ref_sign(a)
+                assert (va * Fr(-2, 3)).sign() == -sign_a
+                assert (va == vb) is (ref_sign(a - b) == 0)
+                if sign_a == 0:
+                    zeros += 1
+                    with pytest.raises(ZeroDivisionError):
+                        va.inverse()
+                    continue
+                inv = va.inverse()
+                M = _to_sympy(sp, inv.modulus, t)
+                assert Pm.rem(M).is_zero and M.rem(F).is_zero
+                assert (A * _to_sympy(sp, inv.poly, t) - 1).rem(M).is_zero
+                assert inv.sign() == sign_a
+                checked += 1
+    assert checked > 150 and zeros > 20
+
+
+def test_boxed_value_inverse_splits_the_modulus():
+    # (u^2 - 2)(u - 3): at sqrt(2), u - 3 is a zero divisor of the ring that
+    # does not vanish at the root, and u^2 - 2 one that does
+    modulus = P("t^2 - 2") * P("t - 3")
+    root2 = next(b for b in isolate_real_roots(modulus) if b.refined(20).low > 1 and b.high < 3)
+    three = next(b for b in isolate_real_roots(modulus) if b.exact_value == 3)
+    inv = BoxedValue(P("t - 3"), root2).inverse()
+    assert inv.modulus == P("t^2 - 2")
+    assert inv.poly == P("t + 3").scale(Fr(-1, 7))
+    assert (inv * BoxedValue(P("t - 3"), root2)) == 1
+    vanishing = BoxedValue(P("t^2 - 2"), root2)
+    assert vanishing.poly and vanishing.is_zero()
+    with pytest.raises(ZeroDivisionError):
+        vanishing.inverse()
+    # at the rational root the roles swap
+    assert BoxedValue(P("t^2 - 2"), three).inverse().poly == UniPoly.const(Fr(1, 7))
+    with pytest.raises(ZeroDivisionError):
+        BoxedValue(P("t - 3"), three).inverse()
+
+
+def test_boxed_values_of_two_moduli_sharing_the_root():
+    # sqrt(2) boxed once among the roots of (u^2 - 2)(u - 1) and once among
+    # those of (u^2 - 2)(u + 5): operations work modulo the gcd u^2 - 2
+    p, q = P("t^2 - 2") * P("t - 1"), P("t^2 - 2") * P("t + 5")
+    bp, bq = (
+        next(b for b in isolate_real_roots(r) if b.exact_value is None and b.refined(20).low > 0)
+        for r in (p, q)
+    )
+    x, y = BoxedValue(P("t^2 + t"), bp), BoxedValue(P("t + 2"), bq)
+    assert x.modulus == p and y.modulus == q
+    d = x - y
+    assert d.modulus == P("t^2 - 2") and d.poly == UniPoly.zero() and d.is_zero()
+    assert x == y and (x * y).poly == P("4t + 6")
+    assert (BoxedValue(P("t"), bp) - BoxedValue(P("t - 1"), bq)).sign() == 1
+    other = isolate_real_roots(P("t^2 - 3"))[1]
+    with pytest.raises(ValueError):
+        BoxedValue(P("t"), bp) + BoxedValue(P("t"), other)

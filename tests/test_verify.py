@@ -47,3 +47,32 @@ def test_float_value_is_the_circle_formula():
     assert float_value(fn, circle.chart, 5.0, -3.0) == pytest.approx(float(value_at_point(fn, circle.chart, p)))
     with pytest.raises(ValueError):
         float_value(LineFn.const(1), line.chart, xf, yf)
+
+
+def test_exact_agreement_at_algebraic_points():
+    # four unit circles on the corners of the unit square: target 1 has an
+    # exact certificate, and six of the twelve shared points are irrational,
+    # so the checker tests agreement there exactly in Q(alpha)
+    factors = ["x^2+y^2-1", "(x-1)^2+y^2-1", "x^2+(y-1)^2-1", "(x-1)^2+(y-1)^2-1"]
+    analysis = analyze_curve([B(f) for f in factors])
+    F = B("1")
+    cert = full_certify(analysis, F)
+    assert cert.exact
+    report = verify_certificate(analysis, F, cert)
+    assert report.ok, report.failures()
+
+    algebraic = [rec for rec in analysis.points if isinstance(rec.point, AlgebraicPoint)]
+    cid = cert.component_ids[0]
+    index = analysis.component(cid).index
+    touching = {f"agreement:{rec.id}" for rec in algebraic if index in rec.components}
+    elsewhere = {f"agreement:{rec.id}" for rec in algebraic} - touching
+    assert len(touching) == 4 and len(elsewhere) == 4
+
+    summands = [dict(s) for s in cert.summands]
+    f = summands[0][cid]
+    summands[0][cid] = f + CircleFn.const(Fr(1, 1000), f.q)
+    report = verify_certificate(analysis, F, replace(cert, summands=summands))
+    failed = {c.name for c in report.failures()}
+    assert touching <= failed
+    assert not elsewhere & failed
+    assert {c.name for c in report.checks} >= touching | elsewhere
