@@ -1,10 +1,11 @@
 """Per-component attributes of a plane curve: realness, boundedness, charts.
 
 Lines and conics are classified exactly through the signature of the
-projective quadratic form and the splitting of the leading form.  Components
-of degree three and higher keep exact boundedness analysis whenever the curve
-is smooth along the line at infinity; everything else falls back to
-user-supplied metadata or an Unknown flag.
+projective quadratic form and the splitting of the leading form.  Only a
+component of degree three or higher counts its places at infinity
+(`infinity_summary`), and only to decide boundedness, which stays exact
+whenever the curve meets the line at infinity transversally; everything else
+falls back to user-supplied metadata or an Unknown flag.
 """
 from __future__ import annotations
 
@@ -101,7 +102,6 @@ class Component:
     has_real_points: TriBool
     bounded_ring_trivial: TriBool
     rational_open_A1: TriBool
-    infinity: InfinitySummary
     chart: Chart | None = None
     conic_kind: str | None = None
 
@@ -180,7 +180,6 @@ def _line_component(index: int, label: str, F: BiPoly) -> Component:
         chart = PolyChart(x=UniPoly.var(), y=UniPoly([-c / b, -a / b]), kind="line")
     else:
         chart = PolyChart(x=UniPoly.const(-c / a), y=UniPoly.var(), kind="line")
-    inf = InfinitySummary(real_places=1, nonreal_pairs=0, vertical_multiplicity=0 if b else 1, exact=True)
     return Component(
         index=index,
         label=label,
@@ -190,7 +189,6 @@ def _line_component(index: int, label: str, F: BiPoly) -> Component:
         has_real_points=TriBool.YES,
         bounded_ring_trivial=TriBool.YES,
         rational_open_A1=TriBool.YES,
-        infinity=inf,
         chart=chart,
     )
 
@@ -277,7 +275,6 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     pos, neg = _conic_signature(F)
     rank = pos + neg
     split = split_binary_quadratic(F.leading_form())
-    inf = infinity_summary(F, smooth_curve=rank == 3)
 
     if rank == 1:
         raise InvalidComponent("components must be squarefree")
@@ -310,7 +307,6 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
             has_real_points=has_pt,
             bounded_ring_trivial=TriBool.NO,
             rational_open_A1=TriBool.NO,
-            infinity=inf,
             conic_kind="conjugate-lines",
         )
 
@@ -337,19 +333,17 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         has_real_points=TriBool.of(not empty),
         bounded_ring_trivial=TriBool.NO if empty else bounded,
         rational_open_A1=TriBool.NO if empty else open_a1,
-        infinity=inf,
         chart=chart,
         conic_kind=kind if not empty else "empty",
     )
 
 
-def infinity_summary(F: BiPoly, smooth_curve: bool = False) -> InfinitySummary:
+def infinity_summary(F: BiPoly) -> InfinitySummary:
     """Count the places of a component along the line at infinity.
 
     Directions are the roots of the dehomogenized leading form plus possibly
     the vertical one.  The counts are places of the completed curve exactly
-    when the curve meets the line at infinity transversally everywhere (or is
-    a smooth conic, where repeated directions are still single smooth points).
+    when the curve meets the line at infinity transversally everywhere.
     """
     d = F.total_degree
     p = F.leading_form().specialize_x(1)
@@ -363,7 +357,7 @@ def infinity_summary(F: BiPoly, smooth_curve: bool = False) -> InfinitySummary:
     real_places = real_distinct + (1 if vertical_mult >= 1 else 0)
     nonreal = (max(sq.degree, 0) - real_distinct) // 2
     transversal = vertical_mult <= 1 and (p.degree <= 0 or sq.degree == p.degree)
-    if smooth_curve or transversal:
+    if transversal:
         return InfinitySummary(real_places, nonreal, vertical_mult, exact=True)
     return InfinitySummary(
         None,
@@ -436,7 +430,6 @@ def _high_degree_component(index: int, label: str, F: BiPoly) -> Component:
         has_real_points=TriBool.UNKNOWN,
         bounded_ring_trivial=bounded,
         rational_open_A1=TriBool.UNKNOWN,
-        infinity=inf,
         chart=None,
     )
 

@@ -7,11 +7,14 @@ exactly, locates self-singularities of the factors, merges coincident points
 across pairs, and classifies each real point by the ordinary-double-point
 test on the product polynomial.
 
-Each fact is derived once.  Two factors that share a component are caught by
-their own elimination (`intersect.SharedComponent`), which `analyze_curve`
-re-raises naming the two components.  A point record lists the factors
-through the point, and `classify_point` reads the order-two part of the
-product off exactly those factors' derivatives.
+Each fact is derived once, and only what the decision reads is derived.  Two
+factors that share a component are caught by their own elimination
+(`intersect.SharedComponent`), which `analyze_curve` re-raises naming the two
+components.  A point record lists the factors through the point, and
+`classify_point` reads the kind of the point (non-singular, ordinary double
+point, or not an ordinary multiple point) off the sign of the discriminant
+of the product's order-two part, built from exactly those factors'
+derivatives; the tangent lines themselves are never formed.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .bipoly import BiPoly, split_binary_quadratic, QuadraticSplitKind
+from .bipoly import BiPoly
 from .components import Component, _conic_kernel, build_component, component_index
 from .configuration import ConfigComponent, ConfigPoint, CurveConfiguration, OwnSingularity
 from .polyparse import format_bipoly
@@ -53,7 +56,6 @@ class PointClass(Enum):
 class PointClassification:
     kind: PointClass
     factors_through: int
-    tangents: tuple[BiPoly, BiPoly] | None = None
     detail: str = ""
 
 
@@ -61,14 +63,15 @@ def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
     """Ordinary-multiple-point test at a real point of the product curve.
 
     `through` lists the factors that pass through p.  In the plane an
-    ordinary multiple point with independent tangents is the same thing as
-    an ordinary double point, so a point on more than two factors fails
-    outright.  Otherwise the order-two part of the product at p is read off
-    the derivatives: (F_xx/2, F_xy, F_yy/2) for one factor singular at p, and
-    the product of the gradients for two factors.  At a rational point that
-    form is evaluated and split into its tangents; at an algebraic point its
-    discriminant is decided by exact signs (for two factors, by the Jacobian,
-    whose square it is).
+    ordinary multiple point whose tangent lines are independent is the same
+    thing as an ordinary double point, so a point on more than two factors
+    fails outright.  Otherwise the order-two part of the product at p is the
+    binary form (F_xx/2, F_xy, F_yy/2) for one factor singular at p, and the
+    product of the gradients, (F_x G_x, F_x G_y + F_y G_x, F_y G_y), for two
+    factors.  The sign of its discriminant at p decides the kind: F_xy^2 -
+    F_xx F_yy for one factor, and for two the square of the Jacobian F_x G_y
+    - F_y G_x.  Every sign is exact (`curve_sign_at`), at rational and
+    algebraic points alike.
     """
     k = len(through)
     if k == 0:
@@ -82,39 +85,23 @@ def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
     if k == 1:
         if curve_sign_at(fx, p) != 0 or curve_sign_at(fy, p) != 0:
             return PointClassification(PointClass.NON_SINGULAR, 1)
-        half = Fraction(1, 2)
-        form = (fx.partial_x().scale(half), fx.partial_y(), fy.partial_y().scale(half))
+        fxx, fxy, fyy = fx.partial_x(), fx.partial_y(), fy.partial_y()
+        disc = curve_sign_at(fxy * fxy - fxx * fyy, p)
+        outer = (fxx, fyy)
     else:
         gx, gy = through[1].partial_x(), through[1].partial_y()
-        form = (fx * gx, fx * gy + fy * gx, fy * gy)
-    tangents = None
-    if isinstance(p, RationalPoint):
-        a, b, c = (q(p.x, p.y) for q in form)
-        split = split_binary_quadratic(BiPoly({(2, 0): a, (1, 1): b, (0, 2): c}))
-        kind, tangents = split.kind, split.factors
-    else:
-        a, b, c = form
-        if k == 1:
-            disc = curve_sign_at(b * b - (a * c).scale(4), p)
-        else:
-            disc = abs(curve_sign_at(fx * gy - fy * gx, p))
-        if disc > 0:
-            kind = QuadraticSplitKind.TWO_DISTINCT_REAL
-        elif disc < 0:
-            kind = QuadraticSplitKind.IRREDUCIBLE_OVER_REALS
-        elif curve_sign_at(a, p) == 0 and curve_sign_at(c, p) == 0:
-            kind = QuadraticSplitKind.ZERO  # b^2 = 4ac, so b vanishes too
-        else:
-            kind = QuadraticSplitKind.PERFECT_SQUARE
-    if kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
+        disc = abs(curve_sign_at(fx * gy - fy * gx, p))
+        outer = (fx * gx, fy * gy)
+    if disc > 0:
         return PointClassification(
-            PointClass.ORDINARY_DOUBLE_POINT, k, tangents=tangents, detail="ordinary double point"
+            PointClass.ORDINARY_DOUBLE_POINT, k, detail="ordinary double point"
         )
-    reason = {
-        QuadraticSplitKind.ZERO: "order-two part vanishes",
-        QuadraticSplitKind.PERFECT_SQUARE: "repeated tangent",
-        QuadraticSplitKind.IRREDUCIBLE_OVER_REALS: "isolated real branch (conjugate tangents)",
-    }[kind]
+    if disc < 0:
+        reason = "isolated real branch (conjugate tangents)"
+    elif all(curve_sign_at(q, p) == 0 for q in outer):
+        reason = "order-two part vanishes"  # the middle coefficient squared is 4ac = 0
+    else:
+        reason = "repeated tangent"
     return PointClassification(PointClass.NOT_OMPIT, k, detail=reason)
 
 

@@ -89,13 +89,13 @@ class GramBlock:
     kind: str  # "line" or "circle"
     offset: int
     # line: 1, t, ..., t^degree; circle: 1, x, ..., x^degree, then
-    # w, xw, ..., x^(degree-1) w (see `_line_basis`, `_circle_basis`)
+    # w, xw, ..., x^(degree-1) w, where w^2 = q(x)
     degree: int
-    basis: tuple[RingFn, ...]
+    q: UniPoly | None = None  # the circle chart's q; None on a line
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return self.degree + 1 if self.kind == "line" else 2 * self.degree + 1
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,6 @@ class GramProblem:
     screen: "_AgreementScreen | None"  # reject-only test of candidates before the snap
     degree: int
     targets: dict[str, RingFn]
-    charts: dict[str, object]
     kernel_points: list[KernelPoint] = field(default_factory=list)
     values: list[PrescribedValue] = field(default_factory=list)
 
@@ -194,22 +193,6 @@ def _project_psd(S: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _line_basis(degree: int) -> tuple[LineFn, ...]:
-    return tuple(LineFn(UniPoly([Fraction(0)] * k + [Fraction(1)])) for k in range(degree + 1))
-
-
-def _circle_basis(degree: int, q: UniPoly) -> tuple[CircleFn, ...]:
-    xs = [
-        CircleFn(UniPoly([Fraction(0)] * k + [Fraction(1)]), UniPoly.zero(), q)
-        for k in range(degree + 1)
-    ]
-    ws = [
-        CircleFn(UniPoly.zero(), UniPoly([Fraction(0)] * k + [Fraction(1)]), q)
-        for k in range(max(degree, 0))
-    ]
-    return tuple(xs + ws)
-
-
 def _coeff_slots(fn: RingFn) -> dict[tuple[str, int], Fraction]:
     """Sparse {(part, power): coefficient} view of a ring function."""
     out: dict[tuple[str, int], Fraction] = {}
@@ -232,7 +215,7 @@ def _coeff_slots(fn: RingFn) -> dict[tuple[str, int], Fraction]:
 def _basis_values(block: GramBlock, chart, point: RationalPoint | AlgebraicPoint) -> list:
     """Exact basis values at a real point (Fractions, or elements of an algebraic
     point's Q[u]/(P')): running products of the chart arguments, t^k on a line
-    and x^k, then x^k w on a circle, as in `_line_basis` and `_circle_basis`."""
+    and x^k, then x^k w on a circle, in the order of `GramBlock`."""
     args = chart_arguments(chart, point)
     vals = [args[0] * 0 + 1]  # the one of the arguments' ring
     for _ in range(block.degree):
@@ -257,11 +240,10 @@ def build_gram_problem(
     """
     subset = tuple(subset)
     blocks: list[GramBlock] = []
-    charts: dict[str, object] = {}
+    charts = {cid: analysis.component(cid).chart for cid in subset}
     offset = 0
     for cid in subset:
-        chart = analysis.component(cid).chart
-        charts[cid] = chart
+        chart = charts[cid]
         if isinstance(chart, PolyChart):
             # squares of polynomials cannot cancel leading terms, so a line
             # summand has degree exactly half the target degree; powers above
@@ -272,17 +254,13 @@ def build_gram_problem(
                 rule = max(0, -(-fn.num.degree // 2))
             else:
                 rule = degree
-            deg = min(degree, rule)
-            basis: tuple[RingFn, ...] = _line_basis(deg)
-            kind = "line"
+            block = GramBlock(cid, "line", offset, min(degree, rule))
         elif isinstance(chart, CircleChart):
-            deg = degree
-            basis = _circle_basis(deg, chart.q)
-            kind = "circle"
+            block = GramBlock(cid, "circle", offset, degree, chart.q)
         else:
             raise ValueError(f"{cid}: no gram basis for this component type")
-        blocks.append(GramBlock(cid, kind, offset, deg, basis))
-        offset += len(basis)
+        blocks.append(block)
+        offset += block.size
     n = offset
     block_of = {b.component: b for b in blocks}
 
@@ -292,8 +270,7 @@ def build_gram_problem(
         for k in range(block.size):
             for l in range(k, block.size):
                 i, j = block.offset + k, block.offset + l
-                prod = block.basis[k] * block.basis[l]
-                for slot, c in _coeff_slots(prod).items():
+                for slot, c in _product_slots(block, k, l):
                     slots.setdefault(slot, {})[(i, j)] = c if i == j else 2 * c
         wanted = _coeff_slots(targets[block.component])
         for slot in wanted:
@@ -371,10 +348,23 @@ def build_gram_problem(
         screen=_AgreementScreen.build(snap, kernel_points),
         degree=degree,
         targets=targets,
-        charts=charts,
         kernel_points=kernel_points,
         values=values,
     )
+
+
+def _product_slots(block: GramBlock, k: int, l: int) -> list[tuple[tuple[str, int], Fraction]]:
+    """The nonzero coefficient slots of the product of basis functions k <= l,
+    by exponent sums: t^i t^j = t^(i+j) and x^i x^j = x^(i+j) go to a-slot
+    i+j, x^i * x^j w to b-slot i+j, and x^i w * x^j w = x^(i+j) q(x) to the
+    a-slots i+j+m with the coefficients q_m."""
+    d = block.degree
+    if block.kind == "line" or l <= d:
+        return [(("a", k + l), Fraction(1))]
+    if k <= d:
+        return [(("b", k + l - d - 1), Fraction(1))]
+    s = k + l - 2 * d - 2
+    return [(("a", s + m), c) for m, c in enumerate(block.q.coeffs) if c]
 
 
 def _basis_vector(block: GramBlock, vals: list) -> dict[int, Fraction | float]:
@@ -937,7 +927,7 @@ def _vectors_to_summands(
             else:
                 split = block.degree + 1
                 entry[block.component] = CircleFn(
-                    UniPoly(coords[:split]), UniPoly(coords[split:]), block.basis[0].q
+                    UniPoly(coords[:split]), UniPoly(coords[split:]), block.q
                 )
         out.append(entry)
     return out

@@ -1,11 +1,14 @@
 """Certified intersection of two coprime plane curves.
 
-Two routes produce the same kind of answer.  The fast route eliminates y,
-demands that every root of the (squarefree) resultant be rational, and reads
-points off by substitution.  When irrational or non-real x-values appear, the
-engine shears the frame (u = x + lam*y) so that distinct intersection points
-receive distinct u-values; real points over irrational u get exact box
-representations through subresultants.
+Two routes produce the same kind of answer: the distinct real intersection
+points and the conjugate pairs of non-real ones.  The fast route eliminates
+y, demands that every root of the resultant be rational, and reads points
+off by substitution.  It isolates the roots of the resultant, and of each
+fibre's gcd, as they are and reads the radical off the boxes, so each
+polynomial gets one remainder sequence.  When irrational or non-real
+x-values appear, the engine shears the frame (u = x + lam*y) so that
+distinct intersection points receive distinct u-values; real points over
+irrational u get exact box representations through subresultants.
 
 A shear parameter is valid for a pair when neither leading form vanishes in
 the shear direction; it is collision-free when distinct complex intersection
@@ -39,7 +42,6 @@ class SharedComponent(ValueError):
 class PairIntersection:
     real_points: list[RealPoint] = field(default_factory=list)
     nonreal_pairs: list[ConjugatePairPoint] = field(default_factory=list)
-    total_closed_points: int = 0  # distinct complex intersection points
 
 
 def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
@@ -58,12 +60,12 @@ def fast_intersection(F: BiPoly, G: BiPoly) -> PairIntersection | None:
         R = resultant_y(F, G)
         if R.is_zero():
             raise SharedComponent("resultant vanished identically")
-    rad = squarefree_part(R)
-    if rad.degree == 0:
+    if R.degree == 0:
         return PairIntersection()
-    boxes = isolate_real_roots(rad)
+    boxes = isolate_real_roots(R)
     xs = [b.exact_value for b in boxes]
-    if any(x is None for x in xs) or len(xs) < rad.degree:
+    # every root rational: as many real roots as the radical's degree
+    if not boxes or None in xs or len(xs) < boxes[0].poly.degree:
         return None
     out = PairIntersection()
     for xi in xs:
@@ -86,18 +88,17 @@ def _collect_over_abscissa(F: BiPoly, G: BiPoly, xi: Fraction, out: PairIntersec
         common = gcd(fy, gy)
     if common.degree <= 0:
         return True
-    sq = squarefree_part(common)
-    yboxes = isolate_real_roots(sq)
+    yboxes = isolate_real_roots(common)
     if any(b.exact_value is None for b in yboxes):
         return False
     reals = [b.exact_value for b in yboxes]
     for y0 in reals:
         out.real_points.append(RationalPoint(xi, y0))
-    out.total_closed_points += sq.degree
-    leftover = sq
+    # the radical of common, read off a box when it has a real root
+    leftover = yboxes[0].poly if yboxes else squarefree_part(common)
     for y0 in reals:
         leftover = leftover.exact_div(UniPoly.linear_root(y0))
-    pairs = (sq.degree - len(reals)) // 2
+    pairs = leftover.degree // 2
     if pairs == 1:
         out.nonreal_pairs.append(ConjugatePairPoint(abscissa=xi, y_quadratic=leftover.monic()))
     else:
@@ -219,7 +220,7 @@ def sheared_intersection(pair: ShearedPair) -> PairIntersection:
     factor in y; each point is read off that rung.
     """
     rad = pair.radical
-    out = PairIntersection(total_closed_points=rad.degree)
+    out = PairIntersection()
     boxes = isolate_real_roots(rad)
     inverses: dict[int, BoxedValue] = {}
     for box in boxes:

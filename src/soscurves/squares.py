@@ -3,8 +3,8 @@
 Positivity is decided once per restriction.  A function on a line is
 num / (t - pole)^order.  For an even order, num is split once by Yun's
 algorithm as c * square^2 * rootless with monic factors, rootless being the
-product of the factors of odd multiplicity; num is psd exactly when c > 0
-and rootless has no real root, and that same split is then decomposed.
+product of the factors that occur to an odd power; num is psd exactly when
+c > 0 and rootless has no real root, and that same split is then decomposed.
 Otherwise `negative_point` finds a rational point where the function is
 negative: p keeps one sign between consecutive distinct real roots, and the
 endpoints of the disjoint isolating boxes sample every such interval, so no
@@ -104,8 +104,8 @@ def _two_square_fractions(c: Fraction) -> tuple[Fraction, Fraction] | None:
 def _split_psd(p: UniPoly) -> tuple[Fraction, UniPoly, UniPoly]:
     """p = c * square^2 * rootless with monic factors, c the leading coeff.
 
-    rootless is the product of the factors of odd multiplicity; it has no
-    real root exactly when p keeps one sign.
+    rootless is the product of the factors that occur to an odd power; it
+    has no real root exactly when p keeps one sign.
     """
     c = p.leading()
     square, rootless = UniPoly.one(), UniPoly.one()

@@ -31,13 +31,15 @@ sign enclosure all run on integer endpoints: a box is a triple (L, H, D)
 for [L/D, H/D], its midpoint is (L+H)/2D, each Sturm-chain member is signed
 by homogeneous Horner on its numerators, and Fractions are built only for
 the boxes handed back.  The bisection keeps an explicit work list, so a
-deep cluster of roots costs steps, not stack.  `isolate_real_roots` runs
-one remainder sequence on (p, p'): when it ends in a constant p is
-squarefree and the sequence is its Sturm chain; otherwise its last member is
-gcd(p, p'), which starts Yun's decomposition, and the members divided by it
-are a Sturm sequence of the radical.  A linear input has its one box in
-closed form, (-B, B) around -c_0 for the monic t + c_0 with B its Cauchy
-bound, which is the box the bisection returns.
+deep cluster of roots costs steps, not stack.  `isolate_real_roots` takes p
+as it is and runs one remainder sequence on (p, p'): when it ends in a
+constant p is squarefree and the sequence is its Sturm chain; otherwise its
+last member is gcd(p, p'), and the members divided by it are a Sturm
+sequence of the radical p / gcd(p, p').  The boxes hold the distinct real
+roots and carry the monic radical, so a caller that needs the radical of a
+polynomial with a real root reads it off a box.  A linear radical has its
+one box in closed form, (-B, B) around -c_0 for the monic t + c_0 with B its
+Cauchy bound, which is the box the bisection returns.
 """
 from __future__ import annotations
 
@@ -489,11 +491,7 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    return _yun(p, gcd(p, p.derivative()))
-
-
-def _yun(p: UniPoly, a: UniPoly) -> list[tuple[UniPoly, int]]:
-    """`yun_decomposition` of monic p of positive degree, given a = gcd(p, p')."""
+    a = gcd(p, p.derivative())
     out = []
     b = p.exact_div(a)
     c = p.derivative().exact_div(a)
@@ -585,7 +583,6 @@ class RootBox:
 
     low: Fraction
     high: Fraction
-    multiplicity: int
     exact_value: Fraction | None
     poly: UniPoly
 
@@ -594,7 +591,7 @@ class RootBox:
         if v is not None:
             # each refinement halves the distance of both endpoints to v
             k = 2**times
-            return RootBox(v + (self.low - v) / k, v + (self.high - v) / k, self.multiplicity, v, self.poly)
+            return RootBox(v + (self.low - v) / k, v + (self.high - v) / k, v, self.poly)
         L, H, D = _triple(self.low, self.high)
         num = self.poly._num
         slo = _horner(num, L, D) > 0
@@ -603,11 +600,11 @@ class RootBox:
             if half is None:
                 # the midpoint is the root: a window of half the width around it
                 return RootBox(
-                    Fraction(3 * L + H, 4 * D), Fraction(L + 3 * H, 4 * D), self.multiplicity,
-                    Fraction(L + H, 2 * D), self.poly,
+                    Fraction(3 * L + H, 4 * D), Fraction(L + 3 * H, 4 * D), Fraction(L + H, 2 * D),
+                    self.poly,
                 )
             (L, H), D = half, 2 * D
-        return RootBox(Fraction(L, D), Fraction(H, D), self.multiplicity, None, self.poly)
+        return RootBox(Fraction(L, D), Fraction(H, D), None, self.poly)
 
     def width(self) -> Fraction:
         return self.high - self.low
@@ -618,17 +615,17 @@ class RootBox:
         return float((self.low + self.high) / 2)
 
 
-def _rational_root_in(q: UniPoly, box: RootBox, a: int) -> Fraction | None:
-    """The root of squarefree q in its isolating box when it is rational.
+def _rational_root_in(q: UniPoly, L: int, H: int, D: int, a: int) -> Fraction | None:
+    """The root of squarefree q in its isolating box [L/D, H/D] when it is rational.
 
     a is the leading coefficient of q's primitive integer form, so every
     rational root of q is k/a for an integer k.  Bisecting the box below
     width 1/a leaves one candidate, k = floor(a*low) + 1.  The bisection
-    runs on integers: the box is [L/D, H/D], each midpoint is (L+H)/2D, and
-    its sign is that of homogeneous Horner on q's numerators.
+    runs on integers: each midpoint is (L+H)/2D, and its sign is that of
+    homogeneous Horner on q's numerators.
     """
     num = q._num
-    L, H, D = _triple(box.low, box.high)
+    high = Fraction(H, D)
     slo = _horner(num, L, D) > 0
     while a * (H - L) >= D:
         half = _halve(num, L, H, D, slo)
@@ -636,7 +633,7 @@ def _rational_root_in(q: UniPoly, box: RootBox, a: int) -> Fraction | None:
             return Fraction(L + H, 2 * D)
         (L, H), D = half, 2 * D
     v = Fraction(a * L // D + 1, a)
-    return v if v < box.high and q.sign_at(v) == 0 else None
+    return v if v < high and q.sign_at(v) == 0 else None
 
 
 def _bisect(p: UniPoly, chain: Sequence[Sequence[int]]) -> list[tuple[int, int, int, Fraction | None]]:
@@ -693,64 +690,39 @@ def _bisect(p: UniPoly, chain: Sequence[Sequence[int]]) -> list[tuple[int, int, 
     return out
 
 
-def _isolate_squarefree(p: UniPoly) -> list[RootBox]:
-    """Isolating boxes for the distinct real roots of squarefree p (multiplicity set to 1)."""
-    if p.degree <= 0:
-        return []
-    chain = [q._num for q in sturm_chain(p)]
-    return [RootBox(Fraction(L, D), Fraction(H, D), 1, v, p) for L, H, D, v in _bisect(p, chain)]
-
-
 def isolate_real_roots(p: UniPoly) -> list[RootBox]:
-    """Disjoint isolating boxes for all distinct real roots of p, with multiplicities.
+    """Disjoint isolating boxes, left to right, for the distinct real roots of p.
 
-    exact_value is filled whenever the root is rational.
+    p need not be squarefree: every box carries the monic radical of p as
+    its `poly`.  exact_value is filled whenever the root is rational.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return []
-    monic = p.monic()
-    if p.degree == 1:
-        bound = cauchy_bound(monic)
-        return [RootBox(-bound, bound, 1, -monic.coeff(0), monic)]
-    chain = sturm_chain(p)
-    if chain[-1].degree == 0:
-        # p is squarefree and its chain is the radical's
-        radical, parts = monic, [(monic, 1)]
-        nums = [q._num for q in chain]
-    else:
-        # the last member is gcd(p, p') up to a constant; dividing every
-        # member by it leaves a Sturm sequence of the radical p / gcd
+    radical, nums = p.monic(), None
+    if p.degree > 1:
+        chain = sturm_chain(p)
         g = chain[-1]
-        gcd_monic = g.monic()
-        parts = _yun(monic, gcd_monic)
-        radical = monic.exact_div(gcd_monic)
-        nums = [_primitive(_pseudo_divmod(q._num, g._num, True)[0]) for q in chain]
+        if g.degree == 0:
+            # p is squarefree and its chain is the radical's
+            nums = [q._num for q in chain]
+        else:
+            # the last member is gcd(p, p') up to a constant; dividing every
+            # member by it leaves a Sturm sequence of the radical p / gcd
+            radical = p.exact_div(g).monic()
+            nums = [_primitive(_pseudo_divmod(q._num, g._num, True)[0]) for q in chain]
+    if radical.degree == 1:
+        bound = cauchy_bound(radical)
+        return [RootBox(-bound, bound, -radical.coeff(0), radical)]
     lead = radical.primitive_integer()[0].leading().numerator
-    chains: dict[int, list[Sequence[int]]] = {}  # Sturm chain of Yun factor k, built on first use
-    out = []
-    for L, H, D, exact in _bisect(radical, nums):
-        # every box holds a root of the radical, so a box that no earlier
-        # Yun factor claims belongs to the last one without a Sturm count;
-        # box endpoints are not roots of the radical, so not of a factor
-        mult = parts[-1][1]
-        for k, (q, i) in enumerate(parts[:-1]):
-            if exact is not None:
-                if q.sign_at(exact) == 0:
-                    mult = i
-                    break
-                continue
-            if k not in chains:
-                chains[k] = [c._num for c in sturm_chain(q)]
-            if _chain_count(chains[k], L, H, D) > 0:
-                mult = i
-                break
-        low, high = Fraction(L, D), Fraction(H, D)
-        if exact is None:
-            exact = _rational_root_in(radical, RootBox(low, high, mult, None, radical), lead)
-        out.append(RootBox(low, high, mult, exact, radical))
-    return out
+    return [
+        RootBox(
+            Fraction(L, D), Fraction(H, D),
+            exact if exact is not None else _rational_root_in(radical, L, H, D, lead), radical,
+        )
+        for L, H, D, exact in _bisect(radical, nums)
+    ]
 
 
 def count_real_roots(p: UniPoly) -> int:

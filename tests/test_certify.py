@@ -1,20 +1,27 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
 from soscurves import curve
 from soscurves.certify import full_certify
+from soscurves.components import PolyChart
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
 from soscurves.decide import decide_psd_eq_sos
-from soscurves.glue import reflect
+from soscurves.glue import NotPsdOnComponent, forest_assemble, reflect
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import CircleFn, IrrationalAttachment, LineFn
 from soscurves.tribool import TriBool
 from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate, verify_witness
-from soscurves.witness import CycleObstruction, cycle_witness
+from soscurves.witness import (
+    CycleObstruction,
+    NonrealIntersectionObstruction,
+    cycle_witness,
+    nonreal_intersection_witness,
+)
 
 
 def certify(factors, target):
@@ -61,6 +68,58 @@ def test_triangle_cycle_witness_verifies():
     witness = cycle_witness(analysis, cycle)
     assert isinstance(witness, CycleObstruction)
     assert verify_witness(analysis, witness).ok
+
+
+def test_nonreal_intersection_witness_verifies_and_its_mutations_fail():
+    # two far circles meet only in the conjugate pair over x = 3/2
+    analysis = analyze_curve([B("x^2 + y^2 - 1"), B("(x-3)^2 + y^2 - 1")])
+    verdict = decide_psd_eq_sos(to_configuration(analysis))
+    assert verdict.answer is TriBool.NO
+    witness = nonreal_intersection_witness(analysis)
+    assert isinstance(witness, NonrealIntersectionObstruction)
+    assert (witness.host, witness.zero_component) == ("C1", "C2")
+    assert witness.abscissas == (Fr(3, 2),)
+    assert witness.psd_factor == UniPoly([3, -5, 2])  # 2t^2 - 5t + 3
+    report = verify_witness(analysis, witness)
+    assert report.ok, report.failures()
+    assert {c.name for c in report.checks} == {
+        "psd-on-range", "pair-on-both:x=3/2", "vanishing-order:x=3/2", "two-components",
+    }
+
+    def failed(**changes):
+        return {c.name for c in verify_witness(analysis, replace(witness, **changes)).failures()}
+
+    f = witness.psd_factor
+    assert failed(psd_factor=-f) == {"psd-on-range"}
+    assert failed(psd_factor=f * f) == {"vanishing-order:x=3/2"}
+    assert failed(zero_component=witness.host) == {"two-components"}
+    assert failed(abscissas=(Fr(5, 2),)) == {"pair-on-both:x=5/2", "vanishing-order:x=5/2"}
+
+
+@pytest.mark.parametrize(
+    "factors, target, param, value",
+    [
+        (["y", "x - 5"], "(x-1)^2*(x+1)", Fr(-2), Fr(-9)),
+        (["x*y - 1", "x - 3"], "(x-1)^2*(x+1)*y^2", Fr(-1, 2), Fr(-9, 4)),
+    ],
+    ids=["line", "hyperbola"],
+)
+def test_forest_assemble_names_an_exact_negative_point(factors, target, param, value):
+    # the restriction to C1 has a double root, so the negative point is
+    # found on a polynomial that is not squarefree
+    analysis = analyze_curve([B(f) for f in factors])
+    F = B(target)
+    with pytest.raises(NotPsdOnComponent) as raised:
+        forest_assemble(analysis, F, to_configuration(analysis))
+    bad = raised.value
+    assert (bad.component, bad.point, bad.value) == ("C1", param, value)
+    chart = analysis.component("C1").chart
+    if isinstance(chart, PolyChart):
+        x, y = chart.x(param), chart.y(param)
+    else:
+        den = chart.den(param)
+        x, y = chart.x_num(param) / den, chart.y_num(param) / den
+    assert F(x, y) == value
 
 
 def _reflect(u, v):

@@ -26,7 +26,7 @@ from bench_pipeline import run_operation  # noqa: E402
 
 from soscurves.curve import analyze_curve  # noqa: E402
 from soscurves.points import AlgebraicPoint, ConjugatePairPoint, RationalPoint  # noqa: E402
-from soscurves.polyparse import format_bipoly, format_unipoly, parse_bipoly  # noqa: E402
+from soscurves.polyparse import format_unipoly, parse_bipoly  # noqa: E402
 
 BUDGET_S = 30.0
 MIN_EXACT = {"line-forest": 172, "compact-gram": 8, "shear-elim": 13}
@@ -58,7 +58,6 @@ def _point_entry(rec) -> dict:
     if cls is not None:
         entry["kind"] = cls.kind.value
         entry["factors_through"] = cls.factors_through
-        entry["tangents"] = None if cls.tangents is None else [format_bipoly(t) for t in cls.tangents]
     return entry
 
 

@@ -10,7 +10,7 @@ from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
 from soscurves.points import AlgebraicPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import restrict_to_chart, value_at_algebraic
+from soscurves.ringfn import CircleFn, LineFn, restrict_to_chart, value_at_algebraic
 from soscurves.unipoly import BoxedValue, UniPoly, isolate_real_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -24,6 +24,19 @@ def _problem(factors, target, degree):
     F = B(target)
     targets = {cid: restrict_to_chart(F, analysis.component(cid).chart) for cid in cids}
     return gram.build_gram_problem(analysis, targets, cids, degree)
+
+
+def _charts(factors):
+    return {c.label: c.chart for c in analyze_curve([B(f) for f in factors]).components}
+
+
+def _basis(block):
+    """The block's basis functions: t^k on a line; x^k, then x^k w on a circle."""
+    mono = [UniPoly([Fr(0)] * k + [Fr(1)]) for k in range(block.degree + 1)]
+    if block.kind == "line":
+        return [LineFn(m) for m in mono]
+    zero = UniPoly.zero()
+    return [CircleFn(m, zero, block.q) for m in mono] + [CircleFn(zero, m, block.q) for m in mono[: block.degree]]
 
 
 PROBLEMS = [
@@ -220,7 +233,7 @@ def _null_space(rows, n):
     return basis
 
 
-def _summands_agree(problem, vectors):
+def _summands_agree(problem, charts, vectors):
     """The per-summand reference: every summand takes one value at every
     algebraic kernel point, tested with value_at_algebraic."""
     for fns in gram._vectors_to_summands(problem, vectors):
@@ -229,8 +242,8 @@ def _summands_agree(problem, vectors):
                 continue
             base = kp.components[0]
             for other in kp.components[1:]:
-                va = value_at_algebraic(fns[base], problem.charts[base], kp.point)
-                vb = value_at_algebraic(fns[other], problem.charts[other], kp.point)
+                va = value_at_algebraic(fns[base], charts[base], kp.point)
+                vb = value_at_algebraic(fns[other], charts[other], kp.point)
                 if not (va - vb).is_zero():
                     return False
     return True
@@ -281,11 +294,12 @@ def test_exact_kernel_check_matches_per_summand_agreement(factors, target, degre
                     g[i][j] += l[i] * l[j]
         return g
 
+    charts = _charts(factors)
     for trial in range(12):
         good = [agreeing() for _ in range(1 + trial % 3)]
         bad = good[: trial % 2] + [[rational() for _ in range(n)]]
         for vectors, agree in ((good, True), (bad, False)):
-            assert _summands_agree(problem, vectors) is agree
+            assert _summands_agree(problem, charts, vectors) is agree
             assert gram._agrees_at_algebraic_points(problem, candidate(vectors)) is agree
 
 
@@ -638,7 +652,42 @@ def test_summands_from_coordinates_match_the_basis(factors, target, degree):
     for vec, summand in zip(vectors, gram._vectors_to_summands(problem, vectors)):
         for block in problem.blocks:
             coords = vec[block.offset : block.offset + block.size]
-            chain = block.basis[0].scale(0)
-            for c, b in zip(coords, block.basis):
+            basis = _basis(block)
+            assert len(basis) == block.size
+            chain = basis[0].scale(0)
+            for c, b in zip(coords, basis):
                 chain = chain + b.scale(c)
             assert summand[block.component] == chain
+
+
+ROW_CASES = [
+    ("unit-circle-constant", ["x^2 + y^2 - 1"], "1", (0, 1)),
+    ("unit-circle", *PROBLEMS[0], (1, 2, 3)),
+    ("circle-pair", *PROBLEMS[1], (1, 2, 3)),
+    ("line-and-circle", ["y", "x^2 + y^2 - 1"], "x^2 + 1", (1, 2, 3)),
+    ("line-and-parabola", ["y", "x - 2*y^2"], "x^2 + 1", (2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "factors, target, degree",
+    [pytest.param(f, t, d, id=f"{name}-{d}") for name, f, t, degrees in ROW_CASES for d in degrees],
+)
+def test_coefficient_rows_match_pairwise_basis_products(factors, target, degree):
+    """The coefficient-matching rows, read off exponent sums, are the rows
+    of the pairwise products of the basis functions: slots, coefficients and
+    order."""
+    problem = _problem(factors, target, degree)
+    rows = []
+    for block in problem.blocks:
+        basis = _basis(block)
+        slots = {}
+        for k in range(block.size):
+            for l in range(k, block.size):
+                i, j = block.offset + k, block.offset + l
+                for slot, c in gram._coeff_slots(basis[k] * basis[l]).items():
+                    slots.setdefault(slot, {})[(i, j)] = c if i == j else 2 * c
+        wanted = gram._coeff_slots(problem.targets[block.component])
+        rows += [(list(coeffs.items()), wanted.get(slot, Fr(0))) for slot, coeffs in sorted(slots.items())]
+    assert [(list(r.coeffs.items()), r.rhs) for r in problem.rows[: len(rows)]] == rows
+    assert all(r.exact for r in problem.rows[: len(rows)])

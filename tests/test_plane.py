@@ -52,7 +52,6 @@ def test_fast_path_two_far_circles():
     got = fast_intersection(UNIT_CIRCLE, B("(x-3)^2 + y^2 - 1"))
     assert got is not None
     assert got.real_points == []
-    assert got.total_closed_points == 2
     (pair,) = got.nonreal_pairs
     assert pair.abscissa == Fr(3, 2)
     assert pair.y_quadratic is not None
@@ -62,9 +61,26 @@ def test_fast_path_two_far_circles():
 def test_fast_path_circle_and_axis():
     got = fast_intersection(UNIT_CIRCLE, B("y"))
     assert got is not None
-    assert got.total_closed_points == 2
+    assert not got.nonreal_pairs
     assert sorted(p.x for p in got.real_points) == [Fr(-1), Fr(1)]
     assert all(p.y == 0 for p in got.real_points)
+
+
+def test_fast_path_builds_one_sturm_chain_for_a_resultant_with_a_double_root(monkeypatch):
+    import soscurves.unipoly as up
+
+    built = []
+    chain = up.sturm_chain
+    monkeypatch.setattr(up, "sturm_chain", lambda p: built.append(p) or chain(p))
+    monkeypatch.setattr(intersect, "squarefree_part", lambda p: pytest.fail("radical computed twice"))
+    F, G = UNIT_CIRCLE, B("y - 1")  # tangent at (0, 1)
+    R = resultant_y(F, G)
+    assert R.degree == 2 and squarefree_part(R).degree == 1
+    built.clear()
+    got = fast_intersection(F, G)
+    assert got.real_points == [RationalPoint(Fr(0), Fr(1))] and not got.nonreal_pairs
+    # one remainder sequence for the resultant; the fibre's gcd y - 1 is linear
+    assert built == [R]
 
 
 def test_fast_path_needs_shear_for_irrational_points():
@@ -81,7 +97,7 @@ def test_fast_path_vertical_line():
 def test_sheared_line_circle_points():
     _, (pair,) = choose_shear([(UNIT_CIRCLE, B("x - y"))])
     got = sheared_intersection(pair)
-    assert got.total_closed_points == 2
+    assert not got.nonreal_pairs
     assert len(got.real_points) == 2
     for p in got.real_points:
         assert isinstance(p, AlgebraicPoint)
@@ -96,7 +112,7 @@ def test_sheared_overlapping_circles():
     other = B("(x-1)^2 + y^2 - 1")
     _, (pair,) = choose_shear([(UNIT_CIRCLE, other)])
     got = sheared_intersection(pair)
-    assert got.total_closed_points == 2 and not got.nonreal_pairs
+    assert len(got.real_points) == 2 and not got.nonreal_pairs
     xs = [p.as_floats()[0] for p in got.real_points]
     ys = sorted(p.as_floats()[1] for p in got.real_points)
     assert all(abs(x - 0.5) < 1e-9 for x in xs)
@@ -109,7 +125,7 @@ def test_sheared_tangential_contact():
     circ = B("x^2 + y^2 - 4")
     _, (pair,) = choose_shear([(circ, hyp)])
     got = sheared_intersection(pair)
-    assert got.total_closed_points == 2
+    assert not got.nonreal_pairs
     assert len(got.real_points) == 2
     for p in got.real_points:
         assert lies_on(circ, p) and lies_on(hyp, p)
@@ -313,8 +329,6 @@ def test_unsheared_pair_is_eliminated_once(monkeypatch):
 def test_classify_crossing_lines():
     got = classify_point([B("x"), B("y")], RationalPoint(Fr(0), Fr(0)))
     assert got.kind is PointClass.ORDINARY_DOUBLE_POINT
-    assert got.tangents is not None
-    assert {t for t in got.tangents} == {B("x"), B("y")}
 
 
 def test_classify_tangent_parabola_line():
@@ -356,11 +370,11 @@ def _reference_classification(through, p):
         prod = prod * F
     local = prod.translate(p.x, p.y)
     if not local.homogeneous_part(1).is_zero():
-        return PointClass.NON_SINGULAR, None, ""
+        return PointClass.NON_SINGULAR, ""
     split = split_binary_quadratic(local.homogeneous_part(2))
     if split.kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
-        return PointClass.ORDINARY_DOUBLE_POINT, split.factors, "ordinary double point"
-    return PointClass.NOT_OMPIT, None, split.kind
+        return PointClass.ORDINARY_DOUBLE_POINT, "ordinary double point"
+    return PointClass.NOT_OMPIT, split.kind
 
 
 def _vanishing_at(rng, p, order):
@@ -393,8 +407,8 @@ def test_classify_matches_the_translated_product():
         else:
             through = [F, _vanishing_at(rng, p, rng.choice((1, 1, 2)))]
         got = classify_point(through, p)
-        kind, tangents, why = _reference_classification(through, p)
-        assert (got.kind, got.tangents, got.factors_through) == (kind, tangents, len(through))
+        kind, why = _reference_classification(through, p)
+        assert (got.kind, got.factors_through) == (kind, len(through))
         if kind is PointClass.NOT_OMPIT:
             seen.add(why)
             assert got.detail == {
@@ -423,7 +437,6 @@ def test_classify_at_algebraic_points(factors, detail):
     assert len(boxed) == 2
     for rec in boxed:
         assert rec.classification.detail == detail
-        assert rec.classification.tangents is None
         wanted = PointClass.ORDINARY_DOUBLE_POINT if detail == "ordinary double point" else PointClass.NOT_OMPIT
         assert rec.classification.kind is wanted
 
@@ -457,7 +470,9 @@ def test_parabola_component():
     assert isinstance(c.chart, PolyChart)
     for t in (Fr(0), Fr(2), Fr(-7, 3)):
         assert B("y - x^2")(c.chart.x(t), c.chart.y(t)) == 0
-    assert c.infinity.real_places == 1 and c.infinity.nonreal_pairs == 0
+    # the place at infinity is a tangency, so the transversal count does not apply
+    s = infinity_summary(B("y - x^2"))
+    assert not s.exact and s.vertical_multiplicity == 2
 
 
 def test_hyperbola_component():
@@ -470,7 +485,7 @@ def test_hyperbola_component():
     x, y = c.chart.x_num(t) / den, c.chart.y_num(t) / den
     assert x * y == 1
     assert c.chart.den(c.chart.excluded) == 0
-    assert c.infinity.real_places == 2
+    assert infinity_summary(B("x*y - 1")).real_places == 2
 
 
 def test_hyperbola_without_rational_asymptotes():
@@ -548,15 +563,16 @@ def test_cubic_attributes_default_unknown():
     c = build_component(0, B("y^2 - x^3"))
     assert c.is_real is TriBool.UNKNOWN
     assert c.bounded_ring_trivial is TriBool.UNKNOWN
-    assert not c.infinity.exact
+    assert not infinity_summary(B("y^2 - x^3")).exact
 
 
 def test_cubic_with_transversal_infinity_is_exact():
     # y^2*x - x^3 + y^3... use a cubic with squarefree leading form
     F = B("y^3 - x^3 + x*y - 1")
     c = build_component(0, F)
-    assert c.infinity.exact
-    assert c.infinity.real_places == 1 and c.infinity.nonreal_pairs == 1
+    s = infinity_summary(F)
+    assert s.exact
+    assert s.real_places == 1 and s.nonreal_pairs == 1
     assert c.bounded_ring_trivial is TriBool.NO
 
 

@@ -11,8 +11,8 @@ from soscurves.unipoly import (
     RootBox,
     UniPoly,
     ZeroPolynomial,
-    _isolate_squarefree,
     _rational_root_in,
+    _triple,
     box_compare,
     box_sign,
     boxes_equal,
@@ -95,14 +95,14 @@ def test_isolation_separates_and_identifies_rational_roots():
     p = P("t^3 - t")  # roots -1, 0, 1
     boxes = isolate_real_roots(p)
     assert [b.exact_value for b in boxes] == [Fr(-1), Fr(0), Fr(1)]
-    assert all(b.multiplicity == 1 for b in boxes)
+    assert all(b.poly == p for b in boxes)
 
 
 def test_isolation_double_root():
     boxes = isolate_real_roots(P("4t^2 - 4t + 1"))
     assert len(boxes) == 1
     assert boxes[0].exact_value == Fr(1, 2)
-    assert boxes[0].multiplicity == 2
+    assert boxes[0].poly == P("t - 1/2")  # the monic radical
 
 
 def test_isolation_irrational_roots_disjoint():
@@ -120,8 +120,7 @@ def test_isolation_mixed_multiplicities():
     p = P("t - 2") ** 3 * P("t^2 - 3")
     boxes = isolate_real_roots(p)
     assert len(boxes) == 3
-    mults = sorted(b.multiplicity for b in boxes)
-    assert mults == [1, 1, 3]
+    assert all(b.poly == P("(t - 2) * (t^2 - 3)") for b in boxes)
     rational = [b for b in boxes if b.exact_value is not None]
     assert rational and rational[0].exact_value == Fr(2)
 
@@ -195,15 +194,15 @@ def test_boxes_equal_across_defining_polynomials():
     half = [c for c in isolate_real_roots(P("2t^2 - 1")) if c.low >= 0][0]
     assert not boxes_equal(a, half)
     c = Fr(3, 2)
-    rational = RootBox(c - 1, c + 1, 1, c, UniPoly.linear_root(c))
-    assert boxes_equal(rational, RootBox(c - 1, c + 1, 1, c, UniPoly.linear_root(c)))
+    rational = RootBox(c - 1, c + 1, c, UniPoly.linear_root(c))
+    assert boxes_equal(rational, RootBox(c - 1, c + 1, c, UniPoly.linear_root(c)))
     assert not boxes_equal(rational, a)
 
 
 def test_box_compare_orders_mixed_values():
     sqrt2 = [b for b in isolate_real_roots(P("t^2 - 2")) if b.low >= 0][0]
-    one = RootBox(Fr(0), Fr(2), 1, Fr(1), UniPoly.linear_root(1))
-    two = RootBox(Fr(1), Fr(3), 1, Fr(2), UniPoly.linear_root(2))
+    one = RootBox(Fr(0), Fr(2), Fr(1), UniPoly.linear_root(1))
+    two = RootBox(Fr(1), Fr(3), Fr(2), UniPoly.linear_root(2))
     assert box_compare(one, sqrt2) < 0
     assert box_compare(two, sqrt2) > 0
     assert box_compare(sqrt2, sqrt2) == 0
@@ -486,8 +485,7 @@ def ref_rational_root_in(q, lo, hi, a):
 
 
 def _root_in(q, lo, hi):
-    box = RootBox(Fr(lo), Fr(hi), 1, None, q)
-    return _rational_root_in(q, box, q.primitive_integer()[0].leading().numerator)
+    return _rational_root_in(q, *_triple(Fr(lo), Fr(hi)), q.primitive_integer()[0].leading().numerator)
 
 
 def test_rational_root_in_midpoint_and_mixed_denominators():
@@ -514,10 +512,10 @@ def test_rational_root_in_matches_fraction_reference():
         q = q * P(f"t^2 - {rng.choice([2, 3, 5, 7])}")
         q = squarefree_part(q)
         lead = q.primitive_integer()[0].leading().numerator
-        for box in _isolate_squarefree(q):
+        for box in ref_isolate_squarefree(q):
             for _ in range(rng.randint(0, 3)):
                 box = box.refined()
-            assert box.exact_value is not None or _rational_root_in(q, box, lead) == ref_rational_root_in(
+            assert box.exact_value is not None or _root_in(q, box.low, box.high) == ref_rational_root_in(
                 q, box.low, box.high, lead
             )
 
@@ -534,11 +532,13 @@ def test_boxes_equal_builds_one_sturm_chain(monkeypatch):
     built.clear()
     assert boxes_equal(a, b)
     assert built == [P("t^3 - 2")]
-    # isolation builds one chain per Yun factor it counts in, not one per box
+    # isolating a polynomial with repeated roots builds its one chain, not
+    # one per box or per squarefree factor
     built.clear()
-    boxes = isolate_real_roots(P("t^2 - 2") ** 2 * P("t^2 - 5") * P("t^2 - 7") ** 3)
-    assert [bx.multiplicity for bx in boxes] == [3, 1, 2, 2, 1, 3]
-    assert len(built) == 1 + 2  # the radical's, then the two earlier Yun factors
+    p = P("t^2 - 2") ** 2 * P("t^2 - 5") * P("t^2 - 7") ** 3
+    boxes = isolate_real_roots(p)
+    assert len(boxes) == 6 and all(bx.poly == P("(t^2 - 2) * (t^2 - 5) * (t^2 - 7)") for bx in boxes)
+    assert built == [p]
 
 
 def test_pow_matches_repeated_products_with_fewest_squarings(monkeypatch):
@@ -566,8 +566,8 @@ def test_isolating_a_squarefree_polynomial_builds_one_sturm_chain(monkeypatch):
     monkeypatch.setattr(up, "sturm_chain", lambda p: built.append(p) or chain(p))
     p = P("t^2 - 2") * P("t^3 - 3t + 1") * P("2t - 1")
     boxes = isolate_real_roots(p)
-    assert [bx.multiplicity for bx in boxes] == [1] * 6
-    # one remainder sequence: Yun's first gcd and the isolation chain share it
+    assert len(boxes) == 6 and all(bx.poly == p.monic() for bx in boxes)
+    # one remainder sequence: the squarefree test and the isolation chain share it
     assert built == [p]
     # disjoint boxes are different numbers without a gcd or a chain
     built.clear()
@@ -581,7 +581,7 @@ def test_isolating_a_squarefree_polynomial_builds_one_sturm_chain(monkeypatch):
 # and comparison routines that the integer-triple ones replaced: recursive
 # bisection on Fraction midpoints, one `sign_at` per chain member, and the
 # Fraction interval-Horner enclosure (`ref_box_sign`).  Both must give equal
-# boxes (bounds, multiplicity, exact value, polynomial), signs and orders.
+# boxes (bounds, exact value, polynomial), signs and orders.
 
 
 def ref_variations(signs):
@@ -620,7 +620,7 @@ def ref_isolate_squarefree(p):
         if n == 0:
             return
         if n == 1:
-            out.append(RootBox(a, b, 1, None, p))
+            out.append(RootBox(a, b, None, p))
             return
         mid = (a + b) / 2
         if p.sign_at(mid) == 0:
@@ -630,7 +630,7 @@ def ref_isolate_squarefree(p):
                 l2, h2 = mid - eps, mid + eps
                 if p.sign_at(l2) != 0 and p.sign_at(h2) != 0 and var_at(l2) - var_at(h2) == 1:
                     break
-            out.append(RootBox(l2, h2, 1, mid, p))
+            out.append(RootBox(l2, h2, mid, p))
             rec(a, l2, va, var_at(l2))
             rec(h2, b, var_at(h2), vb)
             return
@@ -644,28 +644,19 @@ def ref_isolate_squarefree(p):
 
 
 def ref_isolate_real_roots(p):
-    parts = yun_decomposition(p)
+    """Boxes of the radical, the product of the Yun factors, with rational
+    roots recognised."""
     radical = UniPoly.one()
-    for q, _ in parts:
+    for q, _ in yun_decomposition(p):
         radical = radical * q
     radical = radical.monic()
     lead = radical.primitive_integer()[0].leading().numerator
     out = []
     for box in ref_isolate_squarefree(radical):
-        mult = parts[-1][1]
-        for q, i in parts[:-1]:
-            if box.exact_value is not None:
-                if q.sign_at(box.exact_value) == 0:
-                    mult = i
-                    break
-                continue
-            if ref_chain_count(sturm_chain(q), box.low, box.high) > 0:
-                mult = i
-                break
         exact = box.exact_value
         if exact is None:
             exact = ref_rational_root_in(radical, box.low, box.high, lead)
-        out.append(RootBox(box.low, box.high, mult, exact, radical))
+        out.append(RootBox(box.low, box.high, exact, radical))
     return out
 
 
@@ -674,19 +665,19 @@ def ref_refined(box, times=1):
     if v is not None:
         for _ in range(times):
             lo, hi = (lo + v) / 2, (hi + v) / 2
-        return RootBox(lo, hi, box.multiplicity, v, box.poly)
+        return RootBox(lo, hi, v, box.poly)
     slo = box.poly.sign_at(lo)
     for _ in range(times):
         mid = (lo + hi) / 2
         sm = box.poly.sign_at(mid)
         if sm == 0:
             eps = (hi - lo) / 4
-            return RootBox(mid - eps, mid + eps, box.multiplicity, mid, box.poly)
+            return RootBox(mid - eps, mid + eps, mid, box.poly)
         if sm == slo:
             lo = mid
         else:
             hi = mid
-    return RootBox(lo, hi, box.multiplicity, None, box.poly)
+    return RootBox(lo, hi, None, box.poly)
 
 
 def ref_box_sign_at(g, box):
@@ -767,19 +758,21 @@ def _boxes(rng, count):
         if p.degree < 1:
             continue
         count -= 1
-        yield p, isolate_real_roots(p), _isolate_squarefree(squarefree_part(p))
+        yield p, isolate_real_roots(p), ref_isolate_squarefree(squarefree_part(p))
 
 
 def test_isolation_matches_fraction_bisection():
     rng = random.Random(2032)
+    repeated = 0
     for p, boxes, bisected in _boxes(rng, 200):
         assert boxes == ref_isolate_real_roots(p), p
-        assert bisected == ref_isolate_squarefree(squarefree_part(p)), p
+        assert [(b.low, b.high) for b in boxes] == [(b.low, b.high) for b in bisected], p
+        repeated += squarefree_part(p).degree < p.degree
+    assert repeated > 100  # most inputs have repeated roots
     # midpoints that are roots: 0 first, then 1 (bound 2), and 3/8 of a window
     for p in (P("t^3 - t"), P("t^2 - t"), P("t * (8t - 3) * (t - 1)"), P("t^5 - 5t^3 + 4t")):
-        assert _isolate_squarefree(p) == ref_isolate_squarefree(p)
         assert isolate_real_roots(p) == ref_isolate_real_roots(p)
-        assert any(b.exact_value is not None for b in _isolate_squarefree(p))
+        assert any(b.exact_value is not None for b in ref_isolate_squarefree(p))
 
 
 def test_linear_box_is_the_bisection_box():
@@ -789,7 +782,7 @@ def test_linear_box_is_the_bisection_box():
         p = UniPoly([Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), a])
         (box,) = isolate_real_roots(p)
         assert [box] == ref_isolate_real_roots(p)
-        assert box.exact_value == -p.coeff(0) / a and box.multiplicity == 1
+        assert box.exact_value == -p.coeff(0) / a and box.poly == p.monic()
 
 
 def test_refined_matches_fraction_refinement():
@@ -836,7 +829,7 @@ def test_deep_root_cluster_isolates_without_recursion():
     p = UniPoly([1 - 2 * Fr(1, 2**2400), -2, 1])
     low, high = isolate_real_roots(p)
     assert low.exact_value is None and high.exact_value is None
-    assert low.multiplicity == high.multiplicity == 1
+    assert low.poly == high.poly == p.monic()
     assert low.high <= high.low and low.low < 1 < high.high
     for box in (low, high):
         assert p.sign_at(box.low) * p.sign_at(box.high) < 0
@@ -847,9 +840,9 @@ def test_refinement_that_lands_on_the_root_matches_fraction_reference():
     # boxes without an exact value around the dyadic roots 3/8 and 5/8: the
     # first or third midpoint is the root
     p = P("(8t - 3) * (8t - 5)")
-    a = RootBox(Fr(1, 4), Fr(1, 2), 1, None, p)
-    b = RootBox(Fr(7, 16), Fr(1), 1, None, p)
-    wide = RootBox(Fr(0), Fr(1, 2), 1, None, P("8t - 3"))
+    a = RootBox(Fr(1, 4), Fr(1, 2), None, p)
+    b = RootBox(Fr(7, 16), Fr(1), None, p)
+    wide = RootBox(Fr(0), Fr(1, 2), None, P("8t - 3"))
     for box in (a, b, wide):
         for k in range(6):
             assert box.refined(k) == ref_refined(box, k)

@@ -11,7 +11,9 @@ after and diffing the two files:
 instance `generate(workload, seed)` gives for the chosen seeds (default 1
 and 2) of the three perfbench workloads, plus each workload's known-defect
 reproducers, through the perfbench operation itself.  One JSON line per
-instance records the outcome and detail; when one was built, the
+instance records the outcome and detail; the curve analysis (the shear,
+and per point its realness, incidences, own singularities, `ompit` flag
+and classification kind and detail); when one was built, the
 certificate (`exact`, residual, provenance, the `repr` of every summand) or
 the witness (`repr`); and when the checker ran, its report (`ok`, residual,
 the names of the failed checks), so a change to the checker is diffed too.
@@ -38,9 +40,9 @@ def _load(root: Path):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bench_instances
     import bench_pipeline
-    from soscurves import certify, verify, witness
+    from soscurves import certify, curve, verify, witness
 
-    return bench_instances, bench_pipeline, certify, witness, verify
+    return bench_instances, bench_pipeline, certify, curve, witness, verify
 
 
 def _capture(module, name: str, built: list) -> None:
@@ -70,6 +72,23 @@ def _artifact(obj) -> dict | None:
     return {"witness": repr(obj)}
 
 
+def _analysis(an) -> dict | None:
+    if an is None:
+        return None
+    points = []
+    for rec in an.points:
+        cls = rec.classification
+        points.append({
+            "real": rec.is_real,
+            "components": list(rec.components),
+            "singular_on": list(rec.singular_on),
+            "ompit": None if rec.ompit is None else rec.ompit.value,
+            "kind": None if cls is None else cls.kind.value,
+            "detail": None if cls is None else cls.detail,
+        })
+    return {"shear": None if an.shear is None else str(an.shear), "points": points}
+
+
 def _report(report) -> dict | None:
     if report is None:
         return None
@@ -81,7 +100,9 @@ def _report(report) -> dict | None:
 
 
 def dump(root: Path, seeds: list[int], out: Path) -> int:
-    instances, pipeline, certify, witness, verify = _load(root)
+    instances, pipeline, certify, curve, witness, verify = _load(root)
+    analyses: list = []
+    _capture(curve, "analyze_curve", analyses)
     built: list = []
     _capture(certify, "full_certify", built)
     _capture(witness, "cycle_witness", built)
@@ -95,6 +116,7 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
     runs += [(w, "known-defect", inst) for w in WORKLOADS for inst in instances.known_defects(w)]
     with open(out, "w") as fh:
         for workload, seed, inst in runs:
+            analyses.clear()
             built.clear()
             reports.clear()
             res = pipeline.run_operation(inst, BUDGET_S[workload])
@@ -102,6 +124,7 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
                 "key": f"{workload}/{seed}/{inst.name}",
                 "outcome": res.outcome,
                 "detail": res.detail,
+                "analysis": _analysis(analyses[-1] if analyses else None),
                 "artifact": _artifact(built[-1] if built else None),
                 "report": _report(reports[-1] if reports else None),
             }
@@ -128,7 +151,7 @@ def diff(a: Path, b: Path) -> int:
             print(f"{key}: only in {a if rb is None else b}")
             continue
         print(f"{key}: {ra['outcome']} ({ra['detail']}) -> {rb['outcome']} ({rb['detail']})")
-        for part in ("artifact", "report"):
+        for part in ("analysis", "artifact", "report"):
             if ra.get(part) != rb.get(part):
                 print(f"  {part} differs")
     print(f"{len(old.keys() | new.keys())} instances, {changed} differ")
