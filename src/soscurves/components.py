@@ -6,6 +6,10 @@ component of degree three or higher counts its places at infinity
 (`infinity_summary`), and only to decide boundedness, which stays exact
 whenever the curve meets the line at infinity transversally; everything else
 falls back to user-supplied metadata or an Unknown flag.
+
+Lines, parabolas and hyperbolas with rational asymptotes share one chart
+format, `LineChart`, which carries a linear inverse t = alpha*x + beta*y;
+conics without real points at infinity get a `CircleChart`.
 """
 from __future__ import annotations
 
@@ -33,26 +37,27 @@ class InvalidComponent(ValueError):
 
 
 @dataclass(frozen=True)
-class PolyChart:
-    """Bijective polynomial parametrization t -> (x(t), y(t)) of the real curve."""
+class LineChart:
+    """Parametrization t -> (x_num(t), y_num(t)) / den(t) of a line-type
+    component: a line, a parabola or a hyperbola.
 
-    x: UniPoly
-    y: UniPoly
-    kind: str  # "line" or "parabola"
-
-
-@dataclass(frozen=True)
-class PuncturedChart:
-    """Rational parametrization with one excluded parameter value.
-
-    t -> (x_num(t)/den(t), y_num(t)/den(t)) maps the line minus the root of
-    den bijectively onto the real curve (hyperbola-type components).
+    den is the constant 1 on lines and parabolas; on a hyperbola it is
+    linear, and its root `excluded` is the one parameter value without a
+    point.  The chart maps the rest of the line bijectively onto the real
+    curve, and t = alpha*x + beta*y inverts it on the whole component.
     """
 
     x_num: UniPoly
     y_num: UniPoly
     den: UniPoly
-    excluded: Fraction
+    alpha: Fraction
+    beta: Fraction
+
+    @property
+    def excluded(self) -> Fraction | None:
+        if self.den.degree < 1:
+            return None
+        return -self.den.coeff(0) / self.den.coeff(1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class CircleChart:
         return (lo, hi)
 
 
-Chart = PolyChart | PuncturedChart | CircleChart
+Chart = LineChart | CircleChart
 
 
 @dataclass(frozen=True)
@@ -176,10 +181,11 @@ def _line_frames(F: BiPoly) -> list[BiPoly]:
 
 def _line_component(index: int, label: str, F: BiPoly) -> Component:
     a, b, c = F.coeff(1, 0), F.coeff(0, 1), F.coeff(0, 0)
+    one, zero = Fraction(1), Fraction(0)
     if b:
-        chart = PolyChart(x=UniPoly.var(), y=UniPoly([-c / b, -a / b]), kind="line")
+        chart = LineChart(UniPoly.var(), UniPoly([-c / b, -a / b]), UniPoly.one(), one, zero)
     else:
-        chart = PolyChart(x=UniPoly.const(-c / a), y=UniPoly.var(), kind="line")
+        chart = LineChart(UniPoly.const(-c / a), UniPoly.var(), UniPoly.one(), zero, one)
     return Component(
         index=index,
         label=label,
@@ -314,11 +320,11 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     empty = pos == 3 or neg == 3
     if split.kind is QuadraticSplitKind.PERFECT_SQUARE:
         kind = "parabola"
-        chart: Chart | None = _parabola_chart(F, split.repeated_factor)
+        chart: Chart | None = _pencil_chart(F, split.repeated_factor)
         bounded, open_a1 = TriBool.YES, TriBool.YES
     elif split.kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
         kind = "hyperbola"
-        chart = _hyperbola_chart(F, split.factors[0]) if split.factors else None
+        chart = _pencil_chart(F, split.factors[0]) if split.factors else None
         bounded, open_a1 = TriBool.YES, TriBool.YES
     else:
         kind = "ellipse"
@@ -368,31 +374,28 @@ def infinity_summary(F: BiPoly) -> InfinitySummary:
     )
 
 
-def _parabola_chart(F: BiPoly, repeated: BiPoly) -> PolyChart:
-    p, q = repeated.coeff(1, 0), repeated.coeff(0, 1)
-    sub = F.compose_linear(p, q, q, -p)  # x = p t + q s, y = q t - p s
-    rows = sub.as_y_polynomial()
-    assert len(rows) == 2 and rows[1].degree == 0, "parabola pencil must be linear in s"
-    beta = rows[1].coeff(0)
-    s = rows[0].scale(Fraction(-1) / beta)
-    x = UniPoly([Fraction(0), p]) + s.scale(q)
-    y = UniPoly([Fraction(0), q]) - s.scale(p)
-    assert F.substitute(x, y).is_zero()
-    return PolyChart(x=x, y=y, kind="parabola")
+def _pencil_chart(F: BiPoly, direction: BiPoly) -> LineChart:
+    """The chart of a parabola or hyperbola along the parallel lines
+    p x + q y = (p^2 + q^2) t, for p x + q y the linear form `direction`: the
+    repeated factor of a parabola's leading form, or a rational factor of a
+    hyperbola's.
 
-
-def _hyperbola_chart(F: BiPoly, asymptote: BiPoly) -> PuncturedChart:
-    p, q = asymptote.coeff(1, 0), asymptote.coeff(0, 1)
-    sub = F.compose_linear(p, q, q, -p)
-    rows = sub.as_y_polynomial()
-    assert len(rows) == 2 and rows[1].degree == 1, "hyperbola pencil must move linearly"
-    den = rows[1]
-    neg_c0 = rows[0].scale(-1)
-    x_num = UniPoly([Fraction(0), p]) * den + neg_c0.scale(q)
-    y_num = UniPoly([Fraction(0), q]) * den - neg_c0.scale(p)
-    excluded = -den.coeff(0) / den.coeff(1)
+    With x = p t + q s, y = q t - p s, F becomes c1(t) s + c0(t), so the
+    line at t meets the conic at s = -c0/c1; c1 is a constant on a parabola
+    and linear on a hyperbola.  The inverse is t = (p x + q y) / (p^2 + q^2).
+    """
+    p, q = direction.coeff(1, 0), direction.coeff(0, 1)
+    rows = F.compose_linear(p, q, q, -p).as_y_polynomial()
+    assert len(rows) == 2 and rows[1].degree <= 1, "the pencil must move linearly"
+    c0, den = rows
+    if den.degree == 0:
+        c0, den = c0.scale(Fraction(1) / den.coeff(0)), UniPoly.one()
+    t_den = UniPoly.var() * den
+    x_num = t_den.scale(p) - c0.scale(q)
+    y_num = t_den.scale(q) + c0.scale(p)
     assert F.compose_rational(x_num, y_num, den).is_zero()
-    return PuncturedChart(x_num=x_num, y_num=y_num, den=den, excluded=excluded)
+    norm = p * p + q * q
+    return LineChart(x_num, y_num, den, p / norm, q / norm)
 
 
 def _circle_chart(F: BiPoly) -> CircleChart:

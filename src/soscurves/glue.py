@@ -26,17 +26,16 @@ from fractions import Fraction
 from math import lcm
 
 from .bipoly import BiPoly
-from .components import PolyChart, PuncturedChart, component_index
+from .components import component_index
 from .configuration import Cycle, CurveConfiguration, attachment_order
 from .curve import CurveAnalysis
 from .decide import PreconditionViolated, decide_unbounded_case
 from .points import RationalPoint
 from .ringfn import (
-    ChartlessComponent,
     IrrationalAttachment,
     LineFn,
     RingFn,
-    param_of_point,
+    chart_arguments,
     restrict_to_chart,
 )
 from .squares import _NUMERIC_TOL, NotPsd, line_fn_sos
@@ -145,8 +144,6 @@ def forest_assemble(
     for cid in order.order:
         comp = analysis.component(cid)
         ci = comp.index
-        if not isinstance(comp.chart, (PolyChart, PuncturedChart)):
-            raise ChartlessComponent(f"{cid} has no line-type parametrization")
         fn = restrict_to_chart(F, comp.chart)
         try:
             dec = line_fn_sos(fn)
@@ -181,8 +178,8 @@ def forest_assemble(
             donor = next(
                 d for d, j in indexes.items() if j in rec.components
             )
-            p_old = param_of_point(analysis.components[indexes[donor]].chart, rec.point)
-            p_new = param_of_point(comp.chart, rec.point)
+            (p_old,) = chart_arguments(analysis.components[indexes[donor]].chart, rec.point)
+            (p_new,) = chart_arguments(comp.chart, rec.point)
             old = funcs[donor]
             n = max(len(old), len(parts))
             v = [f(p_old) for f in _pad(old, n)]

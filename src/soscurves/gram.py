@@ -40,7 +40,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .components import CircleChart, PolyChart
+from .components import CircleChart, LineChart
 from .curve import CurveAnalysis
 from .numbers import limit_denominators, rational_square_list
 from .points import AlgebraicPoint, RationalPoint
@@ -244,7 +244,7 @@ def build_gram_problem(
     offset = 0
     for cid in subset:
         chart = charts[cid]
-        if isinstance(chart, PolyChart):
+        if isinstance(chart, LineChart):
             # squares of polynomials cannot cancel leading terms, so a line
             # summand has degree exactly half the target degree; powers above
             # that bound never occur in an exact representation and would

@@ -1,15 +1,17 @@
 """Exact models for regular functions on parametrized curve components.
 
-A component with an affine-line chart carries plain polynomials in the
-parameter; a punctured-line chart (hyperbola type) additionally allows poles
-at the excluded parameter value, so its functions look like
+A line-type component (line, parabola, hyperbola) has one chart format,
+t -> (x_num(t), y_num(t)) / den(t) with den = 1 unless the component is a
+hyperbola, whose chart excludes the root of den.  Its functions look like
 
-    num(t) / (t - pole_at)^order.
+    num(t) / (t - pole_at)^order,
 
-A conic in circle normal form carries functions a(x) + b(x)*w where
-w^2 = q(x).  Both shapes support the exact ring operations certificate
-assembly needs: arithmetic, restriction of plane polynomials, and evaluation
-at rational points.
+with poles only at the excluded parameter value, and every chart carries
+the linear inverse t = alpha*x + beta*y that reads the parameter of a point
+off its coordinates.  A conic in circle normal form carries functions
+a(x) + b(x)*w where w^2 = q(x).  Both shapes support the exact ring
+operations certificate assembly needs: arithmetic, restriction of plane
+polynomials, and evaluation at rational and algebraic points.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bipoly import BiPoly
-from .components import Chart, CircleChart, PolyChart, PuncturedChart
+from .components import Chart, CircleChart, LineChart
 from .points import AlgebraicPoint, RationalPoint, RealPoint
-from .unipoly import BoxedValue, UniPoly, gcd
+from .unipoly import BoxedValue, UniPoly
 
 
 class IrrationalAttachment(ValueError):
@@ -40,8 +42,8 @@ class LineFn:
     """num(t) / (t - pole_at)^order on a (possibly punctured) line.
 
     Normal form: order is dropped while (t - pole_at) divides num, and a
-    function without a pole stores pole_at = 0.  Affine-line components only
-    ever hold order = 0; punctured components put the pole at the excluded
+    function without a pole stores pole_at = 0.  On a chart with den = 1
+    order is always 0; on a hyperbola the pole sits at the excluded
     parameter value.
     """
 
@@ -245,15 +247,15 @@ def sum_of_squares(fns: Sequence[RingFn], like: RingFn) -> RingFn:
 
 def restrict_to_chart(F: BiPoly, chart: Chart) -> RingFn:
     """The plane polynomial F as a function on the parametrized component."""
-    if isinstance(chart, PolyChart):
-        return LineFn(F.substitute(chart.x, chart.y))
-    if isinstance(chart, PuncturedChart):
+    if isinstance(chart, LineChart):
+        # den^d F(x_num/den, y_num/den) for d = deg F, over den^d: a pole of
+        # order d at the excluded value, or a polynomial when den = 1
+        num = F.compose_rational(chart.x_num, chart.y_num, chart.den)
+        pole = chart.excluded
+        if pole is None:
+            return LineFn(num)
         d = max(F.total_degree, 0)
-        lead = chart.den.leading()
-        num = F.compose_rational(chart.x_num, chart.y_num, chart.den).scale(
-            Fraction(1) / lead**d
-        )
-        return LineFn(num, d, chart.excluded)
+        return LineFn(num.scale(Fraction(1) / chart.den.leading() ** d), d, pole)
     if isinstance(chart, CircleChart):
         # substitute y = w - (s1 x + s0) and reduce w^2 -> q by Horner steps
         shift = UniPoly([-chart.s0, -chart.s1])
@@ -265,52 +267,15 @@ def restrict_to_chart(F: BiPoly, chart: Chart) -> RingFn:
     raise ChartlessComponent(f"no restriction rule for {type(chart).__name__}")
 
 
-def param_of_point(chart: PolyChart | PuncturedChart, p: RationalPoint) -> Fraction:
-    """The parameter value a chart sends to a rational point of the component.
-
-    Works for any of the line-type charts: the parameter is the unique common
-    root of the coordinate equations, and bijectivity of the chart makes
-    their gcd linear.
-    """
-    if isinstance(chart, PolyChart):
-        eqs = [chart.x - UniPoly.const(p.x), chart.y - UniPoly.const(p.y)]
-    else:
-        eqs = [
-            chart.x_num - chart.den.scale(p.x),
-            chart.y_num - chart.den.scale(p.y),
-        ]
-    g = UniPoly.zero()
-    for eq in eqs:
-        g = gcd(g, eq) if g else (eq.monic() if eq else g)
-    if g.is_zero():
-        raise ValueError("degenerate chart equations")
-    if isinstance(chart, PuncturedChart):
-        lin = UniPoly.linear_root(chart.excluded)
-        while g.degree > 1 and g(chart.excluded) == 0:
-            g = g.exact_div(lin)
-    if g.degree != 1:
-        raise ValueError("point does not lie on the parametrized component")
-    t = -g.coeff(0) / g.coeff(1)
-    if isinstance(chart, PuncturedChart) and t == chart.excluded:
-        raise ValueError("point maps to the excluded parameter value")
-    return t
-
-
 def chart_arguments(chart: Chart, p: RealPoint) -> tuple:
     """The arguments at which a component function on `chart` takes its value
-    at a real plane point: the parameter of a line-type chart, or (x, w) with
-    w = y + s1*x + s0 on a circle chart.  At an algebraic point they lie in its
-    Q[u]/(P'), read off a chart coordinate of degree one; punctured charts refuse."""
+    at a real plane point of the component: the parameter alpha*x + beta*y of
+    a line chart, or (x, w) with w = y + s1*x + s0 on a circle chart.  Both
+    are linear in the coordinates, so they are rational at a rational point
+    and lie in Q[u]/(P') at an algebraic one."""
     if isinstance(chart, CircleChart):
         return (p.x, p.y + p.x * chart.s1 + chart.s0)
-    if isinstance(p, RationalPoint):
-        return (param_of_point(chart, p),)
-    if isinstance(chart, PuncturedChart):
-        raise IrrationalAttachment(
-            "algebraic points on punctured components are not supported"
-        )
-    coord, poly = (p.x, chart.x) if chart.x.degree == 1 else (p.y, chart.y)
-    return ((coord - poly.coeff(0)) * (1 / poly.coeff(1)),)
+    return (p.x * chart.alpha + p.y * chart.beta,)
 
 
 def value_at_point(fn: RingFn, chart: Chart, p: RationalPoint) -> Fraction:

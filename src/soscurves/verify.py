@@ -2,7 +2,8 @@
 
 Nothing here trusts the constructors: the sum of squares is re-expanded and
 compared to the target coefficient by coefficient, value agreement is
-re-evaluated at every shared point, and witness properties (sign alternation,
+re-evaluated at every shared point (a rational one is first tested to lie on
+each component it is recorded on), and witness properties (sign alternation,
 interlacing, psd ranges, vanishing orders) are re-derived from scratch.  The
 re-expansion is one pass per component (`ringfn.sum_of_squares`): the
 squares are summed on integer numerators and normalised once, which gives
@@ -11,10 +12,9 @@ the same exact function as adding the squares one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipoly import BiPoly
-from .components import CircleChart, PolyChart
+from .components import CircleChart
 from .curve import CurveAnalysis
 from .glue import SosCertificate
 from .points import (
@@ -73,25 +73,18 @@ def _fn_residual(fn: RingFn) -> float:
 def _pair_value_poly(fn: RingFn, chart, pt: ConjugatePairPoint) -> UniPoly | None:
     """Value at a conjugate pair as a polynomial in y mod the pair quadratic.
 
-    Supported where such pairs can actually lie: circle-form conics, and
-    vertical lines parametrized by y.  Returns None when the chart cannot be
-    reduced to a y-polynomial at the pair's abscissa.
+    Over x = a both chart arguments are linear in y: w = y + s1 a + s0 on a
+    circle chart, t = alpha a + beta y on a line chart.  Returns None when
+    the pair has no exact data or the function has a pole.
     """
     a = pt.abscissa
     if a is None or pt.y_quadratic is None:
         return None
     if isinstance(fn, CircleFn) and isinstance(chart, CircleChart):
-        # w = y + s1 x + s0 evaluated over x = a is linear in y
         const = fn.a(a) + fn.b(a) * (chart.s1 * a + chart.s0)
         return UniPoly([const, fn.b(a)]) % pt.y_quadratic
-    if isinstance(fn, LineFn) and isinstance(chart, PolyChart) and fn.order == 0:
-        if chart.x.degree > 0 or chart.x.coeff(0) != a:
-            return None
-        if chart.y.degree != 1:
-            return None
-        # invert y = y0 + y1 t and push the parameter polynomial through
-        y0, y1 = chart.y.coeff(0), chart.y.coeff(1)
-        t_of_y = UniPoly([-y0 / y1, Fraction(1) / y1])
+    if isinstance(fn, LineFn) and fn.order == 0:
+        t_of_y = UniPoly([chart.alpha * a, chart.beta])
         return fn.num.compose(t_of_y) % pt.y_quadratic
     return None
 
@@ -173,6 +166,12 @@ def verify_certificate(
             # exact values, in Q[u]/(P') at an algebraic point; floats there if numeric
             p = rec.point
             if isinstance(p, RationalPoint):
+                # a chart inverse reads a parameter off any point, so the
+                # point must first be seen to lie on each component
+                off = [cid for cid in incident if analysis.component(cid).poly(p.x, p.y)]
+                if off:
+                    checks.append(Check(name, False, f"{rec.id} is not on {', '.join(off)}"))
+                    continue
                 args = {cid: chart_arguments(charts[cid], p) for cid in incident}
                 at = lambda fn, cid: fn(*args[cid])  # noqa: E731
             elif cert.exact:

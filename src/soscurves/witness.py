@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .components import CircleChart, PolyChart, PuncturedChart, component_index
+from .components import CircleChart, LineChart, component_index
 from .configuration import Cycle, connectivity_report, induced_subconfiguration
 from .curve import CurveAnalysis, PointRecord, to_configuration
 from .points import ConjugatePairPoint, RationalPoint
-from .ringfn import IrrationalAttachment, param_of_point
+from .ringfn import IrrationalAttachment, chart_arguments
 from .squares import negative_point
 from .unipoly import UniPoly
 
@@ -111,7 +111,7 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
     failures: list[str] = []
     for cid in cycle_comps:
         comp = analysis.component(cid)
-        if not isinstance(comp.chart, (PolyChart, PuncturedChart)):
+        if not isinstance(comp.chart, LineChart):
             failures.append(f"{cid}: no line-type chart")
             continue
         others = tuple(c for c in config.component_ids() if c != cid)
@@ -144,7 +144,7 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
                 failures.append(f"{cid}: attachment {rec.id} has irrational coordinates")
                 ok = False
                 break
-            attach.append((rec.id, param_of_point(comp.chart, rec.point)))
+            attach.append((rec.id, *chart_arguments(comp.chart, rec.point)))
         if not ok:
             continue
         if len(attach) < 2:

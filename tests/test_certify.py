@@ -6,7 +6,6 @@ import pytest
 
 from soscurves import curve
 from soscurves.certify import full_certify
-from soscurves.components import PolyChart
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
 from soscurves.decide import decide_psd_eq_sos
@@ -114,12 +113,8 @@ def test_forest_assemble_names_an_exact_negative_point(factors, target, param, v
     bad = raised.value
     assert (bad.component, bad.point, bad.value) == ("C1", param, value)
     chart = analysis.component("C1").chart
-    if isinstance(chart, PolyChart):
-        x, y = chart.x(param), chart.y(param)
-    else:
-        den = chart.den(param)
-        x, y = chart.x_num(param) / den, chart.y_num(param) / den
-    assert F(x, y) == value
+    den = chart.den(param)
+    assert F(chart.x_num(param) / den, chart.y_num(param) / den) == value
 
 
 def _reflect(u, v):

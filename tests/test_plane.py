@@ -3,6 +3,8 @@ from fractions import Fraction as Fr
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from soscurves.bipoly import (
     BiPoly,
@@ -14,14 +16,13 @@ from soscurves.bipoly import (
 from soscurves.components import (
     CircleChart,
     InvalidComponent,
+    LineChart,
     MetadataConflict,
-    PolyChart,
-    PuncturedChart,
     UnsupportedComponent,
     build_component,
     infinity_summary,
 )
-from soscurves import bipoly, curve, intersect, ringfn
+from soscurves import bipoly, configuration, curve, intersect, ringfn
 from soscurves.curve import PointClass, analyze_curve, classify_point, to_configuration
 from soscurves.intersect import (
     SharedComponent,
@@ -307,10 +308,10 @@ def test_unsheared_pair_is_eliminated_once(monkeypatch):
             module, "resultant_y", lambda F, G: eliminated.append((F, G)) or original(F, G)
         )
     looked_up = []
-    lookup = ringfn.param_of_point
+    lookup = ringfn.chart_arguments
     counted = lambda *args: looked_up.append(args) or lookup(*args)  # noqa: E731
-    monkeypatch.setattr(ringfn, "param_of_point", counted)
-    monkeypatch.setattr(curve, "param_of_point", counted, raising=False)
+    for module in (ringfn, curve, configuration):
+        monkeypatch.setattr(module, "chart_arguments", counted, raising=False)
     retested = []
     monkeypatch.setattr(curve, "lies_on", lambda *args: retested.append(args) or lies_on(*args), raising=False)
     factors = [B(f) for f in ("y", "x - y", "x + y - 2", "y - x^2", "x - 3")]
@@ -452,14 +453,21 @@ def test_classify_algebraic_crossing():
 # -- component attributes -----------------------------------------------------
 
 
+def _chart_point(chart, t):
+    den = chart.den(t)
+    return chart.x_num(t) / den, chart.y_num(t) / den
+
+
 def test_line_component():
     c = build_component(0, B("2*x - 3*y + 1"))
     assert c.is_real is TriBool.YES
     assert c.bounded_ring_trivial is TriBool.YES
     assert c.rational_open_A1 is TriBool.YES
-    assert isinstance(c.chart, PolyChart)
+    assert isinstance(c.chart, LineChart) and c.chart.excluded is None
     t = Fr(5, 7)
-    assert B("2*x - 3*y + 1")(c.chart.x(t), c.chart.y(t)) == 0
+    x, y = _chart_point(c.chart, t)
+    assert B("2*x - 3*y + 1")(x, y) == 0
+    assert c.chart.alpha * x + c.chart.beta * y == t
 
 
 def test_parabola_component():
@@ -467,9 +475,11 @@ def test_parabola_component():
     assert c.conic_kind == "parabola"
     assert c.bounded_ring_trivial is TriBool.YES
     assert c.rational_open_A1 is TriBool.YES
-    assert isinstance(c.chart, PolyChart)
+    assert isinstance(c.chart, LineChart) and c.chart.excluded is None
     for t in (Fr(0), Fr(2), Fr(-7, 3)):
-        assert B("y - x^2")(c.chart.x(t), c.chart.y(t)) == 0
+        x, y = _chart_point(c.chart, t)
+        assert B("y - x^2")(x, y) == 0
+        assert c.chart.alpha * x + c.chart.beta * y == t
     # the place at infinity is a tangency, so the transversal count does not apply
     s = infinity_summary(B("y - x^2"))
     assert not s.exact and s.vertical_multiplicity == 2
@@ -479,13 +489,48 @@ def test_hyperbola_component():
     c = build_component(0, B("x*y - 1"))
     assert c.conic_kind == "hyperbola"
     assert c.rational_open_A1 is TriBool.YES
-    assert isinstance(c.chart, PuncturedChart)
+    assert isinstance(c.chart, LineChart)
     t = Fr(3)
-    den = c.chart.den(t)
-    x, y = c.chart.x_num(t) / den, c.chart.y_num(t) / den
+    x, y = _chart_point(c.chart, t)
     assert x * y == 1
+    assert c.chart.alpha * x + c.chart.beta * y == t
     assert c.chart.den(c.chart.excluded) == 0
     assert infinity_summary(B("x*y - 1")).real_places == 2
+
+
+_ratios = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["line", "vertical line", "parabola", "hyperbola"]),
+    entries=st.lists(_ratios, min_size=6, max_size=6),
+    ts=st.lists(_ratios, min_size=1, max_size=4),
+)
+def test_line_chart_inverse_reads_back_the_parameter(kind, entries, ts):
+    # the image of y, x, y - x^2 or x*y - 1 under (x, y) -> (L1, L2) for a
+    # random invertible affine map; L1 keeps no y for a vertical line
+    a, b, c, d, e, f = entries
+    if kind == "vertical line":
+        b = Fr(0)
+    assume(a * d - b * c != 0)
+    L1 = BiPoly({(1, 0): a, (0, 1): b, (0, 0): e})
+    L2 = BiPoly({(1, 0): c, (0, 1): d, (0, 0): f})
+    F = {
+        "line": L2,
+        "vertical line": L1,
+        "parabola": L2 - L1 * L1,
+        "hyperbola": L1 * L2 - BiPoly.const(1),
+    }[kind]
+    chart = build_component(0, F).chart
+    assert isinstance(chart, LineChart)
+    assert (chart.excluded is None) == (kind != "hyperbola")
+    for t in ts:
+        if t == chart.excluded:
+            continue
+        x, y = _chart_point(chart, t)
+        assert F(x, y) == 0
+        assert chart.alpha * x + chart.beta * y == t
 
 
 def test_hyperbola_without_rational_asymptotes():

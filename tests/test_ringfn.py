@@ -76,10 +76,31 @@ def test_u_fraction_matches_the_float_value(seed):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_restrictions_agree_at_shared_algebraic_points(seed):
-    analysis, shared = _circle_pair(seed)
-    rng = random.Random(100 + seed)
+# line-type components against a line or a circle, meeting at irrational
+# points: a parabola whose axis is tilted (both chart coordinates have degree
+# two) and a hyperbola (a punctured chart)
+_LINE_TYPE_PAIRS = {
+    "tilted-parabola": ("x^2 + 2*x*y + y^2 - x + y", "4*y + 1"),
+    "hyperbola-line": ("x*y - 1", "x + y - 3"),
+    "hyperbola-circle": ("x*y - 1", "x^2 + y^2 - 3"),
+}
+
+
+@pytest.mark.parametrize("case", [*range(4), *_LINE_TYPE_PAIRS])
+def test_restrictions_agree_at_shared_algebraic_points(case):
+    if isinstance(case, int):
+        analysis, shared = _circle_pair(case)
+        rng = random.Random(100 + case)
+    else:
+        analysis = analyze_curve([B(f) for f in _LINE_TYPE_PAIRS[case]])
+        shared = [rec for rec in analysis.points if rec.is_real and len(rec.components) == 2]
+        assert shared and all(isinstance(rec.point, AlgebraicPoint) for rec in shared)
+        rng = random.Random(case)
+    for rec in shared:
+        for i in rec.components:
+            c = analysis.components[i].chart
+            assert value_at_algebraic(restrict_to_chart(B("x"), c), c, rec.point) == rec.point.x
+            assert value_at_algebraic(restrict_to_chart(B("y"), c), c, rec.point) == rec.point.y
     for _ in range(5):
         F = _random_plane_poly(rng)
         for rec in shared:

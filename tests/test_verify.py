@@ -5,9 +5,11 @@ import pytest
 
 from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
+from soscurves.glue import SosCertificate
 from soscurves.points import AlgebraicPoint, RationalPoint
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import CircleFn, LineFn, float_value, restrict_to_chart, value_at_point
+from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate
 
 
@@ -76,3 +78,48 @@ def test_exact_agreement_at_algebraic_points():
     assert touching <= failed
     assert not elsewhere & failed
     assert {c.name for c in report.checks} >= touching | elsewhere
+
+
+def test_rational_point_off_a_component_fails_its_agreement_check():
+    # a parabola with two lines: moving P2 off the parabola and the line
+    # x - 1 is a failed check, not an exception
+    analysis = analyze_curve([B("y - x^2"), B("x - 1"), B("x + 2")])
+    F = B("x^2 + 1")
+    cert = full_certify(analysis, F)
+    assert verify_certificate(analysis, F, cert).ok
+    moved = [
+        replace(rec, point=RationalPoint(rec.point.x + 1, rec.point.y)) if rec.id == "P2" else rec
+        for rec in analysis.points
+    ]
+    report = verify_certificate(replace(analysis, points=moved), F, cert)
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("agreement:P2", "P2 is not on C1, C2")
+    ]
+
+
+def test_agreement_at_a_conjugate_pair():
+    # the unit circle and the line x = 2 meet only in the pair (2, +-i*sqrt(3));
+    # on the circle w = y and on the line t = y, so 1 + y^2 = 1^2 + w^2 = 1^2 + t^2
+    analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x - 2")])
+    (pair,) = analysis.points
+    assert (pair.id, pair.is_real, pair.point.abscissa) == ("P1", False, 2)
+    F = B("1 + y^2")
+    q = analysis.component("C1").chart.q
+
+    def checked(line_second):
+        cert = SosCertificate(
+            summands=[
+                {"C1": CircleFn.const(1, q), "C2": LineFn.const(1)},
+                {"C1": CircleFn(UniPoly.zero(), UniPoly.one(), q), "C2": line_second},
+            ]
+        )
+        return verify_certificate(analysis, F, cert)
+
+    t = LineFn(UniPoly.var())
+    report = checked(t)
+    assert report.ok, report.failures()
+    assert "agreement:P1" in {c.name for c in report.checks}
+    report = checked(-t)
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("agreement:P1", "summand 1 disagrees at non-real P1")
+    ]
