@@ -3,8 +3,11 @@
 The decision engine says when a certificate must exist; this module builds
 one.  Components with trivial bounded-function ring are assembled by exact
 two-square gluing; the remaining compact-type components are completed by
-the Gram solver, with attachment values prescribed so the two parts agree,
-then reflected into exact agreement summand by summand.
+one Gram problem on their plane ring (`gram`), whose summands are plane
+polynomials and so agree at the shared points among those components by
+construction.  Attachment values are prescribed so the two parts agree,
+and the completion is then reflected into exact agreement with the glued
+part summand by summand.
 """
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ from .gram import (
     alternating_projections,
     build_gram_problem,
     extract_summands,
+    normal_form,
+    subset_modulus,
 )
 from .points import RationalPoint
 from .ringfn import (
@@ -30,7 +35,6 @@ from .ringfn import (
     IrrationalAttachment,
     LineFn,
     RingFn,
-    restrict_to_chart,
     value_at_point,
 )
 
@@ -81,16 +85,14 @@ def _zero_fn(analysis: CurveAnalysis, cid: str) -> RingFn:
     return LineFn.zero()
 
 
-def _min_gram_degree(targets: dict[str, RingFn]) -> int:
-    need = 0
-    for fn in targets.values():
-        if isinstance(fn, LineFn):
-            need = max(need, (max(fn.num.degree, 0) + 1) // 2)
-        else:
-            da = max(fn.a.degree, 0)
-            db = fn.b.degree
-            need = max(need, (da + 1) // 2, (db + 2) // 2 if db >= 0 else 0)
-    return need
+def _min_gram_degree(analysis: CurveAnalysis, F: BiPoly, subset: tuple[str, ...]) -> int:
+    """ceil(deg NF(F) / 2), and at least 1.
+
+    NF(F) is the least-degree representative of F on the subset
+    (`gram.normal_form`), so no sum of squares of plane polynomials of a
+    lower degree equals F there.
+    """
+    return max(1, -(-normal_form(F, subset_modulus(analysis, subset)).total_degree // 2))
 
 
 def compact_complete(
@@ -101,31 +103,29 @@ def compact_complete(
 ) -> CompactResult:
     """Sum-of-squares completion on compact-type components.
 
-    Prescribed attachment data pins the summand value vectors at points the
-    rest of the curve has already fixed; the result is rotated so those
-    vectors are reproduced entry by entry, not just in norm.  Escalates the
-    gram degree up to a cap set by the degree of F, then raises Inconclusive.
+    The summands are plane polynomials found by one Gram problem on the
+    plane ring of the subset, restricted to each component.  Prescribed
+    attachment data pins the summand value vectors at points the rest of
+    the curve has already fixed; the result is rotated so those vectors are
+    reproduced entry by entry, not just in norm.  The gram degree starts at
+    `_min_gram_degree` and escalates up to a cap set by the degree of F;
+    when every degree stalls or stays above the numeric tolerance, it
+    raises Inconclusive.
     """
     subset = tuple(subset)
-    target_map: dict[str, RingFn] = {
-        cid: restrict_to_chart(F, analysis.component(cid).chart) for cid in subset
-    }
-
     prescribed = list(prescribed)
     for pv in prescribed:
-        expected = value_at_point(
-            target_map[pv.component], analysis.component(pv.component).chart, pv.point
-        )
+        expected = F(pv.point.x, pv.point.y)
         if expected != pv.norm_sq:
             raise ValueNormMismatch(pv.point_id, expected, pv.norm_sq)
 
-    d_min = max(_min_gram_degree(target_map), 1)
+    d_min = _min_gram_degree(analysis, F, subset)
     cap = 2 * max(F.total_degree, 1) + 6
 
     best_residual = float("inf")
     best: tuple[list[dict[str, RingFn]], float, int] | None = None
     for degree in range(d_min, cap + 1):
-        problem = build_gram_problem(analysis, target_map, subset, degree, prescribed)
+        problem = build_gram_problem(analysis, F, subset, degree, prescribed)
         try:
             sol = alternating_projections(problem)
         except NoConvergence as stall:

@@ -1,57 +1,51 @@
-"""Numeric Gram-matrix certification for targets on compact-type components.
+"""Numeric Gram-matrix certification on the plane ring of compact-type components.
 
-A sum of squares with summand vectors stacked over per-component monomial
-bases is exactly a psd Gram matrix G subject to affine constraints:
-coefficient matching on each diagonal block, kernel conditions
-G (e_i(P) - e_j(P)) = 0 making every summand agree at shared points, and
-optional value conditions e(P)^T G e(P) = c tying attachment values to a
-part of the curve certified elsewhere.  The solver is Douglas-Rachford
-splitting between the psd cone (eigenvalue clipping) and the affine subspace
-(least squares, factorized once); extraction rounds the iterate and projects
-it exactly onto the slice of the rational rows (Peyrl and Parrilo, TCS 2008).
+The components of a Gram problem are r conics in circle normal form,
+scale * (w^2 - q(x)) with w = y + s1*x + s0.  Their product F has degree 2r,
+and its w^(2r) coefficient in the frame (x, w) of the first conic is a
+nonzero constant, so division by F in w over Q[x] is the normal form NF
+modulo F (`normal_form`) and never raises the total degree.  A sum of
+squares of plane polynomials of degree at most D that equals the target f
+on these components is then a psd Gram matrix G on the monomials
+m = x^i w^j, j < 2r, i + j <= D, subject to rational affine rows: the
+coefficients of NF(m^T G m - f) = 0 (sums of squares modulo an ideal
+through normal forms: Parrilo, LNCIS 312, 2005), and optional value rows
+m(P)^T G m(Q) = <v_P, v_Q>, or G m(P) = 0 for a zero value, at rational
+attachment points P, Q, which tie the summands to a part of the curve
+certified elsewhere.  On one conic this is the problem on its chart,
+a(x) + b(x) w with w^2 = q(x).  The solver is Douglas-Rachford splitting
+between the psd cone (eigenvalue clipping) and the affine subspace (least
+squares, factorized once); extraction rounds the iterate and projects it
+exactly onto the slice of the rows (Peyrl and Parrilo, TCS 2008).
 
 Each exact fact about a rational candidate G is proved once:
-- the closing check of `_ExactAffineSnap.snap` proves every exact row:
-  coefficient matching, G u = 0 at rational shared points and at zero value
-  prescriptions, and the value rows e(P)^T G e(Q) = <v_P, v_Q>;
-- `_agrees_at_algebraic_points` proves agreement at the shared points with
-  algebraic coordinates, whose kernel rows the solver sees as floats only:
-  there the relation e_i(P) - e_j(P) has its entries in Q[u]/(P') for the
-  point's frame value u (`unipoly.BoxedValue`), and each entry of G times
-  it must vanish at the boxed root;
+- the closing check of `_ExactAffineSnap.snap` proves every row;
 - the exact L D L^T of `_rational_ldl` proves G psd, G = sum d_k l_k l_k^T.
-For psd G, u^T G u = sum d_k (l_k . u)^2, so G u = 0 makes every summand
-l_k agree at the point; the coefficient rows give sum d_k f_k^2 = target and
-the value rows are bilinear in G.  Splitting each d_k into rational squares
-keeps all three, so the summands need no further check.
-
-One filter runs before these proofs and proves nothing: `_AgreementScreen`
-evaluates the first test `_agrees_at_algebraic_points` would make on the
-snapped matrix directly on the rounded one, since the snap is affine
-(`_ExactAffineSnap.pull_back`), and skips the snap when that test fails.
-It only rejects, and only candidates the agreement check would reject
-after the snap; every accepted candidate is still snapped and proved.
+Then sum d_k S_k^2 = f modulo F for the plane polynomials S_k = l_k^T m,
+the value rows are bilinear in G, and for psd G, G m(P) = 0 makes every
+S_k vanish at P.  Splitting each d_k into rational squares keeps all of
+it.  A summand is one S_k restricted to each component
+(`_restricted_basis`), so the summands agree at every shared point,
+rational or algebraic, by construction, and need no further check.  A
+candidate whose pivots are too large for the square search in `numbers`
+ends the rounding ladder (`_SPLIT_BITS`); on products of conics that
+leaves the certificate numeric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from .components import CircleChart, LineChart
+from .bipoly import BiPoly
+from .components import CircleChart
 from .curve import CurveAnalysis
-from .numbers import limit_denominators, rational_square_list
-from .points import AlgebraicPoint, RationalPoint
-from .ringfn import (
-    CircleFn,
-    LineFn,
-    RingFn,
-    chart_arguments,
-    sum_of_squares,
-)
-from .unipoly import BoxedValue, RootBox, UniPoly
+from .numbers import limit_denominators, rational_square_list, sqrt_fraction
+from .points import RationalPoint
+from .ringfn import CircleFn, RingFn
+from .unipoly import UniPoly
 
 
 class NoConvergence(RuntimeError):
@@ -84,21 +78,6 @@ class NoConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GramBlock:
-    component: str
-    kind: str  # "line" or "circle"
-    offset: int
-    # line: 1, t, ..., t^degree; circle: 1, x, ..., x^degree, then
-    # w, xw, ..., x^(degree-1) w, where w^2 = q(x)
-    degree: int
-    q: UniPoly | None = None  # the circle chart's q; None on a line
-
-    @property
-    def size(self) -> int:
-        return self.degree + 1 if self.kind == "line" else 2 * self.degree + 1
-
-
-@dataclass(frozen=True)
 class PrescribedValue:
     """Attachment data: the summand value vector a target must reproduce."""
 
@@ -113,53 +92,25 @@ class PrescribedValue:
 
 
 @dataclass(frozen=True)
-class KernelPoint:
-    """A real point shared by two or more components of the problem.
-
-    At a rational point the agreement conditions are exact rows of the
-    problem.  At an algebraic point alpha, `relations` holds one map per
-    incident component after the first: basis index s to the entry w_s of
-    e_first(alpha) - e_other(alpha) in Q[u]/(P'), P' the modulus of the
-    point's coordinates.  A psd G makes every summand agree there exactly
-    when G w = 0 at alpha (see the module docstring), which
-    `_agrees_at_algebraic_points` tests.
-    """
-
-    point_id: str
-    components: tuple[str, ...]
-    point: RationalPoint | AlgebraicPoint
-    relations: tuple[dict[int, BoxedValue], ...] = ()
-
-
-@dataclass(frozen=True)
 class Row:
-    """The constraint sum of coeffs[i, j] * G[i, j] over i <= j equals rhs.
+    """The constraint sum of coeffs[i, j] * G[i, j] over i <= j equals rhs."""
 
-    Coefficients are Fractions, except in the kernel rows of a shared point
-    with algebraic coordinates: those carry the floats of the entries of
-    `KernelPoint.relations` for the solver and have `exact` False.  The
-    snap leaves them out; extraction checks the relations exactly.
-    """
-
-    coeffs: dict[tuple[int, int], Fraction | float]
+    coeffs: dict[tuple[int, int], Fraction]
     rhs: Fraction
-    exact: bool = True
 
 
 @dataclass
 class GramProblem:
-    blocks: list[GramBlock]
-    rows: list[Row]
-    snap: "_ExactAffineSnap"  # exact projection onto the exact rows
-    screen: "_AgreementScreen | None"  # reject-only test of candidates before the snap
-    degree: int
-    targets: dict[str, RingFn]
-    kernel_points: list[KernelPoint] = field(default_factory=list)
-    values: list[PrescribedValue] = field(default_factory=list)
+    basis: list[tuple[int, int]]  # exponents (i, j) of the monomials x^i w^j, ordered by (j, i)
+    rows: list[Row]  # the coefficient rows first, then the value rows
+    matching: int  # the number of coefficient rows
+    snap: "_ExactAffineSnap"  # exact projection onto the rows
+    # per component, the basis monomials restricted to it, in basis order
+    restricted: dict[str, list[CircleFn]]
 
     @property
     def dim(self) -> int:
-        return self.blocks[-1].offset + self.blocks[-1].size if self.blocks else 0
+        return len(self.basis)
 
 
 @dataclass
@@ -193,139 +144,118 @@ def _project_psd(S: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _coeff_slots(fn: RingFn) -> dict[tuple[str, int], Fraction]:
-    """Sparse {(part, power): coefficient} view of a ring function."""
-    out: dict[tuple[str, int], Fraction] = {}
-    if isinstance(fn, LineFn):
-        if fn.order:
-            raise ValueError("gram problems support polynomial line functions only")
-        for m, c in enumerate(fn.num.coeffs):
-            if c:
-                out[("a", m)] = c
-    else:
-        for m, c in enumerate(fn.a.coeffs):
-            if c:
-                out[("a", m)] = c
-        for m, c in enumerate(fn.b.coeffs):
-            if c:
-                out[("b", m)] = c
+def subset_modulus(analysis: CurveAnalysis, subset: list[str] | tuple[str, ...]) -> BiPoly:
+    """The product of the subset's factors: the modulus of its plane ring.
+
+    Every factor must be a conic with a circle chart, scale * (w^2 - q(x)),
+    so that the product has a nonzero constant coefficient at its top power
+    of y and no term of higher total degree; others raise ValueError.
+    """
+    out = BiPoly.const(1)
+    for cid in subset:
+        comp = analysis.component(cid)
+        if not isinstance(comp.chart, CircleChart):
+            raise ValueError(f"{cid}: no gram basis for this component type")
+        out = out * comp.poly
     return out
 
 
-def _basis_values(block: GramBlock, chart, point: RationalPoint | AlgebraicPoint) -> list:
-    """Exact basis values at a real point (Fractions, or elements of an algebraic
-    point's Q[u]/(P')): running products of the chart arguments, t^k on a line
-    and x^k, then x^k w on a circle, in the order of `GramBlock`."""
-    args = chart_arguments(chart, point)
-    vals = [args[0] * 0 + 1]  # the one of the arguments' ring
-    for _ in range(block.degree):
-        vals.append(vals[-1] * args[0])
-    if block.kind == "circle":
-        vals += [xk * args[1] for xk in vals[: block.degree]]
-    return vals
+def _powers_mod(modulus: BiPoly, top: int) -> list[list[tuple[int, int, Fraction]]]:
+    """NF(y^b) for b = 0..top, each as its terms (i, j, c) for c x^i y^j.
+
+    The modulus is c_e y^e + sum c_j(x) y^j over j < e with c_e a nonzero
+    constant, so y^e = -sum c_j(x) y^j / c_e modulo it.  NF(y^(b+1)) is
+    y NF(y^b) with its y^e term replaced that way; every c_j(x) y^j has
+    total degree at most e, so no step raises the total degree.
+    """
+    coeffs = modulus.as_y_polynomial()
+    e = len(coeffs) - 1
+    tail = [c.scale(-1 / coeffs[e].coeff(0)) for c in coeffs[:e]]
+    power = [UniPoly.one()] + [UniPoly.zero()] * (e - 1)
+    out = []
+    for _ in range(top + 1):
+        out.append([(i, j, c) for j, p in enumerate(power) for i, c in enumerate(p.coeffs) if c])
+        over = power[-1]
+        power = [UniPoly.zero()] + power[:-1]
+        if not over.is_zero():
+            power = [p + over * t for p, t in zip(power, tail)]
+    return out
+
+
+def normal_form(p: BiPoly, modulus: BiPoly) -> BiPoly:
+    """The remainder of p on division by a `subset_modulus` in y over Q[x].
+
+    That is the normal form modulo the Groebner basis {modulus} in grevlex
+    order with y > x, whose leading monomial is the top power of y: NF(p)
+    is 0 exactly when the modulus divides p, and, grevlex being
+    degree-compatible, no polynomial congruent to p has a lower total degree
+    than NF(p).  The same holds in any affine frame, as in `_to_frame`.
+    """
+    powers = _powers_mod(modulus, max(p.deg_y, 0))
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a, b), c in p.terms.items():
+        for i, j, d in powers[b]:
+            out[(a + i, j)] = out.get((a + i, j), 0) + c * d
+    return BiPoly(out)
+
+
+def _to_frame(p: BiPoly, frame: CircleChart) -> BiPoly:
+    """p(x, w - s1*x - s0): p in x and the frame's w = y + s1*x + s0, named y."""
+    return p.translate(0, -frame.s0).compose_linear(1, 0, -frame.s1, 1)
 
 
 def build_gram_problem(
     analysis: CurveAnalysis,
-    targets: dict[str, RingFn],
+    F: BiPoly,
     subset: list[str] | tuple[str, ...],
     degree: int,
     values: list[PrescribedValue] | tuple[PrescribedValue, ...] = (),
 ) -> GramProblem:
-    """Set up the constrained Gram problem for the subset of components.
+    """Set up the constrained Gram problem for the plane target F on the subset.
 
-    `targets` maps each component id to the target's restriction there.
-    `degree` bounds the basis: powers 1..t^d on lines, 1..x^d plus w, xw,
-    ..., x^(d-1) w on circle-form conics.
+    The subset holds r circle-chart conics, and the problem lives in the
+    frame (x, w) of the first one's chart.  The basis is the monomials
+    x^i w^j with j < 2r and i + j <= degree, ordered by (j, i); product
+    k <= l of the basis contributes NF(m_k m_l) = x^(i_k+i_l) NF(w^(j_k+j_l))
+    to the coefficient rows, which are ordered by the exponents (j, i) of
+    their monomial.  On one conic this is its chart problem: NF(w^2) = q(x).
     """
     subset = tuple(subset)
-    blocks: list[GramBlock] = []
+    modulus = subset_modulus(analysis, subset)
     charts = {cid: analysis.component(cid).chart for cid in subset}
-    offset = 0
-    for cid in subset:
-        chart = charts[cid]
-        if isinstance(chart, LineChart):
-            # squares of polynomials cannot cancel leading terms, so a line
-            # summand has degree exactly half the target degree; powers above
-            # that bound never occur in an exact representation and would
-            # only loosen the numeric relaxation
-            fn = targets[cid]
-            if isinstance(fn, LineFn) and fn.order == 0:
-                rule = max(0, -(-fn.num.degree // 2))
-            else:
-                rule = degree
-            block = GramBlock(cid, "line", offset, min(degree, rule))
-        elif isinstance(chart, CircleChart):
-            block = GramBlock(cid, "circle", offset, degree, chart.q)
-        else:
-            raise ValueError(f"{cid}: no gram basis for this component type")
-        blocks.append(block)
-        offset += block.size
-    n = offset
-    block_of = {b.component: b for b in blocks}
+    frame = charts[subset[0]]
+    modulus = _to_frame(modulus, frame)
+    basis = [(i, j) for j in range(2 * len(subset)) for i in range(degree + 1 - j)]
+    n = len(basis)
+    powers = _powers_mod(modulus, 2 * degree)
 
-    rows: list[Row] = []
-    for block in blocks:
-        slots: dict[tuple[str, int], dict[tuple[int, int], Fraction]] = {}
-        for k in range(block.size):
-            for l in range(k, block.size):
-                i, j = block.offset + k, block.offset + l
-                for slot, c in _product_slots(block, k, l):
-                    slots.setdefault(slot, {})[(i, j)] = c if i == j else 2 * c
-        wanted = _coeff_slots(targets[block.component])
-        for slot in wanted:
-            if slot not in slots:
-                raise ValueError(
-                    f"{block.component}: target degree exceeds the basis "
-                    f"(missing {slot} at gram degree {degree})"
-                )
-        for slot, coeffs in sorted(slots.items()):
-            rows.append(Row(coeffs, wanted.get(slot, Fraction(0))))
+    slots: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+    for k, (ik, jk) in enumerate(basis):
+        for l in range(k, n):
+            il, jl = basis[l]
+            for i, j, c in powers[jk + jl]:
+                slots.setdefault((j, ik + il + i), {})[(k, l)] = c if k == l else 2 * c
+    wanted = {(j, i): c for (i, j), c in normal_form(_to_frame(F, frame), modulus).terms.items()}
+    for j, i in wanted:
+        if (j, i) not in slots:
+            raise ValueError(
+                f"target degree exceeds the basis (missing x^{i} w^{j} at gram degree {degree})"
+            )
+    rows = [Row(coeffs, wanted.get(slot, Fraction(0))) for slot, coeffs in sorted(slots.items())]
+    matching = len(rows)
 
-    kernel_points: list[KernelPoint] = []
-    index_of = {cid: analysis.component(cid).index for cid in subset}
-    for rec in analysis.points:
-        if not rec.is_real:
-            continue
-        incident = [cid for cid in subset if index_of[cid] in rec.components]
-        if len(incident) < 2:
-            continue
-        # e_first - e_other, exact; at an algebraic point the solver sees
-        # its float image and `_agrees_at_algebraic_points` the exact one
-        evals = {
-            cid: _basis_vector(block_of[cid], _basis_values(block_of[cid], charts[cid], rec.point))
-            for cid in incident
-        }
-        relations = []
-        for other in incident[1:]:
-            rel = dict(evals[incident[0]])
-            for s, v in evals[other].items():
-                rel[s] = -v
-            relations.append(rel)
-        rational = isinstance(rec.point, RationalPoint)
-        kernel_points.append(
-            KernelPoint(rec.id, tuple(incident), rec.point, () if rational else tuple(relations))
-        )
-        for rel in relations:
-            if not rational:
-                rel = {s: w.poly.eval_float(rec.point.u_float) for s, w in rel.items()}
-            rows += _kernel_rows(rel, n, rational)
-
-    values = list(values)
-    evecs = [
-        _basis_vector(
-            block_of[pv.component],
-            _basis_values(block_of[pv.component], charts[pv.component], pv.point),
-        )
-        for pv in values
-    ]
+    points = [(pv.point.x, pv.point.y + frame.s1 * pv.point.x + frame.s0) for pv in values]
+    evecs = [{k: v for k, (i, j) in enumerate(basis) if (v := x**i * w**j)} for x, w in points]
     zero_ids = {i for i, pv in enumerate(values) if not any(pv.vector)}
     for i in sorted(zero_ids):
         # a zero prescription means every summand vanishes at the point,
-        # which for a psd matrix is the linear condition G e(P) = 0; the
+        # which for a psd matrix is the linear condition G m(P) = 0; the
         # quadratic form alone would leave the kernel membership implicit
         # and exact factorization could not recover it from rounded data
-        rows += _kernel_rows(evecs[i], n, True)
+        rows += [
+            Row({(min(r, s), max(r, s)): c for s, c in evecs[i].items()}, Fraction(0))
+            for r in range(n)
+        ]
     for i, pv in enumerate(values):
         for j in range(i, len(values)):
             if i in zero_ids or j in zero_ids:
@@ -340,44 +270,33 @@ def build_gram_problem(
                     row[key] = row.get(key, Fraction(0)) + ca * cb
             rows.append(Row(row, inner))
 
-    snap = _ExactAffineSnap([r for r in rows if r.exact])
     return GramProblem(
-        blocks=blocks,
+        basis=basis,
         rows=rows,
-        snap=snap,
-        screen=_AgreementScreen.build(snap, kernel_points),
-        degree=degree,
-        targets=targets,
-        kernel_points=kernel_points,
-        values=values,
+        matching=matching,
+        snap=_ExactAffineSnap(rows),
+        restricted={cid: _restricted_basis(basis, frame, chart) for cid, chart in charts.items()},
     )
 
 
-def _product_slots(block: GramBlock, k: int, l: int) -> list[tuple[tuple[str, int], Fraction]]:
-    """The nonzero coefficient slots of the product of basis functions k <= l,
-    by exponent sums: t^i t^j = t^(i+j) and x^i x^j = x^(i+j) go to a-slot
-    i+j, x^i * x^j w to b-slot i+j, and x^i w * x^j w = x^(i+j) q(x) to the
-    a-slots i+j+m with the coefficients q_m."""
-    d = block.degree
-    if block.kind == "line" or l <= d:
-        return [(("a", k + l), Fraction(1))]
-    if k <= d:
-        return [(("b", k + l - d - 1), Fraction(1))]
-    s = k + l - 2 * d - 2
-    return [(("a", s + m), c) for m, c in enumerate(block.q.coeffs) if c]
+def _restricted_basis(
+    basis: list[tuple[int, int]], frame: CircleChart, chart: CircleChart
+) -> list[CircleFn]:
+    """The monomials x^i w^j of the frame as functions on the chart's conic.
 
-
-def _basis_vector(block: GramBlock, vals: list) -> dict[int, Fraction | float]:
-    """Nonzero basis values of one block, keyed by their index in the stacked basis."""
-    return {block.offset + s: v for s, v in enumerate(vals) if v}
-
-
-def _kernel_rows(u: dict[int, Fraction | float], n: int, exact: bool) -> list[Row]:
-    """The n rows of G u = 0."""
-    return [
-        Row({(min(r, s), max(r, s)): c for s, c in u.items()}, Fraction(0), exact)
-        for r in range(n)
-    ]
+    There w = w_C + (s1 - s1_C) x + (s0 - s0_C) for the chart's own
+    w_C = y + s1_C x + s0_C, so on the frame's own conic x^i w^j is the
+    chart's x^i w_C^j.
+    """
+    w = CircleFn(UniPoly([frame.s0 - chart.s0, frame.s1 - chart.s1]), UniPoly.one(), chart.q)
+    powers = [CircleFn.const(1, chart.q)]
+    for _ in range(max(j for _, j in basis)):
+        powers.append(powers[-1] * w)
+    out = []
+    for i, j in basis:
+        shift = UniPoly([0] * i + [1])
+        out.append(CircleFn(powers[j].a * shift, powers[j].b * shift, chart.q))
+    return out
 
 
 def _constraint_matrix(problem: GramProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -474,6 +393,11 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
 
 _ROUND_LADDER = (1, 2, 4, 8, 16, 64, 1024, 10**6, 10**9)
 _PROBE_LADDER = (1, 2, 4, 8, 16, 64, 1024)
+# pivots beyond this many bits are not split (see _round_to_exact).  On the
+# benchmark corpus the first psd candidates of single conics need at most 87
+# bits, except the 206-bit ellipse hang reproducer, and those of products of
+# two circles 156 bits or more
+_SPLIT_BITS = 128
 _SCREEN_MARGIN = 1e-9  # relative eigenvalue margin of the float screen in _rational_ldl
 
 
@@ -489,15 +413,6 @@ class _ExactAffineSnap:
     each snap is a forward and a backward sweep over the pivots.  Dependent
     rows leave pivots out; a system that is inconsistent with them is caught
     by the closing row check of `snap`.
-
-    The snap is affine: snap(ghat) = ghat + sum_a lam_a M_a, with M_a the
-    symmetric matrix of row a (so <M_a, G> = R_a(G)) and lam = S (b - R ghat).
-    The forward sweep of `_solve_normal` reads only the pivot rows p, so
-    S = E_p N_pp^-1 E_p^T, which is symmetric also when rows are dependent.
-    For a linear phi and f_a = phi(M_a) this gives
-    phi(snap(ghat)) = phi(ghat) + (S f) . (b - R ghat) = c + <psi, ghat>
-    with z = S f, c = z . b and psi = phi - sum_a z_a R_a: one solve pulls
-    phi back to the rounded matrix (`pull_back`).
     """
 
     def __init__(self, rows: list[Row]):
@@ -556,38 +471,11 @@ class _ExactAffineSnap:
             lam[p] = acc
         return lam
 
-    def pull_back(
-        self, phi: dict[tuple[int, int], Fraction]
-    ) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
-        """(c, psi) with phi(snap(ghat)) = c + <psi, ghat> for symmetric ghat.
-
-        phi and psi are keyed like row coefficients, (i, j) with i <= j,
-        and <psi, G> = sum psi[i, j] G[i][j]; see the class docstring.
-        The identity holds wherever `snap` returns a matrix.
-        """
-        f = []
-        for row in self.rows:
-            acc = Fraction(0)
-            for key, c in row.coeffs.items():
-                d = phi.get(key)
-                if d is not None:
-                    acc += c * d / (2 if key[0] != key[1] else 1)
-            f.append(acc)
-        psi = dict(phi)
-        const = Fraction(0)
-        for z, row in zip(self._solve_normal(f), self.rows):
-            if not z:
-                continue
-            const += z * row.rhs
-            for key, c in row.coeffs.items():
-                psi[key] = psi.get(key, 0) - z * c
-        return const, {key: c for key, c in psi.items() if c}
-
     def snap(self, ghat: list[list[Fraction]]) -> list[list[Fraction]] | None:
-        """Nearest matrix to ghat satisfying every exact row, or None.
+        """Nearest matrix to ghat satisfying every row, or None.
 
         The closing check is the one place that proves a candidate meets
-        every exact row; it returns None when the rows are inconsistent,
+        every row; it returns None when the rows are inconsistent,
         which rounding noise cannot cause (the rows come from a feasible
         problem).
         """
@@ -616,75 +504,6 @@ class _ExactAffineSnap:
         return out
 
 
-@dataclass(frozen=True)
-class _AgreementScreen:
-    """The first test of `_agrees_at_algebraic_points`, pulled back before the snap.
-
-    For the first relation w of the first algebraic kernel point, with
-    entries in Q[u]/(P'), that test takes row 0 of the snapped matrix:
-    sum_s G[0][s] w_s, and rejects when it does not vanish at the point.
-    Its coordinate of u^k, k < deg P', is the linear map
-    phi_k(G) = sum_s G[0][s] coeff_k(w_s), and `_ExactAffineSnap.pull_back`
-    turns each into c_k + <psi_k, ghat> on the rounded matrix, so the
-    screen evaluates the same element without snapping.  It only ever
-    rejects a candidate that `_promote` would reject; every acceptance
-    still goes through the snap and `_promote`.
-    """
-
-    box: RootBox
-    modulus: UniPoly
-    terms: tuple[tuple[Fraction, tuple[tuple[int, int, Fraction], ...]], ...]
-    # the entries (i, j), i <= j, of ghat that `rejects` reads
-    keys: tuple[tuple[int, int], ...] = field(init=False, compare=False)
-    # per term: const and psi as integer numerators over one denominator
-    _ints: tuple[tuple[Fraction, int, tuple[tuple[int, int, int], ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        ints = []
-        for const, psi in self.terms:
-            den = lcm(*(c.denominator for _, _, c in psi))
-            ints.append((const, den, tuple((i, j, c.numerator * (den // c.denominator)) for i, j, c in psi)))
-        object.__setattr__(self, "_ints", tuple(ints))
-        keys = dict.fromkeys((i, j) for _, psi in self.terms for i, j, _ in psi)
-        object.__setattr__(self, "keys", tuple(keys))
-
-    @staticmethod
-    def build(
-        snap: _ExactAffineSnap, kernel_points: list[KernelPoint]
-    ) -> "_AgreementScreen | None":
-        kp = next((kp for kp in kernel_points if kp.relations), None)
-        if kp is None:
-            return None
-        rel = {s: w.coords for s, w in kp.relations[0].items()}
-        ring = kp.point.x
-        terms = []
-        for k in range(ring.modulus.degree):
-            phi = {(0, s): c[k] for s, c in rel.items() if c[k]}
-            const, psi = snap.pull_back(phi)
-            terms.append((const, tuple((i, j, c) for (i, j), c in psi.items())))
-        return _AgreementScreen(ring.box, ring.modulus, tuple(terms))
-
-    def rejects(self, ghat: list[list[Fraction]]) -> bool:
-        """Whether row 0 of snap(ghat) fails the agreement test at the point."""
-        coeffs = []
-        for const, den, psi in self._ints:
-            # sum c * ghat[i][j] as acc / acc_den, over a running common denominator
-            acc, acc_den = 0, 1
-            for i, j, c in psi:
-                x = ghat[i][j]
-                if x:
-                    xd = x.denominator
-                    if acc_den % xd:
-                        m = xd // gcd(acc_den, xd)
-                        acc *= m
-                        acc_den *= m
-                    acc += c * x.numerator * (acc_den // xd)
-            coeffs.append(const + Fraction(acc, acc_den * den))
-        return not BoxedValue(UniPoly(coeffs), self.box, self.modulus).is_zero()
-
-
 @dataclass
 class Extraction:
     summands: list[dict[str, RingFn]]
@@ -709,7 +528,7 @@ def extract_summands(sol: GramSolution) -> Extraction:
     vectors = [np.sqrt(max(w[i], 0.0)) * v[:, i] for i in order if w[i] > cutoff]
     float_vectors = [[Fraction(float(c)) for c in vec] for vec in vectors]
     summands = _vectors_to_summands(sol.problem, float_vectors)
-    return Extraction(summands, False, _float_residual(sol.problem, summands))
+    return Extraction(summands, False, _float_residual(sol.problem, vectors))
 
 
 def _round_to_exact(
@@ -718,92 +537,43 @@ def _round_to_exact(
     """Exact summands from the first rounding of the matrix that promotes, or None.
 
     Each rung rounds the entries to rationals with bounded denominators and
-    projects the result exactly onto the slice of the exact rows, so
-    irrational eigen directions are never an obstruction.
+    projects the result exactly onto the slice of the rows, so irrational
+    eigen directions are never an obstruction.  Each entry gets one
+    `limit_denominators` call, for every rung at once.
 
-    Before the snap, the problem's `_AgreementScreen` evaluates the first
-    agreement test of `_promote` on the snapped matrix without computing
-    it: the snap is affine with a symmetric solve (`_ExactAffineSnap`), so
-    each coefficient of the tested polynomial is c_k + <psi_k, ghat>.  A
-    rung the screen rejects would fail `_agrees_at_algebraic_points` after
-    the snap, so skipping it changes no result.
-
-    Entries are rounded lazily: an entry gets one `limit_denominators` call,
-    for every rung at once, the first time a rung reads it.  A rung first
-    fills only the entries the screen reads (`_AgreementScreen.keys`); the
-    full candidate is built, snapped and promoted only when the screen
-    passes it or there is no screen, and it is the candidate an eager
-    rounding of every entry would give.
+    The first psd candidate ends the ladder.  Its L D L^T pivots d = p/q are
+    split into rational squares by the search in `numbers`, which scans
+    O(sqrt(pq)) candidates; a pivot that is no rational square and has
+    pq >= 2^_SPLIT_BITS would never finish, and a finer rung only adds
+    height, so such a candidate ends the ladder with None.  The snap of a
+    product of conics, whose reduced products enter every coefficient row,
+    gives pivots of hundreds of bits, so there the certificate stays
+    numeric unless the problem is small.
     """
     n = problem.dim
-    entries = matrix.tolist()
-    rounded: dict[tuple[int, int], list[Fraction]] = {}
-
-    def rounding(key: tuple[int, int]) -> list[Fraction]:
-        vals = rounded.get(key)
-        if vals is None:
-            vals = rounded[key] = limit_denominators(entries[key[0]][key[1]], ladder)
-        return vals
-
-    screen = problem.screen
-    if screen is not None:
-        # only the screen's keys are ever set, and every rung sets all of them
-        probe = [[Fraction(0)] * n for _ in range(n)]
+    upper = [
+        [limit_denominators(x, ladder) for x in row[i:]] for i, row in enumerate(matrix.tolist())
+    ]
     for rung in range(len(ladder)):
-        if screen is not None:
-            for i, j in screen.keys:
-                probe[i][j] = rounding((i, j))[rung]
-            if screen.rejects(probe):
-                continue
         g = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                g[i][j] = g[j][i] = rounding((i, j))[rung]
-        # a rounded g that passes _promote meets every exact row, so the
-        # snap returns it unchanged: the snapped matrix is the only candidate
+                g[i][j] = g[j][i] = upper[i][j - i][rung]
+        # a rounded g that is psd and meets every row is its own snap
         snapped = problem.snap.snap(g)
-        found = None if snapped is None else _promote(problem, snapped)
-        if found is not None:
-            return found
+        pivots = None if snapped is None else _rational_ldl(snapped)
+        if pivots is None:
+            continue
+        if any(
+            (d.numerator * d.denominator).bit_length() > _SPLIT_BITS and sqrt_fraction(d) is None
+            for d, _ in pivots
+        ):
+            return None
+        # g = sum d_k l_k l_k^T gives each summand exactly what the module
+        # docstring states, and so does each square r^2 of the split of d_k
+        vectors = [[r * c for c in col] for d, col in pivots for r in rational_square_list(d)]
+        return _vectors_to_summands(problem, vectors)
     return None
-
-
-def _promote(
-    problem: GramProblem, g: list[list[Fraction]]
-) -> list[dict[str, RingFn]] | None:
-    """Exact summands from a snapped rational Gram candidate, or None.
-
-    The snap has proved every exact row.  Agreement at the algebraic shared
-    points is tested next, on g itself, so a g that fails it never reaches
-    the exact L D L^T; the L D L^T then rejects a non-psd g.  For the rest,
-    g = sum d_k l_k l_k^T with d_k > 0 gives each summand exactly what the
-    module docstring states, and so does each square r^2 of the split of d_k.
-    """
-    if not _agrees_at_algebraic_points(problem, g):
-        return None
-    pivots = _rational_ldl(g)
-    if pivots is None:
-        return None
-    exact_vectors: list[list[Fraction]] = []
-    for d, col in pivots:
-        for r in rational_square_list(d):
-            if r:
-                exact_vectors.append([r * c for c in col])
-    return _vectors_to_summands(problem, exact_vectors)
-
-
-def _agrees_at_algebraic_points(problem: GramProblem, g: list[list[Fraction]]) -> bool:
-    """Whether g w(alpha) = 0 for every relation w of every algebraic kernel
-    point: row r of g times w is one element of Q[u]/(P'), zero or not at alpha."""
-    for kp in problem.kernel_points:
-        ring = kp.point.x
-        for rel in kp.relations:
-            polys = [w.poly for w in rel.values()]
-            for row in g:
-                acc = UniPoly.lincomb([row[s] for s in rel], polys)
-                if not BoxedValue(acc, ring.box, ring.modulus).is_zero():
-                    return False
-    return True
 
 
 def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction]]] | None:
@@ -914,31 +684,18 @@ def _float_screen_rejects(g: list[list[Fraction]]) -> bool:
 def _vectors_to_summands(
     problem: GramProblem, vectors: list[list[Fraction]]
 ) -> list[dict[str, RingFn]]:
-    """One summand per vector, read off its coordinates in the monomial bases
-    (`GramBlock.degree`): a line block is the coefficient list of the
-    polynomial, a circle block the d + 1 coefficients of a(x), then of b(x)."""
-    out = []
-    for vec in vectors:
-        entry: dict[str, RingFn] = {}
-        for block in problem.blocks:
-            coords = vec[block.offset : block.offset + block.size]
-            if block.kind == "line":
-                entry[block.component] = LineFn(UniPoly(coords))
-            else:
-                split = block.degree + 1
-                entry[block.component] = CircleFn(
-                    UniPoly(coords[:split]), UniPoly(coords[split:]), block.q
-                )
-        out.append(entry)
-    return out
+    """One summand per vector: the polynomial with the vector's coordinates
+    on the monomial basis, restricted to every component."""
+    return [
+        {cid: CircleFn.lincomb(vec, fns) for cid, fns in problem.restricted.items()}
+        for vec in vectors
+    ]
 
 
-def _float_residual(problem: GramProblem, summands: list[dict[str, RingFn]]) -> float:
-    """Largest coefficient of sum f^2 - target, in magnitude, over the blocks."""
-    worst = 0.0
-    for block in problem.blocks:
-        target = problem.targets[block.component]
-        gap = sum_of_squares([s[block.component] for s in summands], target) - target
-        for c in _coeff_slots(gap).values():
-            worst = max(worst, abs(float(c)))
-    return worst
+def _float_residual(problem: GramProblem, vectors: list[np.ndarray]) -> float:
+    """Largest coefficient of NF(sum S_k^2 - f), in magnitude: the
+    coefficient rows at G = sum v_k v_k^T."""
+    m, rhs = _constraint_matrix(problem)
+    g = sum((np.outer(v, v) for v in vectors), np.zeros((problem.dim, problem.dim)))
+    k = problem.matching
+    return float(np.max(np.abs(m[:k] @ g.reshape(-1) - rhs[:k]), initial=0.0))

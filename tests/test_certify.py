@@ -4,12 +4,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from soscurves import curve
-from soscurves.certify import full_certify
+from soscurves import curve, gram
+from soscurves.certify import Inconclusive, ValueNormMismatch, compact_complete, full_certify
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
 from soscurves.decide import decide_psd_eq_sos
 from soscurves.glue import NotPsdOnComponent, forest_assemble, reflect
+from soscurves.points import RationalPoint
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import CircleFn, IrrationalAttachment, LineFn
 from soscurves.tribool import TriBool
@@ -41,14 +42,37 @@ def certify(factors, target):
         (["x^2 + y^2 - 1", "y - x - 1"], "x^2 + 3", True),
         # hyperbola between two lines: no exact two-square split on the hyperbola
         (["x*y - 2", "x - 1", "x - 3"], "x^2 + y^2 + 1", False),
-        # two overlapping circles: Gram completion at irrational shared points
-        (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1", False),
+        # two overlapping circles: one Gram problem on their plane ring, whose
+        # summands agree at the irrational shared points by construction
+        (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1", True),
     ],
 )
 def test_certificate_verifies(factors, target, exact):
     cert, report = certify(factors, target)
     assert cert.exact is exact
     assert report.ok, report.failures()
+
+
+def test_negative_target_is_inconclusive():
+    # -1 is no sum of squares anywhere: the solver stalls at every gram
+    # degree, and the escalation ends with a typed refusal
+    analysis = analyze_curve([B("x^2 + y^2 - 1")])
+    problem = gram.build_gram_problem(analysis, B("-1"), ("C1",), 1)
+    with pytest.raises(gram.NoConvergence) as stall:
+        gram.alternating_projections(problem)
+    assert stall.value.psd_residual > 0.1
+    with pytest.raises(Inconclusive) as refused:
+        compact_complete(analysis, B("-1"), ("C1",))
+    assert refused.value.degree_cap == 8
+
+
+def test_prescribed_values_must_match_the_target():
+    # the target is 2 at (1, 0), but the prescribed summand values square to 4
+    analysis = analyze_curve([B("x^2 + y^2 - 1")])
+    pv = gram.PrescribedValue("P", "C1", RationalPoint(Fr(1), Fr(0)), (Fr(2),))
+    with pytest.raises(ValueNormMismatch) as raised:
+        compact_complete(analysis, B("x^2 + 1"), ("C1",), [pv])
+    assert raised.value.point_id == "P"
 
 
 def test_irrational_attachment_is_refused():

@@ -1,48 +1,39 @@
+import random
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from soscurves import gram
-from soscurves.certify import full_certify
+from soscurves.bipoly import BiPoly
+from soscurves.components import CircleChart
 from soscurves.curve import analyze_curve
-from soscurves.points import AlgebraicPoint
+from soscurves.points import AlgebraicPoint, RationalPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import CircleFn, LineFn, restrict_to_chart, value_at_algebraic
-from soscurves.unipoly import BoxedValue, UniPoly, isolate_real_roots
+from soscurves.ringfn import restrict_to_chart, value_at_algebraic
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from bench_instances import compact_gram_draw, load_data  # noqa: E402
 
 
-def _problem(factors, target, degree):
+def _compact(analysis):
+    """The components a Gram problem takes: the circle-chart conics."""
+    return [c.label for c in analysis.components if isinstance(c.chart, CircleChart)]
+
+
+def _problem(factors, target, degree, values=()):
     analysis = analyze_curve([B(f) for f in factors])
-    cids = [c.label for c in analysis.components]
-    F = B(target)
-    targets = {cid: restrict_to_chart(F, analysis.component(cid).chart) for cid in cids}
-    return gram.build_gram_problem(analysis, targets, cids, degree)
-
-
-def _charts(factors):
-    return {c.label: c.chart for c in analyze_curve([B(f) for f in factors]).components}
-
-
-def _basis(block):
-    """The block's basis functions: t^k on a line; x^k, then x^k w on a circle."""
-    mono = [UniPoly([Fr(0)] * k + [Fr(1)]) for k in range(block.degree + 1)]
-    if block.kind == "line":
-        return [LineFn(m) for m in mono]
-    zero = UniPoly.zero()
-    return [CircleFn(m, zero, block.q) for m in mono] + [CircleFn(zero, m, block.q) for m in mono[: block.degree]]
+    return gram.build_gram_problem(analysis, B(target), _compact(analysis), degree, values)
 
 
 PROBLEMS = [
     (["x^2 + y^2 - 1"], "x^2 + 1"),
     (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1"),
-    # four rational shared points whose kernel rows make the snap's rows dependent
+    # four circles: a modulus of degree 8, so no product of degree 2 is reduced
     (
         ["x^2+y^2-1", "(x-1)^2+y^2-1", "x^2+(y-1)^2-1", "(x-1)^2+(y-1)^2-1"],
         "1",
@@ -94,9 +85,8 @@ def test_float_operator_matches_exact_rows(factors, target):
     rng = np.random.default_rng(7)
     g = _random_rational_symmetric(rng, n)
     applied = m @ np.array([[float(c) for c in row] for row in g]).reshape(n * n)
-    exact = [(r, row) for r, row in enumerate(problem.rows) if row.exact]
-    assert exact
-    for r, row in exact:
+    assert problem.rows
+    for r, row in enumerate(problem.rows):
         value = sum((c * g[i][j] for (i, j), c in row.coeffs.items()), Fr(0))
         assert abs(applied[r] - float(value)) <= 1e-12 * max(1.0, abs(float(value)))
         assert rhs[r] == float(row.rhs)
@@ -126,14 +116,29 @@ def test_snap_fixes_a_matrix_on_the_slice(factors, target):
     assert sum(
         (ghat[i][j] - g[i][j]) * (h[i][j] - g[i][j]) for i in range(n) for j in range(n)
     ) == 0
-    if len(factors) == 4:
-        # the dependent rows leave pivots out of the elimination
-        assert len(snap.pivots) < len(snap.rows)
     if len(factors) == 1:
-        # basis 1, x, w on the unit circle: 1 + x^2 is the diagonal (1, 1, 0)
+        # basis 1, x, y on the unit circle: 1 + x^2 is the diagonal (1, 1, 0)
         diag = [[Fr(int(i == j and i < 2)) for j in range(3)] for i in range(3)]
         assert _meets_every_row(snap.rows, diag)
         assert snap.snap(diag) == diag
+
+
+def test_snap_leaves_dependent_rows_out():
+    # on the unit circle 2 - 2x vanishes at (1, 0), where m = (1, x, y) is
+    # (1, 1, 0); of the rows G m(P) = 0 of the zero prescription there, the
+    # sum of the first two is m(P)^T G m(P) = 0, which the coefficient rows
+    # give evaluated at P, and the third, G02 + G12 = 0, follows from the
+    # rows of y and xy
+    pv = gram.PrescribedValue("P", "C1", RationalPoint(Fr(1), Fr(0)), (Fr(0),))
+    problem = _problem(["x^2 + y^2 - 1"], "(x - 1)^2 + y^2", 1, [pv])
+    snap = problem.snap
+    assert (problem.matching, len(snap.rows), len(snap.pivots)) == (5, 8, 6)
+    rng = np.random.default_rng(13)
+    g = snap.snap(_random_rational_symmetric(rng, problem.dim))
+    assert g is not None and _meets_every_row(snap.rows, g)
+    # 2 - 2x = (1 - x)^2 + y^2 has its Gram matrix on the slice
+    square = [[Fr(1), Fr(-1), Fr(0)], [Fr(-1), Fr(1), Fr(0)], [Fr(0), Fr(0), Fr(1)]]
+    assert _meets_every_row(snap.rows, square) and snap.snap(square) == square
 
 
 def test_snap_of_inconsistent_rows_is_none():
@@ -206,226 +211,110 @@ def _two_circle_draw(k):
     return list(inst.factors), inst.target
 
 
-def _null_space(rows, n):
-    """A basis of the rational vectors l with row . l = 0 for every row."""
-    m = [list(r) for r in rows]
-    pivots = []
-    for col in range(n):
-        at = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
-        if at is None:
-            continue
-        top = len(pivots)
-        m[top], m[at] = m[at], m[top]
-        inv = 1 / m[top][col]
-        m[top] = [c * inv for c in m[top]]
-        for i in range(len(m)):
-            if i != top and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        v = [Fr(0)] * n
-        v[free] = Fr(1)
-        for i, col in enumerate(pivots):
-            v[col] = -m[i][free]
-        basis.append(v)
-    return basis
+# -- the plane ring: normal forms, basis and summands -----------------------------
+
+X, Y = sympy.symbols("x y")
 
 
-def _summands_agree(problem, charts, vectors):
-    """The per-summand reference: every summand takes one value at every
-    algebraic kernel point, tested with value_at_algebraic."""
-    for fns in gram._vectors_to_summands(problem, vectors):
-        for kp in problem.kernel_points:
-            if not isinstance(kp.point, AlgebraicPoint):
-                continue
-            base = kp.components[0]
-            for other in kp.components[1:]:
-                va = value_at_algebraic(fns[base], charts[base], kp.point)
-                vb = value_at_algebraic(fns[other], charts[other], kp.point)
-                if not (va - vb).is_zero():
-                    return False
-    return True
+def _to_sympy(p):
+    terms = p.terms.items()
+    return sum((sympy.Rational(c.numerator, c.denominator) * X**i * Y**j for (i, j), c in terms), sympy.Integer(0))
 
 
-AGREEMENT_PROBLEMS = [
-    (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1", 2),
-    (*_two_circle_draw(3), 2),
-    (*_two_circle_draw(17), 3),
-]
+def _from_sympy(e):
+    poly = sympy.Poly(sympy.expand(e), X, Y)
+    return BiPoly({m: Fr(int(c.p), int(c.q)) for m, c in poly.terms() if c})
+
+
+def _random_ellipse(rng):
+    """a x^2 + b xy + c y^2 + d x + e y + f with 4ac > b^2 and a, c > 0."""
+    while True:
+        a, c = rng.randint(1, 5), rng.randint(1, 5)
+        b = rng.randint(-4, 4)
+        if 4 * a * c > b * b:
+            break
+    d, e, f = (Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+    return BiPoly({(2, 0): a, (1, 1): b, (0, 2): c, (1, 0): d, (0, 1): e, (0, 0): f})
+
+
+def _random_poly(rng, degree):
+    return BiPoly({
+        (i, j): Fr(rng.randint(-9, 9), rng.randint(1, 4))
+        for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() < 0.7
+    })
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_normal_form_matches_sympy_reduced(seed):
+    rng = random.Random(seed)
+    modulus = BiPoly.const(1)
+    for _ in range(1 + seed % 3):
+        modulus = modulus * _random_ellipse(rng)
+    for _ in range(3):
+        p = _random_poly(rng, rng.randint(0, 2 * modulus.total_degree))
+        nf = gram.normal_form(p, modulus)
+        _, remainder = sympy.reduced(_to_sympy(p), [_to_sympy(modulus)], Y, X, order="grevlex")
+        assert nf == _from_sympy(remainder)
+        assert nf.total_degree <= p.total_degree
+        assert nf.deg_y < modulus.deg_y
+        assert gram.normal_form(modulus * _random_poly(rng, 2), modulus).is_zero()
+
+
+def test_basis_on_the_unit_circle():
+    problem = _problem(["x^2 + y^2 - 1"], "x^2 + 1", 3)
+    assert problem.basis == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1)]
 
 
 @pytest.mark.parametrize(
     "factors, target, degree",
-    AGREEMENT_PROBLEMS,
+    [
+        (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1", 2),
+        (*_two_circle_draw(3), 2),
+        (*_two_circle_draw(17), 3),
+    ],
     ids=["circle-pair", "two-circles-draw3", "two-circles-draw17"],
 )
-def test_exact_kernel_check_matches_per_summand_agreement(factors, target, degree):
-    problem = _problem(factors, target, degree)
-    n = problem.dim
-    algebraic = [kp for kp in problem.kernel_points if isinstance(kp.point, AlgebraicPoint)]
-    assert len(algebraic) == 2 and all(kp.relations for kp in algebraic)
-    coefficient_rows = [
-        [rel[s].coords[k] if s in rel else Fr(0) for s in range(n)]
-        for kp in algebraic
-        for rel in kp.relations
-        for k in range(kp.point.x.modulus.degree)
+def test_summands_agree_at_algebraic_shared_points(factors, target, degree):
+    """Any coordinate vector gives a summand that takes one value at every
+    shared point, irrational ones included: it is one plane polynomial."""
+    analysis = analyze_curve([B(f) for f in factors])
+    problem = gram.build_gram_problem(analysis, B(target), _compact(analysis), degree)
+    shared = [
+        rec for rec in analysis.points
+        if isinstance(rec.point, AlgebraicPoint) and len(rec.components) == 2
     ]
-    null = _null_space(coefficient_rows, n)
-    assert 0 < len(null) < n
-    rng = np.random.default_rng(41)
-
-    def rational():
-        return Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-
-    def agreeing():
-        out = [Fr(0)] * n
-        for v in null:
-            c = rational()
-            out = [a + c * b for a, b in zip(out, v)]
-        return out
-
-    def candidate(vectors):
-        g = [[Fr(0)] * n for _ in range(n)]
-        for l in vectors:
-            for i in range(n):
-                for j in range(n):
-                    g[i][j] += l[i] * l[j]
-        return g
-
-    charts = _charts(factors)
-    for trial in range(12):
-        good = [agreeing() for _ in range(1 + trial % 3)]
-        bad = good[: trial % 2] + [[rational() for _ in range(n)]]
-        for vectors, agree in ((good, True), (bad, False)):
-            assert _summands_agree(problem, charts, vectors) is agree
-            assert gram._agrees_at_algebraic_points(problem, candidate(vectors)) is agree
+    assert len(shared) == 2
+    rng = random.Random(41)
+    vectors = [
+        [Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(problem.dim)] for _ in range(4)
+    ]
+    for summand in gram._vectors_to_summands(problem, vectors):
+        for rec in shared:
+            a, b = (analysis.components[k] for k in rec.components)
+            va = value_at_algebraic(summand[a.label], a.chart, rec.point)
+            vb = value_at_algebraic(summand[b.label], b.chart, rec.point)
+            assert (va - vb).is_zero()
 
 
-def test_failed_agreement_skips_the_exact_elimination(monkeypatch):
-    # two circles meeting at (1/2, +-sqrt(3)/2): no rounded candidate agrees
-    # exactly at the irrational shared points, and the exact kernel check
-    # rejects each before any LDL^T runs
-    calls = []
+def test_large_pivots_end_the_ladder(monkeypatch):
+    # the first psd candidate of this product of two circles has pivots far
+    # beyond the square search, so the ladder stops there with None
+    factors, target = _two_circle_draw(3)
+    problem = _problem(factors, target, 2)
+    seen = []
     original = gram._rational_ldl
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(g):
+        out = original(g)
+        seen.append(out)
+        return out
 
-    monkeypatch.setattr(gram, "_rational_ldl", counted)
-    analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
-    full_certify(analysis, B("x^2 + y^2 + 1"))
-    assert not calls
-
-
-def _apply(phi, g):
-    return sum((c * g[i][j] for (i, j), c in phi.items()), Fr(0))
-
-
-@pytest.mark.parametrize(
-    "factors, target, degree",
-    AGREEMENT_PROBLEMS + [(*PROBLEMS[2], 1)],
-    ids=["circle-pair", "two-circles-draw3", "two-circles-draw17", "four-circles"],
-)
-def test_pull_back_matches_the_snap(factors, target, degree):
-    problem = _problem(factors, target, degree)
-    snap, n = problem.snap, problem.dim
-    if len(factors) == 4:
-        # dependent rows: the solve reads the pivot rows only
-        assert (len(snap.rows), len(snap.pivots)) == (68, 58)
-    rng = np.random.default_rng(29)
-
-    def rational():
-        return Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
-
-    kp = next(kp for kp in problem.kernel_points if kp.relations)
-    rel = kp.relations[0]
-    degree_p = kp.point.x.modulus.degree
-    # the screen's maps, coordinate k of row 0 of G times the first relation,
-    # then maps on seeded upper-triangle entries, diagonal and off-diagonal
-    phis = [
-        {(0, s): w.coords[k] for s, w in rel.items() if w.coords[k]} for k in range(degree_p)
-    ]
-    keys = [(i, j) for i in range(n) for j in range(i, n)]
-    for _ in range(3):
-        picks = rng.choice(len(keys), size=8, replace=False)
-        phis.append({keys[p]: rational() for p in picks})
-    pulled = [snap.pull_back(phi) for phi in phis]
-    assert problem.screen.box is kp.point.u
-    assert problem.screen.modulus is kp.point.x.modulus
-    assert problem.screen.terms == tuple(
-        (c, tuple((i, j, x) for (i, j), x in psi.items())) for c, psi in pulled[:degree_p]
-    )
-    rejected = 0
-    for _ in range(6):
-        ghat = _random_rational_symmetric(rng, n)
-        g = snap.snap(ghat)
-        assert g is not None
-        for phi, (c, psi) in zip(phis, pulled):
-            assert c + _apply(psi, ghat) == _apply(phi, g)
-        # the screen is the first agreement test on the snapped matrix
-        first = UniPoly.lincomb([g[0][s] for s in rel], [w.poly for w in rel.values()])
-        fails = not BoxedValue(first, kp.point.u, kp.point.x.modulus).is_zero()
-        assert problem.screen.rejects(ghat) is fails
-        if fails:
-            rejected += 1
-            assert not gram._agrees_at_algebraic_points(problem, g)
-    assert rejected
-
-
-def test_screen_skips_snaps_and_keeps_the_certificate(monkeypatch):
-    # two circles meeting at (1/2, +-sqrt(3)/2): rounded candidates fail the
-    # agreement there, and the screen turns most of them away before the snap
-    snaps = []
-    original = gram._ExactAffineSnap.snap
-
-    def counted(self, ghat):
-        snaps.append(ghat)
-        return original(self, ghat)
-
-    monkeypatch.setattr(gram._ExactAffineSnap, "snap", counted)
-
-    def certify():
-        snaps.clear()
-        analysis = analyze_curve([B("x^2 + y^2 - 1"), B("x^2 + y^2 - 2*x")])
-        cert = full_certify(analysis, B("x^2 + y^2 + 1"))
-        return len(snaps), (cert.exact, cert.residual, cert.provenance, repr(cert.summands))
-
-    screened, result = certify()
-    with monkeypatch.context() as m:
-        m.setattr(gram._AgreementScreen, "build", staticmethod(lambda snap, kernel_points: None))
-        unscreened, reference = certify()
-    assert unscreened == 9
-    assert screened < unscreened
-    assert result == reference
-
-
-def test_screen_rejects_only_a_nonzero_value_at_the_point():
-    # at sqrt(2), a root of the reducible (u^2 - 2)(u - 3), the screened
-    # polynomial g00 * (u^2 + m) vanishes for m = -2 although it is nonzero
-    box = isolate_real_roots(UniPoly([6, -2, -3, 1]))[1]
-    assert box.low < Fr(3, 2) < box.high
-
-    def screen(m):
-        terms = ((Fr(0), ((0, 0, Fr(m)),)), (Fr(0), ()), (Fr(0), ((0, 0, Fr(1)),)))
-        return gram._AgreementScreen(box, box.poly, terms)
-
-    assert not screen(-2).rejects([[Fr(1)]])
-    assert screen(-3).rejects([[Fr(1)]])
-    assert not screen(-3).rejects([[Fr(0)]])
-
-    # mixed denominators in psi and in ghat: u^2 - 1 - k, zero at sqrt(2) for k = 1 only
-    def mixed(k):
-        c0 = ((0, 0, Fr(-2, 3)), (0, 1, Fr(-7 * k, 5)))
-        return gram._AgreementScreen(
-            box, box.poly, ((Fr(0), c0), (Fr(0), ()), (Fr(0), ((0, 0, Fr(2, 3)),)))
-        )
-
-    ghat = [[Fr(3, 2), Fr(5, 7)], [Fr(5, 7), Fr(0)]]
-    assert not mixed(1).rejects(ghat)
-    assert mixed(2).rejects(ghat)
+    monkeypatch.setattr(gram, "_rational_ldl", recorded)
+    matrix = gram.alternating_projections(problem).matrix
+    seen.clear()
+    assert gram._round_to_exact(problem, matrix, gram._ROUND_LADDER) is None
+    assert seen[-1] is not None and all(p is None for p in seen[:-1])
+    assert max((d.numerator * d.denominator).bit_length() for d, _ in seen[-1]) > gram._SPLIT_BITS
 
 
 # -- fraction-free pivoted LDL^T against the Fraction elimination ---------------
@@ -501,163 +390,36 @@ def test_ldl_pivots_match_fraction_elimination():
     assert gram._ldl_pivots([[Fr(0), Fr(1, 3)], [Fr(1, 3), Fr(0)]]) is None
 
 
-# -- lazy rounding against rounding every entry up front -------------------------
-
-
-def ref_round_to_exact(problem, matrix, ladder):
-    """Every entry rounded first, then the full candidate at every rung."""
-    n = problem.dim
-    upper = [
-        [gram.limit_denominators(x, ladder) for x in row[i:]]
-        for i, row in enumerate(matrix.tolist())
-    ]
-    for rung in range(len(ladder)):
-        g = [[Fr(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g[i][j] = g[j][i] = upper[i][j - i][rung]
-        if problem.screen is not None and problem.screen.rejects(g):
-            continue
-        snapped = problem.snap.snap(g)
-        found = None if snapped is None else gram._promote(problem, snapped)
-        if found is not None:
-            return found
-    return None
-
-
-def _solver_matrices(problem, monkeypatch):
-    """(matrix, ladder) of every rounding the solver and the extraction ask for."""
-    seen = []
-    lazy = gram._round_to_exact
-
-    def recorded(problem, matrix, ladder):
-        seen.append((matrix.copy(), ladder))
-        return lazy(problem, matrix, ladder)
-
-    with monkeypatch.context() as m:
-        m.setattr(gram, "_round_to_exact", recorded)
-        try:
-            gram.extract_summands(gram.alternating_projections(problem))
-        except gram.NoConvergence:
-            pass
-    return seen
-
-
-class _EveryOtherRung:
-    """A stand-in screen with the real screen's keys that passes every
-    second rung, so screened problems build full candidates too."""
-
-    def __init__(self, screen):
-        self.keys = screen.keys
-        self.calls = 0
-
-    def rejects(self, ghat):
-        self.calls += 1
-        return self.calls % 2 == 1
-
-
-def _rounding_run(round_fn, problem, matrix, ladder, monkeypatch):
-    """The result of a rounding and every candidate it hands to the snap."""
-    candidates = []
-    original = gram._ExactAffineSnap.snap
-
-    def recorded(self, ghat):
-        candidates.append([row[:] for row in ghat])
-        return original(self, ghat)
-
-    with monkeypatch.context() as m:
-        m.setattr(gram._ExactAffineSnap, "snap", recorded)
-        return round_fn(problem, matrix, ladder), candidates
-
-
-LAZY_PROBLEMS = AGREEMENT_PROBLEMS + [(*PROBLEMS[0], 2)]
-
-
-@pytest.mark.parametrize(
-    "factors, target, degree",
-    LAZY_PROBLEMS,
-    ids=["circle-pair", "two-circles-draw3", "two-circles-draw17", "unit-circle"],
-)
-def test_lazy_rounding_matches_eager_rounding(factors, target, degree, monkeypatch):
-    problem = _problem(factors, target, degree)
-    screen = problem.screen
-    assert (screen is None) is (len(factors) == 1)
-    seen = _solver_matrices(problem, monkeypatch)
-    assert seen
-    rng = np.random.default_rng(53)
-    n = problem.dim
-    # the solver's iterates, and each one nudged off its rounding
-    cases = seen + [(m + 1e-7 * _random_symmetric(rng, n), ladder) for m, ladder in seen]
-    makers = [lambda: screen]
-    if screen is not None:
-        makers.append(lambda: _EveryOtherRung(screen))
-    found = candidates = 0
-    for matrix, ladder in cases:
-        for make in makers:
-            runs = []
-            for round_fn in (gram._round_to_exact, ref_round_to_exact):
-                problem.screen = make()
-                runs.append(_rounding_run(round_fn, problem, matrix, ladder, monkeypatch))
-            assert runs[0] == runs[1]
-            found += runs[0][0] is not None
-            candidates += len(runs[0][1])
-    assert candidates
-    if screen is None:
-        assert found
-
-
-def test_rejected_rungs_round_only_the_screens_entries(monkeypatch):
-    factors, target = _two_circle_draw(3)
-    problem = _problem(factors, target, 2)
-    keys = problem.screen.keys
-    n = problem.dim
-    assert 0 < len(keys) < n * (n + 1) // 2
-    assert set(keys) == {(i, j) for _, psi in problem.screen.terms for i, j, _ in psi}
-    matrix, ladder = _solver_matrices(problem, monkeypatch)[0]
-    assert ref_round_to_exact(problem, matrix, ladder) is None
-    entries = matrix.tolist()
-    upper = [
-        [gram.limit_denominators(x, ladder) for x in row[i:]] for i, row in enumerate(entries)
-    ]
-    for rung in range(len(ladder)):
-        g = [[upper[min(i, j)][abs(j - i)][rung] for j in range(n)] for i in range(n)]
-        assert problem.screen.rejects(g)
-    rounded = []
-    original = gram.limit_denominators
-
-    def counted(x, ladder):
-        rounded.append(x)
-        return original(x, ladder)
-
-    monkeypatch.setattr(gram, "limit_denominators", counted)
-    assert gram._round_to_exact(problem, matrix, ladder) is None
-    assert rounded == [entries[i][j] for i, j in keys]
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize(
     "factors, target",
-    [PROBLEMS[0], PROBLEMS[1], (["y", "x^2 + y^2 - 1"], "x^2 + 1")],
-    ids=["unit-circle", "circle-pair", "line-and-circle"],
+    [
+        PROBLEMS[0],
+        PROBLEMS[1],
+        (["y", "x^2 + y^2 - 1"], "x^2 + 1"),
+        (["x^2 - x*y + y^2 + 2*y - 1", "x^2 + y^2 - 2*x"], "x^2 + 1"),
+    ],
+    ids=["unit-circle", "circle-pair", "line-and-circle", "tilted-pair"],
 )
 def test_summands_from_coordinates_match_the_basis(factors, target, degree):
-    """Each block read off its coordinates is sum c_k * basis_k."""
-    problem = _problem(factors, target, degree)
-    assert {b.kind for b in problem.blocks} == ({"line", "circle"} if "y" in factors else {"circle"})
+    """Each summand is the plane polynomial sum c_k x^i w^j of its
+    coordinates, w = y + s1 x + s0 of the first conic's chart, restricted to
+    each conic; on a curve with a line, the Gram problem holds the circle only."""
+    analysis = analyze_curve([B(f) for f in factors])
+    subset = _compact(analysis)
+    problem = gram.build_gram_problem(analysis, B(target), subset, degree)
+    assert sorted(problem.restricted) == subset
+    frame = analysis.component(subset[0]).chart  # not the identity on the tilted pair
     rng = np.random.default_rng(11 + degree)
     vectors = [
         [Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(problem.dim)]
         for _ in range(3)
     ] + [[Fr(0)] * problem.dim]
     for vec, summand in zip(vectors, gram._vectors_to_summands(problem, vectors)):
-        for block in problem.blocks:
-            coords = vec[block.offset : block.offset + block.size]
-            basis = _basis(block)
-            assert len(basis) == block.size
-            chain = basis[0].scale(0)
-            for c, b in zip(coords, basis):
-                chain = chain + b.scale(c)
-            assert summand[block.component] == chain
+        framed = BiPoly({e: c for e, c in zip(problem.basis, vec) if c})
+        plane = framed.translate(0, frame.s0).compose_linear(1, 0, frame.s1, 1)
+        for cid in subset:
+            assert summand[cid] == restrict_to_chart(plane, analysis.component(cid).chart)
 
 
 ROW_CASES = [
@@ -665,7 +427,6 @@ ROW_CASES = [
     ("unit-circle", *PROBLEMS[0], (1, 2, 3)),
     ("circle-pair", *PROBLEMS[1], (1, 2, 3)),
     ("line-and-circle", ["y", "x^2 + y^2 - 1"], "x^2 + 1", (1, 2, 3)),
-    ("line-and-parabola", ["y", "x - 2*y^2"], "x^2 + 1", (2, 3)),
 ]
 
 
@@ -674,20 +435,26 @@ ROW_CASES = [
     [pytest.param(f, t, d, id=f"{name}-{d}") for name, f, t, degrees in ROW_CASES for d in degrees],
 )
 def test_coefficient_rows_match_pairwise_basis_products(factors, target, degree):
-    """The coefficient-matching rows, read off exponent sums, are the rows
-    of the pairwise products of the basis functions: slots, coefficients and
-    order."""
-    problem = _problem(factors, target, degree)
-    rows = []
-    for block in problem.blocks:
-        basis = _basis(block)
-        slots = {}
-        for k in range(block.size):
-            for l in range(k, block.size):
-                i, j = block.offset + k, block.offset + l
-                for slot, c in gram._coeff_slots(basis[k] * basis[l]).items():
-                    slots.setdefault(slot, {})[(i, j)] = c if i == j else 2 * c
-        wanted = gram._coeff_slots(problem.targets[block.component])
-        rows += [(list(coeffs.items()), wanted.get(slot, Fr(0))) for slot, coeffs in sorted(slots.items())]
-    assert [(list(r.coeffs.items()), r.rhs) for r in problem.rows[: len(rows)]] == rows
-    assert all(r.exact for r in problem.rows[: len(rows)])
+    """The coefficient rows are the coefficients of the normal forms of the
+    pairwise products of the basis monomials, computed here by sympy's
+    `reduced`: monomials, coefficients and order."""
+    analysis = analyze_curve([B(f) for f in factors])
+    subset = _compact(analysis)
+    problem = gram.build_gram_problem(analysis, B(target), subset, degree)
+    modulus = sympy.prod([_to_sympy(analysis.component(cid).poly) for cid in subset])
+
+    def normal_form(e):
+        _, remainder = sympy.reduced(e, [modulus], Y, X, order="grevlex")
+        return sympy.Poly(remainder, X, Y).terms() if remainder != 0 else []
+
+    slots = {}
+    for k, (ik, jk) in enumerate(problem.basis):
+        for l in range(k, problem.dim):
+            il, jl = problem.basis[l]
+            for (i, j), c in normal_form(X ** (ik + il) * Y ** (jk + jl)):
+                c = Fr(int(c.p), int(c.q))
+                slots.setdefault((j, i), {})[(k, l)] = c if k == l else 2 * c
+    wanted = {(j, i): Fr(int(c.p), int(c.q)) for (i, j), c in normal_form(_to_sympy(B(target)))}
+    rows = [(sorted(c.items()), wanted.get(slot, Fr(0))) for slot, c in sorted(slots.items())]
+    assert problem.matching == len(problem.rows) == len(rows)
+    assert [(sorted(r.coeffs.items()), r.rhs) for r in problem.rows] == rows

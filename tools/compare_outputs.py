@@ -17,8 +17,9 @@ and classification kind and detail); when one was built, the
 certificate (`exact`, residual, provenance, the `repr` of every summand) or
 the witness (`repr`); and when the checker ran, its report (`ok`, residual,
 the names of the failed checks), so a change to the checker is diffed too.
-`diff` prints every instance whose record differs and exits 1 when any
-does.
+`diff` prints every instance whose record differs, then per workload the
+count of each outcome transition (for example `compact-gram numeric ->
+exact: 23`), and exits 1 when any record differs.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("line-forest", "compact-gram", "shear-elim")
@@ -142,6 +144,7 @@ def _read(path: Path) -> dict[str, dict]:
 def diff(a: Path, b: Path) -> int:
     old, new = _read(a), _read(b)
     changed = 0
+    moves: Counter[tuple[str, str, str]] = Counter()
     for key in sorted(old.keys() | new.keys()):
         ra, rb = old.get(key), new.get(key)
         if ra == rb:
@@ -154,7 +157,11 @@ def diff(a: Path, b: Path) -> int:
         for part in ("analysis", "artifact", "report"):
             if ra.get(part) != rb.get(part):
                 print(f"  {part} differs")
+        if ra["outcome"] != rb["outcome"]:
+            moves[(key.split("/")[0], ra["outcome"], rb["outcome"])] += 1
     print(f"{len(old.keys() | new.keys())} instances, {changed} differ")
+    for (workload, before, after), count in sorted(moves.items()):
+        print(f"{workload} {before} -> {after}: {count}")
     return 1 if changed else 0
 
 
