@@ -16,10 +16,13 @@ certified elsewhere.  On one conic this is the problem on its chart,
 a(x) + b(x) w with w^2 = q(x).  The solver is Douglas-Rachford splitting
 between the psd cone (eigenvalue clipping) and the affine subspace (least
 squares, factorized once); extraction rounds the iterate and projects it
-exactly onto the slice of the rows (Peyrl and Parrilo, TCS 2008).
+exactly onto the slice of the rows (Peyrl and Parrilo, TCS 2008).  The
+projection and the factorization below run on integer numerators over one
+denominator, through one fraction-free elimination (`_bareiss`).
 
 Each exact fact about a rational candidate G is proved once:
-- the closing check of `_ExactAffineSnap.snap` proves every row;
+- the closing check of `_ExactAffineSnap.snap`, one integer identity per
+  row between the numerators of G and its denominator, proves every row;
 - the exact L D L^T of `_rational_ldl` proves G psd, G = sum d_k l_k l_k^T.
 Then sum d_k S_k^2 = f modulo F for the plane polynomials S_k = l_k^T m,
 the value rows are bilinear in G, and for psd G, G m(P) = 0 makes every
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -97,6 +100,10 @@ class Row:
 
     coeffs: dict[tuple[int, int], Fraction]
     rhs: Fraction
+
+
+# a rational matrix as its integer numerators over one common denominator
+Scaled = tuple[list[list[int]], int]
 
 
 @dataclass
@@ -407,101 +414,106 @@ class _ExactAffineSnap:
     Rounding a near-solution entrywise almost never lands on the slice when
     it is positive-dimensional but tilted; projecting the rounded matrix
     back in exact arithmetic does.  Inner products use the symmetric-matrix
-    metric (off-diagonal entries weigh twice).  The normal matrix N of the
-    rows is their Gram matrix in that metric, hence psd, so `_ldl_pivots`
-    factors it once, N = sum d_k c_k c_k^T, without the float screen, and
-    each snap is a forward and a backward sweep over the pivots.  Dependent
-    rows leave pivots out; a system that is inconsistent with them is caught
-    by the closing row check of `snap`.
+    metric (off-diagonal entries weigh twice), in which row a is the matrix
+    M_a with M_a[i][i] = c_a[i, i] and M_a[i][j] = c_a[i, j] / 2.  The
+    projection of G is G + sum lam_a M_a for any lam with N lam = v, where
+    N[a][b] = <M_a, M_b> is the rows' Gram matrix and v_a = rhs_a - <M_a, G>.
+
+    It runs on integers.  Row a is I_a / den_a = R_a / den_a over the lcm
+    den_a of its denominators, and W_a is I_a with its diagonal keys doubled,
+    so N = D^-1 N_int D^-1 / 2 for D = diag(den_a) and the integer matrix
+    N_int[a][b] = sum I_a W_b.  For G = Gnum / s with integer Gnum, N lam = v
+    is N_int nu = b with b = 2 (R s - I . Gnum) and lam_a = den_a nu_a / s,
+    and the projection is (Gnum + sum nu_a W_a / 2) / s.  N_int is psd, so
+    `_bareiss` eliminates it once, with pivot rows p_k and pivot values a_k.
+    Each snap takes b through that elimination as an extra column (the
+    forward sweep), then solves the pivot rows, last pivot first, for the
+    nu that is zero off them (the back sweep): on the pivot rows P that is
+    adj(N_PP) b_P / det(N_PP), and det(N_PP) is the last pivot value, so
+    x = det(N_PP) nu is integer and every division of the sweeps is exact.
+
+    The projection does not depend on the pivot order, nor on which
+    dependent rows it leaves out: two solutions of N lam = v differ by a
+    kernel vector u of N, and u^T N u = ||sum u_a M_a||^2 = 0 adds nothing
+    to G.  A system that is inconsistent with the dependent rows is caught
+    by the closing check of `snap`.
     """
 
     def __init__(self, rows: list[Row]):
         self.rows = rows
-        k = len(rows)
-        # row a is ints[a] / dens[a]; weighted[a] doubles its diagonal keys, so
-        # an entry is (sum ints[a] * weighted[b]) / (2 dens[a] dens[b])
-        dens, ints, weighted = [], [], []
+        self.ints: list[dict[tuple[int, int], int]] = []
+        self.rhs: list[int] = []
+        self.weighted: list[dict[tuple[int, int], int]] = []
         for row in rows:
-            den = lcm(*(c.denominator for c in row.coeffs.values()))
+            den = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
             num = {key: c.numerator * (den // c.denominator) for key, c in row.coeffs.items()}
-            dens.append(den)
-            ints.append(num)
-            weighted.append({key: 2 * c if key[0] == key[1] else c for key, c in num.items()})
-        normal = [[Fraction(0)] * k for _ in range(k)]
+            self.ints.append(num)
+            self.rhs.append(row.rhs.numerator * (den // row.rhs.denominator))
+            self.weighted.append({key: 2 * c if key[0] == key[1] else c for key, c in num.items()})
+        k = len(rows)
+        normal = [[0] * k for _ in range(k)]
         for a in range(k):
-            ra, wa = ints[a], weighted[a]
+            ra, wa = self.ints[a], self.weighted[a]
             for b in range(a, k):
-                rb, wb = ints[b], weighted[b]
+                rb, wb = self.ints[b], self.weighted[b]
                 small, large = (ra, wb) if len(ra) <= len(rb) else (rb, wa)
                 acc = 0
                 for key, c in small.items():
                     d = large.get(key)
                     if d is not None:
                         acc += c * d
-                if acc:
-                    normal[a][b] = normal[b][a] = Fraction(acc, 2 * dens[a] * dens[b])
-        # (pivot row p_k, pivot d_k, the nonzero entries of c_k other than p_k)
-        self.pivots = [
-            (p, d, [(i, c) for i, c in enumerate(col) if c and i != p])
-            for p, d, col in _ldl_pivots(normal)
-        ]
+                normal[a][b] = normal[b][a] = acc
+        # (pivot row p_k, pivot value a_k, {row i: N_int's Bareiss entry at (i, p_k)})
+        self.pivots = _bareiss(normal)
 
-    def _solve_normal(self, v: list[Fraction]) -> list[Fraction]:
-        """A solution of N lam = v, zero off the pivot rows, when one exists.
-
-        Pivot k has c_k[p_k] = 1 and c_k[p_j] = 0 for j < k.  With
-        y_k = d_k (c_k . lam), N lam = sum y_k c_k: the forward sweep reads
-        y_k off the pivot rows of v, and the backward sweep solves
-        c_k . lam = y_k / d_k for lam[p_k], last pivot first.
-        """
-        rest = list(v)
-        ys = []
-        for p, _, col in self.pivots:
-            y = rest[p]
-            ys.append(y)
-            if y:
-                for i, c in col:
-                    rest[i] -= y * c
-        lam = [Fraction(0)] * len(v)
-        for (p, d, col), y in zip(reversed(self.pivots), reversed(ys)):
-            acc = y / d
-            for i, c in col:
-                if lam[i]:
-                    acc -= c * lam[i]
-            lam[p] = acc
-        return lam
-
-    def snap(self, ghat: list[list[Fraction]]) -> list[list[Fraction]] | None:
-        """Nearest matrix to ghat satisfying every row, or None.
+    def snap(self, ghat: list[list[Fraction]]) -> Scaled | None:
+        """Nearest matrix to ghat satisfying every row, in lowest terms, or None.
 
         The closing check is the one place that proves a candidate meets
-        every row; it returns None when the rows are inconsistent,
-        which rounding noise cannot cause (the rows come from a feasible
-        problem).
+        every row: with the result OUT / Den, sum I_a OUT = R_a Den for each
+        row a.  It returns None when the rows are inconsistent, which
+        rounding noise cannot cause (the rows come from a feasible problem).
         """
-        v = []
-        for row in self.rows:
-            acc = row.rhs
-            for (i, j), c in row.coeffs.items():
-                acc -= c * ghat[i][j]
-            v.append(acc)
-        lam = self._solve_normal(v)
-        out = [r[:] for r in ghat]
-        for l, row in zip(lam, self.rows):
-            if not l:
+        s = lcm(*(c.denominator for row in ghat for c in row))
+        g = [[c.numerator * (s // c.denominator) for c in row] for row in ghat]
+        b = [
+            2 * (r * s - sum(c * g[i][j] for (i, j), c in ints.items()))
+            for ints, r in zip(self.ints, self.rhs)
+        ]
+        # forward sweep: beta_k is b at the pivot row p_k after k eliminations
+        betas = []
+        prev = 1
+        for k, (p, a, col) in enumerate(self.pivots):
+            beta = b[p]
+            betas.append(beta)
+            for q, _, _ in self.pivots[k + 1 :]:
+                b[q] = (a * b[q] - col.get(q, 0) * beta) // prev
+            prev = a
+        det = prev  # the last pivot value, det(N_PP)
+        # back sweep: x = det nu on the pivot rows, last pivot first
+        x: dict[int, int] = {}
+        for (p, a, col), beta in zip(reversed(self.pivots), reversed(betas)):
+            acc = det * beta
+            for i, c in col.items():
+                xi = x.get(i)
+                if xi:
+                    acc -= c * xi
+            x[p] = acc // a
+        scale = 2 * det
+        out = [[scale * c for c in row] for row in g]
+        for p, xp in x.items():
+            if not xp:
                 continue
-            for (i, j), c in row.coeffs.items():
-                w = 2 if i != j else 1
-                out[i][j] += l * c / w
+            for (i, j), c in self.weighted[p].items():
+                out[i][j] += xp * c
                 if i != j:
                     out[j][i] = out[i][j]
-        for row in self.rows:
-            acc = Fraction(0)
-            for (i, j), c in row.coeffs.items():
-                acc += c * out[i][j]
-            if acc != row.rhs:
+        den = scale * s
+        for ints, r in zip(self.ints, self.rhs):
+            if sum(c * out[i][j] for (i, j), c in ints.items()) != r * den:
                 return None
-        return out
+        common = gcd(den, *(c for row in out for c in row))
+        return [[c // common for c in row] for row in out], den // common
 
 
 @dataclass
@@ -576,8 +588,8 @@ def _round_to_exact(
     return None
 
 
-def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction]]] | None:
-    """Pivoted L D L^T factorization of a symmetric rational matrix.
+def _rational_ldl(g: Scaled) -> list[tuple[Fraction, list[Fraction]]] | None:
+    """Pivoted L D L^T factorization of a symmetric rational matrix nums / den.
 
     Returns (pivot, column) pairs with the matrix equal to the sum of
     pivot * column * column^T, or None if the matrix is not psd over the
@@ -601,34 +613,57 @@ def _rational_ldl(g: list[list[Fraction]]) -> list[tuple[Fraction, list[Fraction
     return None if pivots is None else [(d, col) for _, d, col in pivots]
 
 
-def _ldl_pivots(
-    g: list[list[Fraction]],
-) -> list[tuple[int, Fraction, list[Fraction]]] | None:
-    """Exact pivoted L D L^T: (pivot index p_k, pivot d_k, column c_k) triples.
+def _ldl_pivots(g: Scaled) -> list[tuple[int, Fraction, list[Fraction]]] | None:
+    """Exact pivoted L D L^T of nums / den: (pivot index p_k, pivot d_k,
+    column c_k) triples.
 
     The matrix equals sum d_k c_k c_k^T, each pivot is the largest remaining
     diagonal entry, c_k[p_k] = 1 and c_k[p_j] = 0 for j < k.  None when the
-    matrix is not psd: a negative pivot, or a zero diagonal with a nonzero
-    remaining entry.
-
-    The elimination is fraction-free (Bareiss, Math. Comp. 1968) on the
-    integer matrix A = s g, s the lcm of g's denominators.  After k pivots
-    the remaining entries of A's Bareiss matrix M are minors of A, hence
-    integers, and the Schur complement of g is M / (s a_{k-1}), where
-    a_k = M[p_k][p_k] is the k-th pivot value (a_{-1} = 1).  So
-    d_k = a_k / (a_{k-1} s) and c_k[i] = M[i][p_k] / a_k, and the largest
-    diagonal, the signs and the zero tests can be read off M.  A step only
-    multiplies a row with a zero in the pivot column by a_k / a_{k-1}, so
-    such a row is left as it is: row i keeps R[i] and the pivot value e_i
-    of its last update, with M[i][j] = R[i][j] a / e_i for a the last pivot
-    value.  That keeps sparse normal matrices cheap.
+    matrix is not psd.  With the pivot values a_k of `_bareiss` on nums,
+    d_k = a_k / (a_{k-1} den) and c_k[i] = M[i][p_k] / a_k.  Scaling nums and
+    den by one factor changes neither, nor the pivot order: after k pivots
+    every remaining entry of M scales by the (k+1)-th power of the factor.
     """
-    n = len(g)
-    s = lcm(*(c.denominator for row in g for c in row))
-    rows = [[c.numerator * (s // c.denominator) for c in row] for row in g]
+    nums, den = g
+    steps = _bareiss(nums)
+    if steps is None:
+        return None
+    out = []
+    prev = 1
+    for p, a, pivot in steps:
+        col = [Fraction(0)] * len(nums)
+        col[p] = Fraction(1)
+        for i, m in pivot.items():
+            col[i] = Fraction(m, a)
+        out.append((p, Fraction(a, prev * den), col))
+        prev = a
+    return out
+
+
+def _bareiss(nums: list[list[int]]) -> list[tuple[int, int, dict[int, int]]] | None:
+    """Pivoted fraction-free elimination of a symmetric integer matrix A.
+
+    Returns (p_k, a_k, {i: M[i][p_k]}) triples, or None when A is not psd: a
+    negative pivot, or a zero diagonal with a nonzero remaining entry.  The
+    elimination is Bareiss's (Math. Comp. 1968).  After k pivots the
+    remaining entries of the Bareiss matrix M are minors of A, hence
+    integers, and the Schur complement of A is M / a_{k-1}, where
+    a_k = M[p_k][p_k] is the k-th pivot value (a_{-1} = 1), the principal
+    minor of A on p_0..p_k.  Each pivot is the largest remaining diagonal
+    entry, the first one on ties, so A = sum (a_k / a_{k-1}) c_k c_k^T with
+    c_k[i] = M[i][p_k] / a_k, and the largest diagonal, the signs and the
+    zero tests can be read off M.  M stays symmetric, so the dict holds both
+    the pivot column and the pivot row, on the remaining indices where it is
+    nonzero.  A step only multiplies a row with a zero in the pivot column
+    by a_k / a_{k-1}, so such a row is left as it is: row i keeps R[i] and
+    the pivot value e_i of its last update, with M[i][j] = R[i][j] a / e_i
+    for a the last pivot value.  That keeps sparse normal matrices cheap.
+    """
+    n = len(nums)
+    rows = [row[:] for row in nums]
     since = [1] * n  # the pivot value row i was last updated with
     active = list(range(n))
-    out: list[tuple[int, Fraction, list[Fraction]]] = []
+    out: list[tuple[int, int, dict[int, int]]] = []
     prev = 1
     while active:
         # the largest rows[i][i] / since[i], the first one on ties
@@ -648,12 +683,9 @@ def _ldl_pivots(
         # the pivot row of the current Bareiss matrix, on its nonzero entries
         pivot = {j: rp[j] * prev // ep for j in active if rp[j]}
         a = top * prev // ep
-        col = [Fraction(0)] * n
-        col[p] = Fraction(1)
         for i in pivot:
             row, e = rows[i], since[i]
             f = row[p]
-            col[i] = Fraction(f * prev, e * a)
             for j in active:
                 v = row[j]
                 pj = pivot.get(j)
@@ -662,19 +694,24 @@ def _ldl_pivots(
                 elif v:
                     row[j] = a * v // e
             since[i] = a
-        out.append((p, Fraction(a, prev * s), col))
+        out.append((p, a, pivot))
         prev = a
     return out
 
 
-def _float_screen_rejects(g: list[list[Fraction]]) -> bool:
-    """Whether g is certainly not psd by the eigenvalue margin in _rational_ldl.
+def _float_screen_rejects(g: Scaled) -> bool:
+    """Whether nums / den is certainly not psd by the eigenvalue margin in
+    _rational_ldl.
 
-    A norm beyond the float range makes the margin infinite: no rejection.
+    Each entry is the correctly rounded quotient c / den of Python's int
+    division, the float of the Fraction.  An entry beyond the float range
+    raises OverflowError, and a norm beyond it makes the margin infinite:
+    no rejection either way.
     """
+    nums, den = g
     with np.errstate(over="ignore"):
         try:
-            a = np.array([[float(c) for c in row] for row in g])
+            a = np.array([[c / den for c in row] for row in nums])
             lowest = np.linalg.eigvalsh(a)[0]
         except (OverflowError, np.linalg.LinAlgError):
             return False

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as Fr
@@ -92,6 +93,20 @@ def test_float_operator_matches_exact_rows(factors, target):
         assert rhs[r] == float(row.rhs)
 
 
+def _fractions(scaled):
+    """The matrix nums / den of a snap's result as Fractions; None stays None."""
+    if scaled is None:
+        return None
+    nums, den = scaled
+    return [[Fr(c, den) for c in row] for row in nums]
+
+
+def _scaled(g):
+    """A Fraction matrix as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(Fr(c).denominator for row in g for c in row))
+    return [[int(c * den) for c in row] for row in g], den
+
+
 def _meets_every_row(rows, g):
     return all(
         sum((c * g[i][j] for (i, j), c in row.coeffs.items()), Fr(0)) == row.rhs
@@ -105,12 +120,12 @@ def test_snap_fixes_a_matrix_on_the_slice(factors, target):
     snap = problem.snap
     rng = np.random.default_rng(11)
     ghat, other = (_random_rational_symmetric(rng, problem.dim) for _ in range(2))
-    g = snap.snap(ghat)
+    g = _fractions(snap.snap(ghat))
     assert g is not None and _meets_every_row(snap.rows, g)
-    assert snap.snap(g) == g
+    assert _fractions(snap.snap(g)) == g
     # nearest point: ghat - g is orthogonal to the slice in the symmetric
     # metric, so to the difference of any two points on it
-    h = snap.snap(other)
+    h = _fractions(snap.snap(other))
     assert h is not None and _meets_every_row(snap.rows, h)
     n = problem.dim
     assert sum(
@@ -120,7 +135,7 @@ def test_snap_fixes_a_matrix_on_the_slice(factors, target):
         # basis 1, x, y on the unit circle: 1 + x^2 is the diagonal (1, 1, 0)
         diag = [[Fr(int(i == j and i < 2)) for j in range(3)] for i in range(3)]
         assert _meets_every_row(snap.rows, diag)
-        assert snap.snap(diag) == diag
+        assert _fractions(snap.snap(diag)) == diag
 
 
 def test_snap_leaves_dependent_rows_out():
@@ -134,16 +149,137 @@ def test_snap_leaves_dependent_rows_out():
     snap = problem.snap
     assert (problem.matching, len(snap.rows), len(snap.pivots)) == (5, 8, 6)
     rng = np.random.default_rng(13)
-    g = snap.snap(_random_rational_symmetric(rng, problem.dim))
+    g = _fractions(snap.snap(_random_rational_symmetric(rng, problem.dim)))
     assert g is not None and _meets_every_row(snap.rows, g)
     # 2 - 2x = (1 - x)^2 + y^2 has its Gram matrix on the slice
     square = [[Fr(1), Fr(-1), Fr(0)], [Fr(-1), Fr(1), Fr(0)], [Fr(0), Fr(0), Fr(1)]]
-    assert _meets_every_row(snap.rows, square) and snap.snap(square) == square
+    assert _meets_every_row(snap.rows, square) and _fractions(snap.snap(square)) == square
 
 
 def test_snap_of_inconsistent_rows_is_none():
     rows = [gram.Row({(0, 0): Fr(1)}, Fr(1)), gram.Row({(0, 0): Fr(1)}, Fr(2))]
     assert gram._ExactAffineSnap(rows).snap([[Fr(0)]]) is None
+
+
+class RefAffineSnap:
+    """The exact projection in Fraction arithmetic, as `gram._ExactAffineSnap`
+    computed it before it ran on integer numerators: the Fraction normal
+    matrix, factored by `ref_ldl_pivots`, and a forward and a backward sweep
+    over its pivots."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        k = len(rows)
+        dens, ints, weighted = [], [], []
+        for row in rows:
+            den = math.lcm(*(c.denominator for c in row.coeffs.values()))
+            num = {key: c.numerator * (den // c.denominator) for key, c in row.coeffs.items()}
+            dens.append(den)
+            ints.append(num)
+            weighted.append({key: 2 * c if key[0] == key[1] else c for key, c in num.items()})
+        normal = [[Fr(0)] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a, k):
+                acc = sum(c * weighted[b].get(key, 0) for key, c in ints[a].items())
+                normal[a][b] = normal[b][a] = Fr(acc, 2 * dens[a] * dens[b])
+        self.pivots = [
+            (p, d, [(i, c) for i, c in enumerate(col) if c and i != p])
+            for p, d, col in ref_ldl_pivots(normal)
+        ]
+
+    def _solve_normal(self, v):
+        rest = list(v)
+        ys = []
+        for p, _, col in self.pivots:
+            y = rest[p]
+            ys.append(y)
+            for i, c in col:
+                rest[i] -= y * c
+        lam = [Fr(0)] * len(v)
+        for (p, d, col), y in zip(reversed(self.pivots), reversed(ys)):
+            lam[p] = y / d - sum((c * lam[i] for i, c in col), Fr(0))
+        return lam
+
+    def snap(self, ghat):
+        v = [
+            row.rhs - sum((c * ghat[i][j] for (i, j), c in row.coeffs.items()), Fr(0))
+            for row in self.rows
+        ]
+        out = [r[:] for r in ghat]
+        for l, row in zip(self._solve_normal(v), self.rows):
+            for (i, j), c in row.coeffs.items():
+                out[i][j] += l * c / (2 if i != j else 1)
+                if i != j:
+                    out[j][i] = out[i][j]
+        return out if _meets_every_row(self.rows, out) else None
+
+
+def _ellipse_through(rng, point):
+    """a x^2 + b xy + c y^2 + d x + e y + f with 4ac > b^2 through the point,
+    which is not its centre."""
+    px, py = point
+    while True:
+        a, c = rng.randint(1, 5), rng.randint(1, 5)
+        b = rng.randint(-4, 4)
+        d, e = (Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        if 4 * a * c > b * b and (2 * a * px + b * py + d, b * px + 2 * c * py + e) != (0, 0):
+            break
+    f = -(a * px * px + b * px * py + c * py * py + d * px + e * py)
+    return BiPoly({(2, 0): a, (1, 1): b, (0, 2): c, (1, 0): d, (0, 1): e, (0, 0): f})
+
+
+def _snap_parity_problems():
+    """Row systems of every kind the solver builds: the PROBLEMS, and 1-3
+    random ellipses at degrees 1-3 with a value row at a point off the curve
+    and a zero prescription at a point on it, where the target vanishes
+    (dependent rows) or does not (inconsistent rows)."""
+    for factors, target in PROBLEMS:
+        for degree in (1, 2):
+            yield _problem(factors, target, degree)
+    rng = random.Random(2025)
+    for r in (1, 2, 3):
+        for degree in (1, 2, 3):
+            on = (Fr(rng.randint(-3, 3), rng.randint(1, 3)), Fr(rng.randint(-3, 3), rng.randint(1, 3)))
+            off = (Fr(rng.randint(-9, 9), rng.randint(1, 4)), Fr(rng.randint(-9, 9), rng.randint(1, 4)))
+            ellipses = [_ellipse_through(rng, on) for _ in range(r)]
+            analysis = analyze_curve(ellipses)
+            subset = _compact(analysis)
+            square = B(f"(x - ({on[0]}))^2 + 2*(y - ({on[1]}))^2")
+            values = [
+                gram.PrescribedValue("Q", subset[0], RationalPoint(*off), (Fr(rng.randint(1, 9)), Fr(1, 3))),
+                gram.PrescribedValue("P", subset[0], RationalPoint(*on), (Fr(0),)),
+            ]
+            for target in (square, square + BiPoly.const(1)):
+                yield gram.build_gram_problem(analysis, target, subset, degree, values)
+
+
+def _snap_candidates(rng, n):
+    """Symmetric candidates: small rationals, and numerators of up to 300
+    bits over denominators up to 10^9."""
+    for bits, den in ((4, 5), (30, 10**9), (300, 10**9)):
+        g = [[Fr(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = Fr(rng.randrange(-(2**bits), 2**bits), rng.randint(1, den))
+        yield g
+
+
+def test_snap_matches_the_fraction_reference():
+    """The integer snap returns the reference's matrix, or None with it,
+    on consistent, dependent and inconsistent rows, and fixes its result."""
+    rng = random.Random(7)
+    seen = set()
+    for problem in _snap_parity_problems():
+        ref = RefAffineSnap(problem.rows)
+        assert len(problem.snap.pivots) == len(ref.pivots)
+        for ghat in _snap_candidates(rng, problem.dim):
+            want = ref.snap(ghat)
+            got = _fractions(problem.snap.snap(ghat))
+            assert got == want
+            if got is not None:
+                assert _fractions(problem.snap.snap(got)) == got
+            seen.add(got is None)
+    assert seen == {True, False}
 
 
 def _rank_deficient_psd(rng, n, r, scale):
@@ -181,7 +317,7 @@ def test_rational_ldl_on_rank_deficient_psd(seed):
     for scale in (Fr(10) ** -6, Fr(1), Fr(10) ** 6):
         r = int(rng.integers(1, n))
         g, v = _rank_deficient_psd(rng, n, r, scale)
-        pivots = gram._rational_ldl(g)
+        pivots = gram._rational_ldl(_scaled(g))
         assert pivots is not None
         assert len(pivots) == r
         assert all(d > 0 for d, _ in pivots)
@@ -192,17 +328,17 @@ def test_rational_ldl_on_rank_deficient_psd(seed):
         for eps in (Fr(10) ** -30, Fr(1)):
             bad = [row[:] for row in g]
             bad[i][i] -= eps
-            assert gram._rational_ldl(bad) is None
+            assert gram._rational_ldl(_scaled(bad)) is None
 
 
 def test_rational_ldl_beyond_float_range():
     # entries overflow a float: the factorization stays exact
     big = Fr(10) ** 400
     g = [[big, big, 0], [big, 2 * big, big], [0, big, big]]
-    pivots = gram._rational_ldl(g)
+    pivots = gram._rational_ldl(_scaled(g))
     assert pivots is not None and _rebuild(pivots, 3) == g
     g[2][2] -= 1
-    assert gram._rational_ldl(g) is None
+    assert gram._rational_ldl(_scaled(g)) is None
 
 
 def _two_circle_draw(k):
@@ -375,19 +511,43 @@ def _ldl_cases(rng):
         yield g
 
 
+def ref_float_screen_rejects(g):
+    """The eigenvalue screen of `_rational_ldl` on the floats of a Fraction matrix."""
+    with np.errstate(over="ignore"):
+        try:
+            a = np.array([[float(c) for c in row] for row in g])
+            lowest = np.linalg.eigvalsh(a)[0]
+        except (OverflowError, np.linalg.LinAlgError):
+            return False
+        return bool(lowest < -gram._SCREEN_MARGIN * max(1.0, float(np.linalg.norm(a))))
+
+
 def test_ldl_pivots_match_fraction_elimination():
+    """The integer entry nums / den gives the triples of the elimination of
+    the Fraction matrix, in lowest terms and at any multiple of them, and
+    its float screen sees the floats of the Fractions."""
     rng = np.random.default_rng(2042)
     verdicts = set()
     for g in _ldl_cases(rng):
-        before = [row[:] for row in g]
-        got = gram._ldl_pivots(g)
-        assert g == before
-        assert got == ref_ldl_pivots(g)
-        verdicts.add(got is None)
+        want = ref_ldl_pivots(g)
+        nums, den = _scaled(g)
+        k = int(rng.integers(1, 10**9))
+        for scaled in ((nums, den), ([[k * c for c in row] for row in nums], k * den)):
+            before = [row[:] for row in scaled[0]]
+            assert gram._ldl_pivots(scaled) == want
+            assert scaled[0] == before
+            if g:
+                assert gram._float_screen_rejects(scaled) == ref_float_screen_rejects(g)
+        verdicts.add(want is None)
     assert verdicts == {True, False}
     # ties keep the first index; a zero diagonal with a nonzero entry is not psd
-    assert [p for p, _, _ in gram._ldl_pivots([[Fr(1), Fr(0)], [Fr(0), Fr(1)]])] == [0, 1]
-    assert gram._ldl_pivots([[Fr(0), Fr(1, 3)], [Fr(1, 3), Fr(0)]]) is None
+    assert [p for p, _, _ in gram._ldl_pivots(([[1, 0], [0, 1]], 1))] == [0, 1]
+    assert gram._ldl_pivots(([[0, 1], [1, 0]], 3)) is None
+    # entries beyond the float range skip the screen; a huge numerator over
+    # a huge denominator is an ordinary float
+    big = 10**400
+    for g in ([[Fr(big), Fr(0)], [Fr(0), Fr(-1)]], [[Fr(big + 1, big), Fr(0)], [Fr(0), Fr(-1)]]):
+        assert gram._float_screen_rejects(_scaled(g)) == ref_float_screen_rejects(g)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

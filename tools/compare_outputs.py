@@ -15,8 +15,15 @@ instance records the outcome and detail; the curve analysis (the shear,
 and per point its realness, incidences, own singularities, `ompit` flag
 and classification kind and detail); when one was built, the
 certificate (`exact`, residual, provenance, the `repr` of every summand) or
-the witness (`repr`); and when the checker ran, its report (`ok`, residual,
-the names of the failed checks), so a change to the checker is diffed too.
+the witness (`repr`); when the checker ran, its report (`ok`, residual,
+the names of the failed checks), so a change to the checker is diffed too;
+and the Gram rounding ladder's trail: per exact snap whether it returned a
+matrix, and per exact L D L^T (`gram._rational_ldl`) None or the largest
+bit length of p*q over its pivots p/q.  A snap that wrongly fails leaves the
+certificate numeric with the same summands, and only the trail shows it.
+An operation that ran out of its budget gets no trail, because the clock
+cut it.  Every hook is wrapped by its name in its module or class, so
+`dump --root` reads older checkouts the same way.
 `diff` prints every instance whose record differs, then per workload the
 count of each outcome transition (for example `compact-gram numeric ->
 exact: 23`), and exits 1 when any record differs.
@@ -42,13 +49,14 @@ def _load(root: Path):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import bench_instances
     import bench_pipeline
-    from soscurves import certify, curve, verify, witness
+    from soscurves import certify, curve, gram, verify, witness
 
-    return bench_instances, bench_pipeline, certify, curve, witness, verify
+    return bench_instances, bench_pipeline, certify, curve, gram, witness, verify
 
 
 def _capture(module, name: str, built: list) -> None:
-    """Wrap module.name so each artifact it returns is appended to built."""
+    """Wrap module.name (a module or class attribute) so each artifact it
+    returns is appended to built."""
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
@@ -91,6 +99,19 @@ def _analysis(an) -> dict | None:
     return {"shear": None if an.shear is None else str(an.shear), "points": points}
 
 
+def _ladder(snaps: list, ldls: list, timed_out: bool) -> dict | None:
+    if timed_out:
+        return None
+    return {
+        "snapped": [out is not None for out in snaps],
+        "ldl_bits": [
+            None if pivots is None
+            else max(((d.numerator * d.denominator).bit_length() for d, _ in pivots), default=0)
+            for pivots in ldls
+        ],
+    }
+
+
 def _report(report) -> dict | None:
     if report is None:
         return None
@@ -102,7 +123,7 @@ def _report(report) -> dict | None:
 
 
 def dump(root: Path, seeds: list[int], out: Path) -> int:
-    instances, pipeline, certify, curve, witness, verify = _load(root)
+    instances, pipeline, certify, curve, gram, witness, verify = _load(root)
     analyses: list = []
     _capture(curve, "analyze_curve", analyses)
     built: list = []
@@ -112,6 +133,10 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
     reports: list = []
     _capture(verify, "verify_certificate", reports)
     _capture(verify, "verify_witness", reports)
+    snaps: list = []
+    _capture(gram._ExactAffineSnap, "snap", snaps)
+    ldls: list = []
+    _capture(gram, "_rational_ldl", ldls)
     runs = [
         (w, str(s), inst) for w in WORKLOADS for s in seeds for inst in instances.generate(w, s)
     ]
@@ -121,6 +146,8 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
             analyses.clear()
             built.clear()
             reports.clear()
+            snaps.clear()
+            ldls.clear()
             res = pipeline.run_operation(inst, BUDGET_S[workload])
             record = {
                 "key": f"{workload}/{seed}/{inst.name}",
@@ -129,6 +156,7 @@ def dump(root: Path, seeds: list[int], out: Path) -> int:
                 "analysis": _analysis(analyses[-1] if analyses else None),
                 "artifact": _artifact(built[-1] if built else None),
                 "report": _report(reports[-1] if reports else None),
+                "ladder": _ladder(snaps, ldls, res.timed_out),
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"{len(runs)} instances written to {out}")
@@ -154,7 +182,7 @@ def diff(a: Path, b: Path) -> int:
             print(f"{key}: only in {a if rb is None else b}")
             continue
         print(f"{key}: {ra['outcome']} ({ra['detail']}) -> {rb['outcome']} ({rb['detail']})")
-        for part in ("analysis", "artifact", "report"):
+        for part in ("analysis", "artifact", "report", "ladder"):
             if ra.get(part) != rb.get(part):
                 print(f"  {part} differs")
         if ra["outcome"] != rb["outcome"]:
