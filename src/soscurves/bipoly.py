@@ -82,10 +82,6 @@ class BiPoly:
     def y() -> BiPoly:
         return _make({(0, 1): 1}, 1)
 
-    @staticmethod
-    def term(c: Rat, i: int, j: int) -> BiPoly:
-        return BiPoly({(i, j): c})
-
     # -- shape -------------------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, QuadraticSplitKind, have_common_factor, split_binary_quadratic
-from .numbers import sqrt_fraction
+from .numbers import exact_isqrt
 from .polyparse import format_bipoly
 from .tribool import TriBool
 from .unipoly import UniPoly, count_real_roots, isolate_real_roots, squarefree_part
@@ -99,14 +99,16 @@ class InfinitySummary:
 
 @dataclass
 class Component:
+    """One factor of F; each flag stays UNKNOWN unless exact analysis or metadata sets it."""
+
     index: int
     label: str
     poly: BiPoly
     degree: int
-    is_real: TriBool
-    has_real_points: TriBool
-    bounded_ring_trivial: TriBool
-    rational_open_A1: TriBool
+    is_real: TriBool = TriBool.UNKNOWN
+    has_real_points: TriBool = TriBool.UNKNOWN
+    bounded_ring_trivial: TriBool = TriBool.UNKNOWN
+    rational_open_A1: TriBool = TriBool.UNKNOWN
     chart: Chart | None = None
     conic_kind: str | None = None
 
@@ -139,7 +141,10 @@ def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Comp
     if d < 1:
         raise InvalidComponent("components must be non-constant")
     frames = _line_frames(F) if d >= 3 else []
-    if not is_squarefree(F) or any(G.deg_y > 0 and G.content_wrt_y().degree > 0 for G in frames):
+    # a line, and a conic whose projective form has full rank (a smooth,
+    # hence irreducible, conic), pass is_squarefree; its resultant is spared
+    smooth = d == 1 or (d == 2 and sum(_conic_signature(F)) == 3)
+    if not (smooth or is_squarefree(F)) or any(G.deg_y > 0 and G.content_wrt_y().degree > 0 for G in frames):
         raise InvalidComponent(
             f"{format_bipoly(F)} is reducible or has a repeated factor; "
             "each component must be one irreducible factor"
@@ -186,95 +191,63 @@ def _line_component(index: int, label: str, F: BiPoly) -> Component:
         chart = LineChart(UniPoly.var(), UniPoly([-c / b, -a / b]), UniPoly.one(), one, zero)
     else:
         chart = LineChart(UniPoly.const(-c / a), UniPoly.var(), UniPoly.one(), zero, one)
+    yes = TriBool.YES
     return Component(
-        index=index,
-        label=label,
-        poly=F,
-        degree=1,
-        is_real=TriBool.YES,
-        has_real_points=TriBool.YES,
-        bounded_ring_trivial=TriBool.YES,
-        rational_open_A1=TriBool.YES,
-        chart=chart,
+        index, label, F, 1, is_real=yes, has_real_points=yes, bounded_ring_trivial=yes,
+        rational_open_A1=yes, chart=chart,
     )
 
 
 # -- conics ------------------------------------------------------------------
 
 
-def _conic_coefficients(F: BiPoly) -> tuple[Fraction, ...]:
-    return (
-        F.coeff(2, 0),
-        F.coeff(1, 1),
-        F.coeff(0, 2),
-        F.coeff(1, 0),
-        F.coeff(0, 1),
-        F.coeff(0, 0),
-    )
+_CONIC_KEYS = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))  # a x^2 + b xy + c y^2 + d x + e y + f
 
 
-def _conic_matrix(F: BiPoly) -> list[list[Fraction]]:
-    """The symmetric 3x3 matrix of the projective form in (x, y, z)."""
-    a, b, c, d, e, f = _conic_coefficients(F)
-    return [
-        [a, b / 2, d / 2],
-        [b / 2, c, e / 2],
-        [d / 2, e / 2, f],
-    ]
+def _conic_matrix(F: BiPoly) -> list[list[int]]:
+    """2*den*M for M the symmetric 3x3 matrix of the projective form in
+    (x, y, z) and F = num/den: the integer matrix of 2*num."""
+    a, b, c, d, e, f = (F._num.get(k, 0) for k in _CONIC_KEYS)
+    return [[2 * a, b, d], [b, 2 * c, e], [d, e, 2 * f]]
+
+
+def _adjugate(m: list[list[int]]) -> list[list[int]]:
+    """The adjugate (transposed cofactor matrix) of a symmetric 3x3 matrix."""
+    (a, b, d), (_, c, e), (_, _, f) = m
+    c00, c01, c02 = c * f - e * e, d * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - d * d, b * d - a * e, a * c - b * b
+    return [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
 
 
 def _conic_signature(F: BiPoly) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of the projective 3x3 form."""
+    """(positive, negative) eigenvalue counts of the projective 3x3 form M.
+
+    They are read off the integer matrix N = 2*den*M: a positive multiple
+    has the same signature, and so the same rank.  The eigenvalues of N are
+    the (all-real) roots of t^3 - tr t^2 + minors t - det, so Descartes'
+    rule counts them exactly by sign.
+    """
     m = _conic_matrix(F)
+    adj = _adjugate(m)
     tr = m[0][0] + m[1][1] + m[2][2]
-    minors = (
-        m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    )
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    # eigenvalues are the (all-real) roots of t^3 - tr t^2 + minors t - det,
-    # so Descartes' rule counts them exactly by sign
-    charpoly = [-det, minors, -tr, Fraction(1)]
-    pos = _descartes(charpoly)
-    neg = _descartes([c if i % 2 == 0 else -c for i, c in enumerate(charpoly)])
-    return pos, neg
+    minors = adj[0][0] + adj[1][1] + adj[2][2]  # the principal 2x2 minors
+    det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    return _sign_changes(-det, minors, -tr, 1), _sign_changes(det, minors, tr, 1)
 
 
-def _descartes(coeffs: list[Fraction]) -> int:
-    signs = [(c > 0) - (c < 0) for c in coeffs if c]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+def _sign_changes(*coeffs: int) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def _conic_kernel(F: BiPoly) -> tuple[Fraction, Fraction, Fraction]:
-    """A nonzero rational kernel vector of the rank-2 projective form."""
-    m = _conic_matrix(F)
-    # gaussian elimination looking for the one-dimensional null space
-    cols = 3
-    rows = [row[:] for row in m]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, 3) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][col]:
-                rows[i] = [u - rows[i][col] * v for u, v in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = next(c for c in range(cols) if c not in pivots)
-    vec = [Fraction(0)] * 3
-    vec[free] = Fraction(1)
-    for row, col in zip(rows, pivots):
-        vec[col] = -row[free]
-    return tuple(vec)
+def _conic_kernel(F: BiPoly) -> tuple[int, int, int]:
+    """A nonzero integer kernel vector of the rank-2 projective form M, up to scale.
+
+    N = 2*den*M has the kernel of M.  At rank 2 its adjugate is c*k*k^T for
+    a kernel vector k and some c != 0 (N adj(N) = det(N) I = 0, and some
+    2x2 minor is nonzero), so every nonzero column spans the kernel.
+    """
+    return next(col for col in zip(*_adjugate(_conic_matrix(F))) if any(col))
 
 
 def _conic_component(index: int, label: str, F: BiPoly) -> Component:
@@ -287,13 +260,11 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     if rank == 2 and pos == neg:
         # two real lines crossing at the kernel point k; on a plane X_i = 0
         # that misses k they cut out the zeros of a binary quadratic form,
-        # and the lines are rational exactly when those zeros are
-        k = _conic_kernel(F)
-        i = next(i for i in range(3) if k[i])
-        u, v = [j for j in range(3) if j != i]
-        m = _conic_matrix(F)
-        # a quarter of the discriminant of m_uu X_u^2 + 2 m_uv X_u X_v + m_vv X_v^2
-        if sqrt_fraction(m[u][v] ** 2 - m[u][u] * m[v][v]) is not None:
+        # and the lines are rational exactly when those zeros are.  k_i != 0
+        # where the cofactor adj_ii = c*k_i^2 of N = 2*den*M is, and -adj_ii
+        # is a quarter of the discriminant of N's form, (2*den)^2 times M's
+        adj = _adjugate(_conic_matrix(F))
+        if exact_isqrt(-next(adj[i][i] for i in range(3) if adj[i][i])) is not None:
             raise InvalidComponent(
                 f"{format_bipoly(F)} is reducible: it is a product of two "
                 "rational lines; each component must be one irreducible factor"
@@ -304,16 +275,10 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     if rank == 2:
         # two conjugate complex lines; their crossing is the only real point
         has_pt = TriBool.of(_conic_kernel(F)[2] != 0)
+        no = TriBool.NO
         return Component(
-            index=index,
-            label=label,
-            poly=F,
-            degree=2,
-            is_real=TriBool.NO,
-            has_real_points=has_pt,
-            bounded_ring_trivial=TriBool.NO,
-            rational_open_A1=TriBool.NO,
-            conic_kind="conjugate-lines",
+            index, label, F, 2, is_real=no, has_real_points=has_pt, bounded_ring_trivial=no,
+            rational_open_A1=no, conic_kind="conjugate-lines",
         )
 
     # rank 3: a smooth conic
@@ -330,17 +295,12 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         kind = "ellipse"
         chart = _circle_chart(F)
         bounded, open_a1 = TriBool.NO, TriBool.NO
+    if empty:
+        kind, bounded, open_a1 = "empty", TriBool.NO, TriBool.NO
+    real = TriBool.of(not empty)
     return Component(
-        index=index,
-        label=label,
-        poly=F,
-        degree=2,
-        is_real=TriBool.of(not empty),
-        has_real_points=TriBool.of(not empty),
-        bounded_ring_trivial=TriBool.NO if empty else bounded,
-        rational_open_A1=TriBool.NO if empty else open_a1,
-        chart=chart,
-        conic_kind=kind if not empty else "empty",
+        index, label, F, 2, is_real=real, has_real_points=real, bounded_ring_trivial=bounded,
+        rational_open_A1=open_a1, chart=chart, conic_kind=kind,
     )
 
 
@@ -399,7 +359,7 @@ def _pencil_chart(F: BiPoly, direction: BiPoly) -> LineChart:
 
 
 def _circle_chart(F: BiPoly) -> CircleChart:
-    a, b, c, d, e, f = _conic_coefficients(F)
+    a, b, c, d, e, f = (F.coeff(*k) for k in _CONIC_KEYS)
     assert c != 0, "an irreducible leading form forces a y^2 term"
     s1 = b / (2 * c)
     s0 = e / (2 * c)
@@ -424,17 +384,7 @@ def _high_degree_component(index: int, label: str, F: BiPoly) -> Component:
     d = F.total_degree
     inf = infinity_summary(F)
     bounded = TriBool.of(inf.nonreal_pairs == 0) if inf.exact else TriBool.UNKNOWN
-    return Component(
-        index=index,
-        label=label,
-        poly=F,
-        degree=d,
-        is_real=TriBool.UNKNOWN,
-        has_real_points=TriBool.UNKNOWN,
-        bounded_ring_trivial=bounded,
-        rational_open_A1=TriBool.UNKNOWN,
-        chart=None,
-    )
+    return Component(index, label, F, d, bounded_ring_trivial=bounded)
 
 
 # -- metadata ------------------------------------------------------------------

@@ -284,7 +284,7 @@ def _merge_points(factors, components, resolved) -> list[PointRecord]:
     for i, comp in enumerate(components):
         if comp.conic_kind == "conjugate-lines" and comp.has_real_points is TriBool.YES:
             k1, k2, k3 = _conic_kernel(factors[i])
-            add_real(RationalPoint(k1 / k3, k2 / k3), {i}, {i})
+            add_real(RationalPoint(Fraction(k1, k3), Fraction(k2, k3)), {i}, {i})
 
     # Every pair is intersected and real points merge by exact equality, so a
     # real entry already lists every factor through it.  A non-real pair found

@@ -550,8 +550,9 @@ def _round_to_exact(
 
     Each rung rounds the entries to rationals with bounded denominators and
     projects the result exactly onto the slice of the rows, so irrational
-    eigen directions are never an obstruction.  Each entry gets one
-    `limit_denominators` call, for every rung at once.
+    eigen directions are never an obstruction.  A rung's entries are
+    rounded only when the ladder reaches it; most calls end at the first
+    rung or two.
 
     The first psd candidate ends the ladder.  Its L D L^T pivots d = p/q are
     split into rational squares by the search in `numbers`, which scans
@@ -563,14 +564,12 @@ def _round_to_exact(
     numeric unless the problem is small.
     """
     n = problem.dim
-    upper = [
-        [limit_denominators(x, ladder) for x in row[i:]] for i, row in enumerate(matrix.tolist())
-    ]
-    for rung in range(len(ladder)):
+    rows = matrix.tolist()
+    for bound in ladder:
         g = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
+        for i, row in enumerate(rows):
             for j in range(i, n):
-                g[i][j] = g[j][i] = upper[i][j - i][rung]
+                g[i][j] = g[j][i] = limit_denominators(row[j], (bound,))[0]
         # a rounded g that is psd and meets every row is its own snap
         snapped = problem.snap.snap(g)
         pivots = None if snapped is None else _rational_ldl(snapped)

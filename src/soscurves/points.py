@@ -20,9 +20,6 @@ class RationalPoint:
     x: Fraction
     y: Fraction
 
-    def as_floats(self) -> tuple[float, float]:
-        return (float(self.x), float(self.y))
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraicPoint:

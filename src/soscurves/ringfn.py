@@ -174,13 +174,6 @@ class CircleFn:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
-    @property
-    def top_degree(self) -> int:
-        """Degree with respect to the filtration where deg x = 1, deg w = 1."""
-        da = self.a.degree
-        db = self.b.degree + 1 if not self.b.is_zero() else -1
-        return max(da, db)
-
     def _common(self, other: CircleFn) -> UniPoly:
         if self.q != other.q:
             raise ValueError("functions live on different conics")

@@ -236,9 +236,6 @@ class UniPoly:
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         return self.divmod(other)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")

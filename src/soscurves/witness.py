@@ -49,10 +49,6 @@ class CycleObstruction:
     piece: tuple[str, ...]
     cycle: tuple[str, ...]
 
-    @property
-    def components(self) -> tuple[str, ...]:
-        return (self.distinguished, *self.piece)
-
 
 @dataclass(frozen=True)
 class NonrealIntersectionObstruction:
@@ -69,10 +65,6 @@ class NonrealIntersectionObstruction:
     pair_quadratics: tuple[UniPoly, ...]
     psd_factor: UniPoly
     x_range: tuple[Fraction, Fraction]
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        return (self.host, self.zero_component)
 
 
 ObstructionWitness = CycleObstruction | NonrealIntersectionObstruction

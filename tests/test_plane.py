@@ -22,7 +22,7 @@ from soscurves.components import (
     build_component,
     infinity_summary,
 )
-from soscurves import bipoly, configuration, curve, intersect, ringfn
+from soscurves import bipoly, components, configuration, curve, intersect, ringfn
 from soscurves.curve import PointClass, analyze_curve, classify_point, to_configuration
 from soscurves.intersect import (
     SharedComponent,
@@ -531,6 +531,52 @@ def test_line_chart_inverse_reads_back_the_parameter(kind, entries, ts):
         x, y = _chart_point(chart, t)
         assert F(x, y) == 0
         assert chart.alpha * x + chart.beta * y == t
+
+
+# conics in coordinates (u, v), moved by a random affine map (x, y) -> (u, v)
+_CONIC_FORMS = {
+    "ellipse": "u^2 + v^2 - 1",
+    "empty": "u^2 + v^2 + 1",
+    "parabola": "v - u^2",
+    "hyperbola": "u*v - 1",
+    "irrational hyperbola": "u^2 - 2*v^2 - 1",
+    "double line": "u^2",
+    "real line pair": "u*v",
+    "irrational line pair": "u^2 - 2*v^2",
+    "parallel lines": "u^2 - 1",
+    "complex line pair": "u^2 + v^2",
+    "complex parallel lines": "u^2 + 1",
+}
+
+
+@st.composite
+def _conics(draw):
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+        assume(any(coeffs[:3]))
+        return BiPoly(dict(zip([(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)], coeffs)))
+    a, b, c, d, e, f, k = draw(st.lists(_ratios, min_size=7, max_size=7))
+    assume(a * d - b * c != 0 and k != 0)
+    G = B(_CONIC_FORMS[draw(st.sampled_from(sorted(_CONIC_FORMS)))], ("u", "v"))
+    return G.translate(e, f).compose_linear(a, b, c, d).scale(k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(F=_conics())
+def test_conic_signature_rank_and_kernel_match_sympy(F):
+    sp = pytest.importorskip("sympy")
+    a, b, c, d, e, f = (sp.Rational(F.coeff(*k).numerator, F.coeff(*k).denominator)
+                        for k in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    M = sp.Matrix([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
+    roots = sp.Poly(M.charpoly().as_expr()).real_roots()
+    pos, neg = components._conic_signature(F)
+    assert (pos, neg) == (sum(1 for r in roots if r > 0), sum(1 for r in roots if r < 0))
+    assert pos + neg == M.rank()
+    if pos + neg == 3:  # build_component skips the resultant test for these
+        assert components.is_squarefree(F)
+    if pos + neg == 2:
+        k = sp.Matrix(components._conic_kernel(F))
+        assert any(k) and M * k == sp.zeros(3, 1)
 
 
 def test_hyperbola_without_rational_asymptotes():
