@@ -7,10 +7,17 @@ gcd(den, n_ij...) = 1, and the zero polynomial is ({}, 1), so equal
 polynomials have equal pairs.  Every ring operation runs on Python ints and
 normalises once at the end, and so do the conversions to `UniPoly`
 (`as_y_polynomial`, `specialize_x`, `substitute`, `compose_rational`):
-evaluating at p/q is homogeneous, sum n_ij p^i q^(d-i), and a substituted
-polynomial is split into its integer numerators and its denominator before
-its powers are taken.  `.terms` and `.coeff` rebuild Fraction coefficients
-for callers.
+evaluating at p/q is homogeneous, sum n_ij p^i q^(d-i).  `.terms` and
+`.coeff` rebuild Fraction coefficients for callers.
+
+The substitutions F(A/C, B/C) (`compose_rational`, and `substitute` with
+C = 1) and F(ax + by, cx + dy) (`compose_linear`, with C the common
+denominator of the forms) bring the arguments to one denominator and
+evaluate the form sum n_ij A^i B^j C^(d-i-j) of total degree d in one
+homogeneous Horner pass on integers: the numerators are split into rows by
+the y-power j, row j is run by Horner in A from i = d - j down to 0, adding
+n_ij C^(d-j-i) at step i, and the rows are joined by Horner in B.  No power
+of A or B is ever formed, and a constant C = 1 keeps every power of C at 1.
 
 The module also carries the elimination machinery used by the intersection
 engine: Sylvester resultants and subresultants as fraction-free Bareiss
@@ -252,17 +259,21 @@ class BiPoly:
         num = self._num
         if not num:
             return _ZERO
-        # the forms are X / ex and Y / ey with integer X, Y
-        nx, ny = BiPoly({(1, 0): a, (0, 1): b}), BiPoly({(1, 0): c, (0, 1): d})
-        ex, ey = nx._den, ny._den
-        xp, yp = _PowerCache(_make(nx._num, 1)), _PowerCache(_make(ny._num, 1))
-        dx, dy = self.deg_x, self.deg_y
+        # over one denominator L the forms are X / L and Y / L with integer
+        # X, Y, and L^n F(X/L, Y/L) is the form at (X, Y, L)
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = (_ratio(v) for v in (a, b, c, d))
+        L = lcm(ad, bd, cd, dd)
+        X = (an * (L // ad), bn * (L // bd))
+        Y = (cn * (L // cd), dn * (L // dd))
+        n = self.total_degree
         out: dict[tuple[int, int], int] = {}
-        for (i, j), coef in num.items():
-            k = coef * ex ** (dx - i) * ey ** (dy - j)
-            for key, v in (xp[i] * yp[j])._num.items():
-                out[key] = out.get(key, 0) + k * v
-        return _make(*_canonical(out, self._den * ex**dx * ey**dy))
+        rows = _rows(num, self.deg_y)
+        for j in range(len(rows) - 1, -1, -1):
+            row, acc = rows[j], {}
+            for i in range(n - j, -1, -1):
+                acc = _times_linear(acc, X, {(0, 0): row[i] * L ** (n - j - i)} if i in row else {})
+            out = _times_linear(out, Y, acc)
+        return _make(*_canonical(out, self._den * L**n))
 
     def swap_vars(self) -> BiPoly:
         return _make({(j, i): c for (i, j), c in self._num.items()}, self._den)
@@ -285,44 +296,39 @@ class BiPoly:
 
     def substitute(self, xp: UniPoly, yp: UniPoly) -> UniPoly:
         """F(xp(t), yp(t)) as a univariate polynomial."""
-        num = self._num
-        if not num:
-            return UniPoly.zero()
-        # xp = X / ex and yp = Y / ey with integer X, Y
-        ex, ey = xp._den, yp._den
-        xc, yc = _PowerCache(_uni_make(xp._num, 1)), _PowerCache(_uni_make(yp._num, 1))
-        dx, dy = self.deg_x, self.deg_y
-        out: list[int] = []
-        for (i, j), c in num.items():
-            _accumulate(out, c * ex ** (dx - i) * ey ** (dy - j), xc[i] * yc[j])
-        return _uni(out, self._den * ex**dx * ey**dy)
+        return self.compose_rational(xp, yp, UniPoly.one())
 
     def compose_rational(self, A: UniPoly, B: UniPoly, C: UniPoly) -> UniPoly:
         """Clear denominators in F(A/C, B/C): returns C^d * F(A/C, B/C) for d the total degree."""
         d = self.total_degree
         if d < 0:
             return UniPoly.zero()
-        ad, bd, cd = A._den, B._den, C._den
-        ac, bc, cc = (_PowerCache(_uni_make(P._num, 1)) for P in (A, B, C))
+        # over one denominator L the form sum n_ij A^i B^j C^(d-i-j) is L^-d
+        # times the same form at the integer numerators a, b, c
+        L = lcm(A._den, B._den, C._den)
+        a, b, c = ([v * (L // P._den) for v in P._num] for P in (A, B, C))
+        cs = [[1]]
+        for _ in range(d):
+            cs.append(_conv(cs[-1], c))
         out: list[int] = []
-        for (i, j), c in self._num.items():
-            k = c * ad ** (d - i) * bd ** (d - j) * cd ** (i + j)
-            _accumulate(out, k, ac[i] * bc[j] * cc[d - i - j])
-        return _uni(out, self._den * (ad * bd * cd) ** d)
+        rows = _rows(self._num, self.deg_y)
+        for j in range(len(rows) - 1, -1, -1):
+            row, acc = rows[j], []
+            for i in range(d - j, -1, -1):
+                acc = _conv(acc, a)
+                if i in row:
+                    _add_into(acc, row[i], cs[d - j - i])
+            out = _conv(out, b)
+            _add_into(out, 1, acc)
+        return _uni(out, self._den * L**d)
 
     # -- views as a univariate polynomial over UniPoly coefficients ---------
 
     def as_y_polynomial(self) -> list[UniPoly]:
         """Coefficient list [c_0(x), ..., c_m(x)] with F = sum c_j(x) y^j."""
-        num = self._num
-        if not num:
-            return []
-        rows: list[dict[int, int]] = [{} for _ in range(self.deg_y + 1)]
-        for (i, j), c in num.items():
-            rows[j][i] = c
         den = self._den
         out = []
-        for row in rows:
+        for row in _rows(self._num, self.deg_y):
             if row:
                 coeffs = [0] * (max(row) + 1)
                 for i, c in row.items():
@@ -389,27 +395,36 @@ def _uni(num: list[int], den: int) -> UniPoly:
     return _uni_make(*_uni_canonical(num, den))
 
 
-def _accumulate(out: list[int], k: int, p: UniPoly) -> None:
-    """out += k * numerators of p, for p with denominator 1."""
-    pn = p._num
-    if len(pn) > len(out):
-        out.extend([0] * (len(pn) - len(out)))
-    for e, v in enumerate(pn):
+def _rows(num: dict[tuple[int, int], int], deg_y: int) -> list[dict[int, int]]:
+    """The rows {i: n_ij} of the numerators, indexed by the y-power j."""
+    rows: list[dict[int, int]] = [{} for _ in range(deg_y + 1)]
+    for (i, j), c in num.items():
+        rows[j][i] = c
+    return rows
+
+
+def _add_into(out: list[int], k: int, p: list[int]) -> None:
+    """out += k * p on integer coefficient lists."""
+    if len(p) > len(out):
+        out.extend([0] * (len(p) - len(out)))
+    for e, v in enumerate(p):
         out[e] += k * v
 
 
-class _PowerCache:
-    """Lazy powers of a fixed polynomial, shared across one substitution."""
-
-    def __init__(self, base):
-        self.base = base
-        one = UniPoly.one() if isinstance(base, UniPoly) else BiPoly.const(1)
-        self.known = [one]
-
-    def __getitem__(self, n: int):
-        while len(self.known) <= n:
-            self.known.append(self.known[-1] * self.base)
-        return self.known[n]
+def _times_linear(
+    p: dict[tuple[int, int], int], form: tuple[int, int], plus: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """The numerators of p * (u x + v y) + plus for form = (u, v)."""
+    u, v = form
+    out = dict(plus)
+    get = out.get
+    if u:
+        for (i, j), c in p.items():
+            out[i + 1, j] = get((i + 1, j), 0) + c * u
+    if v:
+        for (i, j), c in p.items():
+            out[i, j + 1] = get((i, j + 1), 0) + c * v
+    return out
 
 
 # -- resultants ------------------------------------------------------------

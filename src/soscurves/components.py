@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, QuadraticSplitKind, have_common_factor, split_binary_quadratic
+from .bipoly import BiPoly, have_common_factor, split_binary_quadratic
 from .numbers import exact_isqrt
 from .polyparse import format_bipoly
 from .tribool import TriBool
@@ -253,7 +253,7 @@ def _conic_kernel(F: BiPoly) -> tuple[int, int, int]:
 def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     pos, neg = _conic_signature(F)
     rank = pos + neg
-    split = split_binary_quadratic(F.leading_form())
+    adj = _adjugate(_conic_matrix(F))
 
     if rank == 1:
         raise InvalidComponent("components must be squarefree")
@@ -263,7 +263,6 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
         # and the lines are rational exactly when those zeros are.  k_i != 0
         # where the cofactor adj_ii = c*k_i^2 of N = 2*den*M is, and -adj_ii
         # is a quarter of the discriminant of N's form, (2*den)^2 times M's
-        adj = _adjugate(_conic_matrix(F))
         if exact_isqrt(-next(adj[i][i] for i in range(3) if adj[i][i])) is not None:
             raise InvalidComponent(
                 f"{format_bipoly(F)} is reducible: it is a product of two "
@@ -281,20 +280,22 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
             rational_open_A1=no, conic_kind="conjugate-lines",
         )
 
-    # rank 3: a smooth conic
+    # rank 3: a smooth conic; its kind is the sign of the cofactor
+    # adj_22 = 4ac - b^2 of N, minus the discriminant of the leading form
     empty = pos == 3 or neg == 3
-    if split.kind is QuadraticSplitKind.PERFECT_SQUARE:
-        kind = "parabola"
-        chart: Chart | None = _pencil_chart(F, split.repeated_factor)
-        bounded, open_a1 = TriBool.YES, TriBool.YES
-    elif split.kind is QuadraticSplitKind.TWO_DISTINCT_REAL:
-        kind = "hyperbola"
-        chart = _pencil_chart(F, split.factors[0]) if split.factors else None
-        bounded, open_a1 = TriBool.YES, TriBool.YES
-    else:
+    if adj[2][2] > 0:
         kind = "ellipse"
-        chart = _circle_chart(F)
+        chart: Chart | None = _circle_chart(F)
         bounded, open_a1 = TriBool.NO, TriBool.NO
+    else:
+        split = split_binary_quadratic(F.leading_form())
+        if adj[2][2] == 0:
+            kind = "parabola"
+            chart = _pencil_chart(F, split.repeated_factor)
+        else:
+            kind = "hyperbola"
+            chart = _pencil_chart(F, split.factors[0]) if split.factors else None
+        bounded, open_a1 = TriBool.YES, TriBool.YES
     if empty:
         kind, bounded, open_a1 = "empty", TriBool.NO, TriBool.NO
     real = TriBool.of(not empty)

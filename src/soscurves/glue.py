@@ -3,21 +3,19 @@
 Component-wise decompositions give summand vectors whose values at a shared
 point generally disagree; since both value vectors have the same Euclidean
 norm (the value of the target there), a single Householder reflection
-H = I - 2 u u^T / (u^T u) with u = v - w turns one into the other exactly.
+H = I - 2 u u^T / (u^T u) with u = w - v turns one into the other exactly.
 `reflect` applies H to a list of functions as a rank-one update in one
 pass: one linear combination s = sum_j u_j f_j, then the two-term
 combination f_i - (2 u_i / u^T u) s for each i with u_i != 0.  Each
 combination sums the integer numerators of the function type (`lincomb`)
-and normalises once, and no k x k matrix is ever formed.  Processing the
-components of a forest in attachment order therefore stitches all the
-local decompositions into one certificate over the whole curve.
+and normalises once, and no k x k matrix is ever formed.
 
-A reflection that matches one point keeps an earlier match intact when the
-pairwise inner products agree: with the earlier value vector already at its
-goal w1 and the next pair (v2, w2), u2 = v2 - w2 is orthogonal to w1 exactly
-when <v2, w1> = <w2, w1>.  In `forest_assemble` every already-built function
-list is reflected together, so the values at earlier shared points move on
-both sides alike and stay equal.
+`forest_assemble` places the components of a forest in attachment order
+and reflects only the one that joins: its value vector w at the shared
+point goes to the donor's v, and sum_j (H p_j)^2 = sum_j p_j^2 on it since
+H is orthogonal.  The joining component meets the assembled part at that
+point alone, so the components already placed are only padded with zero
+functions and keep every earlier agreement: one reflection per attachment.
 """
 from __future__ import annotations
 
@@ -118,12 +116,12 @@ def forest_assemble(
     sub-configuration on the components to assemble; that sub-curve must
     satisfy the unbounded-case conditions on its own.  Components are
     processed in attachment order; each one contributes the two-square
-    decomposition of the restriction.  At the single shared point the
-    already-built part has value vector v and the new part w, of equal
-    norm; one `reflect` with u = v - w, applied to every function list built
-    so far, brings the two into agreement there.  When the certificate is
-    already numeric and every |u_i| is within the numeric tolerance, the
-    reflection is skipped: its normal would be float noise.
+    decomposition of the restriction.  At the single point where a component
+    joins, the assembled part has value vector v and the new part w, of
+    equal norm; one `reflect` with u = w - v, applied to the new part only,
+    sends w to v, and the assembled part is padded with zero functions.
+    When the certificate is already numeric and every |u_i| is within the
+    numeric tolerance, the reflection is skipped (see the comment there).
     """
     verdict = decide_unbounded_case(config)
     if verdict.answer is not TriBool.YES:
@@ -182,25 +180,26 @@ def forest_assemble(
             (p_new,) = chart_arguments(comp.chart, rec.point)
             old = funcs[donor]
             n = max(len(old), len(parts))
+            new = _pad(parts, n)
             v = [f(p_old) for f in _pad(old, n)]
-            w = [g(p_new) for g in _pad(parts, n)]
+            w = [g(p_new) for g in new]
             if exact and sum(a * a for a in v) != sum(b * b for b in w):
                 raise ValueMismatch(
                     f"square sums disagree at {rec.id}; the target does not "
                     "restrict consistently"
                 )
-            u = [a - b for a, b in zip(v, w)]
+            u = [b - a for a, b in zip(v, w)]
             if not exact and any(u) and all(abs(x) <= _NUMERIC_TOL for x in u):
-                # numeric values that agree up to float noise: a reflection
-                # along that noise would undo the agreement at earlier points
-                for other in funcs:
-                    funcs[other] = _pad(funcs[other], n)
+                # with |v|^2 = |w|^2 + delta the reflection gives
+                # H w = v + u delta / |u|^2, which misses v by O(1) when u
+                # and delta are float noise
                 how = "agreeing within the numeric tolerance"
             else:
-                for other in funcs:
-                    funcs[other] = reflect(_pad(funcs[other], n), u)
+                new = reflect(new, u)
                 how = "reflected into agreement"
-            funcs[cid] = _pad(parts, n)
+            for other in funcs:
+                funcs[other] = _pad(funcs[other], n)
+            funcs[cid] = new
             provenance.append(f"{cid}: {len(parts)} squares, {how} at {rec.id}")
         else:
             raise AssertionError(

@@ -321,6 +321,27 @@ def test_conversions_match_fraction_reference():
         assert list(A.compose_rational(X, Y, Z).coeffs) == ref_univariate(ra, xs, ys, zs, d)
         U = _uni(rng, rng.randint(0, 5))
         assert BiPoly.from_unipoly_in_x(U).terms == _clean({(i, 0): c for i, c in enumerate(U.coeffs)})
+    # edges of the Horner passes: total degree up to 8, y-rows left empty, a
+    # zero argument or linear form, and a constant C other than 1
+    zero = UniPoly.zero()
+    for _ in range(60):
+        a = {}
+        for _ in range(rng.randint(1, 9)):
+            j = rng.choice((0, 1, 3, 6))
+            a[(rng.randint(0, 8 - j), j)] = _rational(rng)
+        ra = _clean(a)
+        A = BiPoly(a)
+        d = max((i + j for i, j in ra), default=-1)
+        X, Y = (_uni(rng, rng.randint(0, 2)) for _ in range(2))
+        Z = UniPoly.const(rng.choice((Fr(-2), Fr(3, 5), Fr(7))))
+        for P, Q in ((X, Y), (zero, Y), (X, zero), (zero, zero)):
+            ps, qs, zs = list(P.coeffs), list(Q.coeffs), list(Z.coeffs)
+            assert list(A.substitute(P, Q).coeffs) == ref_univariate(ra, ps, qs)
+            assert list(A.compose_rational(P, Q, Z).coeffs) == ref_univariate(ra, ps, qs, zs, d)
+        p, q, r, s = (_rational(rng) for _ in range(4))
+        for form in ((p, q, r, s), (0, 0, r, s), (p, q, 0, 0), (p, 0, 0, s)):
+            fx, fy = _clean({(1, 0): form[0], (0, 1): form[1]}), _clean({(1, 0): form[2], (0, 1): form[3]})
+            assert A.compose_linear(*form).terms == ref_linear_compose(ra, fx, fy)
 
 
 def test_canonical_form():

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from soscurves import curve, gram
+from soscurves import curve, glue, gram
 from soscurves.certify import Inconclusive, ValueNormMismatch, compact_complete, full_certify
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
@@ -12,7 +12,8 @@ from soscurves.decide import decide_psd_eq_sos
 from soscurves.glue import NotPsdOnComponent, forest_assemble, reflect
 from soscurves.points import RationalPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import CircleFn, IrrationalAttachment, LineFn
+from soscurves.ringfn import CircleFn, IrrationalAttachment, LineFn, restrict_to_chart
+from soscurves.squares import line_fn_sos
 from soscurves.tribool import TriBool
 from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate, verify_witness
@@ -268,6 +269,50 @@ def test_numeric_hyperbola_star_keeps_its_agreements(factors, target):
     cert, report = certify(factors, target)
     assert cert.exact is False
     assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize(
+    "factors, target",
+    [
+        # a parabola hub with four vertical leaves
+        (["y - x^2", "x + 2", "x + 1", "x - 1", "x - 2"], "x^2 + y^2 + 1"),
+        # a chain of hyperbolas joined by the vertical lines that miss their
+        # asymptotes: xy = 1 | x = 2 | (x-1)y = 1 | x = 0 | (x-2)y = 1
+        (["x*y - 1", "x - 2", "(x - 1)*y - 1", "x", "(x - 2)*y - 1"], "x^2 + 1"),
+    ],
+    ids=["parabola-star", "hyperbola-chain"],
+)
+def test_forest_assemble_reflects_each_joining_component_once(monkeypatch, factors, target):
+    analysis = analyze_curve([B(f) for f in factors])
+    F = B(target)
+    config = to_configuration(analysis)
+    inputs = []
+    monkeypatch.setattr(glue, "reflect", lambda fns, u: inputs.append(fns) or reflect(fns, u))
+    cert = forest_assemble(analysis, F, config)
+    monkeypatch.undo()
+    assert cert.exact
+    assert verify_certificate(analysis, F, cert).ok
+
+    parts = {
+        c.label: list(line_fn_sos(restrict_to_chart(F, c.chart)).parts) for c in analysis.components
+    }
+    first, *joined = (p.split(":")[0] for p in cert.provenance)
+    n = len(cert.summands)
+    # one reflection per attachment point, of the joining component's own
+    # parts padded with zeros: nothing already placed is reflected again
+    attachments = sum(1 for rec in analysis.points if rec.is_real)
+    assert len(inputs) == len(joined) == attachments == len(factors) - 1
+    for cid, fns in zip(joined, inputs):
+        assert fns == parts[cid] + [LineFn.zero()] * (len(fns) - len(parts[cid]))
+    assert [s[first] for s in cert.summands] == parts[first] + [LineFn.zero()] * (n - len(parts[first]))
+
+    # perturbing one reflected function breaks the certificate
+    last = joined[-1]
+    j = next(j for j, s in enumerate(cert.summands) if not s[last].is_zero)
+    bad = [dict(s) for s in cert.summands]
+    bad[j][last] = bad[j][last] + LineFn.const(Fr(1, 5))
+    report = verify_certificate(analysis, F, replace(cert, summands=bad))
+    assert not report.ok
 
 
 def test_configuration_is_built_once(monkeypatch):

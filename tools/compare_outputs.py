@@ -26,7 +26,9 @@ cut it.  Every hook is wrapped by its name in its module or class, so
 `dump --root` reads older checkouts the same way.
 `diff` prints every instance whose record differs, then per workload the
 count of each outcome transition (for example `compact-gram numeric ->
-exact: 23`), and exits 1 when any record differs.
+exact: 23`), then one line with the number of records that differ in each
+field (outcome, detail, analysis, artifact, the report's `ok` and failed
+names, the report's residual, ladder), and exits 1 when any record differs.
 """
 from __future__ import annotations
 
@@ -169,10 +171,22 @@ def _read(path: Path) -> dict[str, dict]:
     return {r["key"]: r for r in records}
 
 
+FIELDS = {
+    "outcome": lambda r: r["outcome"],
+    "detail": lambda r: r["detail"],
+    "analysis": lambda r: r.get("analysis"),
+    "artifact": lambda r: r.get("artifact"),
+    "report ok/failed": lambda r: r.get("report") and (r["report"]["ok"], r["report"]["failed"]),
+    "report residual": lambda r: r.get("report") and r["report"]["residual"],
+    "ladder": lambda r: r.get("ladder"),
+}
+
+
 def diff(a: Path, b: Path) -> int:
     old, new = _read(a), _read(b)
     changed = 0
     moves: Counter[tuple[str, str, str]] = Counter()
+    fields: Counter[str] = Counter()
     for key in sorted(old.keys() | new.keys()):
         ra, rb = old.get(key), new.get(key)
         if ra == rb:
@@ -187,9 +201,11 @@ def diff(a: Path, b: Path) -> int:
                 print(f"  {part} differs")
         if ra["outcome"] != rb["outcome"]:
             moves[(key.split("/")[0], ra["outcome"], rb["outcome"])] += 1
+        fields.update(name for name, get in FIELDS.items() if get(ra) != get(rb))
     print(f"{len(old.keys() | new.keys())} instances, {changed} differ")
     for (workload, before, after), count in sorted(moves.items()):
         print(f"{workload} {before} -> {after}: {count}")
+    print("differing by field: " + ", ".join(f"{name} {fields[name]}" for name in FIELDS))
     return 1 if changed else 0
 
 
