@@ -219,21 +219,6 @@ class BiPoly:
     def leading_form(self) -> BiPoly:
         return self.homogeneous_part(self.total_degree)
 
-    def monomial_content(self) -> tuple[int, int]:
-        """Largest (i, j) with x^i * y^j dividing every term."""
-        if not self._num:
-            return (0, 0)
-        return (min(i for i, _ in self._num), min(j for _, j in self._num))
-
-    def shift_down(self, i0: int, j0: int) -> BiPoly:
-        """Exact division by x^i0 * y^j0."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._num.items():
-            if i < i0 or j < j0:
-                raise ValueError("monomial does not divide")
-            out[(i - i0, j - j0)] = c
-        return _make(out, self._den)
-
     # -- substitutions ---------------------------------------------------
 
     def translate(self, a: Rat, b: Rat) -> BiPoly:

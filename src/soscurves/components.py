@@ -4,8 +4,8 @@ Lines and conics are classified exactly through the signature of the
 projective quadratic form and the splitting of the leading form.  Only a
 component of degree three or higher counts its places at infinity
 (`infinity_summary`), and only to decide boundedness, which stays exact
-whenever the curve meets the line at infinity transversally; everything else
-falls back to user-supplied metadata or an Unknown flag.
+whenever the curve meets the line at infinity transversally; every other
+flag of such a component stays Unknown.
 
 Lines, parabolas and hyperbolas with rational asymptotes share one chart
 format, `LineChart`, which carries a linear inverse t = alpha*x + beta*y;
@@ -26,10 +26,6 @@ from .unipoly import UniPoly, count_real_roots, isolate_real_roots, squarefree_p
 class UnsupportedComponent(ValueError):
     """A factor the theory cannot treat as one real component (e.g. a product
     of two real lines that only splits over an extension field)."""
-
-
-class MetadataConflict(ValueError):
-    """User metadata contradicts an exactly computed attribute."""
 
 
 class InvalidComponent(ValueError):
@@ -88,18 +84,9 @@ class CircleChart:
 Chart = LineChart | CircleChart
 
 
-@dataclass(frozen=True)
-class InfinitySummary:
-    real_places: int | None
-    nonreal_pairs: int | None
-    vertical_multiplicity: int
-    exact: bool
-    note: str = ""
-
-
 @dataclass
 class Component:
-    """One factor of F; each flag stays UNKNOWN unless exact analysis or metadata sets it."""
+    """One factor of F; each flag stays UNKNOWN unless exact analysis sets it."""
 
     index: int
     label: str
@@ -136,7 +123,7 @@ def is_squarefree(F: BiPoly) -> bool:
     return not have_common_factor(F, probe)
 
 
-def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Component:
+def build_component(index: int, F: BiPoly) -> Component:
     d = F.total_degree
     if d < 1:
         raise InvalidComponent("components must be non-constant")
@@ -155,13 +142,10 @@ def build_component(index: int, F: BiPoly, metadata: dict | None = None) -> Comp
         )
     label = f"C{index + 1}"
     if d == 1:
-        comp = _line_component(index, label, F)
-    elif d == 2:
-        comp = _conic_component(index, label, F)
-    else:
-        comp = _high_degree_component(index, label, F)
-    _apply_metadata(comp, metadata)
-    return comp
+        return _line_component(index, label, F)
+    if d == 2:
+        return _conic_component(index, label, F)
+    return _high_degree_component(index, label, F)
 
 
 def _line_frames(F: BiPoly) -> list[BiPoly]:
@@ -305,34 +289,20 @@ def _conic_component(index: int, label: str, F: BiPoly) -> Component:
     )
 
 
-def infinity_summary(F: BiPoly) -> InfinitySummary:
-    """Count the places of a component along the line at infinity.
+def infinity_summary(F: BiPoly) -> int | None:
+    """The number of conjugate pairs of non-real places of a component at
+    infinity, or None when the curve does not meet the line at infinity
+    transversally.
 
-    Directions are the roots of the dehomogenized leading form plus possibly
-    the vertical one.  The counts are places of the completed curve exactly
-    when the curve meets the line at infinity transversally everywhere.
+    Directions are the roots of the dehomogenized leading form p plus
+    possibly the vertical one, of multiplicity deg F - deg p.  They are the
+    places of the completed curve exactly when every one is simple.
     """
-    d = F.total_degree
     p = F.leading_form().specialize_x(1)
-    vertical_mult = d - max(p.degree, 0)
-    if p.degree >= 1:
-        sq = squarefree_part(p)
-        real_distinct = count_real_roots(p)
-    else:
-        sq = p
-        real_distinct = 0
-    real_places = real_distinct + (1 if vertical_mult >= 1 else 0)
-    nonreal = (max(sq.degree, 0) - real_distinct) // 2
-    transversal = vertical_mult <= 1 and (p.degree <= 0 or sq.degree == p.degree)
-    if transversal:
-        return InfinitySummary(real_places, nonreal, vertical_mult, exact=True)
-    return InfinitySummary(
-        None,
-        None,
-        vertical_mult,
-        exact=False,
-        note="curve is singular along the line at infinity; counts need metadata",
-    )
+    sq = squarefree_part(p)
+    if F.total_degree - p.degree > 1 or sq.degree != p.degree:
+        return None
+    return (sq.degree - count_real_roots(p)) // 2
 
 
 def _pencil_chart(F: BiPoly, direction: BiPoly) -> LineChart:
@@ -382,32 +352,6 @@ def _circle_chart(F: BiPoly) -> CircleChart:
 
 
 def _high_degree_component(index: int, label: str, F: BiPoly) -> Component:
-    d = F.total_degree
-    inf = infinity_summary(F)
-    bounded = TriBool.of(inf.nonreal_pairs == 0) if inf.exact else TriBool.UNKNOWN
-    return Component(index, label, F, d, bounded_ring_trivial=bounded)
-
-
-# -- metadata ------------------------------------------------------------------
-
-_METADATA_FIELDS = ("is_real", "has_real_points", "bounded_ring_trivial", "rational_open_A1")
-
-
-def _apply_metadata(comp: Component, metadata: dict | None) -> None:
-    if not metadata:
-        return
-    for name in _METADATA_FIELDS:
-        if name not in metadata:
-            continue
-        supplied = TriBool.of(bool(metadata[name]))
-        current = getattr(comp, name)
-        if current is TriBool.UNKNOWN:
-            setattr(comp, name, supplied)
-        elif current is not supplied:
-            raise MetadataConflict(
-                f"metadata sets {name}={metadata[name]} but exact analysis of "
-                f"{format_bipoly(comp.poly)} determined {current.value}"
-            )
-    unknown = set(metadata) - set(_METADATA_FIELDS)
-    if unknown:
-        raise MetadataConflict(f"unknown metadata fields: {sorted(unknown)}")
+    pairs = infinity_summary(F)
+    bounded = TriBool.UNKNOWN if pairs is None else TriBool.of(pairs == 0)
+    return Component(index, label, F, F.total_degree, bounded_ring_trivial=bounded)

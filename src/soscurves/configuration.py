@@ -1,13 +1,12 @@
 """Abstract curve configurations and their combinatorics.
 
-A configuration records what the geometry engine (or a hand-written JSON
-file) knows about a curve: one entry per irreducible component with its
-three-valued attribute flags, and one entry per intersection point with the
-components it joins.  Everything in this module is purely combinatorial; no
-polynomial arithmetic happens here.  A configuration carries only what its
-readers (`decide` and the combinatorics below) use: no charts and no
-parameter values, which certificate and witness construction read from the
-curve analysis itself.  The JSON reader ignores keys it does not know.
+A configuration records what the geometry engine knows about a curve: one
+entry per irreducible component with its three-valued attribute flags, and
+one entry per intersection point with the components it joins.  Everything
+in this module is purely combinatorial; no polynomial arithmetic happens
+here.  A configuration carries only what its readers (`decide` and the
+combinatorics below) use: no charts and no parameter values, which
+certificate and witness construction read from the curve analysis itself.
 
 The incidence graph is bipartite: component nodes on one side, point nodes
 on the other, an edge for each incidence.  A point on exactly two components
@@ -19,7 +18,7 @@ concurrent lines cyclic even though they can be attached one at a time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .tribool import TriBool, all_of
 
@@ -305,97 +304,3 @@ def induced_subconfiguration(
         if len(set(incident)) >= 2:
             pts.append(ConfigPoint(pt.id, pt.realness, incident, pt.ompit))
     return CurveConfiguration(comps, tuple(pts))
-
-
-# -- JSON mapping --------------------------------------------------------------
-
-
-def _flag_to_json(flag: TriBool) -> str:
-    return flag.value
-
-
-def _flag_from_json(raw: Any, where: str) -> TriBool:
-    try:
-        return TriBool(raw)
-    except ValueError:
-        raise ConfigurationError(f"{where}: bad flag value {raw!r}") from None
-
-
-def configuration_to_json(config: CurveConfiguration) -> dict[str, Any]:
-    comps = [
-        {
-            "id": c.id,
-            "label": c.label,
-            "is_real": _flag_to_json(c.is_real),
-            "has_real_points": _flag_to_json(c.has_real_points),
-            "bounded_ring_trivial": _flag_to_json(c.bounded_ring_trivial),
-            "rational_open_A1": _flag_to_json(c.rational_open_A1),
-            "own_singularities": [
-                {"point": s.point, "ompit": _flag_to_json(s.ompit)}
-                for s in c.own_singularities
-            ],
-        }
-        for c in config.components
-    ]
-    pts = [
-        {
-            "id": p.id,
-            "realness": _flag_to_json(p.realness),
-            "components": list(p.components),
-            "ompit": _flag_to_json(p.ompit),
-        }
-        for p in config.points
-    ]
-    return {"components": comps, "intersection_points": pts}
-
-
-def configuration_from_json(data: Mapping[str, Any]) -> CurveConfiguration:
-    if not isinstance(data, Mapping):
-        raise ConfigurationError("configuration must be a JSON object")
-    raw_comps = data.get("components")
-    raw_pts = data.get("intersection_points", [])
-    if not isinstance(raw_comps, Sequence) or isinstance(raw_comps, str):
-        raise ConfigurationError("'components' must be a list")
-    comps = []
-    for i, rc in enumerate(raw_comps):
-        where = f"components[{i}]"
-        if not isinstance(rc, Mapping) or "id" not in rc:
-            raise ConfigurationError(f"{where}: missing id")
-        own = []
-        for rs in rc.get("own_singularities", []):
-            own.append(
-                OwnSingularity(
-                    str(rs["point"]), _flag_from_json(rs.get("ompit", "unknown"), where)
-                )
-            )
-        comps.append(
-            ConfigComponent(
-                id=str(rc["id"]),
-                label=str(rc.get("label", rc["id"])),
-                is_real=_flag_from_json(rc.get("is_real", "unknown"), where),
-                has_real_points=_flag_from_json(
-                    rc.get("has_real_points", "unknown"), where
-                ),
-                bounded_ring_trivial=_flag_from_json(
-                    rc.get("bounded_ring_trivial", "unknown"), where
-                ),
-                rational_open_A1=_flag_from_json(
-                    rc.get("rational_open_A1", "unknown"), where
-                ),
-                own_singularities=tuple(own),
-            )
-        )
-    pts = []
-    for i, rp in enumerate(raw_pts):
-        where = f"intersection_points[{i}]"
-        if not isinstance(rp, Mapping) or "id" not in rp:
-            raise ConfigurationError(f"{where}: missing id")
-        pts.append(
-            ConfigPoint(
-                id=str(rp["id"]),
-                realness=_flag_from_json(rp.get("realness", "unknown"), where),
-                components=tuple(str(c) for c in rp.get("components", [])),
-                ompit=_flag_from_json(rp.get("ompit", "unknown"), where),
-            )
-        )
-    return CurveConfiguration(tuple(comps), tuple(pts))

@@ -55,7 +55,6 @@ class PointClass(Enum):
 @dataclass(frozen=True)
 class PointClassification:
     kind: PointClass
-    factors_through: int
     detail: str = ""
 
 
@@ -78,13 +77,13 @@ def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
         raise ValueError("the point does not lie on the curve")
     if k > 2:
         return PointClassification(
-            PointClass.NOT_OMPIT, k, detail="more than two branches through the point"
+            PointClass.NOT_OMPIT, detail="more than two branches through the point"
         )
     F = through[0]
     fx, fy = F.partial_x(), F.partial_y()
     if k == 1:
         if curve_sign_at(fx, p) != 0 or curve_sign_at(fy, p) != 0:
-            return PointClassification(PointClass.NON_SINGULAR, 1)
+            return PointClassification(PointClass.NON_SINGULAR)
         fxx, fxy, fyy = fx.partial_x(), fx.partial_y(), fy.partial_y()
         disc = curve_sign_at(fxy * fxy - fxx * fyy, p)
         outer = (fxx, fyy)
@@ -94,7 +93,7 @@ def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
         outer = (fx * gx, fy * gy)
     if disc > 0:
         return PointClassification(
-            PointClass.ORDINARY_DOUBLE_POINT, k, detail="ordinary double point"
+            PointClass.ORDINARY_DOUBLE_POINT, detail="ordinary double point"
         )
     if disc < 0:
         reason = "isolated real branch (conjugate tangents)"
@@ -102,7 +101,7 @@ def classify_point(through: list[BiPoly], p: RealPoint) -> PointClassification:
         reason = "order-two part vanishes"  # the middle coefficient squared is 4ac = 0
     else:
         reason = "repeated tangent"
-    return PointClassification(PointClass.NOT_OMPIT, k, detail=reason)
+    return PointClassification(PointClass.NOT_OMPIT, detail=reason)
 
 
 @dataclass
@@ -137,13 +136,10 @@ class CurveAnalysis:
         return self.components[component_index(cid)]
 
 
-def analyze_curve(
-    factors: list[BiPoly], metadata: dict[int, dict] | None = None
-) -> CurveAnalysis:
+def analyze_curve(factors: list[BiPoly]) -> CurveAnalysis:
     if not factors:
         raise ValueError("need at least one component")
-    metadata = metadata or {}
-    components = [build_component(i, F, metadata.get(i)) for i, F in enumerate(factors)]
+    components = [build_component(i, F) for i, F in enumerate(factors)]
 
     tasks = _intersection_tasks(factors, components)
     resolved: list[tuple[tuple[int, ...], PairIntersection, bool]] = []

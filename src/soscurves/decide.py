@@ -185,20 +185,6 @@ def decide_psd_eq_sos(config: CurveConfiguration) -> Verdict:
     return Verdict(answer, listed, hint, tuple(notes))
 
 
-def decide_virtually_compact(config: CurveConfiguration) -> Verdict:
-    """Special case: every component already has a nontrivial bounded ring."""
-    bad = [
-        c.id
-        for c in config.components
-        if c.bounded_ring_trivial is not TriBool.NO
-    ]
-    if bad:
-        raise PreconditionViolated(
-            f"components {bad} do not have a nontrivial bounded ring"
-        )
-    return decide_psd_eq_sos(config)
-
-
 def decide_unbounded_case(config: CurveConfiguration) -> Verdict:
     """Special case: only constants are bounded on every component."""
     bad = [

@@ -74,10 +74,6 @@ def curve_sign_at(F: BiPoly, p: RealPoint) -> int:
     return BoxedValue(F.substitute(p.x.poly, p.y.poly), p.u, p.x.modulus).sign()
 
 
-def lies_on(F: BiPoly, p: RealPoint) -> bool:
-    return curve_sign_at(F, p) == 0
-
-
 def same_point(p: RealPoint, q: RealPoint) -> bool:
     """Exact equality of two real points.
 

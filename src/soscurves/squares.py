@@ -10,18 +10,23 @@ negative: p keeps one sign between consecutive distinct real roots, and the
 endpoints of the disjoint isolating boxes sample every such interval, so no
 refinement is needed.
 
-The exact decomposition splits the squarefree rootless part r as A^2 + B^2
-by pairing complex roots so that the paired factor has Gaussian-rational
-coefficients, and combines with a two-square splitting of the constant via
-the Brahmagupta identity.  A monic quadratic r = t^2 + u t + v, and the last
-quadratic factor left of a longer r, is decomposed exactly with no floats:
-r = (t + u/2)^2 + gap with gap = v - u^2/4 > 0, which pairs as
-(t + u/2, sqrt(gap)) exactly when gap is a rational square and otherwise
-gives the square-list (t + u/2, rational squares of gap).  numpy's roots
-serve rootless parts of degree 4 and more only.  Every exact result is
-re-verified by expanding the squares; nothing is trusted from floating
-point.  When no exact decomposition is found the numeric path pairs all
-upper-half-plane roots and reports the coefficient residual.
+The exact decomposition is one fold over square-lists, tuples of
+polynomials whose squares sum to a factor of p.  It starts from (square,),
+multiplies in the lists of the squarefree rootless part r and then the
+rational squares of the constant c (`rational_square_list`), and keeps the
+nonzero products.  Two lists of two entries multiply through the
+Brahmagupta identity and stay two; any other pair takes the outer product.
+The lists of r come from one of three places.  A monic quadratic
+r = t^2 + u t + v, like the last quadratic factor left of a longer r, needs
+no floats: r = (t + u/2)^2 + gap with gap = v - u^2/4 > 0, so its list is
+(t + u/2) followed by the rational squares of gap.  A longer r is split as
+A^2 + B^2 by pairing complex roots so that the paired factor has
+Gaussian-rational coefficients, or failing that into rational quadratic
+factors.  numpy's roots serve rootless parts of degree 4 and more only.
+Every exact result is re-verified by expanding the squares once; nothing is
+trusted from floating point.  When no exact decomposition is found the
+numeric path pairs all upper-half-plane roots and reports the coefficient
+residual.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numbers import _two_squares, limit_denominators, rational_square_list
+from .numbers import limit_denominators, rational_square_list
 from .ringfn import LineFn
 from .unipoly import UniPoly, count_real_roots, isolate_real_roots, yun_decomposition
 
@@ -88,17 +93,6 @@ def negative_point(
     else:
         samples = [lo, *(e for e in ends if lo < e < hi), hi]
     return next((t for t in samples if p.sign_at(t) < 0), None)
-
-
-def _two_square_fractions(c: Fraction) -> tuple[Fraction, Fraction] | None:
-    """c = a^2 + b^2 over the rationals, if an integral witness exists."""
-    if c < 0:
-        return None
-    ab = _two_squares(c.numerator * c.denominator)
-    if ab is None:
-        return None
-    a, b = sorted(ab + [0, 0], reverse=True)[:2]
-    return Fraction(a, c.denominator), Fraction(b, c.denominator)
 
 
 def _split_psd(p: UniPoly) -> tuple[Fraction, UniPoly, UniPoly]:
@@ -212,31 +206,19 @@ def _quadratic_square_lists(
 def _square_list_product(fs: tuple, gs: tuple) -> tuple:
     """A square-list for the product of two square-list values.
 
-    Two-term lists combine through the Brahmagupta identity and stay short;
-    anything longer falls back to the outer product.
+    Two two-term lists combine through the Brahmagupta identity and stay
+    two; any other pair takes the outer product, which keeps a one-term
+    list's length.
     """
-    if len(fs) <= 2 and len(gs) <= 2:
-        a = fs[0] if len(fs) > 0 else UniPoly.zero()
-        b = fs[1] if len(fs) > 1 else UniPoly.zero()
-        c = gs[0] if len(gs) > 0 else UniPoly.zero()
-        d = gs[1] if len(gs) > 1 else UniPoly.zero()
+    if len(fs) == 2 and len(gs) == 2:
+        (a, b), (c, d) = fs, gs
         return (a * c - b * d, a * d + b * c)
     return tuple(f * g for f in fs for g in gs)
 
 
 def _signed(parts: tuple[UniPoly, ...]) -> tuple[UniPoly, ...]:
-    """Normalize each part to a positive leading coefficient, nonzero first."""
-    fixed = tuple(-f if (not f.is_zero() and f.leading() < 0) else f for f in parts)
-    if len(fixed) == 2 and fixed[0].is_zero() and not fixed[1].is_zero():
-        fixed = (fixed[1], fixed[0])
-    return fixed
-
-
-def _constant_square_list(c: Fraction) -> tuple[UniPoly, ...]:
-    two = _two_square_fractions(c)
-    if two is not None:
-        return (UniPoly.const(two[0]), UniPoly.const(two[1]))
-    return tuple(UniPoly.const(e) for e in rational_square_list(c) if e)
+    """Normalize each (nonzero) part to a positive leading coefficient."""
+    return tuple(-f if f.leading() < 0 else f for f in parts)
 
 
 def _numeric_two_squares(
@@ -269,54 +251,31 @@ def uni_sos_two_squares(
     """Decompose psd p = c * square^2 * rootless as a sum of (preferably two) squares.
 
     The split is `_split_psd(p)`, already known psd: c > 0 and rootless
-    without real roots.  Returns two exact squares whenever the complex root
-    pairing yields them, a longer exact list when only rational quadratic
-    factors are available, and falls back to the numeric answer as a last
-    resort.  A quadratic rootless part never needs the roots: its completed
-    square is the pairing when it has two entries, else the one list.
+    without real roots.  The square-lists of rootless (its completed square
+    when it is quadratic, else the complex root pairing or, failing that,
+    its rational quadratic factors) and then of c are multiplied into
+    (square,) one at a time; the parts are the nonzero products.  When
+    rootless has neither a pairing nor quadratic factors over the
+    rationals, the numeric answer is the last resort.
     """
     if rootless.degree == 0:
-        parts = tuple(square * e for e in _constant_square_list(c))
-        return SumOfSquares(_signed(parts), exact=True)
-
-    if rootless.degree == 2:
-        entry = _completed_square(rootless)
-        pairing = entry if len(entry) == 2 else None
-        lists = [entry]
+        lists = []
+    elif rootless.degree == 2:
+        lists = [_completed_square(rootless)]
     else:
         upper = _roots_upper_half(rootless)
         if upper is None:
             raise NumericFailure("complex roots did not split into conjugate pairs")
         pairing = _gaussian_pairing(rootless, upper)
-        lists = None if pairing is not None else _quadratic_square_lists(rootless, upper)
-    if pairing is not None:
-        a, b = pairing
-        two = _two_square_fractions(c)
-        if two is not None:
-            alpha, beta = two
-            f1 = square * (a.scale(alpha) - b.scale(beta))
-            f2 = square * (a.scale(beta) + b.scale(alpha))
-            parts = (f1, f2)
-        else:
-            parts = tuple(
-                square * g * UniPoly.const(e)
-                for e in rational_square_list(c)
-                if e
-                for g in (a, b)
-            )
-        _check_squares(parts, p)
-        return SumOfSquares(_signed(parts), exact=True)
-
-    if lists is not None:
-        acc: tuple[UniPoly, ...] = (square,)
-        for entry in lists:
-            acc = _square_list_product(acc, entry)
-        acc = _square_list_product(acc, _constant_square_list(c))
-        parts = tuple(f for f in acc if not f.is_zero())
-        _check_squares(parts, p)
-        return SumOfSquares(_signed(parts), exact=True)
-
-    return _numeric_two_squares(p, c, square, upper)
+        lists = [pairing] if pairing is not None else _quadratic_square_lists(rootless, upper)
+        if lists is None:
+            return _numeric_two_squares(p, c, square, upper)
+    acc: tuple[UniPoly, ...] = (square,)
+    for entry in [*lists, tuple(map(UniPoly.const, rational_square_list(c)))]:
+        acc = _square_list_product(acc, entry)
+    parts = tuple(f for f in acc if not f.is_zero())
+    _check_squares(parts, p)
+    return SumOfSquares(_signed(parts), exact=True)
 
 
 def line_fn_sos(fn: LineFn) -> SumOfSquares:

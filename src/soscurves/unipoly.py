@@ -606,11 +606,6 @@ class RootBox:
     def width(self) -> Fraction:
         return self.high - self.low
 
-    def as_float(self) -> float:
-        if self.exact_value is not None:
-            return float(self.exact_value)
-        return float((self.low + self.high) / 2)
-
 
 def _rational_root_in(q: UniPoly, L: int, H: int, D: int, a: int) -> Fraction | None:
     """The root of squarefree q in its isolating box [L/D, H/D] when it is rational.
@@ -850,11 +845,6 @@ class BoxedValue:
 
     def is_zero(self) -> bool:
         return self.sign() == 0
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        """Coordinates in the basis 1, u, ..., u^(m-1), m the degree of the modulus."""
-        return tuple(self.poly.coeff(k) for k in range(self.modulus.degree))
 
     def value_of(self, p: UniPoly) -> "BoxedValue":
         """p(self)."""

@@ -142,12 +142,6 @@ def test_split_binary_quadratics():
         split_binary_quadratic(B("x^2 + y"))
 
 
-def test_monomial_content():
-    F = B("x^2*y + x*y^2")
-    assert F.monomial_content() == (1, 1)
-    assert F.shift_down(1, 1) == B("x + y")
-
-
 # -- integer core against a Fraction reference --------------------------------
 #
 # The reference is a plain {(i, j): Fraction} dict with no zero values, and
@@ -283,9 +277,6 @@ def test_operations_match_fraction_reference():
         assert A.homogeneous_part(d).terms == {k: c for k, c in ra.items() if sum(k) == d}
         assert A.swap_vars().terms == {(j, i): c for (i, j), c in ra.items()}
         if ra:
-            i0, j0 = A.monomial_content()
-            assert (i0, j0) == (min(i for i, _ in ra), min(j for _, j in ra))
-            assert A.shift_down(i0, j0).terms == {(i - i0, j - j0): c for (i, j), c in ra.items()}
             assert (A.total_degree, A.deg_x, A.deg_y) == (
                 max(i + j for i, j in ra), max(i for i, _ in ra), max(j for _, j in ra)
             )

@@ -11,8 +11,6 @@ from soscurves.configuration import (
     Cycle,
     Forest,
     attachment_order,
-    configuration_from_json,
-    configuration_to_json,
     connectivity_report,
     extract_C_prime,
     induced_subconfiguration,
@@ -183,29 +181,3 @@ def test_points_with_unknown_realness_still_count_as_edges():
     )
     assert isinstance(is_forest(config, ["C1", "C2"]), Cycle)
 
-
-def test_json_round_trip():
-    config = triangle()
-    raw = configuration_to_json(config)
-    assert set(raw) == {"components", "intersection_points"}
-    back = configuration_from_json(raw)
-    assert back == config
-
-
-def test_json_rejects_garbage():
-    with pytest.raises(ConfigurationError):
-        configuration_from_json({"components": "nope"})
-    with pytest.raises(ConfigurationError):
-        configuration_from_json({"components": [{"id": "C1", "is_real": "maybe"}]})
-
-
-def test_json_reader_ignores_unknown_point_keys():
-    config = triangle()
-    raw = configuration_to_json(config)
-    for entry in raw["intersection_points"]:
-        entry["in_S"] = True
-        entry["params"] = {cid: "1/2" for cid in entry["components"]}
-    for entry in raw["components"]:
-        entry["parametrization"] = {"kind": "affine-line", "x": "1*t", "y": "0"}
-    assert configuration_from_json(raw) == config
-    assert configuration_to_json(configuration_from_json(raw)) == configuration_to_json(config)

@@ -57,7 +57,6 @@ def _point_entry(rec) -> dict:
     cls = rec.classification
     if cls is not None:
         entry["kind"] = cls.kind.value
-        entry["factors_through"] = cls.factors_through
     return entry
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,6 @@ from soscurves.decide import (
     PreconditionViolated,
     decide_psd_eq_sos,
     decide_unbounded_case,
-    decide_virtually_compact,
     explain,
 )
 from soscurves.polyparse import parse_bipoly as B
@@ -66,11 +66,11 @@ def test_unknown_cubic_gives_unknown_with_consulted_flags():
 
 
 def test_metadata_settles_the_cubic():
-    an = analyze_curve(
-        [B("y - x^3")],
-        {0: {"is_real": True, "bounded_ring_trivial": True, "rational_open_A1": True}},
-    )
-    v = decide_psd_eq_sos(to_configuration(an))
+    # flags known from outside the analysis settle the undetermined cubic
+    config = config_for(["y - x^3"])
+    (cubic,) = config.components
+    settled = replace(cubic, is_real=Y, bounded_ring_trivial=Y, rational_open_A1=Y)
+    v = decide_psd_eq_sos(CurveConfiguration((settled,), config.points))
     assert v.answer is Y
 
 
@@ -102,15 +102,15 @@ def test_abstract_star_without_ompit_fails_mt1():
 
 
 def test_virtually_compact_wrapper():
+    # no wrapper restricts the virtually compact case: the general engine
+    # decides it
     two_circles = config_for(["x^2 + y^2 - 1", "(x-1)^2 + y^2 - 1"])
-    assert decide_virtually_compact(two_circles).answer is Y
+    assert decide_psd_eq_sos(two_circles).answer is Y
     far = config_for(["x^2 + y^2 - 1", "(x-3)^2 + y^2 - 1"])
-    got = decide_virtually_compact(far)
+    got = decide_psd_eq_sos(far)
     assert got.answer is N and got.failed_conditions == ("MT2",)
     single = config_for(["x^2 + y^2 - 1"])
-    assert decide_virtually_compact(single).answer is Y
-    with pytest.raises(PreconditionViolated):
-        decide_virtually_compact(config_for(["x^2 + y^2 - 1", "y"]))
+    assert decide_psd_eq_sos(single).answer is Y
 
 
 def test_unbounded_wrapper():
@@ -125,12 +125,6 @@ def test_wrappers_agree_with_general_engine():
     for polys in (["x", "y"], ["x*y - 1", "x - y"], ["x", "y", "1 - x - y"]):
         c = config_for(polys)
         assert decide_unbounded_case(c) == decide_psd_eq_sos(c)
-    for polys in (
-        ["x^2 + y^2 - 1", "(x-1)^2 + y^2 - 1"],
-        ["x^2 + y^2 - 1", "(x-3)^2 + y^2 - 1"],
-    ):
-        c = config_for(polys)
-        assert decide_virtually_compact(c) == decide_psd_eq_sos(c)
 
 
 def test_nonreal_component_with_real_point_is_refused():

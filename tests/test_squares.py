@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from soscurves import squares
+from soscurves import numbers, squares
 from soscurves.ringfn import LineFn
 from soscurves.numbers import limit_denominators, rational_square_list, sqrt_fraction
 from soscurves.squares import NotPsd, line_fn_sos, negative_point
@@ -291,16 +291,33 @@ def test_psd_test_counts_roots_without_isolating(monkeypatch):
 @pytest.mark.parametrize(
     "num, parts",
     [
-        # gap 4 is a square: the pairing (t + 1, 2) times each square of 3
-        (_poly(5, 2, 1).scale(3), [_poly(1, 1), _poly(2)] * 3),
+        # gap 4 is a square: the pairing (t + 1, 2) times the squares of 3
+        (_poly(5, 2, 1).scale(3), [_poly(1, 1)] * 3 + [_poly(2)] * 3),
         # gap 5 is not: the square-list (t + 1, 2, 1) times the squares of 3
         (_poly(6, 2, 1).scale(3), [_poly(1, 1)] * 3 + [_poly(2)] * 3 + [_poly(1)] * 3),
     ],
 )
 def test_quadratic_parts_keep_the_pairing_layout(num, parts):
-    # 3 is no sum of two rational squares, so the layout of the parts shows
-    # which of the two constructions ran
+    # 3 is no sum of two rational squares, so its three squares (1, 1, 1)
+    # meet the quadratic's list in one outer product, entry by entry
     assert line_fn_sos(LineFn(num)).parts == tuple(LineFn(g) for g in parts)
+
+
+def test_a_constant_is_split_into_squares_once(monkeypatch):
+    # 3 is no sum of two squares: the one scan that says so is the last
+    calls = []
+    two_squares = numbers._two_squares
+    counted = lambda n: calls.append(n) or two_squares(n)  # noqa: E731
+    # bound wherever a module may hold the name, so a direct import counts too
+    monkeypatch.setattr(numbers, "_two_squares", counted)
+    monkeypatch.setattr(squares, "_two_squares", counted, raising=False)
+    dec = line_fn_sos(LineFn(_poly(1, 0, 1).scale(3)))
+    assert dec.exact and _reexpands(LineFn(_poly(1, 0, 1).scale(3)), dec.parts)
+    assert calls.count(3) == 1
+
+
+def test_a_square_constant_gives_no_zero_part():
+    assert line_fn_sos(LineFn(UniPoly.const(4))).parts == (LineFn(UniPoly.const(2)),)
 
 
 @pytest.mark.parametrize(

@@ -189,7 +189,7 @@ def test_box_sign_at_algebraic_point():
 
 def test_boxes_equal_across_defining_polynomials():
     a = [b for b in isolate_real_roots(P("t^2 - 2")) if b.low >= 0][0]
-    b = [c for c in isolate_real_roots(P("t^4 - t^2 - 2")) if c.as_float() > 0][0]
+    b = [c for c in isolate_real_roots(P("t^4 - t^2 - 2")) if c.low + c.high > 0][0]
     assert boxes_equal(a, b)
     half = [c for c in isolate_real_roots(P("2t^2 - 1")) if c.low >= 0][0]
     assert not boxes_equal(a, half)
@@ -912,7 +912,6 @@ def test_boxed_value_ring_operations_match_sympy():
                     assert got.modulus == modulus
                     assert _to_sympy(sp, got.poly, t) == want.rem(Pm)
                     assert got.poly.degree < m
-                    assert got.coords == tuple(got.poly.coeff(k) for k in range(m))
                     sign = ref_sign(got.poly)
                     assert got.sign() == sign and got.is_zero() is (sign == 0)
                 sign_a = ref_sign(a)

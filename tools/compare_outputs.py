@@ -27,8 +27,10 @@ cut it.  Every hook is wrapped by its name in its module or class, so
 `diff` prints every instance whose record differs, then per workload the
 count of each outcome transition (for example `compact-gram numeric ->
 exact: 23`), then one line with the number of records that differ in each
-field (outcome, detail, analysis, artifact, the report's `ok` and failed
-names, the report's residual, ladder), and exits 1 when any record differs.
+field (outcome, detail, analysis; the artifact's summands, `exact`,
+provenance, residual and witness, each its own field; the report's `ok`
+and failed names, the report's residual, ladder), and exits 1 when any
+record differs.
 """
 from __future__ import annotations
 
@@ -171,11 +173,16 @@ def _read(path: Path) -> dict[str, dict]:
     return {r["key"]: r for r in records}
 
 
+def _part(name: str):
+    """The getter of one entry of a record's artifact (None without one)."""
+    return lambda r: (r.get("artifact") or {}).get(name)
+
+
 FIELDS = {
     "outcome": lambda r: r["outcome"],
     "detail": lambda r: r["detail"],
     "analysis": lambda r: r.get("analysis"),
-    "artifact": lambda r: r.get("artifact"),
+    **{name: _part(name) for name in ("summands", "exact", "provenance", "residual", "witness")},
     "report ok/failed": lambda r: r.get("report") and (r["report"]["ok"], r["report"]["failed"]),
     "report residual": lambda r: r.get("report") and r["report"]["residual"],
     "ladder": lambda r: r.get("ladder"),
