@@ -11,16 +11,18 @@ certificate and witness construction read from the curve analysis itself.
 The incidence graph is bipartite: component nodes on one side, point nodes
 on the other, an edge for each incidence.  A point on exactly two components
 behaves like the classical "edge between two vertices" picture; a point on
-three or more components becomes a star, which keeps the forest test aligned
-with the attachment-order criterion (a multigraph reading would call three
-concurrent lines cyclic even though they can be attached one at a time).
+three or more components becomes a star, so three concurrent lines form a
+forest: they can be attached one at a time (a multigraph reading would call
+them cyclic).  One depth-first walk (`is_forest`) either finds a cycle or
+returns the attachment order as its preorder: each component after a tree's
+first meets the components before it at one point, its parent in the walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .tribool import TriBool, all_of
+from .tribool import TriBool
 
 
 class ConfigurationError(ValueError):
@@ -53,8 +55,24 @@ class ConfigPoint:
 
 
 @dataclass(frozen=True)
+class Join:
+    """A component in attachment order, and where it meets those before it.
+
+    `point` is None for the first component of a tree.  Otherwise the
+    component meets the components placed before it at `point` alone, and
+    `donor` is the one of them that the walk reached the point from.
+    """
+
+    component: str
+    point: str | None
+    donor: str | None
+
+
+@dataclass(frozen=True)
 class Forest:
-    pass
+    """An acyclic incidence graph; `joins` is the walk's preorder."""
+
+    joins: tuple[Join, ...]
 
 
 @dataclass(frozen=True)
@@ -68,20 +86,9 @@ class Cycle:
 
 
 @dataclass(frozen=True)
-class AttachmentOrder:
-    order: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CPrimeSplit:
     members: tuple[str, ...]
     unknown: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ConnectedPiece:
-    components: tuple[str, ...]
-    bounded_ring_trivial: TriBool
 
 
 @dataclass(frozen=True)
@@ -161,26 +168,27 @@ def is_forest(config: CurveConfiguration, subset: Iterable[str]) -> Forest | Cyc
     """Forest test on the incidence graph of the chosen components.
 
     Realness of the points does not matter here; the test is purely
-    combinatorial.  On failure the witness is a simple cycle, alternating
-    component and point nodes, in canonical (lexicographically minimal)
-    order.
+    combinatorial.  On success the forest lists every chosen component once,
+    in the depth-first preorder of the walk (`Forest.joins`).  On failure the
+    witness is a simple cycle, alternating component and point nodes, in
+    canonical (lexicographically minimal) order.
     """
     adj = _incidence(config, subset)
-    color: dict[str, int] = {}
     parent: dict[str, str | None] = {}
-    for root in sorted(adj):
-        if root in color:
+    joins: list[Join] = []
+    # the components come first in adj, so every root is a component
+    for root in adj:
+        if root in parent:
             continue
-        color[root] = 0
         parent[root] = None
+        joins.append(Join(root, None, None))
         stack = [(root, iter(adj[root]))]
         while stack:
             node, nbrs = stack[-1]
-            advanced = False
             for nxt in nbrs:
                 if nxt == parent[node]:
                     continue
-                if nxt in color:
+                if nxt in parent:
                     # walk both endpoints up to their common ancestor
                     path_a = [node]
                     while path_a[-1] != root:
@@ -193,56 +201,16 @@ def is_forest(config: CurveConfiguration, subset: Iterable[str]) -> Forest | Cyc
                     cyc = path_a[: path_a.index(meet) + 1]
                     cyc += path_b[: path_b.index(meet)][::-1]
                     return _canonical_cycle(cyc)
-                color[nxt] = 0
                 parent[nxt] = node
+                if len(stack) % 2 == 0:
+                    # the stack alternates components and points from the
+                    # root, so node is a point and nxt joins there
+                    joins.append(Join(nxt, node, parent[node]))
                 stack.append((nxt, iter(adj[nxt])))
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
-    return Forest()
-
-
-def attachment_order(
-    config: CurveConfiguration, subset: Iterable[str]
-) -> AttachmentOrder | Cycle:
-    """Order the components so each meets its predecessors in at most one point.
-
-    Works by leaf removal: repeatedly peel a component that shares at most
-    one distinct point with the rest, smallest id first.  Succeeds exactly
-    when the incidence graph is a forest; otherwise the obstructing cycle is
-    returned.
-    """
-    chosen = sorted(set(subset))
-    point_sets: dict[str, list[str]] = {cid: [] for cid in chosen}
-    for pt in config.points:
-        incident = set(pt.components) & set(chosen)
-        if len(incident) < 2:
-            continue
-        for cid in incident:
-            point_sets[cid].append(pt.id)
-    remaining = set(chosen)
-    peeled: list[str] = []
-    while remaining:
-        pick = None
-        for cid in sorted(remaining):
-            shared = {
-                pid
-                for pid in point_sets[cid]
-                if any(
-                    other != cid and pid in point_sets[other] for other in remaining
-                )
-            }
-            if len(shared) <= 1:
-                pick = cid
-                break
-        if pick is None:
-            witness = is_forest(config, remaining)
-            assert isinstance(witness, Cycle), "peel stuck on an acyclic graph"
-            return witness
-        remaining.discard(pick)
-        peeled.append(pick)
-    return AttachmentOrder(tuple(reversed(peeled)))
+    return Forest(tuple(joins))
 
 
 def extract_C_prime(config: CurveConfiguration) -> CPrimeSplit:
@@ -260,17 +228,15 @@ def extract_C_prime(config: CurveConfiguration) -> CPrimeSplit:
     return CPrimeSplit(members, unknown)
 
 
-def connectivity_report(config: CurveConfiguration) -> tuple[ConnectedPiece, ...]:
-    """Partition into connected pieces of the full incidence graph.
-
-    A piece has a trivial bounded ring exactly when all its members do; on a
-    connected curve a bounded function must agree across every intersection,
-    so triviality is decided memberwise.
-    """
-    adj = _incidence(config, config.component_ids())
+def connected_pieces(
+    config: CurveConfiguration, subset: Iterable[str]
+) -> tuple[tuple[str, ...], ...]:
+    """The chosen components grouped by connected piece of their incidence
+    graph, each piece sorted."""
+    adj = _incidence(config, subset)
     seen: set[str] = set()
-    pieces: list[ConnectedPiece] = []
-    for root in (c.id for c in config.components):
+    pieces: list[tuple[str, ...]] = []
+    for root in adj:
         if root in seen:
             continue
         stack = [root]
@@ -284,11 +250,7 @@ def connectivity_report(config: CurveConfiguration) -> tuple[ConnectedPiece, ...
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        members.sort()
-        flag = all_of(
-            config.component(cid).bounded_ring_trivial for cid in members
-        )
-        pieces.append(ConnectedPiece(tuple(members), flag))
+        pieces.append(tuple(sorted(members)))
     return tuple(pieces)
 
 

@@ -185,18 +185,6 @@ def decide_psd_eq_sos(config: CurveConfiguration) -> Verdict:
     return Verdict(answer, listed, hint, tuple(notes))
 
 
-def decide_unbounded_case(config: CurveConfiguration) -> Verdict:
-    """Special case: only constants are bounded on every component."""
-    bad = [
-        c.id
-        for c in config.components
-        if c.bounded_ring_trivial is not TriBool.YES
-    ]
-    if bad:
-        raise PreconditionViolated(f"components {bad} do not have a trivial bounded ring")
-    return decide_psd_eq_sos(config)
-
-
 def explain(verdict: Verdict) -> str:
     answer = {TriBool.YES: "Yes", TriBool.NO: "No", TriBool.UNKNOWN: "Unknown"}[
         verdict.answer

@@ -10,12 +10,14 @@ combination f_i - (2 u_i / u^T u) s for each i with u_i != 0.  Each
 combination sums the integer numerators of the function type (`lincomb`)
 and normalises once, and no k x k matrix is ever formed.
 
-`forest_assemble` places the components of a forest in attachment order
-and reflects only the one that joins: its value vector w at the shared
+`forest_assemble` walks the joins of `configuration.is_forest` and
+reflects only the component that joins: its value vector w at the join
 point goes to the donor's v, and sum_j (H p_j)^2 = sum_j p_j^2 on it since
 H is orthogonal.  The joining component meets the assembled part at that
 point alone, so the components already placed are only padded with zero
-functions and keep every earlier agreement: one reflection per attachment.
+functions and keep every earlier agreement: one reflection per join.  It
+does not decide the curve again; it checks the facts the gluing uses (see
+there).
 """
 from __future__ import annotations
 
@@ -24,10 +26,10 @@ from fractions import Fraction
 from math import lcm
 
 from .bipoly import BiPoly
-from .components import component_index
-from .configuration import Cycle, CurveConfiguration, attachment_order
+from .components import LineChart, component_index
+from .configuration import Cycle, CurveConfiguration, is_forest
 from .curve import CurveAnalysis
-from .decide import PreconditionViolated, decide_unbounded_case
+from .decide import PreconditionViolated
 from .points import RationalPoint
 from .ringfn import (
     IrrationalAttachment,
@@ -113,79 +115,84 @@ def forest_assemble(
     """Certify F on a curve whose components are all open pieces of a line.
 
     `config` is the configuration of the analysed curve, or its induced
-    sub-configuration on the components to assemble; that sub-curve must
-    satisfy the unbounded-case conditions on its own.  Components are
-    processed in attachment order; each one contributes the two-square
-    decomposition of the restriction.  At the single point where a component
-    joins, the assembled part has value vector v and the new part w, of
-    equal norm; one `reflect` with u = w - v, applied to the new part only,
-    sends w to v, and the assembled part is padded with zero functions.
-    When the certificate is already numeric and every |u_i| is within the
-    numeric tolerance, the reflection is skipped (see the comment there).
+    sub-configuration on the components to assemble.  Components are
+    placed in the order of `Forest.joins`; each one contributes the
+    two-square decomposition of its restriction.  At its join point the
+    donor has value vector v and the new part w, of equal norm; one
+    `reflect` with u = w - v, applied to the new part only, sends w to v,
+    and the assembled part is padded with zero functions.  When the
+    certificate is already numeric and every |u_i| is within the numeric
+    tolerance, the reflection is skipped (see the comment there).
+
+    The caller decides the curve; this checks only the facts the gluing
+    rests on, and raises PreconditionViolated naming the one that fails:
+    the incidence graph is a forest (so a component meets the part placed
+    before it at one point), every component has a `LineChart` (so each
+    restriction is a function of one parameter), and every join point is
+    real and an ordinary multiple point.  Agreement in value is the ring
+    condition only at an ordinary multiple point: at the tangency of
+    y = x^2 and y = 0 the two restrictions must also agree to first order,
+    which a reflection does not give.  An irrational join point raises
+    IrrationalAttachment.
     """
-    verdict = decide_unbounded_case(config)
-    if verdict.answer is not TriBool.YES:
-        raise PreconditionViolated(
-            f"decision engine answers {verdict.answer.value} "
-            f"(failed: {', '.join(verdict.failed_conditions) or 'none'})"
-        )
-    order = attachment_order(config, config.component_ids())
-    if isinstance(order, Cycle):
-        raise PreconditionViolated(f"incidence graph has a cycle: {order}")
+    forest = is_forest(config, config.component_ids())
+    if isinstance(forest, Cycle):
+        raise PreconditionViolated(f"incidence graph has a cycle: {forest}")
+    records = {rec.id: rec for rec in analysis.points}
+    for join in forest.joins:
+        if not isinstance(analysis.component(join.component).chart, LineChart):
+            raise PreconditionViolated(f"{join.component} has no line chart")
+        if join.point is None:
+            continue
+        rec = records[join.point]
+        if not rec.is_real:
+            raise PreconditionViolated(f"join point {rec.id} is not real")
+        if rec.ompit is not TriBool.YES:
+            raise PreconditionViolated(
+                f"join point {rec.id} is not an ordinary multiple point"
+            )
+        if not isinstance(rec.point, RationalPoint):
+            raise IrrationalAttachment(
+                f"attachment point {rec.id} has irrational coordinates"
+            )
 
     funcs: dict[str, list[LineFn]] = {}
-    indexes: dict[str, int] = {}
     provenance: list[str] = []
     exact = True
     residual = 0.0
 
-    for cid in order.order:
-        comp = analysis.component(cid)
-        ci = comp.index
-        fn = restrict_to_chart(F, comp.chart)
+    for join in forest.joins:
+        cid = join.component
+        chart = analysis.component(cid).chart
         try:
-            dec = line_fn_sos(fn)
+            dec = line_fn_sos(restrict_to_chart(F, chart))
         except NotPsd as bad:
             raise NotPsdOnComponent(cid, bad.point, bad.value) from bad
         parts = list(dec.parts)
         exact = exact and dec.exact
         residual = max(residual, dec.residual)
 
-        shared = [
-            rec
-            for rec in analysis.points
-            if rec.is_real
-            and ci in rec.components
-            and any(j in rec.components for j in indexes.values())
-        ]
         if not funcs:
             funcs[cid] = parts
             provenance.append(f"{cid}: {len(parts)} squares from the restriction")
-        elif not shared:
+        elif join.point is None:
             n_old = len(next(iter(funcs.values())))
             for other in funcs:
                 funcs[other] = funcs[other] + [LineFn.zero()] * len(parts)
             funcs[cid] = [LineFn.zero()] * n_old + parts
             provenance.append(f"{cid}: disjoint block of {len(parts)} squares")
-        elif len(shared) == 1:
-            rec = shared[0]
-            if not isinstance(rec.point, RationalPoint):
-                raise IrrationalAttachment(
-                    f"attachment point {rec.id} has irrational coordinates"
-                )
-            donor = next(
-                d for d, j in indexes.items() if j in rec.components
-            )
-            (p_old,) = chart_arguments(analysis.components[indexes[donor]].chart, rec.point)
-            (p_new,) = chart_arguments(comp.chart, rec.point)
-            old = funcs[donor]
+        else:
+            point = records[join.point].point
+            (p_old,) = chart_arguments(analysis.component(join.donor).chart, point)
+            (p_new,) = chart_arguments(chart, point)
+            old = funcs[join.donor]
             n = max(len(old), len(parts))
             new = _pad(parts, n)
             v = [f(p_old) for f in _pad(old, n)]
             w = [g(p_new) for g in new]
             if exact and sum(a * a for a in v) != sum(b * b for b in w):
                 raise ValueMismatch(
-                    f"square sums disagree at {rec.id}; the target does not "
+                    f"square sums disagree at {join.point}; the target does not "
                     "restrict consistently"
                 )
             u = [b - a for a, b in zip(v, w)]
@@ -200,13 +207,7 @@ def forest_assemble(
             for other in funcs:
                 funcs[other] = _pad(funcs[other], n)
             funcs[cid] = new
-            provenance.append(f"{cid}: {len(parts)} squares, {how} at {rec.id}")
-        else:
-            raise AssertionError(
-                f"{cid} meets the assembled part at {len(shared)} points; "
-                "the attachment order should prevent this"
-            )
-        indexes[cid] = ci
+            provenance.append(f"{cid}: {len(parts)} squares, {how} at {join.point}")
 
     count = len(next(iter(funcs.values()))) if funcs else 0
     summands = [{cid: funcs[cid][j] for cid in funcs} for j in range(count)]

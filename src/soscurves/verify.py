@@ -3,7 +3,9 @@
 Nothing here trusts the constructors: the sum of squares is re-expanded and
 compared to the target coefficient by coefficient, value agreement is
 re-evaluated at every shared point (a rational one is first tested to lie on
-each component it is recorded on), and witness properties (sign alternation,
+each component it is recorded on; a real one must be an ordinary multiple
+point, the only kind where agreement in value makes the summands functions
+on the curve), and witness properties (sign alternation,
 interlacing, psd ranges, vanishing orders) are re-derived from scratch.  The
 re-expansion is one pass per component (`ringfn.sum_of_squares`): the
 squares are summed on integer numerators and normalised once, which gives
@@ -33,6 +35,7 @@ from .ringfn import (
     value_at_algebraic,
 )
 from .squares import negative_point
+from .tribool import TriBool
 from .unipoly import UniPoly, count_real_roots, sturm_count
 from .witness import CycleObstruction, NonrealIntersectionObstruction
 
@@ -163,6 +166,11 @@ def verify_certificate(
             continue
         name = f"agreement:{rec.id}"
         if rec.is_real:
+            if rec.ompit is not TriBool.YES:
+                # at a tangency, say, the restrictions must also agree to
+                # higher order, which values at the point do not show
+                checks.append(Check(name, False, f"{rec.id} is not an ordinary multiple point"))
+                continue
             # exact values, in Q[u]/(P') at an algebraic point; floats there if numeric
             p = rec.point
             if isinstance(p, RationalPoint):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .components import CircleChart, LineChart, component_index
-from .configuration import Cycle, connectivity_report, induced_subconfiguration
+from .configuration import Cycle, connected_pieces
 from .curve import CurveAnalysis, PointRecord, to_configuration
 from .points import ConjugatePairPoint, RationalPoint
 from .ringfn import IrrationalAttachment, chart_arguments
@@ -107,14 +107,9 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
             failures.append(f"{cid}: no line-type chart")
             continue
         others = tuple(c for c in config.component_ids() if c != cid)
-        sub = induced_subconfiguration(config, others)
         rest_cycle = set(cycle_comps) - {cid}
         piece = next(
-            (
-                p.components
-                for p in connectivity_report(sub)
-                if rest_cycle & set(p.components)
-            ),
+            (p for p in connected_pieces(config, others) if rest_cycle & set(p)),
             None,
         )
         if piece is None:
@@ -152,7 +147,7 @@ def cycle_witness(analysis: CurveAnalysis, cycle: Cycle) -> CycleObstruction:
             params=params,
             point_ids=tuple(pid for pid, _ in attach),
             interpolant=alternating_interpolant(params),
-            piece=tuple(piece),
+            piece=piece,
             cycle=tuple(cycle.nodes),
         )
     raise IrrationalAttachment(

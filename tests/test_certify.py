@@ -8,7 +8,7 @@ from soscurves import curve, glue, gram
 from soscurves.certify import Inconclusive, ValueNormMismatch, compact_complete, full_certify
 from soscurves.configuration import Cycle, extract_C_prime, is_forest
 from soscurves.curve import analyze_curve, to_configuration
-from soscurves.decide import decide_psd_eq_sos
+from soscurves.decide import PreconditionViolated, decide_psd_eq_sos
 from soscurves.glue import NotPsdOnComponent, forest_assemble, reflect
 from soscurves.points import RationalPoint
 from soscurves.polyparse import parse_bipoly as B
@@ -140,6 +140,24 @@ def test_forest_assemble_names_an_exact_negative_point(factors, target, param, v
     chart = analysis.component("C1").chart
     den = chart.den(param)
     assert F(chart.x_num(param) / den, chart.y_num(param) / den) == value
+
+
+@pytest.mark.parametrize(
+    "factors, fact",
+    [
+        (["x", "y", "1 - x - y"], "incidence graph has a cycle"),
+        (["x^2 + y^2 - 1"], "C1 has no line chart"),
+        (["y - x^2", "y + 1"], "is not real"),
+        (["y - x^2", "y"], "is not an ordinary multiple point"),
+    ],
+    ids=["cycle", "circle", "nonreal-join", "tangency"],
+)
+def test_forest_assemble_checks_the_facts_its_gluing_uses(factors, fact):
+    # forest_assemble does not decide the curve; it refuses any one of the
+    # facts the gluing rests on, and names it
+    analysis = analyze_curve([B(f) for f in factors])
+    with pytest.raises(PreconditionViolated, match=fact):
+        forest_assemble(analysis, B("x^2 + 1"), to_configuration(analysis))
 
 
 def _reflect(u, v):

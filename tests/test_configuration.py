@@ -3,15 +3,13 @@ import random
 import pytest
 
 from soscurves.configuration import (
-    AttachmentOrder,
     ConfigComponent,
     ConfigPoint,
     ConfigurationError,
     CurveConfiguration,
     Cycle,
     Forest,
-    attachment_order,
-    connectivity_report,
+    connected_pieces,
     extract_C_prime,
     induced_subconfiguration,
     is_forest,
@@ -79,10 +77,12 @@ def test_concurrent_star_is_a_forest():
         (comp("C1"), comp("C2"), comp("C3")),
         (point("P1", ["C1", "C2", "C3"]),),
     )
-    assert isinstance(is_forest(config, ["C1", "C2", "C3"]), Forest)
-    got = attachment_order(config, ["C1", "C2", "C3"])
-    assert isinstance(got, AttachmentOrder)
-    assert sorted(got.order) == ["C1", "C2", "C3"]
+    got = is_forest(config, ["C1", "C2", "C3"])
+    assert isinstance(got, Forest)
+    # the hub point is reached from C1, so both others join there from it
+    assert [(j.component, j.point, j.donor) for j in got.joins] == [
+        ("C1", None, None), ("C2", "P1", "C1"), ("C3", "P1", "C1")
+    ]
 
 
 def test_forest_is_invariant_under_relabeling():
@@ -97,16 +97,30 @@ def test_forest_is_invariant_under_relabeling():
     assert isinstance(is_forest(relabeled, ["Q1", "Q2", "Q3"]), Cycle)
 
 
-def _order_is_valid(config, order):
+def _joins_are_valid(config, ids, forest):
+    """Every chosen component appears once; a root has no point; any other
+    join's point holds the component and its donor, placed before it, and
+    is the only point where the component meets the components before it."""
+    order = [j.component for j in forest.joins]
+    if sorted(order) != sorted(ids):
+        return False
     placed = []
-    for cid in order:
-        shared = set()
-        for pt in config.points:
-            if cid in pt.components and any(p in pt.components for p in placed):
-                shared.add(pt.id)
-        if len(shared) > 1:
-            return False
-        placed.append(cid)
+    for j in forest.joins:
+        shared = {
+            pt.id
+            for pt in config.points
+            if j.component in pt.components and any(p in pt.components for p in placed)
+        }
+        if j.point is None:
+            if j.donor is not None or shared:
+                return False
+        else:
+            pt = next(pt for pt in config.points if pt.id == j.point)
+            if j.component not in pt.components or j.donor not in pt.components:
+                return False
+            if j.donor not in placed or shared != {j.point}:
+                return False
+        placed.append(j.component)
     return True
 
 
@@ -115,18 +129,19 @@ def test_chain_attachment_order():
         (comp("C1"), comp("C2"), comp("C3")),
         (point("P1", ["C1", "C2"]), point("P2", ["C2", "C3"])),
     )
-    got = attachment_order(config, ["C1", "C2", "C3"])
-    assert isinstance(got, AttachmentOrder)
-    assert _order_is_valid(config, got.order)
+    got = is_forest(config, ["C1", "C2", "C3"])
+    assert isinstance(got, Forest)
+    assert _joins_are_valid(config, ["C1", "C2", "C3"], got)
 
 
 def test_triangle_attachment_returns_the_cycle():
-    got = attachment_order(triangle(), ["C1", "C2", "C3"])
+    got = is_forest(triangle(), ["C1", "C2", "C3"])
     assert isinstance(got, Cycle)
 
 
 def test_attachment_matches_forest_on_random_structures():
     rng = random.Random(20260816)
+    forests = 0
     for _ in range(300):
         n = rng.randint(1, 5)
         comps = tuple(comp(f"C{i+1}") for i in range(n))
@@ -138,11 +153,11 @@ def test_attachment_matches_forest_on_random_structures():
             k = rng.randint(2, n)
             pts.append(point(f"P{j+1}", rng.sample(ids, k)))
         config = CurveConfiguration(comps, tuple(pts))
-        forest = isinstance(is_forest(config, ids), Forest)
-        ordered = attachment_order(config, ids)
-        assert isinstance(ordered, AttachmentOrder) == forest
-        if forest:
-            assert _order_is_valid(config, ordered.order)
+        got = is_forest(config, ids)
+        if isinstance(got, Forest):
+            forests += 1
+            assert _joins_are_valid(config, ids, got)
+    assert 0 < forests < 300
 
 
 def test_extract_C_prime_splits_by_bounded_flag():
@@ -157,14 +172,15 @@ def test_extract_C_prime_splits_by_bounded_flag():
     assert ids == set(config.component_ids())
 
 
-def test_connectivity_report():
+def test_connected_pieces():
     config = CurveConfiguration(
-        (comp("C1", bounded=N), comp("C2"), comp("C3"), comp("C4", bounded=N)),
-        (point("P1", ["C2", "C3"]),),
+        (comp("C1"), comp("C2"), comp("C3"), comp("C4")),
+        (point("P1", ["C2", "C3"]), point("P2", ["C1", "C2", "C4"])),
     )
-    pieces = connectivity_report(config)
-    assert [p.components for p in pieces] == [("C1",), ("C2", "C3"), ("C4",)]
-    assert [p.bounded_ring_trivial for p in pieces] == [N, Y, N]
+    assert connected_pieces(config, ["C1", "C2", "C3", "C4"]) == (("C1", "C2", "C3", "C4"),)
+    # without C2, P1 joins nothing while P2 still joins C1 and C4
+    assert connected_pieces(config, ["C1", "C3", "C4"]) == (("C1", "C4"), ("C3",))
+    assert connected_pieces(config, ["C3", "C4"]) == (("C3",), ("C4",))
 
 
 def test_induced_subconfiguration_drops_orphan_points():

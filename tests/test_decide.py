@@ -11,12 +11,8 @@ from soscurves.configuration import (
     induced_subconfiguration,
 )
 from soscurves.curve import analyze_curve, to_configuration
-from soscurves.decide import (
-    PreconditionViolated,
-    decide_psd_eq_sos,
-    decide_unbounded_case,
-    explain,
-)
+from soscurves.decide import PreconditionViolated, decide_psd_eq_sos, explain
+from soscurves.glue import forest_assemble
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.tribool import TriBool
 
@@ -91,12 +87,12 @@ def abstract_star(ompit=Y):
 
 
 def test_abstract_star_with_ompit_flag_passes():
-    v = decide_unbounded_case(abstract_star())
+    v = decide_psd_eq_sos(abstract_star())
     assert v.answer is Y
 
 
 def test_abstract_star_without_ompit_fails_mt1():
-    v = decide_unbounded_case(abstract_star(ompit=N))
+    v = decide_psd_eq_sos(abstract_star(ompit=N))
     assert v.answer is N
     assert v.failed_conditions == ("MT1",)
 
@@ -114,17 +110,24 @@ def test_virtually_compact_wrapper():
 
 
 def test_unbounded_wrapper():
-    assert decide_unbounded_case(config_for(["x", "y"])).answer is Y
-    got = decide_unbounded_case(config_for(["x*y - 1", "x - y"]))
+    # no wrapper restricts the unbounded case: the general engine decides it
+    assert decide_psd_eq_sos(config_for(["x", "y"])).answer is Y
+    got = decide_psd_eq_sos(config_for(["x*y - 1", "x - y"]))
     assert got.answer is N and got.failed_conditions == ("MT4",)
-    with pytest.raises(PreconditionViolated):
-        decide_unbounded_case(config_for(["x^2 + y^2 - 1", "y"]))
 
 
 def test_wrappers_agree_with_general_engine():
-    for polys in (["x", "y"], ["x*y - 1", "x - y"], ["x", "y", "1 - x - y"]):
-        c = config_for(polys)
-        assert decide_unbounded_case(c) == decide_psd_eq_sos(c)
+    # on curves of open line pieces, forest_assemble's own checks refuse
+    # exactly the curves the engine answers No for
+    for polys in (["x", "y"], ["x*y - 1", "x - y"], ["x", "y", "1 - x - y"], ["y - x^2", "y"]):
+        analysis = analyze_curve([B(s) for s in polys])
+        config = to_configuration(analysis)
+        try:
+            forest_assemble(analysis, B("x^2 + 1"), config)
+            glued = Y
+        except PreconditionViolated:
+            glued = N
+        assert decide_psd_eq_sos(config).answer is glued
 
 
 def test_nonreal_component_with_real_point_is_refused():

@@ -1,6 +1,6 @@
 """Every name a module imports is used in it (a stand-in for pyflakes' check),
-and every module-level function or class of the package has a reader outside
-the tests."""
+every module-level function or class of the package has a reader outside
+the tests, and the package decides a curve in one place."""
 import ast
 import pathlib
 
@@ -147,3 +147,39 @@ def test_signs_in_q_alpha_go_through_one_type():
         if path.stem != "unipoly" and "box_sign" in imported_names(path.read_text())
     }
     assert not found, sorted(found)
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The innermost function around each call of `name`, by name or as an
+    attribute; "<module>" for a call outside every function."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                out.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_callers_are_found():
+    source = "def f():\n    def h():\n        m.g(2)\n    g(1)\ng()\n"
+    assert callers(source, "g") == {"f", "h", "<module>"}
+
+
+def test_only_full_certify_decides():
+    # the caller of the library decides a curve; full_certify decides once
+    # more because it promises a certificate only on Yes, and nothing else
+    # in the package decides again
+    found = {
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in callers(path.read_text(), "decide_psd_eq_sos")
+    }
+    assert found == {"certify.full_certify"}

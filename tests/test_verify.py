@@ -9,6 +9,7 @@ from soscurves.glue import SosCertificate
 from soscurves.points import AlgebraicPoint, RationalPoint
 from soscurves.polyparse import parse_bipoly as B
 from soscurves.ringfn import CircleFn, LineFn, float_value, restrict_to_chart, value_at_point
+from soscurves.tribool import TriBool
 from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate
 
@@ -94,6 +95,27 @@ def test_rational_point_off_a_component_fails_its_agreement_check():
     assert [(c.name, c.detail) for c in report.failures()] == [
         ("agreement:P2", "P2 is not on C1, C2")
     ]
+
+
+def test_agreement_at_a_tangency_fails():
+    # y = x^2 touches y = 0 at the origin.  Both summands agree there in
+    # value, but (t, -t) is no function on the curve: on the tangency the
+    # two restrictions must agree modulo t^2, and t^2 does not divide 2t
+    analysis = analyze_curve([B("y - x^2"), B("y")])
+    (rec,) = analysis.points
+    assert rec.is_real and rec.ompit is TriBool.NO
+    t = UniPoly.var()
+    cert = SosCertificate(
+        [
+            {"C1": LineFn.const(1), "C2": LineFn.const(1)},
+            {"C1": LineFn(t), "C2": LineFn(-t)},
+        ]
+    )
+    report = verify_certificate(analysis, B("1 + x^2"), cert)
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        (f"agreement:{rec.id}", f"{rec.id} is not an ordinary multiple point")
+    ]
+    assert not report.ok
 
 
 def test_agreement_at_a_conjugate_pair():
