@@ -7,11 +7,12 @@ one Gram problem on their plane ring (`gram`), whose summands are plane
 polynomials and so agree at the shared points among those components by
 construction.  Attachment values are prescribed so the two parts agree,
 and the completion is then reflected into exact agreement with the glued
-part summand by summand.
+part.  Both parts are `ringfn.SosCertificate`s with one column of summands
+per component; the certificate of the curve pads each column to the longer
+length with zero functions and takes the columns of both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -19,7 +20,7 @@ from .components import CircleChart
 from .configuration import extract_C_prime, induced_subconfiguration
 from .curve import CurveAnalysis, to_configuration
 from .decide import PreconditionViolated, decide_psd_eq_sos, explain
-from .glue import SosCertificate, forest_assemble, reflect
+from .glue import forest_assemble, reflect
 from .gram import (
     NoConvergence,
     PrescribedValue,
@@ -35,6 +36,7 @@ from .ringfn import (
     IrrationalAttachment,
     LineFn,
     RingFn,
+    SosCertificate,
     value_at_point,
 )
 
@@ -70,19 +72,21 @@ class Inconclusive(RuntimeError):
         )
 
 
-@dataclass
-class CompactResult:
-    summands: list[dict[str, RingFn]]
-    exact: bool
-    residual: float
-    degree: int
-
-
 def _zero_fn(analysis: CurveAnalysis, cid: str) -> RingFn:
     chart = analysis.component(cid).chart
     if isinstance(chart, CircleChart):
         return CircleFn.zero(chart.q)
     return LineFn.zero()
+
+
+def _padded(
+    analysis: CurveAnalysis, columns: dict[str, tuple[RingFn, ...]], k: int
+) -> dict[str, tuple[RingFn, ...]]:
+    """The columns, each padded with zero functions to k summands."""
+    return {
+        cid: col + (_zero_fn(analysis, cid),) * (k - len(col))
+        for cid, col in columns.items()
+    }
 
 
 def _min_gram_degree(analysis: CurveAnalysis, F: BiPoly, subset: tuple[str, ...]) -> int:
@@ -100,11 +104,12 @@ def compact_complete(
     F: BiPoly,
     subset: tuple[str, ...],
     prescribed: list[PrescribedValue] | tuple[PrescribedValue, ...] = (),
-) -> CompactResult:
+) -> SosCertificate:
     """Sum-of-squares completion on compact-type components.
 
     The summands are plane polynomials found by one Gram problem on the
-    plane ring of the subset, restricted to each component.  Prescribed
+    plane ring of the subset, restricted to each component as its column;
+    the provenance names the gram degree.  Prescribed
     attachment data pins the summand value vectors at points the rest of
     the curve has already fixed; the result is rotated so those vectors are
     reproduced entry by entry, not just in norm.  The gram degree starts at
@@ -122,8 +127,13 @@ def compact_complete(
     d_min = _min_gram_degree(analysis, F, subset)
     cap = 2 * max(F.total_degree, 1) + 6
 
+    def done(cert: SosCertificate, degree: int) -> SosCertificate:
+        columns = _align(analysis, cert, prescribed)
+        note = f"{'+'.join(subset)}: gram completion at degree {degree}"
+        return SosCertificate(columns, cert.exact, cert.residual, [note])
+
     best_residual = float("inf")
-    best: tuple[list[dict[str, RingFn]], float, int] | None = None
+    best: tuple[SosCertificate, int] | None = None
     for degree in range(d_min, cap + 1):
         problem = build_gram_problem(analysis, F, subset, degree, prescribed)
         try:
@@ -133,44 +143,33 @@ def compact_complete(
             continue
         ext = extract_summands(sol)
         if ext.exact:
-            summands = _align(analysis, ext.summands, prescribed, subset)
-            return CompactResult(summands, True, 0.0, degree)
+            return done(ext, degree)
         if ext.residual < best_residual:
             best_residual = ext.residual
-            best = (ext.summands, ext.residual, degree)
+            best = (ext, degree)
         if ext.residual <= _GRAM_TOL:
-            summands, res, deg = best
-            summands = _align(analysis, summands, prescribed, subset)
-            return CompactResult(summands, False, res, deg)
-    if best is not None and best[1] <= _NUMERIC_ACCEPT:
-        summands, res, deg = best
-        summands = _align(analysis, summands, prescribed, subset)
-        return CompactResult(summands, False, res, deg)
+            return done(*best)
+    if best is not None and best[0].residual <= _NUMERIC_ACCEPT:
+        return done(*best)
     raise Inconclusive(cap, best_residual)
 
 
 def _align(
     analysis: CurveAnalysis,
-    summands: list[dict[str, RingFn]],
+    cert: SosCertificate,
     prescribed: list[PrescribedValue],
-    subset: tuple[str, ...],
-) -> list[dict[str, RingFn]]:
-    """Reflect the summands so their values reproduce each prescribed vector.
+) -> dict[str, tuple[RingFn, ...]]:
+    """Reflect the columns so their values reproduce each prescribed vector.
 
-    One rank-one `reflect` per prescribed point, in order, with u = v - w
-    for the point's current value vector v (read off the summands already
+    The columns are first padded to the longest prescribed vector.  Then
+    one rank-one `reflect` per prescribed point, in order, with u = v - w
+    for the point's current value vector v (read off the columns already
     reflected) and its goal w.  A later reflection keeps the earlier points
     matched because the pairwise inner products of the value vectors agree
     with those of the goals.
     """
-    if not prescribed:
-        return summands
-    k = max(
-        [len(summands)] + [len(pv.vector) for pv in prescribed]
-    )
-    while len(summands) < k:
-        summands = summands + [{cid: _zero_fn(analysis, cid) for cid in subset}]
-    columns = {cid: [s[cid] for s in summands] for cid in subset}
+    k = max([len(cert)] + [len(pv.vector) for pv in prescribed])
+    columns = _padded(analysis, cert.columns, k)
     for pv in prescribed:
         chart = analysis.component(pv.component).chart
         goal = list(pv.vector) + [Fraction(0)] * (k - len(pv.vector))
@@ -179,7 +178,7 @@ def _align(
             for f, g in zip(columns[pv.component], goal)
         ]
         columns = {cid: reflect(fns, u) for cid, fns in columns.items()}
-    return [{cid: columns[cid][i] for cid in subset} for i in range(k)]
+    return columns
 
 
 def full_certify(analysis: CurveAnalysis, F: BiPoly) -> SosCertificate:
@@ -203,15 +202,7 @@ def full_certify(analysis: CurveAnalysis, F: BiPoly) -> SosCertificate:
         return forest_assemble(analysis, F, config)
 
     if not cprime:
-        res = compact_complete(analysis, F, tuple(rest))
-        return SosCertificate(
-            summands=res.summands,
-            exact=res.exact,
-            residual=res.residual,
-            provenance=[
-                f"{'+'.join(rest)}: gram completion at degree {res.degree}"
-            ],
-        )
+        return compact_complete(analysis, F, tuple(rest))
 
     line_cert = forest_assemble(
         analysis, F, induced_subconfiguration(config, tuple(cprime))
@@ -233,35 +224,20 @@ def full_certify(analysis: CurveAnalysis, F: BiPoly) -> SosCertificate:
             )
         donor = analysis.components[touches_line[0]]
         vector = tuple(
-            value_at_point(s[donor.label], donor.chart, rec.point)
-            for s in line_cert.summands
+            value_at_point(fn, donor.chart, rec.point)
+            for fn in line_cert.columns[donor.label]
         )
         receiver = analysis.components[touches_rest[0]].label
         prescribed.append(PrescribedValue(rec.id, receiver, rec.point, vector))
 
     res = compact_complete(analysis, F, tuple(rest), prescribed)
 
-    k = max(len(line_cert.summands), len(res.summands))
-    merged: list[dict[str, RingFn]] = []
-    for j in range(k):
-        entry: dict[str, RingFn] = {}
-        for cid in cprime:
-            if j < len(line_cert.summands):
-                entry[cid] = line_cert.summands[j][cid]
-            else:
-                entry[cid] = _zero_fn(analysis, cid)
-        for cid in rest:
-            if j < len(res.summands):
-                entry[cid] = res.summands[j][cid]
-            else:
-                entry[cid] = _zero_fn(analysis, cid)
-        merged.append(entry)
-
+    k = max(len(line_cert), len(res))
+    (gram_note,) = res.provenance
     return SosCertificate(
-        summands=merged,
+        {**_padded(analysis, line_cert.columns, k), **_padded(analysis, res.columns, k)},
         exact=line_cert.exact and res.exact,
         residual=max(line_cert.residual, res.residual),
         provenance=line_cert.provenance
-        + [f"{'+'.join(rest)}: gram completion at degree {res.degree}, "
-           f"aligned at {len(prescribed)} attachment point(s)"],
+        + [f"{gram_note}, aligned at {len(prescribed)} attachment point(s)"],
     )

@@ -10,23 +10,23 @@ combination f_i - (2 u_i / u^T u) s for each i with u_i != 0.  Each
 combination sums the integer numerators of the function type (`lincomb`)
 and normalises once, and no k x k matrix is ever formed.
 
-`forest_assemble` walks the joins of `configuration.is_forest` and
-reflects only the component that joins: its value vector w at the join
-point goes to the donor's v, and sum_j (H p_j)^2 = sum_j p_j^2 on it since
-H is orthogonal.  The joining component meets the assembled part at that
-point alone, so the components already placed are only padded with zero
-functions and keep every earlier agreement: one reflection per join.  It
-does not decide the curve again; it checks the facts the gluing uses (see
-there).
+`forest_assemble` walks the joins of `configuration.is_forest` and builds
+the certificate column by column, one column of summands per component
+(`ringfn.SosCertificate`).  It reflects only the column of the component
+that joins: its value vector w at the join point goes to the donor's v,
+and sum_j (H p_j)^2 = sum_j p_j^2 on it since H is orthogonal.  The
+joining component meets the assembled part at that point alone, so the
+columns already placed are only padded with zero functions and keep every
+earlier agreement: one reflection per join.  It does not decide the curve
+again; it checks the facts the gluing uses (see there).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .bipoly import BiPoly
-from .components import LineChart, component_index
+from .components import LineChart
 from .configuration import Cycle, CurveConfiguration, is_forest
 from .curve import CurveAnalysis
 from .decide import PreconditionViolated
@@ -35,6 +35,7 @@ from .ringfn import (
     IrrationalAttachment,
     LineFn,
     RingFn,
+    SosCertificate,
     chart_arguments,
     restrict_to_chart,
 )
@@ -56,27 +57,6 @@ class NotPsdOnComponent(ValueError):
         super().__init__(
             f"target is negative on {component}: value {value} at parameter {point}"
         )
-
-
-@dataclass
-class SosCertificate:
-    """A sum-of-squares certificate as per-component summand vectors.
-
-    summands[j] maps component id -> the j-th summand's restriction there;
-    every summand covers every component (zero entries included), so each
-    one is a genuine function on the glued curve.
-    """
-
-    summands: list[dict[str, RingFn]]
-    exact: bool = True
-    residual: float = 0.0
-    provenance: list[str] = field(default_factory=list)
-
-    @property
-    def component_ids(self) -> tuple[str, ...]:
-        if not self.summands:
-            return ()
-        return tuple(sorted(self.summands[0], key=component_index))
 
 
 def reflect(fns: list[RingFn], u: list[Fraction]) -> list[RingFn]:
@@ -117,12 +97,13 @@ def forest_assemble(
     `config` is the configuration of the analysed curve, or its induced
     sub-configuration on the components to assemble.  Components are
     placed in the order of `Forest.joins`; each one contributes the
-    two-square decomposition of its restriction.  At its join point the
-    donor has value vector v and the new part w, of equal norm; one
-    `reflect` with u = w - v, applied to the new part only, sends w to v,
-    and the assembled part is padded with zero functions.  When the
-    certificate is already numeric and every |u_i| is within the numeric
-    tolerance, the reflection is skipped (see the comment there).
+    two-square decomposition of its restriction as its column.  At its
+    join point the donor has value vector v and the new part w, of equal
+    norm; one `reflect` with u = w - v, applied to the new part only,
+    sends w to v, and the columns already placed are padded with zero
+    functions.  When the certificate is already numeric and every |u_i|
+    is within the numeric tolerance, the reflection is skipped (see the
+    comment there).
 
     The caller decides the curve; this checks only the facts the gluing
     rests on, and raises PreconditionViolated naming the one that fails:
@@ -209,8 +190,4 @@ def forest_assemble(
             funcs[cid] = new
             provenance.append(f"{cid}: {len(parts)} squares, {how} at {join.point}")
 
-    count = len(next(iter(funcs.values()))) if funcs else 0
-    summands = [{cid: funcs[cid][j] for cid in funcs} for j in range(count)]
-    return SosCertificate(
-        summands=summands, exact=exact, residual=residual, provenance=provenance
-    )
+    return SosCertificate(funcs, exact, residual, provenance)

@@ -27,12 +27,12 @@ Each exact fact about a rational candidate G is proved once:
 Then sum d_k S_k^2 = f modulo F for the plane polynomials S_k = l_k^T m,
 the value rows are bilinear in G, and for psd G, G m(P) = 0 makes every
 S_k vanish at P.  Splitting each d_k into rational squares keeps all of
-it.  A summand is one S_k restricted to each component
-(`_restricted_basis`), so the summands agree at every shared point,
-rational or algebraic, by construction, and need no further check.  A
-candidate whose pivots are too large for the square search in `numbers`
-ends the rounding ladder (`_SPLIT_BITS`); on products of conics that
-leaves the certificate numeric.
+it.  The certificate (`ringfn.SosCertificate`) holds, per component, the
+column of the S_k restricted to it (`_restricted_basis`), so the summands
+agree at every shared point, rational or algebraic, by construction, and
+need no further check.  A candidate whose pivots are too large for the
+square search in `numbers` ends the rounding ladder (`_SPLIT_BITS`); on
+products of conics that leaves the certificate numeric.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from .components import CircleChart
 from .curve import CurveAnalysis
 from .numbers import limit_denominators, rational_square_list, sqrt_fraction
 from .points import RationalPoint
-from .ringfn import CircleFn, RingFn
+from .ringfn import CircleFn, RingFn, SosCertificate
 from .unipoly import UniPoly
 
 
@@ -125,7 +125,7 @@ class GramSolution:
     problem: GramProblem
     matrix: np.ndarray
     iterations: int
-    extraction: "Extraction | None" = None
+    certificate: SosCertificate | None = None  # exact, found while iterating
 
 
 _SOLVER_TOL = 1e-9
@@ -389,7 +389,7 @@ def alternating_projections(problem: GramProblem) -> GramSolution:
         if it % _EXTRACT_EVERY == 0:
             found = _round_to_exact(problem, y, _PROBE_LADDER)
             if found is not None:
-                return GramSolution(problem, y, it, Extraction(found, True, 0.0))
+                return GramSolution(problem, y, it, SosCertificate(found))
         # patience rule: infeasible problems level off at a positive gap,
         # slow feasible ones keep shaving the residual
         if it >= 500 and it % 100 == 0 and res > 1000 * _SOLVER_TOL:
@@ -516,37 +516,30 @@ class _ExactAffineSnap:
         return [[c // common for c in row] for row in out], den // common
 
 
-@dataclass
-class Extraction:
-    summands: list[dict[str, RingFn]]
-    exact: bool
-    residual: float
-
-
-def extract_summands(sol: GramSolution) -> Extraction:
-    """Summand functions from the Gram matrix of a solution.
+def extract_summands(sol: GramSolution) -> SosCertificate:
+    """The certificate in the Gram matrix of a solution, one column per conic.
 
     Exact summands when the rounding ladder finds them; otherwise the
     eigenvector summands with their coefficient residual.
     """
-    if sol.extraction is not None:
-        return sol.extraction
+    if sol.certificate is not None:
+        return sol.certificate
     found = _round_to_exact(sol.problem, sol.matrix, _ROUND_LADDER)
     if found is not None:
-        return Extraction(found, True, 0.0)
+        return SosCertificate(found)
     w, v = jacobi_eigh(sol.matrix)
     order = np.argsort(w)[::-1]
     cutoff = max(1.0, float(np.max(np.abs(w)))) * 1e-10 if w.size else 0.0
     vectors = [np.sqrt(max(w[i], 0.0)) * v[:, i] for i in order if w[i] > cutoff]
     float_vectors = [[Fraction(float(c)) for c in vec] for vec in vectors]
-    summands = _vectors_to_summands(sol.problem, float_vectors)
-    return Extraction(summands, False, _float_residual(sol.problem, vectors))
+    columns = _vectors_to_summands(sol.problem, float_vectors)
+    return SosCertificate(columns, False, _float_residual(sol.problem, vectors))
 
 
 def _round_to_exact(
     problem: GramProblem, matrix: np.ndarray, ladder: tuple[int, ...]
-) -> list[dict[str, RingFn]] | None:
-    """Exact summands from the first rounding of the matrix that promotes, or None.
+) -> dict[str, tuple[RingFn, ...]] | None:
+    """Exact columns from the first rounding of the matrix that promotes, or None.
 
     Each rung rounds the entries to rationals with bounded denominators and
     projects the result exactly onto the slice of the rows, so irrational
@@ -719,13 +712,13 @@ def _float_screen_rejects(g: Scaled) -> bool:
 
 def _vectors_to_summands(
     problem: GramProblem, vectors: list[list[Fraction]]
-) -> list[dict[str, RingFn]]:
+) -> dict[str, tuple[RingFn, ...]]:
     """One summand per vector: the polynomial with the vector's coordinates
-    on the monomial basis, restricted to every component."""
-    return [
-        {cid: CircleFn.lincomb(vec, fns) for cid, fns in problem.restricted.items()}
-        for vec in vectors
-    ]
+    on the monomial basis, restricted to each component as its column."""
+    return {
+        cid: tuple(CircleFn.lincomb(vec, fns) for vec in vectors)
+        for cid, fns in problem.restricted.items()
+    }
 
 
 def _float_residual(problem: GramProblem, vectors: list[np.ndarray]) -> float:

@@ -12,10 +12,14 @@ off its coordinates.  A conic in circle normal form carries functions
 a(x) + b(x)*w where w^2 = q(x).  Both shapes support the exact ring
 operations certificate assembly needs: arithmetic, restriction of plane
 polynomials, and evaluation at rational and algebraic points.
+
+A function on the reducible curve is one such function per component, and
+a sum-of-squares certificate (`SosCertificate`) stores its summands that
+way: one column of functions per component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -236,6 +240,29 @@ def sum_of_squares(fns: Sequence[RingFn], like: RingFn) -> RingFn:
     if isinstance(like, LineFn):
         return LineFn.sum_of_squares(fns)
     return CircleFn.sum_of_squares(fns, like.q)
+
+
+@dataclass
+class SosCertificate:
+    """sum_j s_j^2 for ring elements s_j, stored as one column per component.
+
+    columns[cid][j] is the restriction of s_j to component cid.  Every
+    column has the same length, the number of summands `len(cert)`; the
+    s_j are functions on the curve when their restrictions agree at the
+    shared points, which `verify` checks.  A target that vanishes on the
+    curve is the empty sum: every column is empty.
+    """
+
+    columns: dict[str, tuple[RingFn, ...]]
+    exact: bool = True
+    residual: float = 0.0
+    provenance: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.columns = {cid: tuple(col) for cid, col in self.columns.items()}
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def restrict_to_chart(F: BiPoly, chart: Chart) -> RingFn:

@@ -1,11 +1,13 @@
 """Independent exact checking of certificates and obstruction witnesses.
 
-Nothing here trusts the constructors: the sum of squares is re-expanded and
-compared to the target coefficient by coefficient, value agreement is
-re-evaluated at every shared point (a rational one is first tested to lie on
-each component it is recorded on; a real one must be an ordinary multiple
-point, the only kind where agreement in value makes the summands functions
-on the curve), and witness properties (sign alternation,
+Nothing here trusts the constructors: the components come from the curve
+analysis, and a certificate must have one column of summands for each; the
+sum of squares is re-expanded and compared to the target coefficient by
+coefficient; value agreement is re-evaluated at every shared point across
+the columns of the components through it (a rational one is first tested to
+lie on each component it is recorded on; a real one must be an ordinary
+multiple point, the only kind where agreement in value makes the summands
+functions on the curve); and witness properties (sign alternation,
 interlacing, psd ranges, vanishing orders) are re-derived from scratch.  The
 re-expansion is one pass per component (`ringfn.sum_of_squares`): the
 squares are summed on integer numerators and normalised once, which gives
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from .bipoly import BiPoly
 from .components import CircleChart
 from .curve import CurveAnalysis
-from .glue import SosCertificate
 from .points import (
     ConjugatePairPoint,
     RationalPoint,
@@ -28,6 +29,7 @@ from .ringfn import (
     CircleFn,
     LineFn,
     RingFn,
+    SosCertificate,
     chart_arguments,
     float_value,
     restrict_to_chart,
@@ -99,6 +101,10 @@ def verify_certificate(
 ) -> ExactReport:
     """Re-check a sum-of-squares certificate from first principles.
 
+    The components are those of the analysis, not of the certificate:
+    `coverage` fails unless the certificate has a column for each of them,
+    none for anything else, and all of one length.  Empty columns are the
+    empty sum, the certificate of a target that vanishes on the curve.
     Exact certificates must reproduce the target coefficient for coefficient
     and agree exactly at every shared point; numeric ones are measured and
     pass when the worst deviation stays within _NUMERIC_TOL.  `F` is the
@@ -108,34 +114,19 @@ def verify_certificate(
     notes: list[str] = []
     residual = 0.0
 
-    cids = cert.component_ids
-    if not cids:
-        return ExactReport(
-            False,
-            (Check("coverage", False, "certificate has no summands"),),
-        )
-    charts = {}
-    targets: dict[str, RingFn] = {}
-    for cid in cids:
-        comp = analysis.component(cid)
-        charts[cid] = comp.chart
-        targets[cid] = restrict_to_chart(F, comp.chart)
-    ragged = [
-        i for i, s in enumerate(cert.summands) if set(s) != set(cids)
-    ]
-    checks.append(
-        Check(
-            "coverage",
-            not ragged,
-            "" if not ragged else f"summand(s) {ragged} skip components",
-        )
-    )
-    if ragged:
+    # the curve's components come from the analysis, never the certificate
+    charts = {comp.label: comp.chart for comp in analysis.components}
+    cols = cert.columns
+    lengths = sorted({len(col) for col in cols.values()})
+    covered = cols.keys() == charts.keys() and len(lengths) == 1
+    detail = f"columns {', '.join(cols)} of lengths {lengths}; the curve has {', '.join(charts)}"
+    checks.append(Check("coverage", covered, "" if covered else detail))
+    if not covered:
         return ExactReport(False, tuple(checks))
 
-    for cid in cids:
-        target = targets[cid]
-        diff = sum_of_squares([s[cid] for s in cert.summands], target) - target
+    for cid, chart in charts.items():
+        target = restrict_to_chart(F, chart)
+        diff = sum_of_squares(cols[cid], target) - target
         if cert.exact:
             passed = diff.is_zero
             detail = "" if passed else "sum of squares misses the target"
@@ -147,7 +138,7 @@ def verify_certificate(
         checks.append(Check(f"sum:{cid}", passed, detail))
 
         if cert.exact and isinstance(target, LineFn) and not target.is_zero:
-            degs = [s[cid].top_degree for s in cert.summands if not s[cid].is_zero]
+            degs = [fn.top_degree for fn in cols[cid] if not fn.is_zero]
             top = max(degs, default=0)
             rule = target.top_degree == 2 * top
             checks.append(
@@ -159,9 +150,8 @@ def verify_certificate(
                 )
             )
 
-    index_of = {analysis.component(cid).index: cid for cid in cids}
     for rec in analysis.points:
-        incident = [index_of[k] for k in rec.components if k in index_of]
+        incident = [analysis.components[k].label for k in rec.components]
         if len(incident) < 2:
             continue
         name = f"agreement:{rec.id}"
@@ -188,8 +178,8 @@ def verify_certificate(
                 xy = p.as_floats()
                 at = lambda fn, cid: float_value(fn, charts[cid], *xy)  # noqa: E731
             bad = ""
-            for j, s in enumerate(cert.summands):
-                vals = [at(s[cid], cid) for cid in incident]
+            for j, fns in enumerate(zip(*(cols[cid] for cid in incident))):
+                vals = [at(fn, cid) for fn, cid in zip(fns, incident)]
                 if cert.exact:
                     if any(v != vals[0] for v in vals):
                         bad = f"summand {j} disagrees at {rec.id}"
@@ -205,10 +195,10 @@ def verify_certificate(
             checks.append(Check(name, not bad, bad))
         elif isinstance(rec.point, ConjugatePairPoint):
             bad = ""
-            for j, s in enumerate(cert.summands):
+            for j, fns in enumerate(zip(*(cols[cid] for cid in incident))):
                 polys = [
-                    _pair_value_poly(s[cid], charts[cid], rec.point)
-                    for cid in incident
+                    _pair_value_poly(fn, charts[cid], rec.point)
+                    for fn, cid in zip(fns, incident)
                 ]
                 if any(p is None for p in polys):
                     bad = f"cannot evaluate at non-real {rec.id}"

@@ -315,21 +315,21 @@ def test_forest_assemble_reflects_each_joining_component_once(monkeypatch, facto
         c.label: list(line_fn_sos(restrict_to_chart(F, c.chart)).parts) for c in analysis.components
     }
     first, *joined = (p.split(":")[0] for p in cert.provenance)
-    n = len(cert.summands)
+    n = len(cert)
     # one reflection per attachment point, of the joining component's own
     # parts padded with zeros: nothing already placed is reflected again
     attachments = sum(1 for rec in analysis.points if rec.is_real)
     assert len(inputs) == len(joined) == attachments == len(factors) - 1
     for cid, fns in zip(joined, inputs):
         assert fns == parts[cid] + [LineFn.zero()] * (len(fns) - len(parts[cid]))
-    assert [s[first] for s in cert.summands] == parts[first] + [LineFn.zero()] * (n - len(parts[first]))
+    assert cert.columns[first] == tuple(parts[first] + [LineFn.zero()] * (n - len(parts[first])))
 
     # perturbing one reflected function breaks the certificate
     last = joined[-1]
-    j = next(j for j, s in enumerate(cert.summands) if not s[last].is_zero)
-    bad = [dict(s) for s in cert.summands]
-    bad[j][last] = bad[j][last] + LineFn.const(Fr(1, 5))
-    report = verify_certificate(analysis, F, replace(cert, summands=bad))
+    j = next(j for j, fn in enumerate(cert.columns[last]) if not fn.is_zero)
+    bad = list(cert.columns[last])
+    bad[j] = bad[j] + LineFn.const(Fr(1, 5))
+    report = verify_certificate(analysis, F, replace(cert, columns={**cert.columns, last: bad}))
     assert not report.ok
 
 

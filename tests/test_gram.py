@@ -424,11 +424,13 @@ def test_summands_agree_at_algebraic_shared_points(factors, target, degree):
     vectors = [
         [Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(problem.dim)] for _ in range(4)
     ]
-    for summand in gram._vectors_to_summands(problem, vectors):
-        for rec in shared:
-            a, b = (analysis.components[k] for k in rec.components)
-            va = value_at_algebraic(summand[a.label], a.chart, rec.point)
-            vb = value_at_algebraic(summand[b.label], b.chart, rec.point)
+    columns = gram._vectors_to_summands(problem, vectors)
+    for rec in shared:
+        a, b = (analysis.components[k] for k in rec.components)
+        assert len(columns[a.label]) == len(columns[b.label]) == len(vectors)
+        for fa, fb in zip(columns[a.label], columns[b.label]):
+            va = value_at_algebraic(fa, a.chart, rec.point)
+            vb = value_at_algebraic(fb, b.chart, rec.point)
             assert (va - vb).is_zero()
 
 
@@ -575,11 +577,13 @@ def test_summands_from_coordinates_match_the_basis(factors, target, degree):
         [Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(problem.dim)]
         for _ in range(3)
     ] + [[Fr(0)] * problem.dim]
-    for vec, summand in zip(vectors, gram._vectors_to_summands(problem, vectors)):
+    columns = gram._vectors_to_summands(problem, vectors)
+    assert sorted(columns) == subset
+    for j, vec in enumerate(vectors):
         framed = BiPoly({e: c for e, c in zip(problem.basis, vec) if c})
         plane = framed.translate(0, frame.s0).compose_linear(1, 0, frame.s1, 1)
         for cid in subset:
-            assert summand[cid] == restrict_to_chart(plane, analysis.component(cid).chart)
+            assert columns[cid][j] == restrict_to_chart(plane, analysis.component(cid).chart)
 
 
 ROW_CASES = [

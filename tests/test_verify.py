@@ -5,10 +5,16 @@ import pytest
 
 from soscurves.certify import full_certify
 from soscurves.curve import analyze_curve
-from soscurves.glue import SosCertificate
 from soscurves.points import AlgebraicPoint, RationalPoint
 from soscurves.polyparse import parse_bipoly as B
-from soscurves.ringfn import CircleFn, LineFn, float_value, restrict_to_chart, value_at_point
+from soscurves.ringfn import (
+    CircleFn,
+    LineFn,
+    SosCertificate,
+    float_value,
+    restrict_to_chart,
+    value_at_point,
+)
 from soscurves.tribool import TriBool
 from soscurves.unipoly import UniPoly
 from soscurves.verify import verify_certificate
@@ -28,11 +34,10 @@ def test_numeric_agreement_at_algebraic_points():
     assert report.ok, report.failures()
     assert {"agreement:P1", "agreement:P2"} <= {c.name for c in report.checks}
 
-    cid = cert.component_ids[0]
-    summands = [dict(s) for s in cert.summands]
-    f = summands[0][cid]
-    summands[0][cid] = f + CircleFn.const(Fr(1, 1000), f.q)
-    report = verify_certificate(analysis, F, replace(cert, summands=summands))
+    cid = analysis.components[0].label
+    f, *rest = cert.columns[cid]
+    bumped = {**cert.columns, cid: (f + CircleFn.const(Fr(1, 1000), f.q), *rest)}
+    report = verify_certificate(analysis, F, replace(cert, columns=bumped))
     failed = {c.name for c in report.failures()}
     assert {"agreement:P1", "agreement:P2"} <= failed
     assert not report.ok
@@ -64,16 +69,15 @@ def test_exact_agreement_at_algebraic_points():
     assert report.ok, report.failures()
 
     algebraic = [rec for rec in analysis.points if isinstance(rec.point, AlgebraicPoint)]
-    cid = cert.component_ids[0]
+    cid = analysis.components[0].label
     index = analysis.component(cid).index
     touching = {f"agreement:{rec.id}" for rec in algebraic if index in rec.components}
     elsewhere = {f"agreement:{rec.id}" for rec in algebraic} - touching
     assert len(touching) == 4 and len(elsewhere) == 4
 
-    summands = [dict(s) for s in cert.summands]
-    f = summands[0][cid]
-    summands[0][cid] = f + CircleFn.const(Fr(1, 1000), f.q)
-    report = verify_certificate(analysis, F, replace(cert, summands=summands))
+    f, *rest = cert.columns[cid]
+    bumped = {**cert.columns, cid: (f + CircleFn.const(Fr(1, 1000), f.q), *rest)}
+    report = verify_certificate(analysis, F, replace(cert, columns=bumped))
     failed = {c.name for c in report.failures()}
     assert touching <= failed
     assert not elsewhere & failed
@@ -106,10 +110,7 @@ def test_agreement_at_a_tangency_fails():
     assert rec.is_real and rec.ompit is TriBool.NO
     t = UniPoly.var()
     cert = SosCertificate(
-        [
-            {"C1": LineFn.const(1), "C2": LineFn.const(1)},
-            {"C1": LineFn(t), "C2": LineFn(-t)},
-        ]
+        {"C1": (LineFn.const(1), LineFn(t)), "C2": (LineFn.const(1), LineFn(-t))}
     )
     report = verify_certificate(analysis, B("1 + x^2"), cert)
     assert [(c.name, c.detail) for c in report.failures()] == [
@@ -129,10 +130,10 @@ def test_agreement_at_a_conjugate_pair():
 
     def checked(line_second):
         cert = SosCertificate(
-            summands=[
-                {"C1": CircleFn.const(1, q), "C2": LineFn.const(1)},
-                {"C1": CircleFn(UniPoly.zero(), UniPoly.one(), q), "C2": line_second},
-            ]
+            columns={
+                "C1": (CircleFn.const(1, q), CircleFn(UniPoly.zero(), UniPoly.one(), q)),
+                "C2": (LineFn.const(1), line_second),
+            }
         )
         return verify_certificate(analysis, F, cert)
 
@@ -144,3 +145,56 @@ def test_agreement_at_a_conjugate_pair():
     assert [(c.name, c.detail) for c in report.failures()] == [
         ("agreement:P1", "summand 1 disagrees at non-real P1")
     ]
+
+
+def _drop_column(cert, cid):
+    return {k: col for k, col in cert.columns.items() if k != cid}
+
+
+def _short_column(cert, cid):
+    return {**cert.columns, cid: cert.columns[cid][:-1]}
+
+
+def _foreign_column(cert, cid):
+    return {**cert.columns, "C9": (LineFn.zero(),) * len(cert)}
+
+
+@pytest.mark.parametrize(
+    "factors, target",
+    [
+        (["x", "y"], "x^2 + y^2 + 1"),
+        (["x^2 + y^2 - 1", "x^2 + y^2 - 2*x"], "x^2 + y^2 + 1"),
+    ],
+    ids=["two-lines", "two-circles"],
+)
+@pytest.mark.parametrize("edit", [_drop_column, _short_column, _foreign_column])
+def test_coverage_reads_the_components_of_the_curve(factors, target, edit):
+    # the checker takes the components from the analysis: a certificate
+    # that leaves one out, is one summand short on one, or covers one the
+    # curve does not have fails coverage and is checked no further
+    analysis = analyze_curve([B(f) for f in factors])
+    F = B(target)
+    cert = full_certify(analysis, F)
+    assert verify_certificate(analysis, F, cert).ok
+    report = verify_certificate(analysis, F, replace(cert, columns=edit(cert, "C2")))
+    assert not report.ok
+    assert [c.name for c in report.checks] == ["coverage"]
+
+
+@pytest.mark.parametrize(
+    "factors, target",
+    [
+        (["x"], "x"),
+        (["x", "y"], "x*y"),
+        (["x^2 + y^2 - 1", "y"], "y*(x^2 + y^2 - 1)"),
+    ],
+    ids=["line", "two-lines", "circle-and-secant"],
+)
+def test_a_target_vanishing_on_the_curve_is_the_empty_sum(factors, target):
+    analysis = analyze_curve([B(f) for f in factors])
+    F = B(target)
+    cert = full_certify(analysis, F)
+    assert cert.exact and len(cert) == 0
+    assert sorted(cert.columns) == [c.label for c in analysis.components]
+    report = verify_certificate(analysis, F, cert)
+    assert report.ok, report.failures()

@@ -10,7 +10,10 @@ on both sides alike.  Every run's last line is its JSON result.  The tool
 prints each pair's end-to-end metrics, then per metric the median and
 quartiles of each side and the number of pairs the change won, reading
 which direction is better from the change's BENCHMARK.json.  A tie counts
-as no win.  --json writes the runs and the summary to a file.
+as no win.  It also records each run's attempted and failed operations and
+prints each side's failed share, failed / attempted over all its runs: one
+operation that times out in every run fails a larger share of the slower
+side's fewer attempts.  --json writes the runs and the summary to a file.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: {root}: run.py exited with {out.returncode}\n{out.stderr}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()} | {
-        "failed": result["failed"], "correct": result["correct"],
+        "attempted": result["attempted"], "failed": result["failed"], "correct": result["correct"],
     }
 
 
@@ -85,7 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         cells = "  ".join(
             f"{name} {runs['parent'][-1][name]:.5g} -> {runs['change'][-1][name]:.5g}" for name in better
         )
-        print(f"pair {k + 1}: {cells}", flush=True)
+        fails = "  ".join(
+            f"{side} failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}" for side in SIDES
+        )
+        print(f"pair {k + 1}: {cells}  {fails}", flush=True)
     summary = summarize(runs, better)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     for name, s in summary.items():
@@ -94,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
             f"[{s['parent_q1']:.5g}, {s['parent_q3']:.5g}], change {s['change_median']:.5g} "
             f"[{s['change_q1']:.5g}, {s['change_q3']:.5g}], change won {s['change_wins']} of {s['pairs']}"
         )
+    for side in SIDES:
+        failed, attempted = (sum(r[key] for r in runs[side]) for key in ("failed", "attempted"))
+        print(f"  {side}: failed share {failed}/{attempted} = {failed / attempted:.5g}")
     for side in SIDES:
         if any(r["failed"] or not r["correct"] for r in runs[side]):
             print(f"  warning: the {side} had failed or wrong operations")

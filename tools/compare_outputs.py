@@ -14,8 +14,9 @@ reproducers, through the perfbench operation itself.  One JSON line per
 instance records the outcome and detail; the curve analysis (the shear,
 and per point its realness, incidences, own singularities, `ompit` flag
 and classification kind and detail); when one was built, the
-certificate (`exact`, residual, provenance, the `repr` of every summand) or
-the witness (`repr`); when the checker ran, its report (`ok`, residual,
+certificate (`exact`, residual, provenance, the `repr` of every summand,
+one row per summand whether the checkout stores rows or one column per
+component) or the witness (`repr`); when the checker ran, its report (`ok`, residual,
 the names of the failed checks), so a change to the checker is diffed too;
 and the Gram rounding ladder's trail: per exact snap whether it returned a
 matrix, and per exact L D L^T (`gram._rational_ldl`) None or the largest
@@ -74,13 +75,17 @@ def _capture(module, name: str, built: list) -> None:
 def _artifact(obj) -> dict | None:
     if obj is None:
         return None
-    if hasattr(obj, "summands"):
+    if hasattr(obj, "columns"):  # one column per component; older checkouts store rows
+        summands = [dict(zip(obj.columns, row)) for row in zip(*obj.columns.values())]
+    else:
+        summands = getattr(obj, "summands", None)
+    if summands is not None:
         return {
             "exact": obj.exact,
             "residual": repr(obj.residual),
             "provenance": list(obj.provenance),
             "summands": [
-                {cid: repr(fn) for cid, fn in sorted(s.items())} for s in obj.summands
+                {cid: repr(fn) for cid, fn in sorted(s.items())} for s in summands
             ],
         }
     return {"witness": repr(obj)}
